@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import Forest, ForestSum, _as_coeff
+from .trees import EMPTY_FOREST, Forest, ForestSum, _accumulate, _as_coeff, _scaled
 from .hopf import coproduct, graft
 
 
@@ -85,54 +85,56 @@ def solve(spec: DSESpec) -> DSESolution:
     """
     n_max = spec.order
     xs: list[ForestSum] = [ForestSum.unit()]
-    # powers[p][m] = grade-m part of X^p, maintained incrementally
     for n in range(1, n_max + 1):
-        acc = ForestSum.zero()
+        acc: dict = {}
         for j, coc in enumerate(spec.cocycles, start=1):
             if j > n:
                 break
             inner = _graded_power_part(xs, j + 1, n - j)
-            if inner:
-                acc = acc + coc.omega * graft(coc.decoration, inner)
-        xs.append(acc)
+            if inner and coc.omega:
+                _accumulate(acc, _scaled(graft(coc.decoration, inner).terms, coc.omega))
+        xs.append(ForestSum._make(acc))
     return DSESolution(spec=spec, coefficients=tuple(xs))
 
 
 def _graded_power_part(xs: list[ForestSum], p: int, m: int) -> ForestSum:
     """Grade-m part of (X_0 + X_1 + ...)^p given the graded pieces."""
-    # dp[g] = grade-g part of the running power
-    dp: list[ForestSum] = [ForestSum.unit()] + [ForestSum.zero()] * m
-    for _ in range(p):
-        nxt = [ForestSum.zero() for _ in range(m + 1)]
+    # dp[g] = terms of the grade-g part of the running power; the last
+    # factor only needs to reach grade m itself
+    dp: list[dict] = [{EMPTY_FOREST: Fraction(1)}] + [{} for _ in range(m)]
+    for i in range(p):
+        nxt: list[dict] = [{} for _ in range(m + 1)]
         for g in range(m + 1):
             if not dp[g]:
                 continue
-            for k in range(0, m - g + 1):
+            ks = (m - g,) if i == p - 1 else range(m - g + 1)
+            for k in ks:
                 if k < len(xs) and xs[k]:
-                    nxt[g + k] = nxt[g + k] + dp[g] * xs[k]
+                    _accumulate(nxt[g + k], ((f1 * f2, c1 * c2)
+                                             for f1, c1 in dp[g].items()
+                                             for f2, c2 in xs[k].terms.items()))
         dp = nxt
-    return dp[m]
+    return ForestSum._make(dp[m])
 
 
 def partial_sum(sol: DSESolution, m: int) -> ForestSum:
     """Y_m = sum_{n=1..m} coupling^n X_n (no grade-0 term)."""
     if m < 0 or m > sol.order:
         raise ValueError(f"partial sum order {m} outside solved range 0..{sol.order}")
-    acc = ForestSum.zero()
-    lam = sol.coupling
+    out: dict = {}
     for n in range(1, m + 1):
-        acc = acc + (lam ** n) * sol.coefficients[n]
-    return acc
+        _accumulate(out, _scaled(sol.coefficients[n].terms, sol.coupling ** n))
+    return ForestSum._make(out)
 
 
 def structural_sum(sol: DSESolution, m: int) -> ForestSum:
     """sum_{n=1..m} X_n with unit coefficients, coupling left aside."""
     if m < 0 or m > sol.order:
         raise ValueError(f"partial sum order {m} outside solved range 0..{sol.order}")
-    acc = ForestSum.zero()
+    out: dict = {}
     for n in range(1, m + 1):
-        acc = acc + sol.coefficients[n]
-    return acc
+        _accumulate(out, sol.coefficients[n].terms.items())
+    return ForestSum._make(out)
 
 
 def rescale(sol: DSESolution, factor: Fraction) -> DSESolution:
@@ -182,10 +184,7 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
 
 
 def _monomial_value(sol: DSESolution, partition: tuple[int, ...]) -> ForestSum:
-    acc = ForestSum.unit()
-    for k in partition:
-        acc = acc * sol.coefficients[k]
-    return acc
+    return ForestSum.product(sol.coefficients[k] for k in partition)
 
 
 def subalgebra_witness(sol: DSESolution, n: int) -> WitnessReport:
@@ -207,15 +206,9 @@ def subalgebra_witness(sol: DSESolution, n: int) -> WitnessReport:
             left_val = _monomial_value(sol, left_part)
             for right_part in _partitions(n - p):
                 right_val = _monomial_value(sol, right_part)
-                col: dict[tuple[Forest, Forest], Fraction] = {}
-                for fl, cl in left_val.terms.items():
-                    for fr, cr in right_val.terms.items():
-                        key = (fl, fr)
-                        s = col.get(key, Fraction(0)) + cl * cr
-                        if s:
-                            col[key] = s
-                        else:
-                            col.pop(key, None)
+                col = _accumulate({}, (((fl, fr), cl * cr)
+                                       for fl, cl in left_val.terms.items()
+                                       for fr, cr in right_val.terms.items()))
                 pairs.append((left_part, right_part))
                 columns.append(col)
 

@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import Tree, _as_coeff
+from .trees import SparseSum, Tree, _accumulate, _as_coeff
 
 TUTTE_EDGE_LIMIT = 24
 RANK_NULLITY_EDGE_LIMIT = 20
@@ -40,107 +40,38 @@ class DisconnectedNotice(UserWarning):
 
 # -- multivariate polynomials -------------------------------------------------
 
-class MultiPoly:
+class MultiPoly(SparseSum):
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms are keyed by sorted tuples of (variable, exponent) pairs; the
-    empty key is the constant term.
+    empty key is the constant term, and bare rationals are constants.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _UNIT = ()
+    _SCALARS = True
 
-    def __init__(self, terms: dict[tuple[tuple[str, int], ...], Fraction] | None = None):
-        clean: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _as_coeff(c)
-                if not c:
-                    continue
-                mono = tuple(sorted((v, e) for v, e in mono if e))
-                if any(e < 0 for _, e in mono):
-                    raise ValueError("exponents must be nonnegative")
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-                if not clean[mono]:
-                    del clean[mono]
-        object.__setattr__(self, "terms", clean)
+    @staticmethod
+    def _check_key(mono):
+        mono = tuple(sorted((v, e) for v, e in mono if e))
+        if any(e < 0 for _, e in mono):
+            raise ValueError("exponents must be nonnegative")
+        return mono
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    @staticmethod
+    def _key_mul(m1, m2):
+        exps = dict(m1)
+        for v, e in m2:
+            exps[v] = exps.get(v, 0) + e
+        return tuple(sorted(exps.items()))
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        return MultiPoly({(): _as_coeff(c)})
+        return MultiPoly({(): c})
 
     @staticmethod
     def var(name: str, exp: int = 1, coeff=1) -> "MultiPoly":
-        return MultiPoly({((name, exp),): _as_coeff(coeff)})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            return MultiPoly({k: c * v for k, v in self.terms.items()}) if c else MultiPoly()
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                exps: dict[str, int] = {}
-                for v, e in m1 + m2:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = MultiPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return MultiPoly({((name, exp),): coeff})
 
     def coeff(self, mono: dict[str, int]) -> Fraction:
         key = tuple(sorted((v, e) for v, e in mono.items() if e))
@@ -159,8 +90,8 @@ class MultiPoly:
 
     def substitute_zero(self, name: str) -> "MultiPoly":
         """Drop every term containing ``name``."""
-        return MultiPoly({m: c for m, c in self.terms.items()
-                          if all(v != name for v, _ in m)})
+        return MultiPoly._make({m: c for m, c in self.terms.items()
+                                if all(v != name for v, _ in m)})
 
     def partial(self, name: str) -> "MultiPoly":
         out: dict[tuple[tuple[str, int], ...], Fraction] = {}
@@ -171,8 +102,8 @@ class MultiPoly:
                 continue
             exps[name] = e - 1
             key = tuple(sorted((v, k) for v, k in exps.items() if k))
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return MultiPoly(out)
+            _accumulate(out, ((key, c * e),))
+        return MultiPoly._make(out)
 
     def variables(self) -> set[str]:
         return {v for mono in self.terms for v, _ in mono}
@@ -424,10 +355,7 @@ def _tutte_rec(g: MultiGraph) -> MultiPoly:
         return MultiPoly.const(1)
     comps = [c for c in g.components() if c.m]
     if len(comps) > 1:
-        out = MultiPoly.const(1)
-        for c in comps:
-            out = out * _tutte_rec(c)
-        return out
+        return MultiPoly.product(map(_tutte_rec, comps))
     g = comps[0]
     key = _canonical_key(g)
     got = _TUTTE_CACHE.get(key)
@@ -460,23 +388,19 @@ def tutte_rank_nullity(g: MultiGraph) -> MultiPoly:
     """
     if g.m > RANK_NULLITY_EDGE_LIMIT:
         raise ValueError(f"graph has {g.m} edges, oracle limit is {RANK_NULLITY_EDGE_LIMIT}")
-    xm1 = MultiPoly.var("x") - 1
-    ym1 = MultiPoly.var("y") - 1
     r_full = g.n - g.component_count()
-    # cache small powers
-    xp = [MultiPoly.const(1)]
-    yp = [MultiPoly.const(1)]
-    for _ in range(g.n + 1):
-        xp.append(xp[-1] * xm1)
-    for _ in range(g.m + 1):
-        yp.append(yp[-1] * ym1)
-    total = MultiPoly()
+    # count the subsets per (rank deficit, nullity), then expand each
+    # bucket once
+    counts: dict[tuple[int, int], int] = {}
     for bits in range(1 << g.m):
         subset = [i for i in range(g.m) if bits >> i & 1]
         r = g.n - g.component_count(subset)
-        nullity = len(subset) - r
-        total = total + xp[r_full - r] * yp[nullity]
-    return total
+        key = (r_full - r, len(subset) - r)
+        counts[key] = counts.get(key, 0) + 1
+    xm1 = MultiPoly.var("x") - 1
+    ym1 = MultiPoly.var("y") - 1
+    return sum((xm1 ** a * ym1 ** b * n for (a, b), n in sorted(counts.items())),
+               MultiPoly.zero())
 
 
 def tree_to_graph(t: Tree) -> MultiGraph:

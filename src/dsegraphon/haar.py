@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import sqrt
 
 import numpy as np
-from scipy import stats
 
 from .trees import _as_coeff
 
@@ -214,6 +213,10 @@ def norm_uniformity_statistic(depth: int = 24, samples: int = 100_000,
     """Kolmogorov-Smirnov statistic of the empirical norm distribution
     against uniform [0,1]; small iff the norm map pushes Haar to
     Lebesgue, as claimed."""
+    # scipy.stats costs about a second to import and nothing else in the
+    # package needs it, so only this statistic pays for it
+    from scipy import stats
+
     ints = _sample_norm_ints(depth, samples, seed)
     values = ints.astype(np.float64) / float(1 << depth)
     return float(stats.kstest(values, "uniform").statistic)

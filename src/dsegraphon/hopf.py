@@ -23,110 +23,52 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .trees import EMPTY_FOREST, Forest, ForestSum, Tree, _as_coeff
+from .trees import EMPTY_FOREST, Forest, ForestSum, SparseSum, Tree, \
+    _accumulate, _scaled
+
+_ONE = Fraction(1)
 
 
-class TensorSum:
-    """Rational linear combination of pairs of forests ``left (x) right``."""
+class TensorSum(SparseSum):
+    """Rational linear combination of pairs of forests ``left (x) right``.
 
-    __slots__ = ("terms",)
+    The product is componentwise.
+    """
 
-    def __init__(self, terms: dict[tuple[Forest, Forest], Fraction] | None = None):
-        clean: dict[tuple[Forest, Forest], Fraction] = {}
-        if terms:
-            for k, c in terms.items():
-                c = _as_coeff(c)
-                if c:
-                    clean[k] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorSum is immutable")
+    __slots__ = ()
+    _UNIT = (EMPTY_FOREST, EMPTY_FOREST)
 
     @staticmethod
-    def zero() -> "TensorSum":
-        return TensorSum()
+    def _check_key(k):
+        if not (isinstance(k, tuple) and len(k) == 2
+                and isinstance(k[0], Forest) and isinstance(k[1], Forest)):
+            raise TypeError("keys must be pairs of Forests")
+        return k
 
     @staticmethod
-    def unit() -> "TensorSum":
-        return TensorSum({(EMPTY_FOREST, EMPTY_FOREST): Fraction(1)})
+    def _key_mul(a, b):
+        return (a[0] * b[0], a[1] * b[1])
 
     @staticmethod
     def of(left: Forest, right: Forest, coeff=1) -> "TensorSum":
-        return TensorSum({(left, right): _as_coeff(coeff)})
-
-    def __add__(self, other):
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorSum(out)
-
-    def __neg__(self):
-        return TensorSum({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Componentwise product, or scalar multiple."""
-        if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            return TensorSum({k: c * v for k, v in self.terms.items()}) if c else TensorSum()
-        if isinstance(other, TensorSum):
-            out: dict[tuple[Forest, Forest], Fraction] = {}
-            for (l1, r1), c1 in self.terms.items():
-                for (l2, r2), c2 in other.terms.items():
-                    k = (l1 * l2, r1 * r2)
-                    s = out.get(k, Fraction(0)) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return TensorSum(out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return TensorSum({(left, right): coeff})
 
     def coeff(self, left: Forest, right: Forest) -> Fraction:
         return self.terms.get((left, right), Fraction(0))
 
     def map_left(self, fn) -> "TensorSum":
         """Apply a ForestSum-valued linear map to the left factor."""
-        out = TensorSum()
-        for (l, r), c in self.terms.items():
-            img = fn(l)
-            out = out + TensorSum({(f, r): c * v for f, v in img.terms.items()})
-        return out
+        return TensorSum._make(_accumulate({}, (
+            ((f, r), c * v) for (l, r), c in self.terms.items()
+            for f, v in fn(l).terms.items())))
 
     def map_right(self, fn) -> "TensorSum":
-        out = TensorSum()
-        for (l, r), c in self.terms.items():
-            img = fn(r)
-            out = out + TensorSum({(l, f): c * v for f, v in img.terms.items()})
-        return out
+        return TensorSum._make(_accumulate({}, (
+            ((l, f), c * v) for (l, r), c in self.terms.items()
+            for f, v in fn(r).terms.items())))
 
     def swap(self) -> "TensorSum":
-        return TensorSum({(r, l): c for (l, r), c in self.terms.items()})
+        return TensorSum._make({(r, l): c for (l, r), c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -145,12 +87,8 @@ def graft(label: str, x) -> ForestSum:
     Linear, raises the grade by exactly one.
     """
     x = _as_forest_sum(x)
-    out: dict[Forest, Fraction] = {}
-    for f, c in x.terms.items():
-        t = Tree(label, f.trees)
-        k = Forest((t,))
-        out[k] = out.get(k, Fraction(0)) + c
-    return ForestSum(out)
+    return ForestSum._make(_accumulate({}, (
+        (Forest((Tree(label, f.trees),)), c) for f, c in x.terms.items())))
 
 
 def _as_forest_sum(x) -> ForestSum:
@@ -171,42 +109,34 @@ def _coproduct_tree(t: Tree) -> TensorSum:
     if got is not None:
         return got
     # delta(B+(f)) = (B+ (x) id) delta(f) + 1 (x) B+(f)
-    d = TensorSum.unit()
-    for child in t.children:
-        d = d * _coproduct_tree(child)
-    out = dict(d.map_left(lambda fo: graft(t.label, ForestSum.of(fo))).terms)
-    k = (EMPTY_FOREST, Forest((t,)))
-    out[k] = out.get(k, Fraction(0)) + 1
-    res = TensorSum(out)
+    d = TensorSum.product(map(_coproduct_tree, t.children))
+    out = _accumulate({}, (((Forest((Tree(t.label, l.trees),)), r), c)
+                           for (l, r), c in d.terms.items()))
+    res = TensorSum._make(_accumulate(out, (((EMPTY_FOREST, Forest((t,))), _ONE),)))
     _COPROD_CACHE[t] = res
     return res
 
 
+def _coproduct_terms(x: ForestSum) -> dict:
+    """Coproduct of ``x`` as a fresh dict the caller owns."""
+    out: dict = {}
+    for f, c in x.terms.items():
+        d = TensorSum.product(map(_coproduct_tree, f.trees))
+        _accumulate(out, _scaled(d.terms, c))
+    return out
+
+
 def coproduct(x) -> TensorSum:
     """Admissible-cut coproduct, root part left, pruned forest right."""
-    x = _as_forest_sum(x)
-    out = TensorSum()
-    for f, c in x.terms.items():
-        d = TensorSum.unit()
-        for t in f.trees:
-            d = d * _coproduct_tree(t)
-        out = out + d * c
-    return out
+    return TensorSum._make(_coproduct_terms(_as_forest_sum(x)))
 
 
 def reduced_coproduct(x) -> TensorSum:
     """Coproduct with the two primitive terms ``x (x) 1`` and ``1 (x) x`` removed."""
     x = _as_forest_sum(x)
-    full = coproduct(x)
-    trimmed = dict(full.terms)
-    for f, c in x.terms.items():
-        for k in ((f, EMPTY_FOREST), (EMPTY_FOREST, f)):
-            s = trimmed.get(k, Fraction(0)) - c
-            if s:
-                trimmed[k] = s
-            else:
-                trimmed.pop(k, None)
-    return TensorSum(trimmed)
+    return TensorSum._make(_accumulate(_coproduct_terms(x), (
+        (k, -c) for f, c in x.terms.items()
+        for k in ((f, EMPTY_FOREST), (EMPTY_FOREST, f)))))
 
 
 def counit(x) -> Fraction:
@@ -223,18 +153,16 @@ def _antipode_tree(t: Tree) -> ForestSum:
     if got is not None:
         return got
     # S(t) = -t - sum' S(left) * right over the reduced coproduct
-    acc = -ForestSum.of(t)
+    out = {Forest((t,)): -_ONE}
     for (l, r), c in reduced_coproduct(ForestSum.of(t)).terms.items():
-        acc = acc - c * (_antipode_forest(l) * ForestSum.of(r))
-    _ANTIPODE_CACHE[t] = acc
-    return acc
+        _accumulate(out, ((f * r, v) for f, v in _scaled(_antipode_forest(l).terms, -c)))
+    res = ForestSum._make(out)
+    _ANTIPODE_CACHE[t] = res
+    return res
 
 
 def _antipode_forest(f: Forest) -> ForestSum:
-    out = ForestSum.unit()
-    for t in f.trees:
-        out = out * _antipode_tree(t)
-    return out
+    return ForestSum.product(map(_antipode_tree, f.trees))
 
 
 def antipode(x) -> ForestSum:
@@ -244,10 +172,10 @@ def antipode(x) -> ForestSum:
     which the tests check exhaustively on low grades.
     """
     x = _as_forest_sum(x)
-    out = ForestSum.zero()
+    out: dict = {}
     for f, c in x.terms.items():
-        out = out + c * _antipode_forest(f)
-    return out
+        _accumulate(out, _scaled(_antipode_forest(f).terms, c))
+    return ForestSum._make(out)
 
 
 # -- characters and convolution ----------------------------------------------

@@ -26,11 +26,13 @@ this convention down; it is enforced in the tests rather than assumed.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .trees import Forest, ForestSum, Tree, _as_coeff
+from .trees import Forest, ForestSum, SparseSum, Tree, _accumulate, _as_coeff, _scaled
 from .hopf import Character, convolve, reduced_coproduct, _as_forest_sum
 
 
@@ -38,93 +40,40 @@ class WindowError(ValueError):
     """Raised when a requested coefficient lies outside the exact window."""
 
 
-class ScalePoly:
-    """Polynomial in the scale L with exact rational coefficients."""
+class ScalePoly(SparseSum):
+    """Polynomial in the scale L with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Keyed by the power of L; bare rationals are constants.
+    """
 
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if k < 0:
-                    raise ValueError("polynomial powers must be nonnegative")
-                v = _as_coeff(v)
-                if v:
-                    clean[k] = v
-        object.__setattr__(self, "coeffs", clean)
+    __slots__ = ()
+    _UNIT = 0
+    _SCALARS = True
+    _key_mul = staticmethod(operator.add)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalePoly is immutable")
+    @staticmethod
+    def _check_key(k):
+        if k < 0:
+            raise ValueError("polynomial powers must be nonnegative")
+        return k
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        return self.terms
 
     @staticmethod
     def const(c) -> "ScalePoly":
-        return ScalePoly({0: _as_coeff(c)})
+        return ScalePoly({0: c})
 
     @staticmethod
     def L(power: int = 1, coeff=1) -> "ScalePoly":
-        return ScalePoly({power: _as_coeff(coeff)})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalePoly.const(other)
-        if not isinstance(other, ScalePoly):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return ScalePoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ScalePoly({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalePoly.const(other)
-        if not isinstance(other, ScalePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            return ScalePoly({k: c * v for k, v in self.coeffs.items()}) if c else ScalePoly()
-        if not isinstance(other, ScalePoly):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                s = out.get(k1 + k2, Fraction(0)) + v1 * v2
-                if s:
-                    out[k1 + k2] = s
-                else:
-                    out.pop(k1 + k2, None)
-        return ScalePoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalePoly.const(other)
-        return isinstance(other, ScalePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return ScalePoly({power: coeff})
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
 
     def derivative(self) -> "ScalePoly":
-        return ScalePoly({k - 1: k * v for k, v in self.coeffs.items() if k >= 1})
+        return ScalePoly._make({k - 1: k * v for k, v in self.terms.items() if k >= 1})
 
     def eval(self, value) -> Fraction:
         value = _as_coeff(value)
@@ -199,16 +148,7 @@ class LaurentSeries:
             other = LaurentSeries.const(other, self.window)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        lo = min(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        out: dict[int, ScalePoly] = {}
-        for p in set(self.terms) | set(other.terms):
-            if p > hi:
-                continue
-            c = self.terms.get(p, ScalePoly()) + other.terms.get(p, ScalePoly())
-            if c:
-                out[p] = c
-        return LaurentSeries(out, (lo, hi))
+        return _fold(((self, _ONE), (other, _ONE)), self.window)
 
     __radd__ = __add__
 
@@ -232,18 +172,14 @@ class LaurentSeries:
             return NotImplemented
         lo = self.lo + other.lo
         hi = min(self.hi + other.lo, self.lo + other.hi)
-        out: dict[int, ScalePoly] = {}
+        acc: dict[int, dict[int, Fraction]] = {}
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
-                p = p1 + p2
-                if p > hi:
-                    continue
-                s = out.get(p, ScalePoly()) + c1 * c2
-                if s:
-                    out[p] = s
-                else:
-                    out.pop(p, None)
-        return LaurentSeries(out, (lo, hi))
+                if p1 + p2 <= hi:
+                    _accumulate(acc.setdefault(p1 + p2, {}), (
+                        (k1 + k2, v1 * v2) for k1, v1 in c1.terms.items()
+                        for k2, v2 in c2.terms.items()))
+        return _from_accumulated(acc, (lo, hi))
 
     __rmul__ = __mul__
 
@@ -297,6 +233,32 @@ class LaurentSeries:
         for p in sorted(self.terms):
             bits.append(f"({self.terms[p]})*eps^{p}")
         return "LaurentSeries(" + " + ".join(bits) + f"; window={self.window})"
+
+
+_ONE = Fraction(1)
+
+
+def _from_accumulated(acc: dict[int, dict[int, Fraction]],
+                      window: tuple[int, int]) -> LaurentSeries:
+    hi = window[1]
+    return LaurentSeries({p: ScalePoly._make(d) for p, d in acc.items()
+                          if d and p <= hi}, window)
+
+
+def _fold(parts, window: tuple[int, int]) -> LaurentSeries:
+    """Sum of ``c * s`` over (LaurentSeries s, nonzero rational c) pairs,
+    accumulated in place.
+
+    Same value and window as starting from zero on ``window`` and adding
+    the parts one by one: the window is the meet of all windows.
+    """
+    lo, hi = window
+    acc: dict[int, dict[int, Fraction]] = {}
+    for s, c in parts:
+        lo, hi = min(lo, s.lo), min(hi, s.hi)
+        for p, poly in s.terms.items():
+            _accumulate(acc.setdefault(p, {}), _scaled(poly.terms, c))
+    return _from_accumulated(acc, (lo, hi))
 
 
 def pole_part(s: LaurentSeries) -> LaurentSeries:
@@ -361,9 +323,8 @@ def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
         raise WindowError(
             f"window {rules.window} too narrow for grade {needed}: "
             f"lower end must be <= {-needed}")
-    total = LaurentSeries.zero(rules.window)
-    for f, c in xs.terms.items():
-        total = total + _rules_on_forest(rules, f) * c
+    total = _fold(((_rules_on_forest(rules, f), c) for f, c in xs.terms.items()),
+                  rules.window)
     return _clamp(total, rules.window)
 
 
@@ -420,9 +381,8 @@ def counterterm(rules: ToyRules, x) -> LaurentSeries:
         raise WindowError(
             f"window {rules.window} too narrow for grade {needed}: "
             f"lower end must be <= {-needed}")
-    total = LaurentSeries.zero(rules.window)
-    for f, c in xs.terms.items():
-        total = total + _counterterm_forest(rules, f) * c
+    total = _fold(((_counterterm_forest(rules, f), c) for f, c in xs.terms.items()),
+                  rules.window)
     return _clamp(total, rules.window)
 
 
@@ -432,12 +392,17 @@ def _counterterm_forest(rules: ToyRules, f: Forest) -> LaurentSeries:
     got = rules._ct_cache.get(f)
     if got is not None:
         return got
-    acc = _rules_on_forest(rules, f)
-    for (l, r), c in reduced_coproduct(ForestSum.of(f)).terms.items():
-        acc = acc + _counterterm_forest(rules, l) * _rules_on_forest(rules, r) * c
-    val = -pole_part(acc)
+    val = -pole_part(_prepared(rules, f))
     rules._ct_cache[f] = val
     return val
+
+
+def _prepared(rules: ToyRules, f: Forest) -> LaurentSeries:
+    """Bogoliubov preparation of one forest: phi(f) + sum' S(f'_root) phi(f'_pruned)."""
+    phi = _rules_on_forest(rules, f)
+    sub = ((_counterterm_forest(rules, l) * _rules_on_forest(rules, r), c)
+           for (l, r), c in reduced_coproduct(ForestSum.of(f)).terms.items())
+    return _fold(itertools.chain(((phi, _ONE),), sub), phi.window)
 
 
 def counterterm_character(rules: ToyRules) -> Character:
@@ -449,12 +414,8 @@ def counterterm_character(rules: ToyRules) -> Character:
 def bogoliubov(rules: ToyRules, x) -> LaurentSeries:
     """Preparation map: phi(x) + sum' S(x'_root) phi(x'_pruned)."""
     xs = _as_forest_sum(x)
-    total = LaurentSeries.zero(rules.window)
-    for f, c in xs.terms.items():
-        acc = _rules_on_forest(rules, f)
-        for (l, r), cc in reduced_coproduct(ForestSum.of(f)).terms.items():
-            acc = acc + _counterterm_forest(rules, l) * _rules_on_forest(rules, r) * cc
-        total = total + acc * c
+    total = _fold(((_prepared(rules, f), c) for f, c in xs.terms.items()),
+                  rules.window)
     return _clamp(total, rules.window)
 
 

@@ -64,11 +64,8 @@ def forest_sum_to_json(s: ForestSum) -> list:
 def forest_sum_from_json(obj) -> ForestSum:
     if not isinstance(obj, list):
         raise ValueError("forest sum must be an array of terms")
-    total = ForestSum.zero()
-    for item in obj:
-        c = rational_from_str(item["coef"])
-        total = total + ForestSum.of(forest_from_json(item["forest"]), c)
-    return total
+    return ForestSum((forest_from_json(item["forest"]), rational_from_str(item["coef"]))
+                     for item in obj)
 
 
 def tensor_sum_to_json(s: TensorSum) -> list:
@@ -95,6 +92,9 @@ def dse_spec_from_json(obj) -> DSESpec:
     raw = obj.get("cocycles")
     if not raw:
         raise ValueError("equation spec needs a nonempty 'cocycles' array")
+    if not isinstance(raw, list) or not all(
+            isinstance(c, dict) and "decoration" in c and "omega" in c for c in raw):
+        raise ValueError("each cocycle must be an object with 'decoration' and 'omega'")
     cocycles = tuple(Cocycle(c["decoration"], rational_from_str(c["omega"]))
                      for c in raw)
     order = obj.get("order")
@@ -165,7 +165,12 @@ def multigraph_to_json(g: MultiGraph) -> dict:
 def multigraph_from_json(obj) -> MultiGraph:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("graph object needs 'n' and 'edges'")
-    return MultiGraph(obj["n"], [tuple(e) for e in obj.get("edges", [])])
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2
+            and all(isinstance(v, int) for v in e) for e in edges):
+        raise ValueError("graph 'edges' must be an array of [u, v] integer pairs")
+    return MultiGraph(obj["n"], [tuple(e) for e in edges])
 
 
 def multipoly_to_json(p: MultiPoly) -> list:
@@ -177,11 +182,5 @@ def multipoly_to_json(p: MultiPoly) -> list:
 
 
 def multipoly_from_json(obj) -> MultiPoly:
-    total = MultiPoly.const(0)
-    for item in obj:
-        c = rational_from_str(item["coef"])
-        term = MultiPoly.const(c)
-        for v, e in item.get("exps", {}).items():
-            term = term * MultiPoly.var(v) ** int(e)
-        total = total + term
-    return total
+    return MultiPoly((((v, int(e)) for v, e in item.get("exps", {}).items()),
+                      rational_from_str(item["coef"])) for item in obj)

@@ -17,9 +17,12 @@ vertices.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 _RESERVED = set("[]|")
+_CODE = attrgetter("code")
+_SIZE = attrgetter("size")
 
 
 def check_decoration(label: str) -> str:
@@ -37,7 +40,7 @@ class Tree:
 
     def __init__(self, label: str, children: Iterable["Tree"] = ()):
         check_decoration(label)
-        kids = tuple(sorted(children, key=lambda c: c.code))
+        kids = tuple(sorted(children, key=_CODE))
         for k in kids:
             if not isinstance(k, Tree):
                 raise TypeError("children must be Tree instances")
@@ -102,10 +105,10 @@ class Forest:
     __slots__ = ("trees", "code", "grade", "_hash")
 
     def __init__(self, trees: Iterable[Tree] = ()):
-        ts = tuple(sorted(trees, key=lambda t: t.code))
+        ts = tuple(sorted(trees, key=_CODE))
         object.__setattr__(self, "trees", ts)
-        object.__setattr__(self, "code", "".join(t.code for t in ts))
-        object.__setattr__(self, "grade", sum(t.size for t in ts))
+        object.__setattr__(self, "code", "".join(map(_CODE, ts)))
+        object.__setattr__(self, "grade", sum(map(_SIZE, ts)))
         object.__setattr__(self, "_hash", hash(("forest", self.code)))
 
     def __setattr__(self, name, value):
@@ -129,6 +132,10 @@ class Forest:
     def __mul__(self, other: "Forest") -> "Forest":
         if not isinstance(other, Forest):
             return NotImplemented
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
         return Forest(self.trees + other.trees)
 
     def is_empty(self) -> bool:
@@ -152,87 +159,135 @@ def _as_coeff(c) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
-class ForestSum:
-    """Rational linear combination of forests.
+def _accumulate(out: dict, items) -> dict:
+    """Add ``(key, coefficient)`` pairs into ``out`` in place and return it.
 
-    Supports ``+``, ``-``, multiplication (concatenation product, with
-    scalars accepted on either side) and integer powers.  Zero
-    coefficients are never stored.
+    Every coefficient must be a nonzero Fraction; a key whose coefficient
+    cancels is deleted, so ``out`` never holds a zero.  ``out`` must be a
+    dict the caller owns, never the ``terms`` of an existing sum: sums are
+    shared (caches hand the same object to every caller).
+    """
+    get = out.get
+    for k, c in items:
+        s = get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s += c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _scaled(terms: dict, c: Fraction):
+    """The (key, coefficient) pairs of ``c`` times ``terms``."""
+    return terms.items() if c == 1 else ((k, c * v) for k, v in terms.items())
+
+
+class SparseSum:
+    """Immutable finite rational linear combination of hashable keys.
+
+    Invariant: every key has passed the subclass's ``_check_key`` and
+    every coefficient is a nonzero Fraction.  The public constructor
+    validates its input; ``_make`` trusts a dict that already holds the
+    invariant and takes ownership of it.
+
+    A subclass supplies ``_check_key`` (validate and normalise one key),
+    ``_key_mul`` (the product of two keys), ``_UNIT`` (the key of the
+    multiplicative unit) and ``_SCALARS`` (whether bare rationals stand
+    for constants in ``+``, ``-`` and ``==``).
     """
 
     __slots__ = ("terms",)
+    _UNIT = None
+    _SCALARS = False
 
-    def __init__(self, terms: dict[Forest, Fraction] | None = None):
-        clean: dict[Forest, Fraction] = {}
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every class binds its own arithmetic, so that wrapping one
+        # class's method (to profile or trace it) leaves the others alone
+        for name in ("__add__", "__mul__"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(cls, name))
+
+    def __init__(self, terms=None):
+        """``terms``: a mapping or an iterable of (key, coefficient) pairs;
+        repeated keys add and zero coefficients are dropped."""
+        clean: dict = {}
         if terms:
-            for f, c in terms.items():
-                if not isinstance(f, Forest):
-                    raise TypeError("keys must be Forests")
+            check = self._check_key
+            for k, c in (terms.items() if hasattr(terms, "items") else terms):
+                k = check(k)
                 c = _as_coeff(c)
                 if c:
-                    clean[f] = c
+                    _accumulate(clean, ((k, c),))
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, terms: dict):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
     def __setattr__(self, name, value):
-        raise AttributeError("ForestSum is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors ----------------------------------------------------
+    @classmethod
+    def zero(cls):
+        return cls._make({})
 
-    @staticmethod
-    def zero() -> "ForestSum":
-        return ForestSum()
+    @classmethod
+    def unit(cls):
+        return cls._make({cls._UNIT: Fraction(1)})
 
-    @staticmethod
-    def unit() -> "ForestSum":
-        return ForestSum({EMPTY_FOREST: Fraction(1)})
+    @classmethod
+    def product(cls, factors):
+        """Product of an iterable of sums; the unit when it is empty."""
+        out = None
+        for x in factors:
+            out = x if out is None else out * x
+        return cls.unit() if out is None else out
 
-    @staticmethod
-    def of(x, coeff=1) -> "ForestSum":
-        """Lift a Tree or Forest to a one-term sum."""
-        if isinstance(x, Tree):
-            x = Forest((x,))
-        if not isinstance(x, Forest):
-            raise TypeError("expected Tree or Forest")
-        return ForestSum({x: _as_coeff(coeff)})
-
-    # -- linear structure ------------------------------------------------
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if self._SCALARS and isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            return self._make({self._UNIT: c} if c else {})
+        return None
 
     def __add__(self, other):
-        if not isinstance(other, ForestSum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            s = out.get(f, Fraction(0)) + c
-            if s:
-                out[f] = s
-            else:
-                out.pop(f, None)
-        return ForestSum(out)
+        return self._make(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __radd__(self, other):
+        return self + other
 
     def __neg__(self):
-        return ForestSum({f: -c for f, c in self.terms.items()})
+        return self._make({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, ForestSum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._make(_accumulate(dict(self.terms),
+                                      ((k, -c) for k, c in other.terms.items())))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_coeff(other)
-            return ForestSum({f: c * v for f, v in self.terms.items()}) if c else ForestSum()
-        if isinstance(other, ForestSum):
-            out: dict[Forest, Fraction] = {}
-            for f1, c1 in self.terms.items():
-                for f2, c2 in other.terms.items():
-                    f = f1 * f2
-                    s = out.get(f, Fraction(0)) + c1 * c2
-                    if s:
-                        out[f] = s
-                    else:
-                        out.pop(f, None)
-            return ForestSum(out)
-        return NotImplemented
+            return self._make({k: c * v for k, v in self.terms.items()} if c else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        kmul = self._key_mul
+        b = other.terms.items()
+        return self._make(_accumulate({}, ((kmul(k1, k2), c1 * c2)
+                                           for k1, c1 in self.terms.items()
+                                           for k2, c2 in b)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,19 +297,45 @@ class ForestSum:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = ForestSum.unit()
-        for _ in range(k):
-            out = out * self
-        return out
+        return self.product([self] * k)
 
     def __eq__(self, other):
-        return isinstance(other, ForestSum) and self.terms == other.terms
+        other = self._coerce(other)
+        return other is not None and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
+
+
+class ForestSum(SparseSum):
+    """Rational linear combination of forests.
+
+    Supports ``+``, ``-``, multiplication (concatenation product, with
+    scalars accepted on either side) and integer powers.  Zero
+    coefficients are never stored.
+    """
+
+    __slots__ = ()
+    _UNIT = EMPTY_FOREST
+    _key_mul = staticmethod(Forest.__mul__)
+
+    @staticmethod
+    def _check_key(f):
+        if not isinstance(f, Forest):
+            raise TypeError("keys must be Forests")
+        return f
+
+    @staticmethod
+    def of(x, coeff=1) -> "ForestSum":
+        """Lift a Tree or Forest to a one-term sum."""
+        if isinstance(x, Tree):
+            x = Forest((x,))
+        if not isinstance(x, Forest):
+            raise TypeError("expected Tree or Forest")
+        return ForestSum({x: coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -272,10 +353,10 @@ class ForestSum:
         out: dict[int, dict[Forest, Fraction]] = {}
         for f, c in self.terms.items():
             out.setdefault(f.grade, {})[f] = c
-        return {g: ForestSum(d) for g, d in sorted(out.items())}
+        return {g: ForestSum._make(d) for g, d in sorted(out.items())}
 
     def homogeneous_part(self, n: int) -> "ForestSum":
-        return ForestSum({f: c for f, c in self.terms.items() if f.grade == n})
+        return ForestSum._make({f: c for f, c in self.terms.items() if f.grade == n})
 
     def max_grade(self) -> int:
         return max((f.grade for f in self.terms), default=0)

@@ -1,11 +1,16 @@
 """End-to-end command-line runs: document shape, exit codes, error
 reporting, and byte-level reproducibility of every subcommand."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import dsegraphon
 from dsegraphon.cli import main
 from dsegraphon.serialize import forest_sum_from_json
 from dsegraphon.trees import ForestSum, Tree, ladder, leaf
@@ -220,6 +225,66 @@ def test_input_error_reporting(capsys, tmp_path, spec_file):
     assert "array" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_cocycle_without_decoration_exits_2(capsys, tmp_path):
+    spec = tmp_path / "nodeco.json"
+    spec.write_text(json.dumps({"cocycles": [{"omega": "1"}], "order": 2}))
+    assert main(["solve", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "decoration" in err
+
+
+def test_graph_with_non_array_edges_exits_2(capsys, tmp_path):
+    graphs = tmp_path / "badedges.json"
+    graphs.write_text(json.dumps([{"n": 2, "edges": 5}]))
+    for sub in ("tutte", "symanzik"):
+        assert main([sub, "--graphs", str(graphs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "edges" in err
+
+
+# sha256 of documents recorded before the sparse-sum core was shared; any
+# change to them is a change of output, not an optimisation
+GOLDEN_SOLVE = "0762f1a412cb6bf9fe92da1b44c416f18fb50b3b5fff9818ae363be47a5b3d8a"
+GOLDEN_RENORM = "99c8cf110e8987e60b7bbcc4b915cff524515be4648cd0f7cf722ca38457daab"
+GOLDEN_HAAR = "7895e555ff5ed434d6d9c9182c9469dc8031824e4a8924114542aec730a15d66"
+
+
+def test_golden_documents(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "cocycles": [{"decoration": "g", "omega": "1"}],
+        "order": 8, "coupling": "1/2"}))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"residues": {"g": "1"}, "scale": None}))
+    for argv, digest in (
+            (["solve", "--spec", str(spec)], GOLDEN_SOLVE),
+            (["renorm", "--spec", str(spec), "--rules", str(rules),
+              "--order", "5"], GOLDEN_RENORM)):
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """Only the haar KS statistic needs scipy; the other subcommands do not
+    pay for importing it, and haar still loads it and gives its document."""
+    out = tmp_path / "haar.json"
+    script = (
+        "import sys, dsegraphon.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported with the CLI'\n"
+        f"code = cli.main(['haar', '--samples', '20000', '--depth', '22', "
+        f"'--out', {str(out)!r}])\n"
+        "assert 'scipy' in sys.modules\n"
+        "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(dsegraphon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_HAAR
 
 
 def _run_twice(tmp_path, argv):

@@ -1,0 +1,213 @@
+"""The shared sparse-sum core: in-place folds against immutable ones,
+the no-zero invariant, input validation, and cache isolation.
+
+The reference folds below use only the public operators and rebuild an
+immutable sum at every step (``acc = acc + x``), with caches of their
+own; the production code accumulates into dicts in place and shares
+per-tree results through module caches.  Equal results on whole
+solution coefficients show that the in-place folds add the same terms.
+"""
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+from dsegraphon import hopf
+from dsegraphon.dse import Cocycle, DSESpec, solve
+from dsegraphon.graphpoly import MultiPoly
+from dsegraphon.hopf import TensorSum, antipode, coproduct
+from dsegraphon.renorm import ScalePoly
+from dsegraphon.trees import (EMPTY_FOREST, Forest, ForestSum, Tree, ladder,
+                              leaf)
+
+SPECS = {
+    "g": DSESpec((Cocycle("g", F(1)),), order=8),
+    "g,h": DSESpec((Cocycle("g", F(1)), Cocycle("h", F(1, 2))), order=8),
+}
+
+
+# -- reference folds, immutable at every step ---------------------------------
+
+def ref_coproduct_tree(t: Tree, memo: dict) -> TensorSum:
+    if t not in memo:
+        d = TensorSum.unit()
+        for child in t.children:
+            d = d * ref_coproduct_tree(child, memo)
+        out = TensorSum.of(EMPTY_FOREST, Forest((t,)))
+        for (l, r), c in d.terms.items():
+            out = out + TensorSum.of(Forest((Tree(t.label, l.trees),)), r, c)
+        memo[t] = out
+    return memo[t]
+
+
+def ref_coproduct(x: ForestSum, memo: dict) -> TensorSum:
+    out = TensorSum.zero()
+    for f, c in x.terms.items():
+        d = TensorSum.unit()
+        for t in f:
+            d = d * ref_coproduct_tree(t, memo)
+        out = out + d * c
+    return out
+
+
+def ref_antipode_tree(t: Tree, memo: dict) -> ForestSum:
+    key = ("S", t)
+    if key not in memo:
+        x = ForestSum.of(t)
+        red = (ref_coproduct(x, memo) - TensorSum.of(Forest((t,)), EMPTY_FOREST)
+               - TensorSum.of(EMPTY_FOREST, Forest((t,))))
+        acc = -x
+        for (l, r), c in red.terms.items():
+            acc = acc - c * (ref_antipode_forest(l, memo) * ForestSum.of(r))
+        memo[key] = acc
+    return memo[key]
+
+
+def ref_antipode_forest(f: Forest, memo: dict) -> ForestSum:
+    out = ForestSum.unit()
+    for t in f:
+        out = out * ref_antipode_tree(t, memo)
+    return out
+
+
+def ref_antipode(x: ForestSum, memo: dict) -> ForestSum:
+    out = ForestSum.zero()
+    for f, c in x.terms.items():
+        out = out + c * ref_antipode_forest(f, memo)
+    return out
+
+
+def ref_solve(spec: DSESpec) -> list[ForestSum]:
+    """X_n = sum_j omega_j B+_j(sum over k_1+...+k_(j+1) = n-j of X_k_1...X_k_(j+1))."""
+    xs = [ForestSum.unit()]
+    for n in range(1, spec.order + 1):
+        acc = ForestSum.zero()
+        for j, coc in enumerate(spec.cocycles, start=1):
+            inner = ForestSum.zero()
+            for ks in itertools.product(range(n - j + 1), repeat=j + 1):
+                if sum(ks) == n - j:
+                    term = ForestSum.unit()
+                    for k in ks:
+                        term = term * xs[k]
+                    inner = inner + term
+            acc = acc + coc.omega * hopf.graft(coc.decoration, inner)
+        xs.append(acc)
+    return xs
+
+
+@pytest.fixture(scope="module", params=sorted(SPECS))
+def solved(request):
+    spec = SPECS[request.param]
+    return spec, solve(spec)
+
+
+def test_solve_matches_immutable_fold(solved):
+    spec, sol = solved
+    assert list(sol.coefficients) == ref_solve(spec)
+
+
+def test_coproduct_and_antipode_match_immutable_fold(solved):
+    _, sol = solved
+    memo: dict = {}
+    for n in range(1, 9):
+        x = sol.coefficients[n]
+        assert coproduct(x) == ref_coproduct(x, memo), n
+        assert antipode(x) == ref_antipode(x, memo), n
+
+
+# -- invariant: no stored zero ------------------------------------------------
+
+def _zero_free(s) -> bool:
+    return all(isinstance(c, F) and c != 0 for c in s.terms.values())
+
+
+def test_cancelling_sums_store_no_zero():
+    g, l2 = ForestSum.of(leaf("g")), ForestSum.of(ladder(2))
+    x = 2 * g + l2
+    assert (x + (-x)).terms == {}
+    assert (x - x).terms == {}
+    partial = x + (-2 * g)
+    assert partial.terms == l2.terms and _zero_free(partial)
+    assert (x * 0).terms == {} and (0 * x).terms == {}
+    # products whose terms cancel: (g + l2)(g - l2) = g^2 - l2^2
+    sq = (g + l2) * (g - l2)
+    assert _zero_free(sq) and len(sq.terms) == 2
+    t = TensorSum.of(Forest((leaf("g"),)), EMPTY_FOREST, F(3, 2))
+    assert (t - t).terms == {} and (t + (-t)).terms == {}
+    p = ScalePoly.L(2, 3) + ScalePoly.const(1)
+    assert (p - p).terms == {} and _zero_free(p * p - ScalePoly.const(1))
+    assert (p - 1) == ScalePoly.L(2, 3)
+    q = MultiPoly.var("x") + 1
+    assert (q + (-q)).terms == {}
+    assert _zero_free(q * (MultiPoly.var("x") - 1)) and len((q * (q - 2)).terms) == 2
+
+
+def test_cancelling_constructor_input_stores_no_zero():
+    f = Forest((leaf("g"),))
+    assert ForestSum({f: 0}).terms == {}
+    assert ForestSum([(f, 1), (f, -1)]).terms == {}
+    assert MultiPoly({(("x", 1),): 1, (("x", 1), ("y", 0)): -1}).terms == {}
+
+
+# -- public constructors keep their checks ------------------------------------
+
+def test_public_constructors_validate():
+    f = Forest((leaf("g"),))
+    with pytest.raises(TypeError):
+        ForestSum({f: 0.5})
+    with pytest.raises(TypeError):
+        ForestSum({leaf("g"): 1})          # a Tree is not a Forest key
+    with pytest.raises(TypeError):
+        ForestSum({"g[]": 1})
+    with pytest.raises(TypeError):
+        ForestSum.of(f, 0.5)
+    with pytest.raises(TypeError):
+        TensorSum({(f, f): 0.5})
+    with pytest.raises(TypeError):
+        TensorSum({(f, "g[]"): 1})
+    with pytest.raises(TypeError):
+        TensorSum({f: 1})
+    with pytest.raises(TypeError):
+        ScalePoly({0: 0.5})
+    with pytest.raises(ValueError):
+        ScalePoly({-1: 1})
+    with pytest.raises(TypeError):
+        MultiPoly({(): 0.5})
+    with pytest.raises(ValueError):
+        MultiPoly({(("x", -1),): 1})
+    with pytest.raises(TypeError):
+        ForestSum.of(f) + 1                # forests take no bare scalars
+    for s in (ForestSum.of(f), TensorSum.of(f, f), ScalePoly.const(1),
+              MultiPoly.const(1)):
+        with pytest.raises(AttributeError):
+            s.terms = {}
+
+
+# -- accumulators never write into cached values --------------------------------
+
+def _snapshot(cache: dict) -> dict:
+    return {t: dict(v.terms) for t, v in cache.items()}
+
+
+def test_cancelling_folds_leave_caches_unchanged():
+    cherry, l3 = Tree("g", [leaf("g"), leaf("g")]), ladder(3)
+    for t in (cherry, l3):
+        coproduct(ForestSum.of(t))
+        antipode(ForestSum.of(t))
+    coprod_before = _snapshot(hopf._COPROD_CACHE)
+    anti_before = _snapshot(hopf._ANTIPODE_CACHE)
+
+    # the l2 (x) g terms cancel: 2 from the cherry, -2 from the ladder
+    x = ForestSum.of(cherry) - 2 * ForestSum.of(l3)
+    got = coproduct(x)
+    assert got.coeff(Forest((ladder(2),)), Forest((leaf("g"),))) == 0
+    assert got == coproduct(ForestSum.of(cherry)) - 2 * coproduct(ForestSum.of(l3))
+    # S(cherry) - S(l3) = -cherry + l3: the g*l2 and g^3 terms cancel
+    y = ForestSum.of(cherry) - ForestSum.of(l3)
+    assert antipode(y) == -y
+
+    for t, terms in coprod_before.items():
+        assert hopf._COPROD_CACHE[t].terms == terms
+    for t, terms in anti_before.items():
+        assert hopf._ANTIPODE_CACHE[t].terms == terms
