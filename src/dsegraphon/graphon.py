@@ -9,18 +9,33 @@ Cut norm follows the block form of the rectangle supremum,
 
     cut_norm(W) = max_{S,T}  | sum_{i in S, j in T} mu_i mu_j W_ij |
 
-over all pairs of block subsets.  Exact mode decomposes the support
-into connected components (the maximum splits across components) and
-enumerates subsets per component with Gray-code updates; heuristic mode
-runs randomized alternating maximization and certifies the best pair it
-finds with exact arithmetic, so it reports a true lower bound.
+over all pairs of block subsets.  When the mass matrix has no negative
+entry (every validated graphon) or no positive entry, the full square
+attains the maximum, so the cut norm is |total mass|; both modes return
+that closed form in O(k^2) at any number of blocks.  Mixed-sign matrices
+(perturbation directions, differences of graphons) take the general
+path.  Exact mode decomposes the support into connected components (the
+maximum splits across components) and enumerates subsets per component
+with Gray-code updates, up to 20 blocks; heuristic mode runs randomized
+alternating maximization and certifies the best pair it finds with exact
+arithmetic, so it reports a true lower bound.
 
 Cut distance minimizes the cut norm of the difference over block
-permutations after refining both graphons to a common equal-measure
-partition.  Whenever the identity alignment already attains the
-permutation-invariant lower bound |total mass difference|, that value
-is returned as the provable exact minimum without any search; this is
-what makes the rescaling diagnostics exact even at twenty blocks.
+relabelings.  Up to 4096 cells, both graphons are refined to a common
+equal-measure partition whose cells are relabeled.  Whenever the
+identity alignment already attains the permutation-invariant lower
+bound |total mass difference|, that value is returned as the provable
+exact minimum without any search; this is what makes the rescaling
+diagnostics exact even at twenty blocks.  Beyond 4096 equal cells the
+two graphons are aligned on the overlay of their block boundaries
+instead: at most k1 + k2 - 1 cells of unequal measure, on which only the
+identity alignment is evaluated, because relabeling cells of unequal
+measure does not preserve measure.
+
+Homomorphism densities sum over block colourings of the pattern's
+vertices.  A vertex with an earlier neighbour only takes the colours in
+the support of that neighbour's row, so the work follows the support of
+W rather than all k colours per vertex.
 
 Sampling uses a counter-based generator keyed by the master seed, so a
 sample is reproducible regardless of how the work would be scheduled.
@@ -29,6 +44,7 @@ sample is reproducible regardless of how the work would be scheduled.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -42,6 +58,7 @@ EXACT_CUTNORM_BLOCK_LIMIT = 20
 EXACT_DISTANCE_BLOCK_LIMIT = 8
 HEURISTIC_RESTARTS = 32
 _EXACT_COMPONENT_CAP = 16  # exact norm per support component in distance search
+_EQUAL_CELL_CAP = 4096  # beyond this, cut distance aligns on the interval overlay
 
 
 class SizeError(ValueError):
@@ -49,7 +66,8 @@ class SizeError(ValueError):
 
 
 class RefinementError(ValueError):
-    """Two graphons cannot be aligned on a common equal-measure partition."""
+    """Two graphons cannot be aligned exactly: the common equal-measure
+    partition is too fine and the overlay alignment is not certified."""
 
 
 class StepGraphon:
@@ -103,8 +121,10 @@ class StepGraphon:
         return all(x == v for row in self.values for x in row)
 
     def total_mass(self) -> Fraction:
-        return sum(self.measures[i] * self.measures[j] * self.values[i][j]
-                   for i in range(self.k) for j in range(self.k))
+        mu = self.measures
+        return sum((mu[i] * sum((mu[j] * v for j, v in enumerate(row) if v),
+                                Fraction(0))
+                    for i, row in enumerate(self.values)), Fraction(0))
 
     def permute(self, perm) -> "StepGraphon":
         """Relabel blocks: block i of the result is block perm[i] of self."""
@@ -145,7 +165,7 @@ def direction(measures, values) -> StepGraphon:
 class SimpleGraph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_edge_set")
 
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or n < 0:
@@ -159,6 +179,7 @@ class SimpleGraph:
             es.add((min(u, v), max(u, v)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(es)))
+        object.__setattr__(self, "_edge_set", frozenset(es))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
@@ -176,6 +197,10 @@ class SimpleGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether {u, v} is an edge, in O(1)."""
+        return (min(u, v), max(u, v)) in self._edge_set
 
     def canonical_code(self) -> str:
         """Labeling-invariant encoding: smallest edge list over relabelings."""
@@ -323,7 +348,17 @@ def _component_extrema(mat: list[list[Fraction]], comp: list[int]):
     return best_max, best_min
 
 
+def _sign_definite(rows) -> bool:
+    """No entry is negative, or no entry is positive.  With positive
+    block measures this is also the sign pattern of the mass matrix."""
+    return (all(v >= 0 for row in rows for v in row)
+            or all(v <= 0 for row in rows for v in row))
+
+
 def _cut_norm_exact_matrix(mat: list[list[Fraction]]) -> Fraction:
+    if _sign_definite(mat):
+        # the full square sums every entry with one sign: nothing beats it
+        return abs(sum(map(sum, mat)))
     comps = _support_components(mat)
     total_max = Fraction(0)
     total_min = Fraction(0)
@@ -370,9 +405,13 @@ def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
     return best_val, best_pair[0], best_pair[1]
 
 
+def _float_matrix(rows) -> np.ndarray:
+    return np.array([[float(v) if v else 0.0 for v in row] for row in rows])
+
+
 def _cut_norm_heuristic_matrix(mat, restarts: int, seed: int) -> Fraction:
     """Randomized search on floats, exact evaluation of the chosen pair."""
-    mf = np.array([[float(v) for v in row] for row in mat])
+    mf = _float_matrix(mat)
     rng = np.random.Generator(np.random.Philox(key=seed))
     _, s, t = _heuristic_pair(mf, rng, restarts)
     total = Fraction(0)
@@ -385,21 +424,26 @@ def _cut_norm_heuristic_matrix(mat, restarts: int, seed: int) -> Fraction:
 
 def cut_norm(w: StepGraphon, mode: str = "exact", *, seed: int = 0,
              restarts: int = HEURISTIC_RESTARTS):
-    """Cut norm of a step graphon.
+    """Cut norm of a step graphon, as a Fraction.
 
-    Exact mode enumerates block subsets (limit 20 blocks) and returns a
-    Fraction; heuristic mode returns the exactly-evaluated best pair
-    found by alternating maximization, a certified lower bound.
+    When no value of W is negative (every validated graphon) or none is
+    positive, the cut norm is |total mass|, returned in O(k^2) by both
+    modes at any size.  Otherwise exact mode returns the exact norm by
+    block-subset enumeration (limit 20 blocks, else SizeError), and
+    heuristic mode returns the exactly evaluated best pair found by
+    alternating maximization: a certified lower bound on the norm.
     """
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if _sign_definite(w.values):
+        return abs(w.total_mass())
     if mode == "exact":
         if w.k > EXACT_CUTNORM_BLOCK_LIMIT:
             raise SizeError(
                 f"exact cut norm limited to {EXACT_CUTNORM_BLOCK_LIMIT} blocks "
                 f"(got {w.k}); use heuristic mode")
         return _cut_norm_exact_matrix(_mass_matrix(w))
-    if mode == "heuristic":
-        return _cut_norm_heuristic_matrix(_mass_matrix(w), restarts, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _cut_norm_heuristic_matrix(_mass_matrix(w), restarts, seed)
 
 
 # -- refinement and cut distance ---------------------------------------------------
@@ -433,13 +477,34 @@ def common_refinement(w: StepGraphon, u: StepGraphon,
     return _refine_equal(w, cells), _refine_equal(u, cells)
 
 
+def _overlay(w: StepGraphon, u: StepGraphon):
+    """Both graphons on the overlay of their block boundaries: the
+    coarsest common partition, at most w.k + u.k - 1 cells of unequal
+    measure.  Every integral of a graphon is unchanged by the lift."""
+    cuts = sorted(set(w.boundaries()) | set(u.boundaries()))
+    mu = tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+
+    def lift(g: StepGraphon) -> StepGraphon:
+        bounds = g.boundaries()
+        idx = [bisect_right(bounds, lo) - 1 for lo in cuts[:-1]]
+        rows = tuple(tuple(g.values[a][b] for b in idx) for a in idx)
+        return _trusted_graphon(mu, rows)
+
+    return lift(w), lift(u)
+
+
 def _difference_matrix(w: StepGraphon, u: StepGraphon, perm=None):
     k = w.k
     mu = w.measures
     if perm is None:
         perm = range(k)
-    return [[mu[i] * mu[j] * (w.values[perm[i]][perm[j]] - u.values[i][j])
-             for j in range(k)] for i in range(k)]
+    zero = Fraction(0)
+    out = []
+    for i in range(k):
+        wrow, urow = w.values[perm[i]], u.values[i]
+        out.append([mu[i] * mu[j] * (wrow[perm[j]] - urow[j])
+                    if wrow[perm[j]] or urow[j] else zero for j in range(k)])
+    return out
 
 
 def _distance_eval(mat, seed: int):
@@ -454,21 +519,35 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
                  seed: int = 0, restarts: int = 8):
     """Cut distance: minimum over block relabelings of the difference norm.
 
-    Both graphons are refined to a common equal-measure partition first.
-    If the identity alignment attains the permutation-invariant bound
-    |mass(W) - mass(U)| the exact minimum is returned at once (in either
-    mode).  Otherwise exact mode enumerates the distinct relabelings
-    (limit 8 blocks) and heuristic mode descends by pairwise swaps from
-    the identity plus seeded random restarts.
+    When the common equal-measure partition has at most 4096 cells, both
+    graphons are refined to it.  If the identity alignment attains the
+    permutation-invariant bound |mass(W) - mass(U)| the exact minimum is
+    returned at once (in either mode).  Otherwise exact mode enumerates
+    the distinct relabelings (limit 8 blocks, else SizeError) and returns
+    the exact distance; heuristic mode descends by pairwise swaps from
+    the identity plus seeded random restarts and returns the norm of the
+    best alignment it found: exact when every support component of the
+    difference has at most 16 cells, else the certified rectangle of that
+    alignment (above 64 cells always the certified rectangle), which is a
+    lower bound on that alignment's norm.
+
+    Beyond 4096 cells both graphons are aligned on the overlay of their
+    block boundaries and only the identity is evaluated there.
+    Heuristic mode returns that value, exact or certified as above.
+    Exact mode returns it only when it is provably the distance: exact
+    and equal to the mass gap, or one side constant; otherwise it raises
+    RefinementError.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    wr, ur = common_refinement(w, u, max_cells=4096)
+    if _equal_refinement_count(w, u) > _EQUAL_CELL_CAP:
+        return _overlay_distance(w, u, mode, seed)
+    wr, ur = common_refinement(w, u)
     k = wr.k
     rng = np.random.Generator(np.random.Philox(key=seed))
     cell_sq = wr.measures[0] * wr.measures[0]  # refinement cells are equal
-    wf = np.array([[float(v) for v in row] for row in wr.values])
-    uf = np.array([[float(v) for v in row] for row in ur.values])
+    wf = _float_matrix(wr.values)
+    uf = _float_matrix(ur.values)
 
     def certified(perm) -> Fraction:
         # float search for a good rectangle, exact evaluation of that
@@ -481,7 +560,9 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
             wrow = wr.values[perm[int(i)]]
             urow = ur.values[int(i)]
             for j in np.flatnonzero(t):
-                total += wrow[perm[int(j)]] - urow[int(j)]
+                a, b = wrow[perm[int(j)]], urow[int(j)]
+                if a or b:
+                    total += a - b
         return abs(total) * cell_sq
 
     small = k <= 64
@@ -498,7 +579,7 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
         id_exact = False
 
     # a constant graphon is invariant under every relabeling
-    if wr.is_constant() or ur.is_constant():
+    if w.is_constant() or u.is_constant():
         return id_val
 
     if mode == "exact":
@@ -560,16 +641,45 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     return final
 
 
+def _overlay_distance(w: StepGraphon, u: StepGraphon, mode: str,
+                      seed: int) -> Fraction:
+    """Identity alignment on the overlay; see ``cut_distance``.  There is
+    no relabeling search: permuting cells of unequal measure is not
+    measure-preserving."""
+    wo, uo = _overlay(w, u)
+    val, exact = _distance_eval(_difference_matrix(wo, uo), seed)
+    if mode == "heuristic":
+        return val
+    # |mass(W)-mass(U)| lower-bounds every alignment, and a constant side
+    # makes every alignment equal to the identity
+    if exact and (val == abs(w.total_mass() - u.total_mass())
+                  or w.is_constant() or u.is_constant()):
+        return val
+    raise RefinementError(
+        f"common equal-measure partition needs "
+        f"{_equal_refinement_count(w, u)} blocks, limit is {_EQUAL_CELL_CAP}, "
+        f"and the identity alignment on the {wo.k}-cell overlay is not "
+        f"certified exact")
+
+
 # -- homomorphism densities ----------------------------------------------------------
 
 def _weighted_map_sum(nv: int, edge_mats, k: int, mu):
     """sum over maps [nv] -> [k] of prod mu_phi(v) prod mat_e[phi(a)][phi(b)].
 
-    ``edge_mats`` is a list of (a, b, matrix) with a < b.
+    ``edge_mats`` is a list of (a, b, matrix) with a < b.  A vertex with
+    earlier neighbours only takes the colours in the support of one of
+    their rows (the shortest): every other colour makes the product zero.
     """
-    edges_at: list[list[tuple[int, object]]] = [[] for _ in range(nv)]
+    supports = {}
+    edges_at: list[list[tuple[int, object, list]]] = [[] for _ in range(nv)]
     for (a, b, mat) in edge_mats:
-        edges_at[max(a, b)].append((min(a, b), mat))
+        supp = supports.get(id(mat))
+        if supp is None:
+            supp = supports[id(mat)] = [[j for j, v in enumerate(row) if v]
+                                        for row in mat]
+        edges_at[max(a, b)].append((min(a, b), mat, supp))
+    every = range(k)
     total = Fraction(0)
     assign = [0] * nv
 
@@ -578,13 +688,16 @@ def _weighted_map_sum(nv: int, edge_mats, k: int, mu):
         if depth == nv:
             total += acc
             return
-        for c in range(k):
+        at = edges_at[depth]
+        colours = min((supp[assign[a]] for (a, _, supp) in at), key=len) \
+            if at else every
+        for c in colours:
             term = acc * mu[c]
             if not term:
                 continue
             assign[depth] = c
             ok = True
-            for (a, mat) in edges_at[depth]:
+            for (a, mat, _) in at:
                 term = term * mat[assign[a]][c]
                 if not term:
                     ok = False
@@ -635,15 +748,11 @@ def gateaux_density_derivative(h: SimpleGraph, w: StepGraphon,
     """Directional derivative of t(H, .) at W in direction D.
 
     Exactly the edge-sum formula: for each edge of H replace W by D on
-    that edge and keep W on the others.  D must live on W's partition;
-    both are refined to their common partition first.
+    that edge and keep W on the others.  When D lives on another
+    partition, both are lifted to the overlay of their boundaries first.
     """
     if d.measures != w.measures:
-        cells = _equal_refinement_count(w, d)
-        if cells > 4096:
-            raise RefinementError("partitions too fine to align exactly")
-        w = _refine_equal(w, cells)
-        d = _refine_equal(d, cells)
+        w, d = _overlay(w, d)
     total = Fraction(0)
     edges = list(h.edges)
     for idx in range(len(edges)):

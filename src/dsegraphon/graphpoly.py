@@ -541,16 +541,18 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
                       "component and multiplied", DisconnectedNotice,
                       stacklevel=2)
     out = MultiPoly.const(1)
+    one = Fraction(1)
     for comp in comps:
-        part = MultiPoly()
+        terms: dict = {}
         for tree in spanning_trees(comp):
             tset = set(tree)
-            mono = MultiPoly.const(1)
+            exps: dict[str, int] = {}
             for j in range(comp.m):
                 if j not in tset:
-                    mono = mono * MultiPoly.var(_wvar(comp.evars[j]))
-            part = part + mono
-        out = out * part
+                    v = _wvar(comp.evars[j])
+                    exps[v] = exps.get(v, 0) + 1
+            _accumulate(terms, ((tuple(sorted(exps.items())), one),))
+        out = out * MultiPoly._make(terms)
     return out
 
 

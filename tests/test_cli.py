@@ -208,6 +208,32 @@ def test_trace_rows(capsys, spec_file):
     assert code == 0 and doc["results"]["distances"] == []
 
 
+def test_graphon_and_trace_beyond_enumeration_caps(capsys, tmp_path):
+    # the order-4 graphon has 76 blocks, past the 20-block subset
+    # enumeration; Y_4 and Y_5 need 10868 equal cells, past the 4096 cap
+    spec = tmp_path / "spec5.json"
+    spec.write_text(json.dumps({
+        "cocycles": [{"decoration": "g", "omega": "1"}],
+        "order": 5, "coupling": "1/2"}))
+    code, doc = run_json(capsys, ["graphon", "--spec", str(spec),
+                                  "--order", "4", "--mode", "exact"])
+    assert code == 0
+    graphon = doc["results"]["graphon"]
+    mu = [F(m) for m in graphon["measures"]]
+    mass = sum(mi * mj * F(v) for mi, row in zip(mu, graphon["values"])
+               for mj, v in zip(mu, row))
+    assert len(mu) == 76
+    assert F(doc["results"]["cut_norm"]["value"]) == mass
+    assert all(c["status"] == "PASS" for c in doc["checks"])
+    code, doc5 = run_json(capsys, ["trace", "--spec", str(spec), "--order", "5"])
+    assert code == 0
+    assert doc5["checks"] and all(c["status"] == "PASS" for c in doc5["checks"])
+    code, doc4 = run_json(capsys, ["trace", "--spec", str(spec), "--order", "4"])
+    assert code == 0
+    assert len(doc5["results"]["distances"]) == 4
+    assert doc5["results"]["distances"][:3] == doc4["results"]["distances"]
+
+
 def test_input_error_reporting(capsys, tmp_path, spec_file):
     assert main(["solve", "--spec", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

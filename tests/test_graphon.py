@@ -18,6 +18,8 @@ from dsegraphon.trees import ForestSum, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphon import (DensityFingerprint, RefinementError,
                                 SimpleGraph, SizeError, StepGraphon,
+                                _cut_norm_exact_matrix, _difference_matrix,
+                                _overlay, _weighted_map_sum,
                                 common_refinement, complete_graph,
                                 connected_graphs_up_to, convergence_trace,
                                 cut_distance, cut_norm, density_fingerprint,
@@ -43,12 +45,26 @@ def oracle_cut_norm(w: StepGraphon) -> F:
     return best
 
 
+def sparse_values(rng: random.Random, k: int, lo: int = 0) -> list[list[F]]:
+    """Symmetric k x k values in [lo/8, 1], about half of them zero."""
+    vals = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if rng.random() < 0.5:
+                vals[i][j] = vals[j][i] = F(rng.randint(lo, 8), 8)
+    return vals
+
+
+def random_measures(rng: random.Random, k: int) -> list[F]:
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    return [F(r, sum(raw)) for r in raw]
+
+
 def random_graphon(rng: random.Random, k: int, equal: bool = False) -> StepGraphon:
     if equal:
         mu = [F(1, k)] * k
     else:
-        raw = [rng.randint(1, 9) for _ in range(k)]
-        mu = [F(r, sum(raw)) for r in raw]
+        mu = random_measures(rng, k)
     vals = [[F(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
@@ -196,11 +212,38 @@ def test_cut_norm_bounds_and_heuristic_lower_bound():
         assert heur >= 0
 
 
+def test_sign_definite_cut_norm_matches_subset_oracle():
+    rng = random.Random(4242)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        mu = random_measures(rng, k)
+        vals = sparse_values(rng, k)
+        for w in (StepGraphon(mu, vals),
+                  direction(mu, [[-v for v in row] for row in vals])):
+            want = oracle_cut_norm(w)
+            assert want == abs(w.total_mass())
+            assert cut_norm(w, "exact") == want
+            assert cut_norm(w, "heuristic", seed=1, restarts=2) == want
+
+
+def test_feynman_graphon_exact_cut_norm_is_total_mass():
+    sol = solve(DSESpec((Cocycle("g", F(1)),), order=4, coupling=F(1, 2)))
+    w = feynman_graphon(structural_sum(sol, 4), sol.coupling)
+    assert w.k == 76  # beyond the 20-block subset enumeration
+    mass = sum(w.measures[i] * w.measures[j] * w.values[i][j]
+               for i in range(w.k) for j in range(w.k))
+    assert cut_norm(w, "exact") == mass == w.total_mass()
+
+
 def test_cut_norm_size_guard():
     w = StepGraphon.constant(F(1, 2), k=21)
-    with pytest.raises(SizeError):
-        cut_norm(w, "exact")
+    # nonnegative: the closed form |total mass| holds at any size
+    assert cut_norm(w, "exact") == F(1, 2)
     assert cut_norm(w, "heuristic", seed=0, restarts=2) == F(1, 2)
+    signed = direction([F(1, 21)] * 21,
+                       [[(-1) ** (i + j) for j in range(21)] for i in range(21)])
+    with pytest.raises(SizeError):
+        cut_norm(signed, "exact")
     with pytest.raises(ValueError):
         cut_norm(StepGraphon.constant(F(1, 2)), "fancy")
 
@@ -270,10 +313,44 @@ def test_cut_distance_guards():
     assert cut_distance(w, u, "heuristic", seed=1, restarts=4) > 0
     odd = StepGraphon((F(1, 4099), F(4098, 4099)),
                       [[F(1), F(0)], [F(0), F(0)]])
+    # 8198 equal cells: aligned on the 3-cell overlay, where the identity
+    # attains the mass gap 7/16 - 1/4099^2
+    assert cut_distance(odd, u) == F(117612591, 268828816)
+    odd2 = StepGraphon((F(1, 4099), F(4098, 4099)),
+                       [[F(0), F(1)], [F(1), F(0)]])
+    corner = StepGraphon((F(1, 2), F(1, 2)), [[F(1), F(0)], [F(0), F(0)]])
     with pytest.raises(RefinementError):
-        cut_distance(odd, u)
+        cut_distance(odd2, corner)
     with pytest.raises(ValueError):
         cut_distance(w, u, "fancy")
+
+
+def test_overlay_identity_norm_matches_equal_refinement():
+    # partitions cut at multiples of 1/10, so the equal-cell refinement
+    # has at most 10 cells and its exact norm is enumerable
+    rng = random.Random(808)
+    tried = 0
+    while tried < 30:
+        parts = []
+        for _ in range(2):
+            cuts = sorted(rng.sample(range(1, 10), rng.randint(1, 3)))
+            bounds = [0] + cuts + [10]
+            parts.append([F(b - a, 10) for a, b in zip(bounds, bounds[1:])])
+        pw, pu = parts
+        if set(itertools.accumulate(pw)) <= set(itertools.accumulate(pu)) or \
+                set(itertools.accumulate(pu)) <= set(itertools.accumulate(pw)):
+            continue  # nested partitions: one is already the overlay
+        tried += 1
+        w = StepGraphon(pw, sparse_values(rng, len(pw)))
+        u = StepGraphon(pu, sparse_values(rng, len(pu)))
+        wo, uo = _overlay(w, u)
+        assert wo.measures == uo.measures
+        assert wo.k <= w.k + u.k - 1
+        assert wo.total_mass() == w.total_mass()
+        assert uo.total_mass() == u.total_mass()
+        wr, ur = common_refinement(w, u)
+        assert _cut_norm_exact_matrix(_difference_matrix(wo, uo)) == \
+            _cut_norm_exact_matrix(_difference_matrix(wr, ur))
 
 
 # -- homomorphism densities -----------------------------------------------------------
@@ -321,6 +398,37 @@ def test_graph_density_equals_graphon_density_exhaustively():
         w = graphon_from_graph(g)
         for h in patterns:
             assert hom_density(h, w) == hom_density_graph(h, g)
+
+
+def dense_map_sum(nv, edge_mats, k, mu) -> F:
+    """Every map [nv] -> [k], all k colours per vertex."""
+    total = F(0)
+    for phi in itertools.product(range(k), repeat=nv):
+        term = F(1)
+        for v in range(nv):
+            term *= mu[phi[v]]
+        for (a, b, mat) in edge_mats:
+            term *= mat[phi[a]][phi[b]]
+        total += term
+    return total
+
+
+def test_sparse_map_sum_matches_dense_reference():
+    rng = random.Random(1618)
+    patterns = connected_graphs_up_to(4) + [
+        SimpleGraph(4, [(0, 3), (1, 2)]), SimpleGraph(5, [(1, 4), (2, 4), (0, 3)])]
+    for _ in range(15):
+        k = rng.randint(1, 4)
+        mu = random_measures(rng, k)
+        w = sparse_values(rng, k)
+        signed = sparse_values(rng, k, lo=-8)
+        d = sparse_values(rng, k)
+        for h in patterns:
+            for choose in (lambda i: w, lambda i: signed,
+                           lambda i: d if i % 2 else w):
+                mats = [(a, b, choose(i)) for i, (a, b) in enumerate(h.edges)]
+                assert _weighted_map_sum(h.n, mats, k, mu) == \
+                    dense_map_sum(h.n, mats, k, mu)
 
 
 def test_density_multiplicative_over_disjoint_unions():
@@ -489,11 +597,11 @@ def test_sampling_respects_block_structure():
     comp_edges = set()
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            if (i, j) not in g.edges:
+            if not g.has_edge(i, j):
                 comp_edges.add((i, j))
     touched = {v for e in comp_edges for v in e}
     for (i, j) in itertools.combinations(sorted(touched), 2):
-        assert (i, j) not in g.edges
+        assert not g.has_edge(i, j)
 
 
 def test_sampling_consistency_median_trend():
