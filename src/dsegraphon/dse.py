@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import EMPTY_FOREST, Forest, ForestSum, _accumulate, _as_coeff, _scaled
+from .trees import EMPTY_FOREST, Forest, ForestSum, _accumulate, _as_coeff, \
+    _gauss_jordan, _scaled
 from .hopf import coproduct, graft
 
 
@@ -223,38 +224,11 @@ def subalgebra_witness(sol: DSESolution, n: int) -> WitnessReport:
     for k, v in target.terms.items():
         matrix[row_index[k]][m_cols] = v
 
-    solution, consistent = _solve_exact(matrix, m_cols)
-    if not consistent:
+    pivots, _ = _gauss_jordan(matrix, m_cols)
+    if any(row[m_cols] for row in matrix[len(pivots):]):
         return WitnessReport(False, n, {},
                              "no decomposition: linear system is inconsistent")
-    coeffs = {pairs[j]: solution[j] for j in range(m_cols) if solution[j]}
+    coeffs = {pairs[c]: matrix[i][m_cols] for i, c in enumerate(pivots)
+              if matrix[i][m_cols]}
     return WitnessReport(True, n, coeffs, "decomposition found")
 
-
-def _solve_exact(matrix: list[list[Fraction]], n_vars: int):
-    """Row reduce [A | b]; return (particular solution, consistent)."""
-    rows = len(matrix)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_vars):
-        pivot = next((i for i in range(r, rows) if matrix[i][c]), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(rows):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if matrix[i][n_vars]:
-            return [Fraction(0)] * n_vars, False
-    sol = [Fraction(0)] * n_vars
-    for i, c in enumerate(pivot_cols):
-        sol[c] = matrix[i][n_vars]
-    return sol, True

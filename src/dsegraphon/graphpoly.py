@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import SparseSum, Tree, _accumulate, _as_coeff
+from .trees import SparseSum, Tree, _accumulate, _as_coeff, _gauss_jordan
 
 TUTTE_EDGE_LIMIT = 24
 RANK_NULLITY_EDGE_LIMIT = 20
@@ -654,27 +654,7 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
                     s += w[j] * sk * sr
             mat[k][r] = s
             mat[r][k] = s
-    return _det_fraction(mat)
-
-
-def _det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c]:
-                f = mat[r][c] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
-    return det
+    return _gauss_jordan(mat, ell)[1]
 
 
 @dataclass(frozen=True)
@@ -736,7 +716,7 @@ def spanning_tree_count(g: MultiGraph) -> int:
         lap[u][v] -= 1
         lap[v][u] -= 1
     minor = [row[1:] for row in lap[1:]]
-    det = _det_fraction(minor)
+    det = _gauss_jordan(minor, g.n - 1)[1]
     assert det.denominator == 1
     return int(det)
 

@@ -11,17 +11,22 @@ The toy rules assign to a grafting of a subforest w
 
     phi(B+_d(w)) = r_d * exp(-eps*L) / ((|w|+1) * eps) * phi(w)
 
-extended multiplicatively over forests, with phi(1) = 1.  With residues
-r_d = 1 and L = 0 this gives the ladder values 1/(n! eps^n).
+extended multiplicatively over forests, with phi(1) = 1.  Unrolled over
+the vertices this is the closed form phi(t) = (prod_v r_v) *
+exp(-eps L |t|) / (t! eps^|t|) with the tree factorial t!, which is what
+is evaluated; the recursive rule is kept in the tests as its oracle.
 
 Minimal subtraction keeps the strict pole part; the projection is an
-idempotent Rota-Baxter operator, which makes the grade-recursive
-counterterm a character and the renormalized values pole free.  The
-recursions run over the reduced coproduct of `hopf`, whose left factor
-carries the root part; the counterterm recurses into that factor and the
-plain rules evaluate the pruned one.  The Birkhoff reconstruction
-invariant (counterterm o antipode) * renormalized = plain rules pins
-this convention down; it is enforced in the tests rather than assumed.
+idempotent Rota-Baxter operator, which makes the counterterm S and the
+renormalized value phi_+ characters.  So BPHZ runs on trees only: one
+Bogoliubov preparation per tree over the reduced coproduct of `hopf`
+(root part left, pruned forest right), whose pole part is -S(t) and
+whose regular part is phi_+(t); forests are products of tree values.
+The forest-level recursion, which does not assume the character
+property, is the test oracle.  The Birkhoff reconstruction invariant
+(counterterm o antipode) * renormalized = plain rules pins the
+coproduct convention down; it is enforced in the tests rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .trees import Forest, ForestSum, SparseSum, Tree, _accumulate, _as_coeff, _scaled
-from .hopf import Character, convolve, reduced_coproduct, _as_forest_sum
+from .trees import SparseSum, Tree, _accumulate, _as_coeff, _scaled
+from .hopf import Character, reduced_coproduct, _as_forest_sum
 
 
 class WindowError(ValueError):
@@ -293,87 +298,52 @@ class ToyRules:
         lo, hi = self.window
         if lo > 0 or hi < 0:
             raise ValueError("rules window must contain eps^0")
-        self._tree_cache: dict[Tree, LaurentSeries] = {}
-        self._ct_cache: dict[Forest, LaurentSeries] = {}
-        # internal expansion of exp(-eps L), wide enough that grade-many
-        # products still cover the configured window exactly
+        # internal expansion order E of exp(-eps L): a grade-n value is
+        # exact on (-n, E-n), which still covers the configured window
         self._exp_order = hi - lo + 1
+        one = LaurentSeries.const(1, (0, self._exp_order))
+        self._phi = Character(lambda t: _rules_on_tree(self, t), one,
+                              target="laurent", name="phi")
+        self._phi_minus = Character(lambda t: -_preparation(self, t).pole_part(),
+                                    one, target="laurent", name="phi_minus")
+        self._phi_plus = Character(lambda t: _preparation(self, t).regular_part(),
+                                   one, target="laurent", name="phi_plus")
+        self._preparations: dict[Tree, LaurentSeries] = {}
 
     def residue(self, d: str) -> Fraction:
         return self.residues.get(d, Fraction(1))
 
-    def _exp_factor(self) -> LaurentSeries:
-        terms: dict[int, ScalePoly] = {}
-        for k in range(self._exp_order + 1):
-            c = Fraction((-1) ** k, math.factorial(k))
-            if self.scale is None:
-                terms[k] = ScalePoly.L(k, c)
-            else:
-                v = c * self.scale ** k
-                if v:
-                    terms[k] = ScalePoly.const(v)
-        return LaurentSeries(terms, (0, self._exp_order))
 
-
-def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
-    """Evaluate the toy rules character on a Tree, Forest or ForestSum."""
-    xs = _as_forest_sum(x)
-    needed = xs.max_grade()
-    if -needed < rules.window[0]:
-        raise WindowError(
-            f"window {rules.window} too narrow for grade {needed}: "
-            f"lower end must be <= {-needed}")
-    total = _fold(((_rules_on_forest(rules, f), c) for f, c in xs.terms.items()),
-                  rules.window)
-    return _clamp(total, rules.window)
-
-
-def _clamp(s: LaurentSeries, window: tuple[int, int]) -> LaurentSeries:
-    lo, hi = window
-    lo = min(lo, min((p for p in s.terms), default=lo))
-    hi_eff = min(hi, s.hi)
-    return LaurentSeries({p: c for p, c in s.terms.items() if p <= hi_eff},
-                         (lo, hi_eff))
-
-
-def _rules_on_forest(rules: ToyRules, f: Forest) -> LaurentSeries:
-    val = LaurentSeries.const(1, (0, rules._exp_order))
-    for t in f.trees:
-        val = val * _rules_on_tree(rules, t)
-    return val
+def _weight(rules: ToyRules, t: Tree) -> Fraction:
+    """(product of the residues of t) / t!, with t! = |t| * prod of the children's t!."""
+    w = rules.residue(t.label) / t.size
+    for c in t.children:
+        w *= _weight(rules, c)
+    return w
 
 
 def _rules_on_tree(rules: ToyRules, t: Tree) -> LaurentSeries:
-    got = rules._tree_cache.get(t)
-    if got is not None:
-        return got
-    sub = Forest(t.children)
-    inner = _rules_on_forest(rules, sub)
-    pref = rules._exp_factor() * LaurentSeries(
-        {-1: ScalePoly.const(Fraction(rules.residue(t.label), sub.grade + 1))},
-        (-1, -1 + rules._exp_order))
-    val = pref * inner
-    rules._tree_cache[t] = val
-    return val
+    """Closed form phi(t) = (prod r_v) exp(-eps L |t|) / (t! eps^|t|),
+    expanded over eps^-|t| .. eps^(E-|t|)."""
+    n, w = t.size, _weight(rules, t)
+    terms = {}
+    for k in range(rules._exp_order + 1):
+        c = w * Fraction((-n) ** k, math.factorial(k))
+        terms[k - n] = ScalePoly.L(k, c) if rules.scale is None else c * rules.scale ** k
+    return LaurentSeries(terms, (-n, rules._exp_order - n))
 
 
 def rules_character(rules: ToyRules) -> Character:
     """The toy rules packaged as a character with Laurent target."""
-    return Character(lambda t: _rules_on_tree(rules, t),
-                     LaurentSeries.const(1, (0, rules._exp_order)),
-                     target="laurent", name="phi")
+    return rules._phi
 
 
-# -- BPHZ ----------------------------------------------------------------------
+def _extend(rules: ToyRules, x, value) -> LaurentSeries:
+    """Linear extension of the forest map ``value`` to a Tree, Forest or
+    ForestSum, on the window of the rules.
 
-def counterterm(rules: ToyRules, x) -> LaurentSeries:
-    """Minimal-subtraction counterterm, recursive over the reduced coproduct:
-
-        S(x) = -R( phi(x) + sum' S(x'_root) phi(x'_pruned) )
-
-    Defined on any forest directly by the recursion; that it agrees with
-    the product of its tree values (i.e. is a character) is a theorem
-    checked in the tests, not an implementation shortcut.
+    A grade-n value is exact on (-n, E-n) and E-n > hi once -n >= lo,
+    so after this check the sum is exact on the whole window.
     """
     xs = _as_forest_sum(x)
     needed = xs.max_grade()
@@ -381,52 +351,59 @@ def counterterm(rules: ToyRules, x) -> LaurentSeries:
         raise WindowError(
             f"window {rules.window} too narrow for grade {needed}: "
             f"lower end must be <= {-needed}")
-    total = _fold(((_counterterm_forest(rules, f), c) for f, c in xs.terms.items()),
-                  rules.window)
-    return _clamp(total, rules.window)
+    return _fold(((value(f), c) for f, c in xs.terms.items()), rules.window)
 
 
-def _counterterm_forest(rules: ToyRules, f: Forest) -> LaurentSeries:
-    if f.is_empty():
-        return LaurentSeries.const(1, (0, rules._exp_order))
-    got = rules._ct_cache.get(f)
-    if got is not None:
-        return got
-    val = -pole_part(_prepared(rules, f))
-    rules._ct_cache[f] = val
-    return val
+def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
+    """Evaluate the toy rules character on a Tree, Forest or ForestSum."""
+    return _extend(rules, x, rules._phi.on_forest)
 
 
-def _prepared(rules: ToyRules, f: Forest) -> LaurentSeries:
-    """Bogoliubov preparation of one forest: phi(f) + sum' S(f'_root) phi(f'_pruned)."""
-    phi = _rules_on_forest(rules, f)
-    sub = ((_counterterm_forest(rules, l) * _rules_on_forest(rules, r), c)
-           for (l, r), c in reduced_coproduct(ForestSum.of(f)).terms.items())
-    return _fold(itertools.chain(((phi, _ONE),), sub), phi.window)
+# -- BPHZ ----------------------------------------------------------------------
+
+def _preparation(rules: ToyRules, t: Tree) -> LaurentSeries:
+    """Bogoliubov preparation of one tree, computed once per rules:
+    phi(t) + sum' S(t'_root) phi(t'_pruned) over the reduced coproduct."""
+    got = rules._preparations.get(t)
+    if got is None:
+        phi = rules._phi.on_tree(t)
+        sub = ((rules._phi_minus.on_forest(l) * rules._phi.on_forest(r), c)
+               for (l, r), c in reduced_coproduct(t).terms.items())
+        got = _fold(itertools.chain(((phi, _ONE),), sub), phi.window)
+        rules._preparations[t] = got
+    return got
+
+
+def counterterm(rules: ToyRules, x) -> LaurentSeries:
+    """Minimal-subtraction counterterm S(t) = -R(prepared(t)) on trees,
+    extended to forests as a character and to sums linearly.
+
+    The forest-level recursion S(f) = -R(phi(f) + sum' S(f'_root) phi(f'_pruned))
+    defines the same map; the tests keep it as the oracle.
+    """
+    return _extend(rules, x, rules._phi_minus.on_forest)
 
 
 def counterterm_character(rules: ToyRules) -> Character:
-    return Character(lambda t: _counterterm_forest(rules, Forest((t,))),
-                     LaurentSeries.const(1, (0, rules._exp_order)),
-                     target="laurent", name="phi_minus")
+    return rules._phi_minus
 
 
 def bogoliubov(rules: ToyRules, x) -> LaurentSeries:
-    """Preparation map: phi(x) + sum' S(x'_root) phi(x'_pruned)."""
-    xs = _as_forest_sum(x)
-    total = _fold(((_prepared(rules, f), c) for f, c in xs.terms.items()),
-                  rules.window)
-    return _clamp(total, rules.window)
+    """Preparation map phi(x) + sum' S(x'_root) phi(x'_pruned), which is
+    renormalized value minus counterterm."""
+    return _extend(rules, x, lambda f: rules._phi_plus.on_forest(f)
+                   - rules._phi_minus.on_forest(f))
 
 
 def renormalized_value(rules: ToyRules, x) -> LaurentSeries:
-    """Renormalized value: Bogoliubov preparation plus counterterm.
+    """Renormalized value: the regular part of the preparation on trees,
+    extended as a character.
 
     Equals the convolution (counterterm * rules)(x); pole free by the
     Birkhoff factorization, which is asserted here as a consistency
     guard.
     """
-    val = bogoliubov(rules, x) + counterterm(rules, x)
+    val = _extend(rules, x, rules._phi_plus.on_forest)
     if not val.is_pole_free():
         raise ArithmeticError(
             f"internal consistency failure: renormalized value has poles: {val!r}")

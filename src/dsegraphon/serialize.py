@@ -136,13 +136,18 @@ def toy_rules_to_json(r: ToyRules) -> dict:
 def toy_rules_from_json(obj) -> ToyRules:
     if not isinstance(obj, dict):
         raise ValueError("rules must be an object")
-    residues = {d: rational_from_str(v)
-                for d, v in obj.get("residues", {}).items()}
+    residues = obj.get("residues", {})
+    if not isinstance(residues, dict):
+        raise ValueError("rules 'residues' must be an object")
+    window = obj.get("window", [-8, 2])
+    if not (isinstance(window, (list, tuple)) and len(window) == 2 and all(
+            isinstance(p, int) and not isinstance(p, bool) for p in window)):
+        raise ValueError("rules 'window' must be a pair of integers")
     scale = obj.get("scale")
     if scale is not None:
         scale = rational_from_str(scale)
-    window = tuple(obj.get("window", (-8, 2)))
-    return ToyRules(residues=residues, scale=scale, window=window)
+    return ToyRules(residues={d: rational_from_str(v) for d, v in residues.items()},
+                    scale=scale, window=tuple(window))
 
 
 # -- graphons and graphs ----------------------------------------------------------------

@@ -249,6 +249,15 @@ def test_input_error_reporting(capsys, tmp_path, spec_file):
     notlist.write_text("{}")
     assert main(["tutte", "--graphs", str(notlist)]) == 2
     assert "array" in capsys.readouterr().err
+    bad_rules = tmp_path / "bad_rules.json"
+    for rules, word in (({"window": 5}, "window"), ({"window": ["a", 2]}, "window"),
+                        ({"window": [-3.5, 2]}, "window"),
+                        ({"residues": ["g"]}, "residues")):
+        bad_rules.write_text(json.dumps(rules))
+        assert main(["renorm", "--spec", spec_file,
+                     "--rules", str(bad_rules)]) == 2, rules
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and word in err, rules
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 
@@ -275,6 +284,9 @@ def test_graph_with_non_array_edges_exits_2(capsys, tmp_path):
 GOLDEN_SOLVE = "0762f1a412cb6bf9fe92da1b44c416f18fb50b3b5fff9818ae363be47a5b3d8a"
 GOLDEN_RENORM = "99c8cf110e8987e60b7bbcc4b915cff524515be4648cd0f7cf722ca38457daab"
 GOLDEN_HAAR = "7895e555ff5ed434d6d9c9182c9469dc8031824e4a8924114542aec730a15d66"
+# recorded before renormalization moved to the per-tree closed form
+GOLDEN_RENORM_HALF = "b08ac781199331aca3328dbf77ab3502fb71b05ac2d09f4b9f09a503f532ac6a"
+GOLDEN_RENORM_GH = "52adec34a130c1dee59757cc8fe038473b9595b3452a60e8b743b14ab33a6bfb"
 
 
 def test_golden_documents(tmp_path):
@@ -284,10 +296,24 @@ def test_golden_documents(tmp_path):
         "order": 8, "coupling": "1/2"}))
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"residues": {"g": "1"}, "scale": None}))
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"residues": {"g": "1"}, "scale": "1/2"}))
+    spec_gh = tmp_path / "spec_gh.json"
+    spec_gh.write_text(json.dumps({
+        "cocycles": [{"decoration": "g", "omega": "1"},
+                     {"decoration": "h", "omega": "1/2"}],
+        "order": 5, "coupling": "1/2"}))
+    rules_gh = tmp_path / "rules_gh.json"
+    rules_gh.write_text(json.dumps({"residues": {"g": "1", "h": "2"},
+                                    "scale": None}))
     for argv, digest in (
             (["solve", "--spec", str(spec)], GOLDEN_SOLVE),
             (["renorm", "--spec", str(spec), "--rules", str(rules),
-              "--order", "5"], GOLDEN_RENORM)):
+              "--order", "5"], GOLDEN_RENORM),
+            (["renorm", "--spec", str(spec), "--rules", str(half),
+              "--order", "6"], GOLDEN_RENORM_HALF),
+            (["renorm", "--spec", str(spec_gh), "--rules", str(rules_gh),
+              "--order", "5"], GOLDEN_RENORM_GH)):
         out = tmp_path / "doc.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

@@ -8,13 +8,16 @@ reconstruction identities are checked on random/exhaustive inputs rather
 than assumed from the implementation.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from dsegraphon.trees import ForestSum, all_forests, all_forests_up_to, ladder, leaf, Tree
-from dsegraphon.hopf import antipode, convolve, coproduct
+from dsegraphon.trees import (Forest, ForestSum, all_forests, all_forests_up_to,
+                              all_trees, ladder, leaf, Tree)
+from dsegraphon.hopf import (antipode, convolve, coproduct, rational_character,
+                             reduced_coproduct)
 from dsegraphon.dse import Cocycle, DSESpec, solve
 from dsegraphon.renorm import (BirkhoffPair, LaurentSeries, RenormReport,
                                ScalePoly, ToyRules, WindowError, birkhoff,
@@ -247,6 +250,114 @@ def test_birkhoff_reconstruction():
         assert total == toy_feynman_rules(rules, f)
 
 
+# -- forest-level oracle -------------------------------------------------------
+#
+# Production evaluates the rules by their closed form and runs BPHZ on trees
+# only, relying on the character property.  This reference does neither: the
+# rules follow the recursive grafting rule, and the counterterm recursion runs
+# on whole forests, S(f) = -R(phi(f) + sum' S(f'_root) phi(f'_pruned)).
+
+class _ForestOracle:
+    def __init__(self, rules):
+        self.rules = rules
+        e = rules._exp_order
+        self.one = LaurentSeries.const(1, (0, e))
+        exp = {}
+        for k in range(e + 1):
+            c = F((-1) ** k, math.factorial(k))
+            exp[k] = ScalePoly.L(k, c) if rules.scale is None else c * rules.scale ** k
+        self.exp = LaurentSeries(exp, (0, e))  # exp(-eps L) up to eps^E
+        self.tree_values = {}
+        self.counterterms = {}
+
+    def phi_tree(self, t):
+        # phi(B+_d(w)) = r_d exp(-eps L) / ((|w|+1) eps) phi(w)
+        if t not in self.tree_values:
+            w = Forest(t.children)
+            pref = self.exp * LaurentSeries(
+                {-1: self.rules.residue(t.label) / (w.grade + 1)},
+                (-1, self.rules._exp_order - 1))
+            self.tree_values[t] = pref * self.phi(w)
+        return self.tree_values[t]
+
+    def phi(self, f):
+        val = self.one
+        for t in f.trees:
+            val = val * self.phi_tree(t)
+        return val
+
+    def prepared(self, f):
+        total = self.phi(f)
+        for (l, r), c in reduced_coproduct(f).terms.items():
+            total = total + self.counterterm(l) * self.phi(r) * c
+        return total
+
+    def counterterm(self, f):
+        if f.is_empty():
+            return self.one
+        if f not in self.counterterms:
+            self.counterterms[f] = -pole_part(self.prepared(f))
+        return self.counterterms[f]
+
+    def linear(self, value, x):
+        xs = x if isinstance(x, ForestSum) else ForestSum.of(x)
+        total = LaurentSeries.zero(self.rules.window)
+        for f, c in xs.terms.items():
+            total = total + value(f) * c
+        return total
+
+
+def _same(got, want):
+    """Equal coefficients and equal windows, not just agreement on the overlap."""
+    return got.window == want.window and got.terms == want.terms
+
+
+_TWO_LABEL_RULES = dict(residues={"g": F(3, 2), "h": F(-2)})
+
+
+def test_bphz_equals_forest_level_oracle():
+    sol = solve(DSESpec((Cocycle("g", F(1)),), order=5))
+    cases = [(ToyRules(), all_forests_up_to(5) + list(sol.coefficients)),
+             (ToyRules(scale=F(1, 2)), all_forests_up_to(5)),
+             (ToyRules(**_TWO_LABEL_RULES), all_forests_up_to(4, ("g", "h")))]
+    assert [len(all_forests_up_to(5)), len(cases[2][1])] == [37, 143]
+    for rules, xs in cases:
+        ref = _ForestOracle(rules)
+        for x in xs:
+            ct = ref.linear(ref.counterterm, x)
+            prep = ref.linear(ref.prepared, x)
+            assert _same(counterterm(rules, x), ct), x
+            assert _same(bogoliubov(rules, x), prep), x
+            assert _same(renormalized_value(rules, x), prep + ct), x
+            assert _same(toy_feynman_rules(rules, x), ref.linear(ref.phi, x)), x
+
+
+def test_closed_form_equals_recursive_rule():
+    for rules, labels, top in ((ToyRules(), ("g",), 6),
+                               (ToyRules(scale=F(1, 2)), ("g",), 6),
+                               (ToyRules(scale=F(-1, 3), **_TWO_LABEL_RULES),
+                                ("g", "h"), 4)):
+        phi = rules_character(rules)
+        ref = _ForestOracle(rules)
+        for n in range(1, top + 1):
+            for t in all_trees(n, labels):
+                assert _same(phi.on_tree(t), ref.phi_tree(t)), t
+
+
+def test_renormalization_group_convolution():
+    # at eps^0, phi_+ at scale a+b is phi_+ at a convolved with phi_+ at b
+    a, b = F(1, 3), F(-5, 2)
+    for rules, forests in ((ToyRules(), all_forests_up_to(5)),
+                           (ToyRules(**_TWO_LABEL_RULES),
+                            all_forests_up_to(4, ("g", "h")))):
+        def finite(at):
+            return rational_character(
+                lambda t: renormalized_value(rules, t).coeff(0).eval(at))
+        left, right, both = finite(a), finite(b), finite(a + b)
+        for f in forests:
+            assert convolve(left, right, f) == both(f), f
+
+
 def test_bogoliubov_plus_counterterm():
     rules = ToyRules()
     for f in all_forests_up_to(3):
@@ -295,8 +406,10 @@ def test_narrow_window_raises_with_required_floor():
     with pytest.raises(WindowError) as exc:
         toy_feynman_rules(rules, ladder(3))
     assert "-3" in str(exc.value)
-    with pytest.raises(WindowError):
-        counterterm(rules, ladder(3))
+    for fn in (counterterm, bogoliubov):
+        with pytest.raises(WindowError) as exc:
+            fn(rules, ladder(3))
+        assert "-3" in str(exc.value)
 
 
 def test_renormalize_solution_widens_and_reports():
