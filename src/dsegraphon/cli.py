@@ -371,10 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config, results, checks, header, rows = _HANDLERS[args.subcommand](args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CLIError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render(_document(config, results, checks), args.format, header, rows)

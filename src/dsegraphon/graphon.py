@@ -49,8 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .trees import Forest, ForestSum, _as_coeff
 from .graphpoly import tree_to_graph
 
@@ -136,12 +134,7 @@ class StepGraphon:
         return StepGraphon(mu, vals)
 
     def boundaries(self) -> list[Fraction]:
-        acc = Fraction(0)
-        out = [acc]
-        for m in self.measures:
-            acc += m
-            out.append(acc)
-        return out
+        return [Fraction(0), *itertools.accumulate(self.measures)]
 
 
 def _trusted_graphon(measures: tuple, values: tuple) -> StepGraphon:
@@ -232,10 +225,10 @@ def graphon_from_graph(g: SimpleGraph) -> StepGraphon:
     """Equal blocks of measure 1/n with the adjacency matrix as values."""
     if g.n == 0:
         raise ValueError("empty graph has no graphon")
-    vals = [[Fraction(0)] * g.n for _ in range(g.n)]
+    zero, one = Fraction(0), Fraction(1)
+    vals = [[zero] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
-        vals[u][v] = Fraction(1)
-        vals[v][u] = Fraction(1)
+        vals[u][v] = vals[v][u] = one
     return _trusted_graphon((Fraction(1, g.n),) * g.n,
                             tuple(tuple(row) for row in vals))
 
@@ -247,7 +240,7 @@ def feynman_graphon(y: ForestSum, coupling) -> StepGraphon:
 
     Each grade-n monomial with integer coefficient c contributes c
     copies of its forest adjacency pattern as diagonal blocks with edge
-    value (coupling)^n clipped to [0,1]; block measures are proportional
+    value (coupling)^n in (0, 1]; block measures are proportional
     to vertex counts (every vertex cell gets measure 1/total).
     """
     coupling = _as_coeff(coupling)
@@ -268,15 +261,12 @@ def feynman_graphon(y: ForestSum, coupling) -> StepGraphon:
     vals = [[Fraction(0)] * total for _ in range(total)]
     offset = 0
     for f, c in monomials:
-        value = coupling ** f.grade
-        if value > 1:
-            value = Fraction(1)
+        value = coupling ** f.grade  # <= 1: the coupling lies in (0, 1]
         for _ in range(c):
             for t in f:
                 g = tree_to_graph(t)
                 for (u, v) in g.edges:
-                    vals[offset + u][offset + v] = value
-                    vals[offset + v][offset + u] = value
+                    vals[offset + u][offset + v] = vals[offset + v][offset + u] = value
                 offset += g.n
     return _trusted_graphon((Fraction(1, total),) * total,
                             tuple(tuple(row) for row in vals))
@@ -321,8 +311,7 @@ def _component_extrema(mat: list[list[Fraction]], comp: list[int]):
     best_min = Fraction(0)
     state = 0
     for step in range(1, 1 << p):
-        flip = (step ^ (step >> 1)) ^ ((step - 1) ^ ((step - 1) >> 1))
-        r = flip.bit_length() - 1
+        r = (step & -step).bit_length() - 1  # the Gray-code bit that flips
         sign = -1 if state >> r & 1 else 1
         state ^= 1 << r
         row = sub[r]
@@ -363,14 +352,6 @@ def _cut_norm_exact_matrix(mat: list[list[Fraction]]) -> Fraction:
     total_max = Fraction(0)
     total_min = Fraction(0)
     for comp in comps:
-        if len(comp) == 1:
-            i = comp[0]
-            v = mat[i][i]
-            if v > 0:
-                total_max += v
-            elif v < 0:
-                total_min += v
-            continue
         cmax, cmin = _component_extrema(mat, comp)
         total_max += cmax
         total_min += cmin
@@ -382,6 +363,7 @@ def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
 
     Returns (float value, s, t); the caller certifies the pair exactly.
     """
+    import numpy as np
     k = mf.shape[0]
     best_val = -1.0
     best_pair = (np.ones(k, bool), np.ones(k, bool))
@@ -405,21 +387,38 @@ def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
     return best_val, best_pair[0], best_pair[1]
 
 
-def _float_matrix(rows) -> np.ndarray:
-    return np.array([[float(v) if v else 0.0 for v in row] for row in rows])
+def _value_codes(rows, table: dict) -> np.ndarray:
+    """Matrix of the positions of the entries of ``rows`` in ``table``
+    (distinct value -> position, extended in place).  Each entry object is
+    hashed once however often it is shared, as refinements share them."""
+    import numpy as np
+    objs: dict = {}
+    for row in rows:
+        objs.update(zip(map(id, row), row))
+    pos = {i: table.setdefault(v, len(table)) for i, v in objs.items()}
+    return np.array([list(map(pos.__getitem__, map(id, row))) for row in rows],
+                    dtype=np.intp)
+
+
+def _rectangle_sum(table: dict, plus, minus=None) -> Fraction:
+    """Exact sum of the coded entries of ``plus`` minus those of ``minus``:
+    one product per distinct value, by its count."""
+    import numpy as np
+    counts = np.bincount(plus.ravel(), minlength=len(table))
+    if minus is not None:
+        counts -= np.bincount(minus.ravel(), minlength=len(table))
+    return sum((int(n) * v for n, v in zip(counts, table) if n), Fraction(0))
 
 
 def _cut_norm_heuristic_matrix(mat, restarts: int, seed: int) -> Fraction:
     """Randomized search on floats, exact evaluation of the chosen pair."""
-    mf = _float_matrix(mat)
+    import numpy as np
+    table: dict = {}
+    codes = _value_codes(mat, table)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    _, s, t = _heuristic_pair(mf, rng, restarts)
-    total = Fraction(0)
-    for i in np.flatnonzero(s):
-        row = mat[int(i)]
-        for j in np.flatnonzero(t):
-            total += row[int(j)]
-    return abs(total)
+    _, s, t = _heuristic_pair(np.array([float(v) for v in table])[codes], rng,
+                              restarts)
+    return abs(_rectangle_sum(table, codes[np.ix_(s, t)]))
 
 
 def cut_norm(w: StepGraphon, mode: str = "exact", *, seed: int = 0,
@@ -462,7 +461,9 @@ def _refine_equal(w: StepGraphon, cells: int) -> StepGraphon:
             raise RefinementError(
                 f"block of measure {m} does not split into cells of 1/{cells}")
         reps.extend([i] * int(cnt))
-    vals = tuple(tuple(w.values[a][b] for b in reps) for a in reps)
+    # cells of one block share its (immutable) refined row
+    rows = [tuple(row[b] for b in reps) for row in w.values]
+    vals = tuple(rows[a] for a in reps)
     return _trusted_graphon((Fraction(1, cells),) * cells, vals)
 
 
@@ -540,29 +541,28 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    import numpy as np
     if _equal_refinement_count(w, u) > _EQUAL_CELL_CAP:
         return _overlay_distance(w, u, mode, seed)
     wr, ur = common_refinement(w, u)
     k = wr.k
     rng = np.random.Generator(np.random.Philox(key=seed))
     cell_sq = wr.measures[0] * wr.measures[0]  # refinement cells are equal
-    wf = _float_matrix(wr.values)
-    uf = _float_matrix(ur.values)
+    table: dict = {}
+    wc, uc = _value_codes(wr.values, table), _value_codes(ur.values, table)
+    floats = np.array([float(v) for v in table])
+    wf, uf = floats[wc], floats[uc]
 
     def certified(perm) -> Fraction:
         # float search for a good rectangle, exact evaluation of that
         # rectangle: a true lower bound on the norm, reported as the
         # distance value for this alignment
-        mfd = (wf[np.ix_(np.asarray(perm), np.asarray(perm))] - uf) * float(cell_sq)
+        idx = np.asarray(perm)
+        mfd = (wf[np.ix_(idx, idx)] - uf) * float(cell_sq)
         _, s, t = _heuristic_pair(mfd, rng, 6)
-        total = Fraction(0)
-        for i in np.flatnonzero(s):
-            wrow = wr.values[perm[int(i)]]
-            urow = ur.values[int(i)]
-            for j in np.flatnonzero(t):
-                a, b = wrow[perm[int(j)]], urow[int(j)]
-                if a or b:
-                    total += a - b
+        rows, cols = np.flatnonzero(s), np.flatnonzero(t)
+        total = _rectangle_sum(table, wc[np.ix_(idx[rows], idx[cols])],
+                               uc[np.ix_(rows, cols)])
         return abs(total) * cell_sq
 
     small = k <= 64
@@ -870,31 +870,25 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
     Coins are compared against 64-bit dyadic approximations of the
     rational thresholds; the bias is 2^-64 per comparison.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = np.random.Generator(np.random.Philox(key=seed))
     scale = 1 << 64
-    cuts = []
-    acc = Fraction(0)
-    for m in w.measures:
-        acc += m
-        cuts.append(int(acc * scale))
+    cuts = [int(b * scale) for b in w.boundaries()[1:]]
     vert_draws = rng.integers(0, scale, size=n, dtype=np.uint64,
-                              endpoint=False)
-    types = []
-    for x in vert_draws:
-        x = int(x)
-        b = next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
-        types.append(b)
+                              endpoint=False).tolist()
+    types = [next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
+             for x in vert_draws]
     thresholds = [[int(v * scale) for v in row] for row in w.values]
     m_edges = n * (n - 1) // 2
     edge_draws = rng.integers(0, scale, size=m_edges, dtype=np.uint64,
-                              endpoint=False)
+                              endpoint=False).tolist()
     edges = []
     idx = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if int(edge_draws[idx]) < thresholds[types[i]][types[j]]:
+            if edge_draws[idx] < thresholds[types[i]][types[j]]:
                 edges.append((i, j))
             idx += 1
     return SimpleGraph(n, edges)

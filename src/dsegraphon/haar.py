@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
 from .trees import _as_coeff
 
 
@@ -153,6 +151,7 @@ def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
     One counter-based stream per master seed; the whole matrix of coin
     flips is drawn in a single deterministic block.
     """
+    import numpy as np
     if depth < 1 or depth > 62:
         raise ValueError("depth must lie in 1..62")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -202,6 +201,7 @@ def ball_measure_mc(r, depth: int = 24, samples: int = 100_000,
         raise ValueError("radius must lie in [0, 1]")
     if samples < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
     ints = _sample_norm_ints(depth, samples, seed)
     threshold = (r.numerator << depth) // r.denominator
     hits = int(np.count_nonzero(ints <= np.uint64(threshold)))
@@ -215,6 +215,7 @@ def norm_uniformity_statistic(depth: int = 24, samples: int = 100_000,
     Lebesgue, as claimed."""
     # scipy.stats costs about a second to import and nothing else in the
     # package needs it, so only this statistic pays for it
+    import numpy as np
     from scipy import stats
 
     ints = _sample_norm_ints(depth, samples, seed)

@@ -204,8 +204,10 @@ class Character:
         return got
 
     def on_forest(self, f: Forest):
-        val = self.one
-        for t in f.trees:
+        if not f.trees:
+            return self.one
+        val = self.on_tree(f.trees[0])
+        for t in f.trees[1:]:
             val = val * self.on_tree(t)
         return val
 

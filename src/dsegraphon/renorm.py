@@ -15,6 +15,8 @@ extended multiplicatively over forests, with phi(1) = 1.  Unrolled over
 the vertices this is the closed form phi(t) = (prod_v r_v) *
 exp(-eps L |t|) / (t! eps^|t|) with the tree factorial t!, which is what
 is evaluated; the recursive rule is kept in the tests as its oracle.
+On a forest f it is phi(f) = w(f) E_|f|: w(f) is the product of
+(prod r_v)/t! over the trees and E_n = exp(-eps L n)/eps^n.
 
 Minimal subtraction keeps the strict pole part; the projection is an
 idempotent Rota-Baxter operator, which makes the counterterm S and the
@@ -22,6 +24,9 @@ renormalized value phi_+ characters.  So BPHZ runs on trees only: one
 Bogoliubov preparation per tree over the reduced coproduct of `hopf`
 (root part left, pruned forest right), whose pole part is -S(t) and
 whose regular part is phi_+(t); forests are products of tree values.
+A preparation groups its terms S(l) phi(r) by pruned grade n = |r| and
+multiplies each group's sum of w(r) S(l) by E_n once: at most |t| - 1
+Laurent products per tree.
 The forest-level recursion, which does not assume the character
 property, is the test oracle.  The Birkhoff reconstruction invariant
 (counterterm o antipode) * renormalized = plain rules pins the
@@ -31,7 +36,6 @@ assumed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -85,18 +89,8 @@ class ScalePoly(SparseSum):
         return sum((v * value ** k for k, v in self.coeffs.items()), Fraction(0))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
-            if k == 0:
-                bits.append(f"{v}")
-            elif k == 1:
-                bits.append(f"{v}*L")
-            else:
-                bits.append(f"{v}*L^{k}")
-        return " + ".join(bits)
+        return " + ".join(f"{v}" if k == 0 else f"{v}*L" if k == 1 else f"{v}*L^{k}"
+                          for k, v in sorted(self.coeffs.items())) or "0"
 
 
 class LaurentSeries:
@@ -232,12 +226,8 @@ class LaurentSeries:
                              self.window)
 
     def __repr__(self):
-        if not self.terms:
-            return f"LaurentSeries(0; window={self.window})"
-        bits = []
-        for p in sorted(self.terms):
-            bits.append(f"({self.terms[p]})*eps^{p}")
-        return "LaurentSeries(" + " + ".join(bits) + f"; window={self.window})"
+        bits = " + ".join(f"({c})*eps^{p}" for p, c in sorted(self.terms.items()))
+        return f"LaurentSeries({bits or 0}; window={self.window})"
 
 
 _ONE = Fraction(1)
@@ -251,17 +241,18 @@ def _from_accumulated(acc: dict[int, dict[int, Fraction]],
 
 
 def _fold(parts, window: tuple[int, int]) -> LaurentSeries:
-    """Sum of ``c * s`` over (LaurentSeries s, nonzero rational c) pairs,
+    """Sum of ``c * s`` over (LaurentSeries s, rational c) pairs,
     accumulated in place.
 
     Same value and window as starting from zero on ``window`` and adding
-    the parts one by one: the window is the meet of all windows.
+    the parts one by one: the window is the meet of all windows, a part
+    with c = 0 included.
     """
     lo, hi = window
     acc: dict[int, dict[int, Fraction]] = {}
     for s, c in parts:
         lo, hi = min(lo, s.lo), min(hi, s.hi)
-        for p, poly in s.terms.items():
+        for p, poly in (s.terms.items() if c else ()):
             _accumulate(acc.setdefault(p, {}), _scaled(poly.terms, c))
     return _from_accumulated(acc, (lo, hi))
 
@@ -309,6 +300,7 @@ class ToyRules:
         self._phi_plus = Character(lambda t: _preparation(self, t).regular_part(),
                                    one, target="laurent", name="phi_plus")
         self._preparations: dict[Tree, LaurentSeries] = {}
+        self._exps: dict[int, LaurentSeries] = {}
 
     def residue(self, d: str) -> Fraction:
         return self.residues.get(d, Fraction(1))
@@ -322,15 +314,23 @@ def _weight(rules: ToyRules, t: Tree) -> Fraction:
     return w
 
 
+def _exp_series(rules: ToyRules, n: int) -> LaurentSeries:
+    """E_n = exp(-eps L n) / eps^n, expanded over eps^-n .. eps^(E-n);
+    computed once per rules and grade."""
+    got = rules._exps.get(n)
+    if got is None:
+        terms = {}
+        for k in range(rules._exp_order + 1):
+            c = Fraction((-n) ** k, math.factorial(k))
+            terms[k - n] = ScalePoly.L(k, c) if rules.scale is None else c * rules.scale ** k
+        got = rules._exps[n] = LaurentSeries(terms, (-n, rules._exp_order - n))
+    return got
+
+
 def _rules_on_tree(rules: ToyRules, t: Tree) -> LaurentSeries:
-    """Closed form phi(t) = (prod r_v) exp(-eps L |t|) / (t! eps^|t|),
-    expanded over eps^-|t| .. eps^(E-|t|)."""
-    n, w = t.size, _weight(rules, t)
-    terms = {}
-    for k in range(rules._exp_order + 1):
-        c = w * Fraction((-n) ** k, math.factorial(k))
-        terms[k - n] = ScalePoly.L(k, c) if rules.scale is None else c * rules.scale ** k
-    return LaurentSeries(terms, (-n, rules._exp_order - n))
+    """Closed form phi(t) = w(t) E_|t| = (prod r_v) exp(-eps L |t|) / (t! eps^|t|)."""
+    e = _exp_series(rules, t.size)
+    return _fold(((e, _weight(rules, t)),), e.window)
 
 
 def rules_character(rules: ToyRules) -> Character:
@@ -363,13 +363,24 @@ def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
 
 def _preparation(rules: ToyRules, t: Tree) -> LaurentSeries:
     """Bogoliubov preparation of one tree, computed once per rules:
-    phi(t) + sum' S(t'_root) phi(t'_pruned) over the reduced coproduct."""
+    phi(t) + sum' S(t'_root) phi(t'_pruned) over the reduced coproduct.
+
+    As phi(r) = w(r) E_|r|, the sum c w(r) S(l) is folded per pruned grade
+    n and multiplied by E_n once; window ends distribute over the grouping,
+    so the window is that of the term-by-term sum.
+    """
     got = rules._preparations.get(t)
     if got is None:
-        phi = rules._phi.on_tree(t)
-        sub = ((rules._phi_minus.on_forest(l) * rules._phi.on_forest(r), c)
-               for (l, r), c in reduced_coproduct(t).terms.items())
-        got = _fold(itertools.chain(((phi, _ONE),), sub), phi.window)
+        by_grade: dict[int, list] = {}
+        for (l, r), c in reduced_coproduct(t).terms.items():
+            for s in r.trees:
+                c *= _weight(rules, s)
+            by_grade.setdefault(r.grade, []).append(
+                (rules._phi_minus.on_forest(l), c))
+        parts = [(rules._phi.on_tree(t), _ONE)]
+        parts.extend((_fold(terms, terms[0][0].window) * _exp_series(rules, n), _ONE)
+                     for n, terms in by_grade.items())
+        got = _fold(parts, parts[0][0].window)
         rules._preparations[t] = got
     return got
 

@@ -54,11 +54,8 @@ def forest_from_json(obj) -> Forest:
 
 
 def forest_sum_to_json(s: ForestSum) -> list:
-    out = []
-    for f in sorted(s.terms, key=lambda f: (f.grade, f.code)):
-        out.append({"coef": rational_to_str(s.terms[f]),
-                    "forest": forest_to_json(f)})
-    return out
+    return [{"coef": rational_to_str(c), "forest": forest_to_json(f)}
+            for f, c in sorted(s.terms.items(), key=lambda fc: (fc[0].grade, fc[0].code))]
 
 
 def forest_sum_from_json(obj) -> ForestSum:
@@ -69,11 +66,10 @@ def forest_sum_from_json(obj) -> ForestSum:
 
 
 def tensor_sum_to_json(s: TensorSum) -> list:
-    out = []
-    for (l, r) in sorted(s.terms, key=lambda p: (p[0].code, p[1].code)):
-        out.append({"coef": rational_to_str(s.terms[(l, r)]),
-                    "left": forest_to_json(l), "right": forest_to_json(r)})
-    return out
+    return [{"coef": rational_to_str(c), "left": forest_to_json(l),
+             "right": forest_to_json(r)}
+            for (l, r), c in sorted(s.terms.items(),
+                                    key=lambda pc: (pc[0][0].code, pc[0][1].code))]
 
 
 # -- equation specs and solutions ---------------------------------------------------
@@ -109,12 +105,10 @@ def solution_to_json(sol: DSESolution) -> list:
 # -- Laurent data ---------------------------------------------------------------------
 
 def laurent_to_json(s: LaurentSeries) -> dict:
-    terms = []
-    for p in sorted(s.terms):
-        poly = s.terms[p]
-        coef = [[rational_to_str(poly.coeffs[k]), k] for k in sorted(poly.coeffs)]
-        terms.append({"pow": p, "coef": coef})
-    return {"window": [s.lo, s.hi], "terms": terms}
+    return {"window": [s.lo, s.hi],
+            "terms": [{"pow": p, "coef": [[rational_to_str(v), k]
+                                          for k, v in sorted(poly.coeffs.items())]}
+                      for p, poly in sorted(s.terms.items())]}
 
 
 def laurent_from_json(obj) -> LaurentSeries:
@@ -179,11 +173,8 @@ def multigraph_from_json(obj) -> MultiGraph:
 
 
 def multipoly_to_json(p: MultiPoly) -> list:
-    rows = []
-    for mono in sorted(p.terms, key=lambda m: tuple(sorted(m))):
-        rows.append({"coef": rational_to_str(p.terms[mono]),
-                     "exps": {v: e for (v, e) in sorted(mono)}})
-    return rows
+    return [{"coef": rational_to_str(c), "exps": {v: e for (v, e) in sorted(mono)}}
+            for mono, c in sorted(p.terms.items(), key=lambda mc: tuple(sorted(mc[0])))]
 
 
 def multipoly_from_json(obj) -> MultiPoly:

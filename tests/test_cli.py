@@ -287,6 +287,8 @@ GOLDEN_HAAR = "7895e555ff5ed434d6d9c9182c9469dc8031824e4a8924114542aec730a15d66"
 # recorded before renormalization moved to the per-tree closed form
 GOLDEN_RENORM_HALF = "b08ac781199331aca3328dbf77ab3502fb71b05ac2d09f4b9f09a503f532ac6a"
 GOLDEN_RENORM_GH = "52adec34a130c1dee59757cc8fe038473b9595b3452a60e8b743b14ab33a6bfb"
+# recorded before the preparation was grouped by pruned grade
+GOLDEN_RENORM_G9 = "430bf39befb9618cb201e65091f788503b1a0b909971b094237d9a3ea2ef3ab9"
 
 
 def test_golden_documents(tmp_path):
@@ -306,6 +308,10 @@ def test_golden_documents(tmp_path):
     rules_gh = tmp_path / "rules_gh.json"
     rules_gh.write_text(json.dumps({"residues": {"g": "1", "h": "2"},
                                     "scale": None}))
+    spec9 = tmp_path / "spec9.json"
+    spec9.write_text(json.dumps({
+        "cocycles": [{"decoration": "g", "omega": "1"}],
+        "order": 9, "coupling": "1/2"}))
     for argv, digest in (
             (["solve", "--spec", str(spec)], GOLDEN_SOLVE),
             (["renorm", "--spec", str(spec), "--rules", str(rules),
@@ -313,7 +319,9 @@ def test_golden_documents(tmp_path):
             (["renorm", "--spec", str(spec), "--rules", str(half),
               "--order", "6"], GOLDEN_RENORM_HALF),
             (["renorm", "--spec", str(spec_gh), "--rules", str(rules_gh),
-              "--order", "5"], GOLDEN_RENORM_GH)):
+              "--order", "5"], GOLDEN_RENORM_GH),
+            (["renorm", "--spec", str(spec9), "--rules", str(rules),
+              "--order", "9"], GOLDEN_RENORM_G9)):
         out = tmp_path / "doc.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
@@ -337,6 +345,39 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_HAAR
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    """numpy is imported on first use by graphon and haar, so solve and
+    renorm run without it; trace and haar still load it and give their
+    documents."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "cocycles": [{"decoration": "g", "omega": "1"}],
+        "order": 4, "coupling": "1/2"}))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"residues": {"g": "1"}, "scale": None}))
+    out = tmp_path / "doc.json"
+    haar = tmp_path / "haar.json"
+    script = (
+        "import sys, dsegraphon.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported with the CLI'\n"
+        f"for argv in (['solve', '--spec', {str(spec)!r}],\n"
+        f"             ['renorm', '--spec', {str(spec)!r}, '--rules', {str(rules)!r}]):\n"
+        f"    assert cli.main(argv + ['--out', {str(out)!r}]) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        f"assert cli.main(['trace', '--spec', {str(spec)!r}, '--order', '3', "
+        f"'--out', {str(out)!r}]) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        f"sys.exit(cli.main(['haar', '--samples', '20000', '--depth', '22', "
+        f"'--out', {str(haar)!r}]))\n")
+    src = os.path.dirname(os.path.dirname(dsegraphon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(haar.read_bytes()).hexdigest() == GOLDEN_HAAR
 
 
 def _run_twice(tmp_path, argv):

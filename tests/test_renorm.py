@@ -20,11 +20,11 @@ from dsegraphon.hopf import (antipode, convolve, coproduct, rational_character,
                              reduced_coproduct)
 from dsegraphon.dse import Cocycle, DSESpec, solve
 from dsegraphon.renorm import (BirkhoffPair, LaurentSeries, RenormReport,
-                               ScalePoly, ToyRules, WindowError, birkhoff,
-                               bogoliubov, counterterm, counterterm_character,
-                               pole_part, renormalize_solution,
-                               renormalized_value, rules_character,
-                               toy_feynman_rules)
+                               ScalePoly, ToyRules, WindowError, _preparation,
+                               birkhoff, bogoliubov, counterterm,
+                               counterterm_character, pole_part,
+                               renormalize_solution, renormalized_value,
+                               rules_character, toy_feynman_rules)
 
 
 # -- scale polynomials ---------------------------------------------------------
@@ -342,6 +342,22 @@ def test_closed_form_equals_recursive_rule():
         for n in range(1, top + 1):
             for t in all_trees(n, labels):
                 assert _same(phi.on_tree(t), ref.phi_tree(t)), t
+
+
+def test_grouped_preparation_equals_term_by_term_sum():
+    # production folds the reduced-coproduct terms per pruned grade n and
+    # multiplies each grade's sum by exp(-eps L n)/eps^n once; here every
+    # term S(l) phi(r) is its own Laurent product
+    for rules, labels, top in ((ToyRules(), ("g",), 7),
+                               (ToyRules(scale=F(1, 2)), ("g",), 7),
+                               (ToyRules(**_TWO_LABEL_RULES), ("g", "h"), 5)):
+        phi, s = rules_character(rules), counterterm_character(rules)
+        for n in range(1, top + 1):
+            for t in all_trees(n, labels):
+                want = phi.on_tree(t)
+                for (l, r), c in reduced_coproduct(t).terms.items():
+                    want = want + s.on_forest(l) * phi.on_forest(r) * c
+                assert _same(_preparation(rules, t), want), t
 
 
 def test_renormalization_group_convolution():
