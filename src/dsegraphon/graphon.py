@@ -174,6 +174,16 @@ class SimpleGraph:
         object.__setattr__(self, "edges", tuple(sorted(es)))
         object.__setattr__(self, "_edge_set", frozenset(es))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: list) -> "SimpleGraph":
+        """Graph from an edge list already sorted, duplicate-free, in range
+        and with u < v in every pair; nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
+        object.__setattr__(g, "_edge_set", frozenset(g.edges))
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
 
@@ -891,7 +901,8 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
             if edge_draws[idx] < thresholds[types[i]][types[j]]:
                 edges.append((i, j))
             idx += 1
-    return SimpleGraph(n, edges)
+    # lexicographic pairs with i < j < n, as the trusted constructor needs
+    return SimpleGraph._trusted(n, edges)
 
 
 # -- solution-series diagnostics --------------------------------------------------------

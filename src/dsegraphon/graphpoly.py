@@ -752,4 +752,5 @@ def generate_connected_multigraphs(max_edges: int) -> list[MultiGraph]:
                     seen[key] = h
                     nxt.append(h)
         frontier = nxt
-    return sorted(seen.values(), key=lambda g: (g.m, g.n, _canonical_key(g)[1]))
+    ordered = sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0][1]))
+    return [g for _, g in ordered]

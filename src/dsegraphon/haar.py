@@ -8,12 +8,18 @@ base 2 the norm map sends the Haar (fair-coin product) measure to
 Lebesgue measure on [0,1], which is what the ball-measure Monte Carlo
 checks: mu(ball of radius r around the identity) = r up to a 2^-m
 truncation term and binomial noise.
+
+Each run draws its sample once: the norms of ``samples`` coin vectors
+come from one Philox stream, drawn in fixed row chunks so memory stays
+bounded, and the last draw is kept, so every radius of a sweep and the
+Kolmogorov-Smirnov statistic read the same array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 from .trees import _as_coeff
@@ -144,21 +150,36 @@ def sample_haar(depth: int, seed: int = 0) -> SolutionPoint:
     return SolutionPoint(VertexUniverse(depth), out)
 
 
+# rows of coins drawn at a time: 2^16 rows of 62 uint64 coins are 32 MB
+_CHUNK_ROWS = 1 << 16
+
+
+@lru_cache(maxsize=1)
 def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
     """n independent samples, each reduced to the integer
     round(2^depth * norm): the bit at rank r contributes 2^(depth-r).
 
-    One counter-based stream per master seed; the whole matrix of coin
-    flips is drawn in a single deterministic block.
+    One counter-based stream per master seed.  The coin matrix is drawn
+    in row chunks; the stream is sequential, so the norms equal those of
+    a single (n, depth) block.  The last draw is cached and returned
+    read-only, so callers sharing it cannot corrupt it.
     """
     import numpy as np
     if depth < 1 or depth > 62:
         raise ValueError("depth must lie in 1..62")
+    if n < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    bits = rng.integers(0, 2, size=(n, depth), dtype=np.uint64)
     weights = np.array([1 << (depth - r) for r in range(1, depth + 1)],
                        dtype=np.uint64)
-    return bits @ weights
+    out = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        bits = rng.integers(0, 2, size=(hi - lo, depth), dtype=np.uint64)
+        np.matmul(bits, weights, out=out[lo:hi])
+        del bits  # free this chunk before the next one is drawn
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -199,8 +220,6 @@ def ball_measure_mc(r, depth: int = 24, samples: int = 100_000,
     r = _as_coeff(r)
     if not (0 <= r <= 1):
         raise ValueError("radius must lie in [0, 1]")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     import numpy as np
     ints = _sample_norm_ints(depth, samples, seed)
     threshold = (r.numerator << depth) // r.denominator
@@ -212,15 +231,24 @@ def norm_uniformity_statistic(depth: int = 24, samples: int = 100_000,
                               seed: int = 0) -> float:
     """Kolmogorov-Smirnov statistic of the empirical norm distribution
     against uniform [0,1]; small iff the norm map pushes Haar to
-    Lebesgue, as claimed."""
-    # scipy.stats costs about a second to import and nothing else in the
-    # package needs it, so only this statistic pays for it
-    import numpy as np
-    from scipy import stats
+    Lebesgue, as claimed.
 
-    ints = _sample_norm_ints(depth, samples, seed)
-    values = ints.astype(np.float64) / float(1 << depth)
-    return float(stats.kstest(values, "uniform").statistic)
+    Reads the run's shared draw and computes D = max(D+, D-) on the sorted
+    values x_1 <= ... <= x_n directly, D+ = max(i/n - x_i) and
+    D- = max(x_i - (i-1)/n), in the float arithmetic of
+    ``scipy.stats.kstest(values, "uniform")``, which the tests hold it to.
+    """
+    import numpy as np
+    # in place where scipy makes copies, to hold three arrays of n floats
+    x = _sample_norm_ints(depth, samples, seed).astype(np.float64)
+    x.sort()
+    x /= float(1 << depth)
+    n = x.shape[0]
+    steps = np.arange(1.0, n + 1)
+    steps /= n  # steps[i - 1] = i/n
+    d_plus = (steps - x).max()
+    d_minus = (x[1:] - steps[:-1]).max(initial=x[0])  # x_1 - 0/n = x_1
+    return float(max(d_plus, d_minus))
 
 
 def ks_critical_value(samples: int, alpha: float = 0.01) -> float:
@@ -228,4 +256,6 @@ def ks_critical_value(samples: int, alpha: float = 0.01) -> float:
     coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}.get(alpha)
     if coeff is None:
         raise ValueError("alpha must be one of 0.10, 0.05, 0.01")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     return coeff / sqrt(samples)

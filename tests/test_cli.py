@@ -196,6 +196,15 @@ def test_haar_bad_radius(capsys):
     assert "bad radius" in capsys.readouterr().err
 
 
+def test_haar_without_samples_exits_2(capsys):
+    for samples in ("0", "-5"):
+        for radii in (",", "1/2"):
+            argv = ["haar", "--radii", radii, "--samples", samples]
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "at least one sample" in err, argv
+
+
 def test_trace_rows(capsys, spec_file):
     code, doc = run_json(capsys, ["trace", "--spec", spec_file])
     assert code == 0
@@ -328,15 +337,15 @@ def test_golden_documents(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    """Only the haar KS statistic needs scipy; the other subcommands do not
-    pay for importing it, and haar still loads it and gives its document."""
+    """No subcommand needs scipy: haar computes its KS statistic itself and
+    still gives its document."""
     out = tmp_path / "haar.json"
     script = (
         "import sys, dsegraphon.cli as cli\n"
         "assert 'scipy' not in sys.modules, 'scipy imported with the CLI'\n"
         f"code = cli.main(['haar', '--samples', '20000', '--depth', '22', "
         f"'--out', {str(out)!r}])\n"
-        "assert 'scipy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported by haar'\n"
         "sys.exit(code)\n")
     src = os.path.dirname(os.path.dirname(dsegraphon.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

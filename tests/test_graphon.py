@@ -577,6 +577,26 @@ def test_sampling_determinism_and_extremes():
         sample_random_graph(0, w)
 
 
+def test_sampled_graph_equals_validated_construction():
+    # sample_random_graph skips SimpleGraph's checks; the graph it builds
+    # must be the one the validating constructor builds from its edges
+    blocks = [StepGraphon.constant(F(1, 2)),
+              StepGraphon([F(1, 3), F(2, 3)], [[F(1, 5), F(7, 8)],
+                                               [F(7, 8), F(0)]]),
+              StepGraphon([F(1, 4), F(1, 4), F(1, 2)],
+                          [[F(1), F(1, 3), F(0)], [F(1, 3), F(1, 2), F(2, 3)],
+                           [F(0), F(2, 3), F(1, 9)]])]
+    for w in blocks:
+        for n, seed in ((1, 0), (2, 3), (17, 11), (60, 4)):
+            g = sample_random_graph(n, w, seed=seed)
+            ref = SimpleGraph(n, list(g.edges))
+            assert g == ref and hash(g) == hash(ref)
+            assert g.edges == ref.edges and g.m == ref.m
+            for i in range(n):
+                for j in range(n):
+                    assert g.has_edge(i, j) == ref.has_edge(i, j)
+
+
 def test_sampling_edge_density_statistics():
     w = StepGraphon.constant(F(1, 2))
     g = sample_random_graph(1000, w, seed=42)

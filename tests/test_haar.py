@@ -5,12 +5,15 @@ checked once against the frozen stream and is deterministic in CI.
 """
 
 import itertools
+import json
 from fractions import Fraction as F
 from math import sqrt
 
 import numpy as np
 import pytest
 
+from dsegraphon import haar
+from dsegraphon.cli import main
 from dsegraphon.haar import (BallEstimate, SolutionPoint, VertexUniverse,
                              ball_measure_mc, distance, group_op,
                              ks_critical_value, norm,
@@ -153,3 +156,67 @@ def test_norm_pushforward_is_uniform():
     assert stat < ks_critical_value(100_000, alpha=0.01)
     with pytest.raises(ValueError):
         ks_critical_value(100_000, alpha=0.02)
+
+
+def test_sample_size_validation():
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="at least one sample"):
+            norm_uniformity_statistic(depth=24, samples=n)
+        with pytest.raises(ValueError, match="at least one sample"):
+            ks_critical_value(n)
+
+
+# -- one shared, chunked draw per run ---------------------------------------------------
+
+def _one_block_norms(depth, n, seed):
+    """The whole (n, depth) coin matrix in one draw, reduced to norms."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    weights = np.array([1 << (depth - r) for r in range(1, depth + 1)],
+                       dtype=np.uint64)
+    return rng.integers(0, 2, (n, depth), dtype=np.uint64) @ weights
+
+
+@pytest.mark.parametrize("depth", [1, 7, 24, 62])
+def test_chunked_draw_equals_one_block(depth):
+    chunk = haar._CHUNK_ROWS
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        got = haar._sample_norm_ints(depth, n, 3)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert np.array_equal(got, _one_block_norms(depth, n, 3)), n
+
+
+def test_ks_statistic_matches_scipy():
+    from scipy import stats
+    for depth in (1, 24, 62):
+        for samples in (1, 2, 100_000):
+            for seed in (0, 1, 7):
+                ints = haar._sample_norm_ints(depth, samples, seed)
+                values = ints.astype(np.float64) / float(1 << depth)
+                want = float(stats.kstest(values, "uniform").statistic)
+                got = norm_uniformity_statistic(depth, samples, seed)
+                # bit for bit: the document records repr(statistic)
+                assert repr(got) == repr(want), (depth, samples, seed)
+
+
+def test_haar_run_draws_once(monkeypatch, capsys):
+    draws = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        draws.append(kwargs.get("key"))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    haar._sample_norm_ints.cache_clear()
+    assert main(["haar", "--samples", "5000", "--seed", "9"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]["balls"]) == 5  # the default radii
+    assert draws == [9]
+
+
+def test_shared_draw_is_read_only():
+    ints = haar._sample_norm_ints(24, 1000, 0)
+    assert not ints.flags.writeable
+    with pytest.raises(ValueError):
+        ints[0] = 1
+    assert haar._sample_norm_ints(24, 1000, 0) is ints
