@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .trees import EMPTY_FOREST, Forest, ForestSum, _accumulate, _as_coeff, \
-    _gauss_jordan, _scaled
+    _forest_product, _gauss_jordan, _scaled
 from .hopf import coproduct, graft
 
 
@@ -102,7 +102,7 @@ def _graded_power_part(xs: list[ForestSum], p: int, m: int) -> ForestSum:
     """Grade-m part of (X_0 + X_1 + ...)^p given the graded pieces."""
     # dp[g] = terms of the grade-g part of the running power; the last
     # factor only needs to reach grade m itself
-    dp: list[dict] = [{EMPTY_FOREST: Fraction(1)}] + [{} for _ in range(m)]
+    dp: list[dict] = [{EMPTY_FOREST: 1}] + [{} for _ in range(m)]
     for i in range(p):
         nxt: list[dict] = [{} for _ in range(m + 1)]
         for g in range(m + 1):
@@ -111,7 +111,7 @@ def _graded_power_part(xs: list[ForestSum], p: int, m: int) -> ForestSum:
             ks = (m - g,) if i == p - 1 else range(m - g + 1)
             for k in ks:
                 if k < len(xs) and xs[k]:
-                    _accumulate(nxt[g + k], ((f1 * f2, c1 * c2)
+                    _accumulate(nxt[g + k], ((_forest_product(f1, f2), c1 * c2)
                                              for f1, c1 in dp[g].items()
                                              for f2, c2 in xs[k].terms.items()))
         dp = nxt
@@ -217,7 +217,7 @@ def subalgebra_witness(sol: DSESolution, n: int) -> WitnessReport:
                   key=lambda k: (k[0].code, k[1].code))
     row_index = {k: i for i, k in enumerate(rows)}
     m_rows, m_cols = len(rows), len(columns)
-    matrix = [[Fraction(0)] * (m_cols + 1) for _ in range(m_rows)]
+    matrix = [[0] * (m_cols + 1) for _ in range(m_rows)]
     for j, col in enumerate(columns):
         for k, v in col.items():
             matrix[row_index[k]][j] = v

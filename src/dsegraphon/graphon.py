@@ -888,21 +888,22 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
     cuts = [int(b * scale) for b in w.boundaries()[1:]]
     vert_draws = rng.integers(0, scale, size=n, dtype=np.uint64,
                               endpoint=False).tolist()
-    types = [next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
-             for x in vert_draws]
-    thresholds = [[int(v * scale) for v in row] for row in w.values]
-    m_edges = n * (n - 1) // 2
-    edge_draws = rng.integers(0, scale, size=m_edges, dtype=np.uint64,
-                              endpoint=False).tolist()
-    edges = []
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if edge_draws[idx] < thresholds[types[i]][types[j]]:
-                edges.append((i, j))
-            idx += 1
-    # lexicographic pairs with i < j < n, as the trusted constructor needs
-    return SimpleGraph._trusted(n, edges)
+    types = np.array([next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
+                      for x in vert_draws])
+    # a coin is an edge when it lies below int(v * 2^64); for v = 1 that
+    # is 2^64, beyond uint64, and every coin is an edge
+    below = np.array([[min(int(v * scale), scale - 1) for v in row]
+                      for row in w.values], dtype=np.uint64)
+    always = np.array([[v == 1 for v in row] for row in w.values])
+    edge_draws = rng.integers(0, scale, size=n * (n - 1) // 2, dtype=np.uint64,
+                              endpoint=False)
+    # the pairs i < j in lexicographic order, as the coins were drawn and
+    # as the trusted constructor needs them
+    first, second = np.triu_indices(n, k=1)
+    ti, tj = types[first], types[second]
+    hit = np.flatnonzero((edge_draws < below[ti, tj]) | always[ti, tj])
+    return SimpleGraph._trusted(n, list(zip(first[hit].tolist(),
+                                            second[hit].tolist())))
 
 
 # -- solution-series diagnostics --------------------------------------------------------

@@ -541,7 +541,6 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
                       "component and multiplied", DisconnectedNotice,
                       stacklevel=2)
     out = MultiPoly.const(1)
-    one = Fraction(1)
     for comp in comps:
         terms: dict = {}
         for tree in spanning_trees(comp):
@@ -551,7 +550,7 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
                 if j not in tset:
                     v = _wvar(comp.evars[j])
                     exps[v] = exps.get(v, 0) + 1
-            _accumulate(terms, ((tuple(sorted(exps.items())), one),))
+            _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
         out = out * MultiPoly._make(terms)
     return out
 

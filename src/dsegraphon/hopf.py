@@ -24,9 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .trees import EMPTY_FOREST, Forest, ForestSum, SparseSum, Tree, \
-    _accumulate, _scaled
-
-_ONE = Fraction(1)
+    _accumulate, _forest_product, _grafted, _scaled
 
 
 class TensorSum(SparseSum):
@@ -47,14 +45,14 @@ class TensorSum(SparseSum):
 
     @staticmethod
     def _key_mul(a, b):
-        return (a[0] * b[0], a[1] * b[1])
+        return (_forest_product(a[0], b[0]), _forest_product(a[1], b[1]))
 
     @staticmethod
     def of(left: Forest, right: Forest, coeff=1) -> "TensorSum":
         return TensorSum({(left, right): coeff})
 
-    def coeff(self, left: Forest, right: Forest) -> Fraction:
-        return self.terms.get((left, right), Fraction(0))
+    def coeff(self, left: Forest, right: Forest):
+        return self.terms.get((left, right), 0)
 
     def map_left(self, fn) -> "TensorSum":
         """Apply a ForestSum-valued linear map to the left factor."""
@@ -86,9 +84,9 @@ def graft(label: str, x) -> ForestSum:
 
     Linear, raises the grade by exactly one.
     """
-    x = _as_forest_sum(x)
-    return ForestSum._make(_accumulate({}, (
-        (Forest((Tree(label, f.trees),)), c) for f, c in x.terms.items())))
+    # grafting is injective on forests, so no two terms meet
+    return ForestSum._make({_grafted(label, f): c
+                            for f, c in _as_forest_sum(x).terms.items()})
 
 
 def _as_forest_sum(x) -> ForestSum:
@@ -108,11 +106,12 @@ def _coproduct_tree(t: Tree) -> TensorSum:
     got = _COPROD_CACHE.get(t)
     if got is not None:
         return got
-    # delta(B+(f)) = (B+ (x) id) delta(f) + 1 (x) B+(f)
+    # delta(B+(f)) = (B+ (x) id) delta(f) + 1 (x) B+(f); the grafted left
+    # factors are distinct and never empty, so no two terms meet
     d = TensorSum.product(map(_coproduct_tree, t.children))
-    out = _accumulate({}, (((Forest((Tree(t.label, l.trees),)), r), c)
-                           for (l, r), c in d.terms.items()))
-    res = TensorSum._make(_accumulate(out, (((EMPTY_FOREST, Forest((t,))), _ONE),)))
+    out = {(_grafted(t.label, l), r): c for (l, r), c in d.terms.items()}
+    out[EMPTY_FOREST, Forest((t,))] = 1
+    res = TensorSum._make(out)
     _COPROD_CACHE[t] = res
     return res
 
@@ -152,10 +151,13 @@ def _antipode_tree(t: Tree) -> ForestSum:
     got = _ANTIPODE_CACHE.get(t)
     if got is not None:
         return got
-    # S(t) = -t - sum' S(left) * right over the reduced coproduct
-    out = {Forest((t,)): -_ONE}
-    for (l, r), c in reduced_coproduct(ForestSum.of(t)).terms.items():
-        _accumulate(out, ((f * r, v) for f, v in _scaled(_antipode_forest(l).terms, -c)))
+    # S(t) = -t - sum' S(left) * right over the reduced coproduct, which
+    # is the terms of delta(t) with both factors nonempty
+    out = {Forest((t,)): -1}
+    for (l, r), c in _coproduct_tree(t).terms.items():
+        if l.trees and r.trees:
+            _accumulate(out, ((_forest_product(f, r), v)
+                              for f, v in _scaled(_antipode_forest(l).terms, -c)))
     res = ForestSum._make(out)
     _ANTIPODE_CACHE[t] = res
     return res

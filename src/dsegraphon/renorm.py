@@ -82,7 +82,8 @@ class ScalePoly(SparseSum):
         return self.coeffs.get(k, Fraction(0))
 
     def derivative(self) -> "ScalePoly":
-        return ScalePoly._make({k - 1: k * v for k, v in self.terms.items() if k >= 1})
+        return ScalePoly._make(_accumulate({}, ((k - 1, k * v)
+                                                for k, v in self.terms.items() if k >= 1)))
 
     def eval(self, value) -> Fraction:
         value = _as_coeff(value)
@@ -308,7 +309,7 @@ class ToyRules:
 
 def _weight(rules: ToyRules, t: Tree) -> Fraction:
     """(product of the residues of t) / t!, with t! = |t| * prod of the children's t!."""
-    w = rules.residue(t.label) / t.size
+    w = Fraction(rules.residue(t.label), t.size)
     for c in t.children:
         w *= _weight(rules, c)
     return w

@@ -22,12 +22,22 @@ def rational_to_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _is_int(x) -> bool:
+    """An integer in JSON, where a boolean is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rational_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    """Parse "p/q" (or an integer); anything else, a zero denominator or a
+    JSON boolean included, raises ValueError."""
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {type(s).__name__}")
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 # -- trees and forests -----------------------------------------------------------
@@ -94,6 +104,8 @@ def dse_spec_from_json(obj) -> DSESpec:
     cocycles = tuple(Cocycle(c["decoration"], rational_from_str(c["omega"]))
                      for c in raw)
     order = obj.get("order")
+    if isinstance(order, bool):
+        raise ValueError("truncation order must be a positive integer")
     coupling = rational_from_str(obj.get("coupling", "1"))
     return DSESpec(cocycles=cocycles, order=order, coupling=coupling)
 
@@ -134,8 +146,8 @@ def toy_rules_from_json(obj) -> ToyRules:
     if not isinstance(residues, dict):
         raise ValueError("rules 'residues' must be an object")
     window = obj.get("window", [-8, 2])
-    if not (isinstance(window, (list, tuple)) and len(window) == 2 and all(
-            isinstance(p, int) and not isinstance(p, bool) for p in window)):
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(map(_is_int, window))):
         raise ValueError("rules 'window' must be a pair of integers")
     scale = obj.get("scale")
     if scale is not None:
@@ -164,10 +176,12 @@ def multigraph_to_json(g: MultiGraph) -> dict:
 def multigraph_from_json(obj) -> MultiGraph:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("graph object needs 'n' and 'edges'")
+    if not _is_int(obj["n"]):
+        raise ValueError("graph 'n' must be an integer vertex count")
     edges = obj.get("edges", [])
     if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2
-            and all(isinstance(v, int) for v in e) for e in edges):
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges):
         raise ValueError("graph 'edges' must be an array of [u, v] integer pairs")
     return MultiGraph(obj["n"], [tuple(e) for e in edges])
 

@@ -7,6 +7,18 @@ trees (again kept sorted), and a ForestSum is a finite rational linear
 combination of forests.  ForestSums form a commutative algebra under
 juxtaposition of forests; the empty forest is the unit.
 
+Trees and forests are interned: their constructors look the canonical
+code up in ``_TREES`` and ``_FORESTS`` and return the one object already
+built for it, so equal trees (forests) are the same object and compare
+and hash by identity.  ``_PRODUCTS`` caches forest products and
+``_GRAFTS`` the one-tree forests B+_label(f).  All four tables live for
+the whole process.
+
+Coefficients are exact: a sum stores each one as an ``int`` when it is
+integral and as a ``Fraction`` otherwise, never zero and never a float.
+``int`` and ``Fraction`` compare and hash alike, so sums that differ
+only in that representation are equal.
+
 Decorations are plain nonempty strings.  The characters ``[``, ``]`` and
 ``|`` are reserved for the canonical encoding and rejected in labels.
 
@@ -34,31 +46,31 @@ def check_decoration(label: str) -> str:
 
 
 class Tree:
-    """A decorated rooted tree with unordered children."""
+    """A decorated rooted tree with unordered children; interned by code."""
 
-    __slots__ = ("label", "children", "code", "size", "_hash")
+    __slots__ = ("label", "children", "code", "size")
 
-    def __init__(self, label: str, children: Iterable["Tree"] = ()):
+    def __new__(cls, label: str, children: Iterable["Tree"] = ()):
         check_decoration(label)
         kids = tuple(sorted(children, key=_CODE))
         for k in kids:
             if not isinstance(k, Tree):
                 raise TypeError("children must be Tree instances")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", kids)
-        code = label + "[" + "".join(k.code for k in kids) + "]"
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "size", 1 + sum(k.size for k in kids))
-        object.__setattr__(self, "_hash", hash(code))
+        code = label + "[" + "".join(map(_CODE, kids)) + "]"
+        self = _TREES.get(code)
+        if self is None:
+            self = _TREES[code] = object.__new__(cls)
+            object.__setattr__(self, "label", label)
+            object.__setattr__(self, "children", kids)
+            object.__setattr__(self, "code", code)
+            object.__setattr__(self, "size", 1 + sum(map(_SIZE, kids)))
+        return self
+
+    def __reduce__(self):
+        return Tree, (self.label, self.children)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.code == other.code
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other: "Tree"):
         return self.code < other.code
@@ -100,25 +112,21 @@ def ladder(n: int, label: str = "g") -> Tree:
 
 
 class Forest:
-    """A finite multiset of trees; the monomials of the tree algebra."""
+    """A finite multiset of trees; the monomials of the tree algebra.
 
-    __slots__ = ("trees", "code", "grade", "_hash")
+    Interned by code, like Tree; the product is cached per pair.
+    """
 
-    def __init__(self, trees: Iterable[Tree] = ()):
-        ts = tuple(sorted(trees, key=_CODE))
-        object.__setattr__(self, "trees", ts)
-        object.__setattr__(self, "code", "".join(map(_CODE, ts)))
-        object.__setattr__(self, "grade", sum(map(_SIZE, ts)))
-        object.__setattr__(self, "_hash", hash(("forest", self.code)))
+    __slots__ = ("trees", "code", "grade")
+
+    def __new__(cls, trees: Iterable[Tree] = ()):
+        return _forest(tuple(sorted(trees, key=_CODE)))
+
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.code == other.code
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other: "Forest"):
         return self.code < other.code
@@ -132,11 +140,7 @@ class Forest:
     def __mul__(self, other: "Forest") -> "Forest":
         if not isinstance(other, Forest):
             return NotImplemented
-        if not other.trees:
-            return self
-        if not self.trees:
-            return other
-        return Forest(self.trees + other.trees)
+        return _forest_product(self, other)
 
     def is_empty(self) -> bool:
         return not self.trees
@@ -148,6 +152,41 @@ class Forest:
         return " ".join(str(t) for t in self.trees) if self.trees else "1"
 
 
+def _forest(trees: tuple[Tree, ...]) -> Forest:
+    """The interned forest of ``trees``, already sorted by code."""
+    code = "".join(map(_CODE, trees))
+    f = _FORESTS.get(code)
+    if f is None:
+        f = _FORESTS[code] = object.__new__(Forest)
+        object.__setattr__(f, "trees", trees)
+        object.__setattr__(f, "code", code)
+        object.__setattr__(f, "grade", sum(map(_SIZE, trees)))
+    return f
+
+
+def _forest_product(a: Forest, b: Forest) -> Forest:
+    """The forest ``a b``, built once per pair and cached."""
+    got = _PRODUCTS.get((a, b))
+    if got is None:
+        got = _PRODUCTS[a, b] = (
+            a if not b.trees else b if not a.trees
+            else _forest(tuple(sorted(a.trees + b.trees, key=_CODE))))
+    return got
+
+
+def _grafted(label: str, f: Forest) -> Forest:
+    """The one-tree forest B+_label(f): ``f`` grafted onto a new ``label``
+    root, built once per pair and cached."""
+    got = _GRAFTS.get((label, f))
+    if got is None:
+        got = _GRAFTS[label, f] = _forest((Tree(label, f.trees),))
+    return got
+
+
+_TREES: dict[str, Tree] = {}
+_FORESTS: dict[str, Forest] = {}
+_PRODUCTS: dict[tuple[Forest, Forest], Forest] = {}
+_GRAFTS: dict[tuple[str, Forest], Forest] = {}
 EMPTY_FOREST = Forest()
 
 
@@ -159,29 +198,42 @@ def _as_coeff(c) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
+def _coeff(c):
+    """Validate ``c`` as a stored coefficient: an int when it is integral,
+    else a Fraction."""
+    c = _as_coeff(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _accumulate(out: dict, items) -> dict:
     """Add ``(key, coefficient)`` pairs into ``out`` in place and return it.
 
-    Every coefficient must be a nonzero Fraction; a key whose coefficient
-    cancels is deleted, so ``out`` never holds a zero.  ``out`` must be a
-    dict the caller owns, never the ``terms`` of an existing sum: sums are
-    shared (caches hand the same object to every caller).
+    Every coefficient must be a nonzero int or Fraction.  An integral
+    Fraction, added or summed, is stored as its int; a key whose
+    coefficient cancels is deleted, so ``out`` never holds a zero.
+    ``out`` must be a dict the caller owns, never the ``terms`` of an
+    existing sum: sums are shared (caches hand the same object to every
+    caller).
     """
     get = out.get
     for k, c in items:
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
         s = get(k)
         if s is None:
             out[k] = c
         else:
             s += c
-            if s:
+            if not s:
+                del out[k]
+            elif type(s) is int or s.denominator != 1:
                 out[k] = s
             else:
-                del out[k]
+                out[k] = s.numerator
     return out
 
 
-def _scaled(terms: dict, c: Fraction):
+def _scaled(terms: dict, c):
     """The (key, coefficient) pairs of ``c`` times ``terms``."""
     return terms.items() if c == 1 else ((k, c * v) for k, v in terms.items())
 
@@ -207,7 +259,7 @@ def _gauss_jordan(rows: list[list[Fraction]], n_cols: int) -> tuple[list[int], F
             rows[r], rows[p] = rows[p], rows[r]
             det = -det
         det *= rows[r][c]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1, rows[r][c])
         pivot_row = rows[r] = [v * inv if v else v for v in rows[r]]
         for i, row in enumerate(rows):
             f = row[c]
@@ -221,7 +273,8 @@ class SparseSum:
     """Immutable finite rational linear combination of hashable keys.
 
     Invariant: every key has passed the subclass's ``_check_key`` and
-    every coefficient is a nonzero Fraction.  The public constructor
+    every coefficient is a nonzero int, or a Fraction when it is not
+    integral (``_accumulate`` keeps this).  The public constructor
     validates its input; ``_make`` trusts a dict that already holds the
     invariant and takes ownership of it.
 
@@ -251,7 +304,7 @@ class SparseSum:
             check = self._check_key
             for k, c in (terms.items() if hasattr(terms, "items") else terms):
                 k = check(k)
-                c = _as_coeff(c)
+                c = _coeff(c)
                 if c:
                     _accumulate(clean, ((k, c),))
         object.__setattr__(self, "terms", clean)
@@ -271,7 +324,7 @@ class SparseSum:
 
     @classmethod
     def unit(cls):
-        return cls._make({cls._UNIT: Fraction(1)})
+        return cls._make({cls._UNIT: 1})
 
     @classmethod
     def product(cls, factors):
@@ -285,7 +338,7 @@ class SparseSum:
         if isinstance(other, type(self)):
             return other
         if self._SCALARS and isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             return self._make({self._UNIT: c} if c else {})
         return None
 
@@ -310,8 +363,8 @@ class SparseSum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            return self._make({k: c * v for k, v in self.terms.items()} if c else {})
+            c = _coeff(other)
+            return self._make(_accumulate({}, _scaled(self.terms, c)) if c else {})
         if not isinstance(other, type(self)):
             return NotImplemented
         kmul = self._key_mul
@@ -351,7 +404,7 @@ class ForestSum(SparseSum):
 
     __slots__ = ()
     _UNIT = EMPTY_FOREST
-    _key_mul = staticmethod(Forest.__mul__)
+    _key_mul = staticmethod(_forest_product)
 
     @staticmethod
     def _check_key(f):
@@ -370,14 +423,14 @@ class ForestSum(SparseSum):
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, f) -> Fraction:
+    def coeff(self, f):
         if isinstance(f, Tree):
             f = Forest((f,))
-        return self.terms.get(f, Fraction(0))
+        return self.terms.get(f, 0)
 
-    def counit(self) -> Fraction:
+    def counit(self):
         """Coefficient of the empty forest."""
-        return self.terms.get(EMPTY_FOREST, Fraction(0))
+        return self.terms.get(EMPTY_FOREST, 0)
 
     def grades(self) -> dict[int, "ForestSum"]:
         """Split into homogeneous components keyed by vertex count."""

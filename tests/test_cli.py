@@ -288,6 +288,63 @@ def test_graph_with_non_array_edges_exits_2(capsys, tmp_path):
         assert err.startswith("error:") and "edges" in err
 
 
+def _exits_2(capsys, argv, word):
+    assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err, (argv, err)
+
+
+def _write(tmp_path, name, obj) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _spec(tmp_path, omega="1", **extra) -> str:
+    return _write(tmp_path, "zspec.json", {
+        "cocycles": [{"decoration": "g", "omega": omega}], "order": 3, **extra})
+
+
+def test_solve_zero_denominator_exits_2(capsys, tmp_path):
+    _exits_2(capsys, ["solve", "--spec", _spec(tmp_path, omega="1/0")], "denominator")
+    _exits_2(capsys, ["solve", "--spec", _spec(tmp_path, coupling="1/0")], "denominator")
+    _exits_2(capsys, ["solve", "--spec", _spec(tmp_path), "--coupling", "1/0"],
+             "denominator")
+
+
+def test_renorm_zero_denominator_exits_2(capsys, tmp_path, spec_file):
+    for rules in ({"residues": {"g": "1/0"}}, {"scale": "3/0"}):
+        _exits_2(capsys, ["renorm", "--spec", spec_file, "--rules",
+                          _write(tmp_path, "zrules.json", rules)], "denominator")
+
+
+def test_graphon_and_trace_zero_denominator_exit_2(capsys, tmp_path):
+    for sub in ("graphon", "trace"):
+        _exits_2(capsys, [sub, "--spec", _spec(tmp_path, omega="1/0")], "denominator")
+        _exits_2(capsys, [sub, "--spec", _spec(tmp_path, coupling="1/0")], "denominator")
+
+
+def test_haar_zero_denominator_exits_2(capsys):
+    _exits_2(capsys, ["haar", "--radii", "1/0", "--samples", "10"], "denominator")
+    _exits_2(capsys, ["haar", "--radii", "1/2,3/0", "--samples", "10"], "denominator")
+
+
+def test_json_booleans_are_not_numbers(capsys, tmp_path, spec_file):
+    for spec in ({"cocycles": [{"decoration": "g", "omega": True}], "order": 3},
+                 {"cocycles": [{"decoration": "g", "omega": "1"}], "order": True},
+                 {"cocycles": [{"decoration": "g", "omega": "1"}], "order": 3,
+                  "coupling": True}):
+        _exits_2(capsys, ["solve", "--spec", _write(tmp_path, "b.json", spec)], "")
+    for rules in ({"residues": {"g": True}}, {"scale": False}):
+        _exits_2(capsys, ["renorm", "--spec", spec_file, "--rules",
+                          _write(tmp_path, "br.json", rules)], "")
+    for graphs, word in (([{"n": True, "edges": []}], "'n'"),
+                         ([{"n": 2, "edges": [[0, True]]}], "edges")):
+        for sub in ("tutte", "symanzik"):
+            _exits_2(capsys, [sub, "--graphs", _write(tmp_path, "bg.json", graphs)],
+                     word)
+
+
 # sha256 of documents recorded before the sparse-sum core was shared; any
 # change to them is a change of output, not an optimisation
 GOLDEN_SOLVE = "0762f1a412cb6bf9fe92da1b44c416f18fb50b3b5fff9818ae363be47a5b3d8a"

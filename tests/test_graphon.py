@@ -597,6 +597,51 @@ def test_sampled_graph_equals_validated_construction():
                     assert g.has_edge(i, j) == ref.has_edge(i, j)
 
 
+def loop_sample(n: int, w: StepGraphon, seed: int) -> list:
+    """The edges of sample_random_graph by a Python loop over the pairs,
+    each coin against its block's threshold int(v * 2^64)."""
+    import numpy as np
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    scale = 1 << 64
+    cuts = [int(b * scale) for b in w.boundaries()[1:]]
+    draws = rng.integers(0, scale, size=n, dtype=np.uint64).tolist()
+    types = [next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
+             for x in draws]
+    thresholds = [[int(v * scale) for v in row] for row in w.values]
+    coins = iter(rng.integers(0, scale, size=n * (n - 1) // 2,
+                              dtype=np.uint64).tolist())
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if next(coins) < thresholds[types[i]][types[j]]]
+
+
+def test_sampling_matches_pair_loop():
+    rng = random.Random(7)
+    halves = (F(1, 2), F(1, 2))
+    graphons = [StepGraphon.constant(c, k=k) for c in (F(0), F(1), F(1, 2), F(1, 3))
+                for k in (1, 2)]
+    graphons += [graphon_from_graph(g) for g in (
+        path_graph(3), path_graph(5), complete_graph(2), complete_graph(3),
+        SimpleGraph(2, []), SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]))]
+    graphons += [
+        feynman_graphon(ForestSum.of(leaf("g")) + 2 * ForestSum.of(ladder(2)), F(1, 2)),
+        StepGraphon([F(1, 3), F(2, 3)], [[F(1), F(0)], [F(0), F(1, 2)]]),
+        StepGraphon([F(1, 3), F(2, 3)], [[F(1, 5), F(7, 8)], [F(7, 8), F(0)]]),
+        StepGraphon([F(1, 4), F(1, 4), F(1, 2)],
+                    [[F(1), F(1, 3), F(0)], [F(1, 3), F(1, 2), F(2, 3)],
+                     [F(0), F(2, 3), F(1, 9)]]),
+        StepGraphon(halves, [[F(0), F(1)], [F(1), F(1)]]),
+        StepGraphon(halves, [[F(3, 4), F(1, 4)], [F(1, 4), F(1, 2)]]),
+        StepGraphon(halves, [[F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]]),
+        StepGraphon(halves, [[F(1), F(0)], [F(0), F(0)]]),
+        StepGraphon((F(1, 4099), F(4098, 4099)), [[F(1), F(0)], [F(0), F(0)]]),
+        StepGraphon((F(1, 4099), F(4098, 4099)), [[F(0), F(1)], [F(1), F(0)]]),
+        random_graphon(rng, 4), random_graphon(rng, 5, equal=True)]
+    for w in graphons:
+        for n, seed in ((1, 0), (2, 3), (9, 1), (40, 5), (101, 8)):
+            assert list(sample_random_graph(n, w, seed=seed).edges) == \
+                loop_sample(n, w, seed), (w, n, seed)
+
+
 def test_sampling_edge_density_statistics():
     w = StepGraphon.constant(F(1, 2))
     g = sample_random_graph(1000, w, seed=42)

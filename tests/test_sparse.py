@@ -1,5 +1,6 @@
 """The shared sparse-sum core: in-place folds against immutable ones,
-the no-zero invariant, input validation, and cache isolation.
+the coefficient invariant (nonzero; an int exactly where integral), input
+validation, and cache isolation.
 
 The reference folds below use only the public operators and rebuild an
 immutable sum at every step (``acc = acc + x``), with caches of their
@@ -10,16 +11,18 @@ solution coefficients show that the in-place folds add the same terms.
 
 import itertools
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsegraphon import hopf
-from dsegraphon.dse import Cocycle, DSESpec, solve
+from dsegraphon.dse import Cocycle, DSESpec, solve, subalgebra_witness
 from dsegraphon.graphpoly import MultiPoly
 from dsegraphon.hopf import TensorSum, antipode, coproduct
-from dsegraphon.renorm import ScalePoly
-from dsegraphon.trees import (EMPTY_FOREST, Forest, ForestSum, Tree, ladder,
-                              leaf)
+from dsegraphon.renorm import ScalePoly, ToyRules, _weight
+from dsegraphon.trees import (EMPTY_FOREST, Forest, ForestSum, Tree, _gauss_jordan,
+                              all_forests_up_to, all_trees, ladder, leaf)
 
 SPECS = {
     "g": DSESpec((Cocycle("g", F(1)),), order=8),
@@ -119,7 +122,9 @@ def test_coproduct_and_antipode_match_immutable_fold(solved):
 # -- invariant: no stored zero ------------------------------------------------
 
 def _zero_free(s) -> bool:
-    return all(isinstance(c, F) and c != 0 for c in s.terms.values())
+    """Every coefficient is a nonzero int, or a Fraction that is not integral."""
+    return all(type(c) is int and c != 0 or type(c) is F and c.denominator != 1
+               for c in s.terms.values())
 
 
 def test_cancelling_sums_store_no_zero():
@@ -211,3 +216,109 @@ def test_cancelling_folds_leave_caches_unchanged():
         assert hopf._COPROD_CACHE[t].terms == terms
     for t, terms in anti_before.items():
         assert hopf._ANTIPODE_CACHE[t].terms == terms
+
+
+# -- int and Fraction coefficients ----------------------------------------------
+
+def _exact_coefficients(s) -> bool:
+    """The stored coefficients are ints exactly where they are integral."""
+    return _zero_free(s) and all(
+        (type(c) is int) == (F(c).denominator == 1) for c in s.terms.values())
+
+
+def test_int_and_fraction_coefficients_mix():
+    f, e = Forest((leaf("g"),)), EMPTY_FOREST
+    half = ForestSum.of(f, F(1, 2))
+    one = half + half
+    assert one.terms == {f: 1} and type(one.terms[f]) is int
+    assert (half - half).terms == {} and (half + (-half)).terms == {}
+    assert (ForestSum.of(f, 3) + ForestSum.of(f, -3)).terms == {}
+    assert (ForestSum.of(f, F(1, 3)) + ForestSum.of(f, F(-1, 3))).terms == {}
+    # integral Fractions become ints on every path that makes a coefficient
+    made = [one, ForestSum({f: F(4, 2)}), ForestSum.of(f, True),
+            ForestSum.of(f, F(2, 3)) * F(3, 2), F(3, 2) * ForestSum.of(f, F(2, 3)),
+            ForestSum.of(f, F(2, 3)) * ForestSum.of(e, F(3, 2)),
+            ForestSum.of(f, F(1, 2)) * 4, ForestSum.of(f, F(3, 4)) * 2 + half,
+            TensorSum.of(f, e, F(3, 4)) + TensorSum.of(f, e, F(1, 4)),
+            ScalePoly.L(2, F(1, 2)).derivative(), ScalePoly.const(F(1, 2)) + F(1, 2),
+            MultiPoly.var("x", 1, F(1, 3)) * 3, MultiPoly.var("x", 3, F(1, 3)).partial("x"),
+            MultiPoly.const(F(5, 5)) - F(1, 2)]
+    for s in made:
+        assert _exact_coefficients(s), s
+    assert [type(c) for s in made[:-1] for c in s.terms.values()] == [int] * 13
+    assert made[-1].terms == {(): F(1, 2)}
+    assert ForestSum.unit().terms == {e: 1} and type(ForestSum.unit().counit()) is int
+    # the solution coefficients of one cocycle with omega = 1 are ints
+    sol = solve(SPECS["g"])
+    for x in sol.coefficients:
+        assert all(type(c) is int for c in x.terms.values())
+        assert _exact_coefficients(coproduct(x)) and _exact_coefficients(antipode(x))
+    for x in solve(SPECS["g,h"]).coefficients:
+        assert _exact_coefficients(x) and _exact_coefficients(antipode(x))
+
+
+def test_division_paths_stay_exact():
+    rows = [[2, 1, 1], [1, 3, 0]]
+    pivots, det = _gauss_jordan(rows, 2)
+    assert pivots == [0, 1] and det == 5 and type(det) is F
+    assert rows == [[1, 0, F(3, 5)], [0, 1, F(-1, 5)]]
+    assert all(type(v) in (int, F) for row in rows for v in row)
+
+    for spec in SPECS.values():
+        sol = solve(spec)
+        for n in (3, 5):
+            report = subalgebra_witness(sol, n)
+            assert report.ok and report.coefficients
+            assert all(type(v) in (int, F) and v for v in report.coefficients.values())
+
+    def factorial_of(t):  # t! = |t| * prod of the children's t!
+        out = t.size
+        for c in t.children:
+            out *= factorial_of(c)
+        return out
+
+    rules = ToyRules()
+    rules.residues = {"g": 3, "h": 1}  # plain ints, not Fractions
+    for t in all_trees(5, ("g", "h")):
+        w = _weight(rules, t)
+        want = F(3 ** sum(1 for v in t.code if v == "g"), factorial_of(t))
+        assert type(w) in (int, F) and w == want
+    assert _weight(rules, ladder(4)) == F(81, factorial(4))
+
+
+_COEFFS = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+_FORESTS = all_forests_up_to(3, ("g", "h"))
+_MONOMIALS = [(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 2)), (("x", 2),)]
+
+
+def _sums(cls, keys):
+    return st.lists(st.tuples(st.sampled_from(keys), _COEFFS), max_size=6).map(cls)
+
+
+def _naive_product(a, b, key_mul) -> dict:
+    out: dict = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            k = key_mul(k1, k2)
+            out[k] = out.get(k, F(0)) + F(c1) * F(c2)
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(ForestSum, _FORESTS), (MultiPoly, _MONOMIALS)]).flatmap(
+    lambda ck: st.tuples(*[_sums(*ck)] * 3)), _COEFFS)
+def test_ring_identities_on_mixed_coefficients(sums, q):
+    a, b, c = sums
+    cls = type(a)
+    zero, one = cls.zero(), cls.unit()
+    results = [a + b, a - b, a * b, b * a, (a + b) + c, a + (b + c), (a * b) * c,
+               a * (b * c), a * (b + c), a * b + a * c, q * a, a * q, a * a - a * a]
+    for s in results:
+        assert _exact_coefficients(s), s
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).terms == {}
+    assert (a - a).terms == {} and a + (-a) == zero
+    assert q * (a + b) == q * a + q * b
+    assert (a * b).terms == _naive_product(a, b, cls._key_mul)

@@ -1,9 +1,12 @@
-import pytest
+import copy
+import pickle
 from fractions import Fraction as F
 
+import pytest
+
 from dsegraphon.trees import (
-    EMPTY_FOREST, Forest, ForestSum, Tree, all_forests, all_forests_up_to,
-    all_trees, check_decoration, ladder, leaf)
+    _PRODUCTS, EMPTY_FOREST, Forest, ForestSum, Tree, _grafted, all_forests,
+    all_forests_up_to, all_trees, check_decoration, ladder, leaf)
 
 
 def test_decoration_validation():
@@ -108,3 +111,44 @@ def test_enumeration_no_duplicates():
         forests = all_forests(n)
         assert len({f.code for f in forests}) == len(forests)
         assert all(f.grade == n for f in forests)
+
+
+# -- interning: equal trees and forests are one object ---------------------------
+
+def test_trees_and_forests_are_interned():
+    a = Tree("g", [leaf("g"), ladder(2)])
+    assert Tree("g", (ladder(2), Tree("g"))) is a
+    assert Forest((a, leaf("h"))) is Forest([leaf("h"), a])
+    assert Forest(()) is EMPTY_FOREST
+    assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    f = Forest((a, a))
+    assert copy.copy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+
+def test_cached_forest_product_is_the_validated_forest():
+    forests = all_forests_up_to(3, ("g", "h"))
+    for a in forests:
+        for b in forests:
+            got = a * b
+            want = Forest(a.trees + b.trees)
+            codes = sorted(t.code for t in a.trees + b.trees)
+            assert got.trees == want.trees == tuple(sorted(a.trees + b.trees))
+            assert got.code == want.code == "".join(codes)
+            assert got.grade == want.grade == a.grade + b.grade
+            assert hash(got) == hash(want) and got == want and got is want
+            assert _PRODUCTS[a, b] is got
+            assert a * b is got and b * a is got
+    with pytest.raises(TypeError):
+        forests[1] * leaf("g")
+
+
+def test_cached_graft_is_the_grafted_tree():
+    for f in all_forests_up_to(3, ("g", "h")):
+        for label in ("g", "h"):
+            got = _grafted(label, f)
+            tree = Tree(label, f.trees)
+            assert got.trees == (tree,) and got.trees[0].children == f.trees
+            assert got.code == tree.code and got.grade == f.grade + 1
+            assert got == Forest((tree,)) and _grafted(label, f) is got
+    with pytest.raises(ValueError):
+        _grafted("a|b", EMPTY_FOREST)
