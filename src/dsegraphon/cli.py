@@ -19,6 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .dse import solve, structural_sum
@@ -64,9 +65,69 @@ def _document(config: dict, results, checks: list[dict]) -> dict:
             "checks": checks}
 
 
+class _Unwritable(Exception):
+    """A value the document writer leaves to ``json.dumps``."""
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+
+    CPython's C encoder is skipped whenever ``indent`` is set, so large
+    documents went through the pure-Python generator; this writer joins
+    the pieces itself.  It knows dicts with string keys, lists, tuples,
+    strings, ints, bools and None; for anything else the whole document
+    goes to ``json.dumps``.
+    """
+    parts: list[str] = []
+    try:
+        _write_json(doc, "\n", parts.append)
+    except (_Unwritable, RecursionError, TypeError, ValueError):
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(parts)
+
+
+def _write_json(x, newline: str, put) -> None:
+    t = type(x)
+    if t is str:
+        put(encode_basestring_ascii(x))
+    elif t is int:
+        put(int.__repr__(x))
+    elif t is dict:
+        if not x:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise _Unwritable
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(x[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif t is list or t is tuple:
+        if not x:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif x is None or t is bool:
+        put(_LITERALS[x])
+    else:
+        raise _Unwritable
+
+
 def _render(doc: dict, fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text(doc) + "\n"
     buf = io.StringIO()
     buf.write(f"# tool=dsegraphon\n# version={__version__}\n")
     buf.write(f"# config_sha256={doc['config_sha256']}\n")

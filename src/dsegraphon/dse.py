@@ -54,7 +54,8 @@ class DSESpec:
         object.__setattr__(self, "coupling", _as_coeff(self.coupling))
         if not self.cocycles:
             raise ValueError("equation needs at least one cocycle")
-        if not isinstance(self.order, int) or self.order < 1:
+        if (not isinstance(self.order, int) or isinstance(self.order, bool)
+                or self.order < 1):
             raise ValueError("truncation order must be a positive integer")
         if not (0 < self.coupling <= 1):
             raise ValueError("coupling must lie in (0, 1]")

@@ -6,32 +6,39 @@ of Symanzik variables intact.
 
 The Tutte polynomial is computed by deletion-contraction with the
 highest-index ordinary edge pivoted first, splitting into connected
-components, and memoizing minors under a relabeling-invariant
-certificate.  An independent rank-nullity sum over all edge subsets is
-provided as an oracle.  The memo key is always produced by relabeling
-the actual minor, so a cache hit can only identify isomorphic graphs;
-an incomplete search for the smallest labeling merely costs cache hits,
-never correctness.
+components, and memoizing minors under a canonical key.  An independent
+rank-nullity sum over all edge subsets is provided as an oracle.  The
+key is exact: two graphs get the same key exactly when they are
+isomorphic.  It is the least sorted edge code over all vertex orders
+that list the colour-refinement cells in colour order, found by a
+depth-first search that places one position at a time and drops a
+branch as soon as a lower bound on its code exceeds the best code found
+(twins and automorphisms found at tied leaves prune it further).  The
+corpus generator keys candidates the same way, so its order and its
+representatives are fixed by the key.
 
 The first Kirchhoff-Symanzik polynomial is the spanning-tree sum
 Psi(w) = sum_T prod_{e not in T} w_e, homogeneous of degree equal to the
 loop number.  It factors over components (spanning forests) and equals
 the determinant of the cycle-basis matrix M with entries
-M_kr = sum_i w_i eta_ik eta_ir, for any choice of spanning tree.
+M_kr = sum_i w_i eta_ik eta_ir, for any choice of spanning tree.  The
+determinants here (cycle basis and matrix-tree cofactor) are taken over
+the integers by fraction-free elimination, the cycle basis after scaling
+the weights by the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import SparseSum, Tree, _accumulate, _as_coeff, _gauss_jordan
+from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det
 
 TUTTE_EDGE_LIMIT = 24
 RANK_NULLITY_EDGE_LIMIT = 20
-_CANON_CAP = 40320  # max labelings tried per minor
 
 
 class DisconnectedNotice(UserWarning):
@@ -78,15 +85,28 @@ class MultiPoly(SparseSum):
         return self.terms.get(key, Fraction(0))
 
     def eval(self, values: dict[str, Fraction]) -> Fraction:
-        total = Fraction(0)
+        """Exact value at ``values``.  The values are put over their least
+        common denominator D; the monomials of each total degree d are
+        summed as integers S_d, and the value is sum_d S_d / D**d."""
+        num: dict[str, Fraction] = {}
+        for mono in self.terms:
+            for v, _ in mono:
+                if v not in num:
+                    if v not in values:
+                        raise ValueError(f"no value supplied for variable {v!r}")
+                    num[v] = _as_coeff(values[v])
+        scale = math.lcm(*(q.denominator for q in num.values()))
+        ints = {v: q.numerator * (scale // q.denominator) for v, q in num.items()}
+        sums: dict[int, int] = {}
         for mono, c in self.terms.items():
-            term = c
+            d = 0
             for v, e in mono:
-                if v not in values:
-                    raise ValueError(f"no value supplied for variable {v!r}")
-                term *= _as_coeff(values[v]) ** e
-            total += term
-        return total
+                c *= ints[v] ** e
+                d += e
+            sums[d] = sums.get(d, 0) + c
+        top = max(sums, default=0)
+        return Fraction(sum(s * scale ** (top - d) for d, s in sums.items()),
+                        scale ** top)
 
     def substitute_zero(self, name: str) -> "MultiPoly":
         """Drop every term containing ``name``."""
@@ -157,6 +177,16 @@ class MultiGraph:
                 raise ValueError("evars length must match edge count")
         object.__setattr__(self, "evars", evars)
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple, evars: tuple) -> "MultiGraph":
+        """A graph from in-range edges already stored as (min, max) and
+        their variables, without the checks: minors and corpus growth."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "evars", evars)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiGraph is immutable")
 
@@ -177,7 +207,7 @@ class MultiGraph:
     def delete(self, i: int) -> "MultiGraph":
         es = self.edges[:i] + self.edges[i + 1:]
         ev = self.evars[:i] + self.evars[i + 1:]
-        return MultiGraph(self.n, es, ev)
+        return MultiGraph._trusted(self.n, es, ev)
 
     def contract(self, i: int) -> "MultiGraph":
         """Contract edge i (identify endpoints, drop the edge itself)."""
@@ -192,14 +222,10 @@ class MultiGraph:
             relabel[w] = nxt
             nxt += 1
         relabel[v] = relabel[u]
-        es = []
-        ev = []
-        for j, (a, b) in enumerate(self.edges):
-            if j == i:
-                continue
-            es.append((relabel[a], relabel[b]))
-            ev.append(self.evars[j])
-        return MultiGraph(self.n - 1, es, ev)
+        es = tuple((x, y) if x <= y else (y, x)
+                   for x, y in ((relabel[a], relabel[b]) for a, b in self.edges))
+        ev = self.evars
+        return MultiGraph._trusted(self.n - 1, es[:i] + es[i + 1:], ev[:i] + ev[i + 1:])
 
     def degree_view(self) -> list[int]:
         deg = [0] * self.n
@@ -235,7 +261,7 @@ class MultiGraph:
                 if u in vset:
                     es.append((index[u], index[v]))
                     ev.append(self.evars[j])
-            out.append(MultiGraph(len(verts), es, ev))
+            out.append(MultiGraph._trusted(len(verts), tuple(es), tuple(ev)))
         return out
 
     def is_bridge(self, i: int) -> bool:
@@ -249,7 +275,7 @@ class MultiGraph:
         return dsu.find(u) != dsu.find(v)
 
     def canonical_key(self):
-        """Relabeling-invariant certificate (best effort, always sound)."""
+        """Exact isomorphism certificate: equal exactly for isomorphic graphs."""
         return _canonical_key(self)
 
 
@@ -276,61 +302,250 @@ class _DSU:
         return True
 
 
-def _refine_colors(g: MultiGraph) -> list[int]:
-    loops = [0] * g.n
-    adj: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for (u, v) in g.edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    sig0 = [(loops[w], sum(adj[w].values())) for w in range(g.n)]
-    rank0 = {s: i for i, s in enumerate(sorted(set(sig0)))}
-    colors = [rank0[s] for s in sig0]
-    for _ in range(g.n):
-        sig = [
-            (colors[w], loops[w], tuple(sorted((colors[u], mult) for u, mult in adj[w].items())))
-            for w in range(g.n)
-        ]
+def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[int]:
+    """Colour refinement from (loops, degree): split each colour by the
+    multiset of (neighbour colour, multiplicity) until the number of
+    colours stops growing.  A colour is the rank of its signature, and a
+    signature starts with the previous colour, so cells keep their order."""
+    sig = [(loops[w], sum(adj[w].values())) for w in range(n)]
+    ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
+    colors = [ranking[s] for s in sig]
+    count = len(ranking)
+    while count < n:
+        sig = [(colors[w], tuple(sorted([(colors[u], k) for u, k in adj[w].items()])))
+               for w in range(n)]
         ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranking[s] for s in sig]
-        if new == colors:
+        if len(ranking) == count:
             break
-        colors = new
+        colors = [ranking[s] for s in sig]
+        count = len(ranking)
     return colors
 
 
 def _canonical_key(g: MultiGraph):
-    colors = _refine_colors(g)
-    cells: dict[int, list[int]] = {}
-    for w, c in enumerate(colors):
-        cells.setdefault(c, []).append(w)
-    ordered_cells = [cells[c] for c in sorted(cells)]
-    total = 1
-    for cell in ordered_cells:
-        for i in range(2, len(cell) + 1):
-            total *= i
-        if total > _CANON_CAP:
-            break
-    if total > _CANON_CAP:
-        # deterministic single labeling; still a true relabeling of g
-        order = [w for cell in ordered_cells for w in cell]
-        return (g.n, _edge_code(g, order))
-    best = None
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in ordered_cells)):
-        order = [w for part in perm_parts for w in part]
-        code = _edge_code(g, order)
-        if best is None or code < best:
-            best = code
-    return (g.n, best)
+    """(n, smallest edge code over all vertex orders that list the refined
+    colour cells in colour order), an exact isomorphism certificate."""
+    n = g.n
+    loops = [0] * n
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v) in g.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            a, b = adj[u], adj[v]
+            a[v] = a.get(v, 0) + 1
+            b[u] = b.get(u, 0) + 1
+    colors = _refine_colors(n, loops, adj)
+    order = sorted(range(n), key=colors.__getitem__)
+    if n and colors[order[-1]] < n - 1:
+        order = _least_order(n, loops, adj, colors, order)
+    return (n, _edge_code(g, order))
+
+
+def _least_order(n, loops, adj, colors, cell_order):
+    """Depth-first search for a vertex order of least edge code.
+
+    Position k may hold any vertex of the cell of ``cell_order[k]``, and
+    positions are placed in increasing order.  The sorted edge code is
+    read as rows: row a lists, ascending, the positions b >= a joined to
+    the vertex at position a, then a sentinel n.  With positions 0..k
+    placed, rows 0..k have known lengths, and the least values they can
+    still take are found one row at a time: the row's unplaced neighbours
+    take the least free positions open to them, heaviest first, and keep
+    those blocks for the later rows.  A branch is dropped as soon as these
+    least values, read after the settled prefix, exceed the best code
+    found so far.
+
+    Two symmetries are used.  Twins (vertices whose transposition is an
+    automorphism) are placed in increasing id order.  A leaf that ties
+    the best code gives an automorphism; a candidate that one of them,
+    fixing every placed vertex, maps from a candidate already tried at
+    the same node is skipped.  Neither changes the least code.
+    """
+    members: dict[int, list[int]] = {}
+    first: dict[int, int] = {}  # first position of each cell
+    for k, w in enumerate(cell_order):
+        members.setdefault(colors[w], []).append(w)
+        first.setdefault(colors[w], k)
+    after = [-1] * n  # the twin that must be placed first
+    forced = True
+    for cell in members.values():
+        last: list[int] = []  # latest member of each twin class so far
+        for v in cell:
+            for i, u in enumerate(last):
+                # a cell shares its loop count, so only the neighbours differ
+                if _without(adj[u], v) == _without(adj[v], u):
+                    after[v] = u
+                    last[i] = v
+                    break
+            else:
+                last.append(v)
+        forced = forced and len(last) == 1
+    if forced:  # every cell is one twin class, placed in id order
+        return cell_order
+
+    pos = [-1] * n
+    order: list[int] = []
+    rows: list[list[int]] = []
+    rem: list[int] = []  # edge ends of each row still unplaced
+    prefix: list[int] = []  # the settled prefix of the code
+    undo: list[tuple] = []
+    best: list[int] | None = None  # None while a branch is known better
+    best_order = cell_order
+    autos: list[list[int]] = []
+    open_row = done = 0  # first unsettled row, its entries already in prefix
+
+    def candidates(k):
+        cell = [v for v in members[colors[cell_order[k]]]
+                if pos[v] < 0 and (after[v] < 0 or pos[after[v]] >= 0)]
+        _try_order(cell, adj[order[open_row]] if open_row < k else None, loops)
+        return cell, []
+
+    def bound(k):
+        # the least rows open_row..k any completion gives: one row at a
+        # time, the unplaced neighbours take the least positions left to
+        # them, heaviest first; the blocks so taken are then fixed to them
+        group: dict[int, int] = {}
+        slots: list[list[int]] = []
+        for col, cell in members.items():
+            free = [w for w in cell if pos[w] < 0]
+            if free:
+                lo = max(first[col], k + 1)
+                for w in free:
+                    group[w] = len(slots)
+                slots.append(list(range(lo, lo + len(free))))
+        out: list[int] = []
+        for a in range(open_row, k + 1):
+            if a > open_row:
+                out += rows[a]
+            split: dict[int, list[tuple[int, int]]] = {}
+            for w, c in adj[order[a]].items():
+                if pos[w] < 0:
+                    split.setdefault(group[w], []).append((-c, w))
+            entries: list[int] = []
+            for gid, nbrs in split.items():
+                nbrs.sort()
+                free = slots[gid]
+                i = 0
+                while i < len(nbrs):
+                    c = nbrs[i][0]
+                    j = i
+                    while j < len(nbrs) and nbrs[j][0] == c:
+                        group[nbrs[j][1]] = len(slots)
+                        j += 1
+                    slots.append(free[i:j])
+                    entries += [q for q in free[i:j] for _ in range(-c)]
+                    i = j
+                slots[gid] = free[i:]
+            entries.sort()
+            out += entries
+            out.append(n)
+        if k + 1 < n:
+            out.append(k + 1)  # row k + 1 starts at k + 1 or later
+        return out
+
+    def moved(v, tried):
+        gens = [g for g in autos if all(g[w] == w for w in order)]
+        orbit = set(tried)
+        stack = list(tried)
+        while stack and gens:
+            x = stack.pop()
+            for g in gens:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    stack.append(g[x])
+        return v in orbit
+
+    todo = [candidates(0)]
+    while todo:
+        cands, tried = todo[-1]
+        if not cands:
+            todo.pop()
+            if undo:
+                v, placed, size, open_row, done = undo.pop()
+                for a, c in placed:
+                    del rows[a][-c:]
+                    rem[a] += c
+                rows.pop()
+                rem.pop()
+                order.pop()
+                pos[v] = -1
+                del prefix[size:]
+            continue
+        v = cands.pop()
+        if tried and autos and moved(v, tried):
+            continue
+        tried.append(v)
+        k = len(order)
+        placed = [(pos[u], c) for u, c in adj[v].items() if pos[u] >= 0]
+        for a, c in placed:
+            rows[a] += [k] * c
+            rem[a] -= c
+        rows.append([k] * loops[v])
+        rem.append(sum(adj[v].values()) - sum(c for _, c in placed))
+        pos[v] = k
+        order.append(v)
+        undo.append((v, placed, len(prefix), open_row, done))
+        start = len(prefix)
+        while open_row <= k:
+            row = rows[open_row]
+            prefix += row[done:]
+            if rem[open_row]:
+                done = len(row)
+                break
+            prefix.append(n)
+            open_row += 1
+            done = 0
+        if best is not None:
+            got = prefix[start:]
+            want = best[start:len(prefix)]
+            if got < want:
+                best = None  # strictly better: run down to a leaf
+            # best[len(prefix)] <= k is the cheap case of the bound
+            elif got > want or k + 1 < n and (best[len(prefix)] <= k
+                                              or bound(k) > best[len(prefix):]):
+                todo.append(([], []))  # drop the branch: it unwinds at once
+                continue
+        if k + 1 < n:
+            todo.append(candidates(k + 1))
+            continue
+        if best is None:
+            best = prefix[:]
+            best_order = order[:]
+        else:  # a tie: best_order -> order is an automorphism
+            g = [0] * n
+            for b, o in zip(best_order, order):
+                g[b] = o
+            autos.append(g)
+        todo.append(([], []))
+    return best_order
+
+
+def _try_order(cell: list[int], near: dict[int, int] | None, loops: list[int]) -> None:
+    """Sort the candidates for the next position so that the one giving the
+    open row (neighbours ``near``; None when the next row is the new
+    vertex's own) its least next entry comes last: the search pops from the
+    end.  Only the search's speed depends on this order."""
+    if near is not None:
+        cell.sort(key=lambda v: (near.get(v, 0), -v))
+    else:
+        cell.sort(key=lambda v: (loops[v], -v))
+
+
+def _without(nbrs: dict[int, int], w: int) -> dict[int, int]:
+    if w not in nbrs:
+        return nbrs
+    out = dict(nbrs)
+    del out[w]
+    return out
 
 
 def _edge_code(g: MultiGraph, order: list[int]):
     pos = [0] * g.n
     for i, w in enumerate(order):
         pos[w] = i
-    return tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for (u, v) in g.edges))
+    return tuple(sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u])
+                         for (u, v) in g.edges]))
 
 
 # -- Tutte polynomial ----------------------------------------------------------
@@ -643,17 +858,21 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
                 eta[k][je] = eta[k].get(je, 0) + sign
                 b = parent[b]
 
-    mat = [[Fraction(0)] * ell for _ in range(ell)]
+    # scale the weights by the lcm D of their denominators: the integer
+    # matrix is D times M, so det M = det / D**ell
+    scale = math.lcm(*(x.denominator for x in w))
+    w = [x.numerator * (scale // x.denominator) for x in w]
+    mat = [[0] * ell for _ in range(ell)]
     for k in range(ell):
         for r in range(k, ell):
-            s = Fraction(0)
+            s = 0
             for j, sk in eta[k].items():
                 sr = eta[r].get(j)
                 if sr:
                     s += w[j] * sk * sr
             mat[k][r] = s
             mat[r][k] = s
-    return _gauss_jordan(mat, ell)[1]
+    return Fraction(_bareiss_det(mat), scale ** ell)
 
 
 @dataclass(frozen=True)
@@ -706,7 +925,7 @@ def spanning_tree_count(g: MultiGraph) -> int:
         return 0
     if g.n == 1:
         return 1
-    lap = [[Fraction(0)] * g.n for _ in range(g.n)]
+    lap = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
         if u == v:
             continue
@@ -714,10 +933,7 @@ def spanning_tree_count(g: MultiGraph) -> int:
         lap[v][v] += 1
         lap[u][v] -= 1
         lap[v][u] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    det = _gauss_jordan(minor, g.n - 1)[1]
-    assert det.denominator == 1
-    return int(det)
+    return _bareiss_det([row[1:] for row in lap[1:]])
 
 
 # -- corpus generation -----------------------------------------------------------
@@ -739,12 +955,12 @@ def generate_connected_multigraphs(max_edges: int) -> list[MultiGraph]:
     for _ in range(max_edges):
         nxt = []
         for g in frontier:
+            ev = tuple(range(1, g.m + 2))
             candidates = []
             for u in range(g.n):
                 for v in range(u, g.n):
-                    candidates.append(MultiGraph(g.n, list(g.edges) + [(u, v)]))
-                candidates.append(
-                    MultiGraph(g.n + 1, list(g.edges) + [(u, g.n)]))
+                    candidates.append(MultiGraph._trusted(g.n, g.edges + ((u, v),), ev))
+                candidates.append(MultiGraph._trusted(g.n + 1, g.edges + ((u, g.n),), ev))
             for h in candidates:
                 key = _canonical_key(h)
                 if key not in seen:

@@ -124,12 +124,19 @@ def laurent_to_json(s: LaurentSeries) -> dict:
 
 
 def laurent_from_json(obj) -> LaurentSeries:
-    window = tuple(obj.get("window", (-8, 2)))
+    window = obj.get("window", [-8, 2])
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(map(_is_int, window))):
+        raise ValueError("Laurent 'window' must be a pair of integers")
     terms = {}
     for item in obj.get("terms", []):
-        poly = {int(k): rational_from_str(c) for (c, k) in item["coef"]}
-        terms[int(item["pow"])] = ScalePoly(poly)
-    return LaurentSeries(terms, window)
+        if not _is_int(item["pow"]):
+            raise ValueError(f"Laurent power must be an integer, got {item['pow']!r}")
+        if not all(_is_int(k) for _, k in item["coef"]):
+            raise ValueError("scale-polynomial powers must be integers")
+        poly = {k: rational_from_str(c) for (c, k) in item["coef"]}
+        terms[item["pow"]] = ScalePoly(poly)
+    return LaurentSeries(terms, tuple(window))
 
 
 def toy_rules_to_json(r: ToyRules) -> dict:
@@ -191,6 +198,12 @@ def multipoly_to_json(p: MultiPoly) -> list:
             for mono, c in sorted(p.terms.items(), key=lambda mc: tuple(sorted(mc[0])))]
 
 
+def _exponent(e) -> int:
+    if not _is_int(e) or e < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
+    return e
+
+
 def multipoly_from_json(obj) -> MultiPoly:
-    return MultiPoly((((v, int(e)) for v, e in item.get("exps", {}).items()),
+    return MultiPoly((((v, _exponent(e)) for v, e in item.get("exps", {}).items()),
                       rational_from_str(item["coef"])) for item in obj)

@@ -269,6 +269,29 @@ def _gauss_jordan(rows: list[list[Fraction]], n_cols: int) -> tuple[list[int], F
     return pivots, det
 
 
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every intermediate entry is an exact integer (a minor of
+    the input), so no rational arithmetic is needed.  ``rows`` is left
+    unchanged; the empty matrix has determinant 1.
+    """
+    sign = prev = 1
+    while len(rows) > 1:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0
+        if p:
+            rows = [rows[p]] + rows[1:p] + [rows[0]] + rows[p + 1:]
+            sign = -sign
+        top = rows[0]
+        piv = top[0]
+        # each new entry is a minor of the input, so the division is exact
+        rows = [[(x * piv - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+                for row in rows[1:]]
+        prev = piv
+    return sign * rows[0][0] if rows else 1
+
+
 class SparseSum:
     """Immutable finite rational linear combination of hashable keys.
 

@@ -9,9 +9,10 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dsegraphon
-from dsegraphon.cli import main
+from dsegraphon.cli import _json_text, main
 from dsegraphon.serialize import forest_sum_from_json
 from dsegraphon.trees import ForestSum, Tree, ladder, leaf
 
@@ -355,6 +356,9 @@ GOLDEN_RENORM_HALF = "b08ac781199331aca3328dbf77ab3502fb71b05ac2d09f4b9f09a503f5
 GOLDEN_RENORM_GH = "52adec34a130c1dee59757cc8fe038473b9595b3452a60e8b743b14ab33a6bfb"
 # recorded before the preparation was grouped by pruned grade
 GOLDEN_RENORM_G9 = "430bf39befb9618cb201e65091f788503b1a0b909971b094237d9a3ea2ef3ab9"
+# recorded before the pruned canonical search and the integer determinants
+GOLDEN_TUTTE5 = "616a9feba1a96044c58fb6237ef4eef7bb4ed719799a250b041fe2e62978d089"
+GOLDEN_SYMANZIK5 = "09112c6eded7736a1f3a05c0afb0f44d766d953abee26d8ba0b3544b7271920c"
 
 
 def test_golden_documents(tmp_path):
@@ -387,7 +391,10 @@ def test_golden_documents(tmp_path):
             (["renorm", "--spec", str(spec_gh), "--rules", str(rules_gh),
               "--order", "5"], GOLDEN_RENORM_GH),
             (["renorm", "--spec", str(spec9), "--rules", str(rules),
-              "--order", "9"], GOLDEN_RENORM_G9)):
+              "--order", "9"], GOLDEN_RENORM_G9),
+            (["tutte", "--max-edges", "5"], GOLDEN_TUTTE5),
+            (["symanzik", "--max-edges", "5", "--seed", "3"],
+             GOLDEN_SYMANZIK5)):
         out = tmp_path / "doc.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
@@ -472,3 +479,60 @@ def test_byte_identical_reruns(tmp_path, spec_file, rules_file, fmt):
         a, b = _run_twice(tmp_path, argv + ["--format", fmt])
         assert a == b, argv
         assert a.strip(), argv
+
+
+# -- the document writer against json.dumps ----------------------------------------
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("sub", ["solve", "renorm", "graphon", "trace", "tutte",
+                                 "symanzik", "haar"])
+def test_document_writer_matches_json_dumps(tmp_path, spec_file, rules_file, sub):
+    argv = {"solve": ["--spec", spec_file],
+            "renorm": ["--spec", spec_file, "--rules", rules_file],
+            "graphon": ["--spec", spec_file, "--order", "2"],
+            "trace": ["--spec", spec_file],
+            "tutte": ["--max-edges", "3"],
+            "symanzik": ["--max-edges", "3", "--seed", "5"],
+            "haar": ["--samples", "20000", "--depth", "22"]}[sub]
+    out = tmp_path / "doc.json"
+    assert main([sub, *argv, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == _dumps(doc) + "\n"
+    assert _json_text(doc) == _dumps(doc)
+
+
+_JSON_TEXT = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "日本", "\U0001f600",
+     "\ud800", "a b", "</script>"])
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 40, -(2 ** 70)])
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_TREES)
+def test_document_writer_matches_json_dumps_on_json_trees(doc):
+    assert _json_text(doc) == _dumps(doc)
+
+
+def test_document_writer_falls_back_to_json_dumps():
+    for doc in ({"x": 1.5}, [float("nan"), float("inf")], {1: "a", 2: ["b"]},
+                {"t": (1, (2, 3))}, [[[]], {}]):
+        assert _json_text(doc) == _dumps(doc)
+    for bad in ({"x": F(1, 2)}, {1: "a", "b": 2}, [object()]):
+        with pytest.raises(TypeError):
+            _dumps(bad)
+        with pytest.raises(TypeError):
+            _json_text(bad)
+    huge = {"n": 10 ** 5000}  # past the int-to-str digit limit
+    with pytest.raises(ValueError):
+        _dumps(huge)
+    with pytest.raises(ValueError):
+        _json_text(huge)

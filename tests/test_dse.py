@@ -177,6 +177,9 @@ def test_spec_validation():
         DSESpec((Cocycle("g", F(1)),), order=3, coupling=F(2))
     with pytest.raises(ValueError):
         DSESpec((Cocycle("g", F(1)),), order=3, coupling=F(0))
+    for order in (True, False, 2.0):
+        with pytest.raises(ValueError):
+            DSESpec((Cocycle("g", F(1)),), order=order)
 
 
 # -- subalgebra witness --------------------------------------------------------

@@ -6,13 +6,19 @@ explicitly; everything else is cross-checked between two independent
 computations.
 """
 
+import itertools
+import math
 import random
+import time
 import warnings
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dsegraphon.trees import Tree, ladder, leaf
+from dsegraphon import graphpoly
+from dsegraphon.trees import Tree, _bareiss_det, _gauss_jordan, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
                                   generate_connected_multigraphs, loop_number,
@@ -73,6 +79,18 @@ def test_multigraph_minors_track_edge_variables():
     assert h.contract(0).edges == ((0, 1),)
     with pytest.raises(ValueError):
         MultiGraph(2, [(0, 2)])
+
+
+def test_minors_equal_their_validated_construction():
+    # minors skip the constructor's checks, so they must already hold its
+    # normal form: in-range edges stored as (min, max)
+    graphs = list(generate_connected_multigraphs(5))
+    graphs.append(MultiGraph(5, [(0, 3), (2, 3), (3, 4), (1, 3), (4, 4), (0, 1)]))
+    for g in graphs:
+        minors = [g.delete(i) for i in range(g.m)] + [g.contract(i) for i in range(g.m)]
+        minors += [c for h in minors for c in h.components()]
+        for h in minors:
+            assert h == MultiGraph(h.n, h.edges, h.evars), h
 
 
 def test_multigraph_connectivity_helpers():
@@ -245,14 +263,16 @@ def test_spanning_trees_enumeration():
 
 
 def test_det_matches_psi_on_corpus():
+    # every rotation of the spanning-tree scan, at signed rational points
     rng = random.Random(11)
-    for g in generate_connected_multigraphs(4):
+    for g in generate_connected_multigraphs(5):
         psi = symanzik_psi(g)
-        for trial in range(3):
-            assignment = {v: F(rng.randint(1, 9), rng.randint(1, 9))
+        for trial in range(max(g.m, 3)):
+            assignment = {v: F(rng.randint(-9, 9) or 1, rng.randint(1, 12))
                           for v in g.evars}
             values = {f"w{v}": a for v, a in assignment.items()}
             got = symanzik_det(g, assignment, tree_choice=trial)
+            assert type(got) is F
             assert got == psi.eval(values)
 
 
@@ -290,11 +310,12 @@ def test_psi_split_on_all_ordinary_corpus_edges():
 # -- corpus -------------------------------------------------------------------------
 
 def test_corpus_counts_frozen():
-    graphs = generate_connected_multigraphs(4)
+    # OEIS A007719: connected multigraphs with loops, by edge count
+    graphs = generate_connected_multigraphs(6)
     by_m = {}
     for g in graphs:
         by_m[g.m] = by_m.get(g.m, 0) + 1
-    assert by_m == {0: 1, 1: 2, 2: 4, 3: 11, 4: 30}
+    assert by_m == {0: 1, 1: 2, 2: 4, 3: 11, 4: 30, 5: 95, 6: 328}
 
 
 def test_corpus_graphs_are_connected_and_distinct():
@@ -311,3 +332,247 @@ def test_corpus_graphs_are_connected_and_distinct():
 def test_corpus_rejects_negative_bound():
     with pytest.raises(ValueError):
         generate_connected_multigraphs(-1)
+
+
+# -- canonical key against the exhaustive search -----------------------------------
+
+def _oracle_key(g: MultiGraph):
+    """The least sorted edge code over every permutation of each colour
+    cell (cells in colour order), with colour refinement run until the
+    colouring repeats: the exhaustive search the pruned one replaced."""
+    loops = [0] * g.n
+    adj = [dict() for _ in range(g.n)]
+    for (u, v) in g.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+    sig0 = [(loops[w], sum(adj[w].values())) for w in range(g.n)]
+    rank0 = {s: i for i, s in enumerate(sorted(set(sig0)))}
+    colors = [rank0[s] for s in sig0]
+    for _ in range(g.n):
+        sig = [(colors[w], loops[w],
+                tuple(sorted((colors[u], k) for u, k in adj[w].items())))
+               for w in range(g.n)]
+        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranking[s] for s in sig]
+        if new == colors:
+            break
+        colors = new
+    cells = {}
+    for w, c in enumerate(colors):
+        cells.setdefault(c, []).append(w)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(cells[c])
+                                     for c in sorted(cells))):
+        pos = {w: i for i, w in enumerate(w for part in parts for w in part)}
+        code = tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v]))
+                            for (u, v) in g.edges))
+        if best is None or code < best:
+            best = code
+    return (g.n, best)
+
+
+def _random_multigraph(rng, max_n, max_m):
+    n = rng.randint(1, max_n)
+    return MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                          for _ in range(rng.randint(0, max_m))])
+
+
+def _relabel(g: MultiGraph, perm, edge_order):
+    return MultiGraph(g.n, [(perm[g.edges[i][1]], perm[g.edges[i][0]])
+                            for i in edge_order])
+
+
+def test_canonical_key_matches_exhaustive_search_on_corpus_and_minors():
+    for g in generate_connected_multigraphs(6):
+        for h in [g] + [g.delete(i) for i in range(g.m)] + [g.contract(i) for i in range(g.m)]:
+            assert h.canonical_key() == _oracle_key(h), h
+
+
+def test_canonical_key_matches_exhaustive_search_on_random_multigraphs():
+    rng = random.Random(20)
+    for _ in range(300):
+        g = _random_multigraph(rng, 7, 11)
+        assert g.canonical_key() == _oracle_key(g), g
+
+
+def _search_families(rng, count):
+    """Regular multigraphs (loops and parallel edges from random stub
+    pairings) and cycles with chords: large colour cells, where the
+    search has real choices to make."""
+    for trial in range(count):
+        n = rng.randint(4, 8)
+        if trial % 2:
+            d = rng.choice([3, 4]) if n % 2 == 0 else 4
+            stubs = [v for v in range(n) for _ in range(d)]
+            rng.shuffle(stubs)
+            yield MultiGraph(n, list(zip(stubs[::2], stubs[1::2])))
+        else:
+            edges = _cycle(n)
+            for _ in range(rng.randint(1, 3)):
+                a = rng.randrange(n)
+                edges.append((a, (a + rng.randint(1, n - 1)) % n))
+            yield MultiGraph(n, edges)
+
+
+@pytest.mark.parametrize("tries", ["preferred", "reversed", "shuffled"])
+def test_canonical_key_does_not_depend_on_the_search_order(monkeypatch, tries):
+    """The order in which candidates are tried changes only how fast the
+    search ends.  Reversed and shuffled orders make the first leaves poor,
+    so the lower bounds and the automorphism pruning do the work."""
+    rng = random.Random(30)
+    if tries == "reversed":
+        monkeypatch.setattr(graphpoly, "_try_order",
+                            lambda cell, near, loops: cell.sort(
+                                key=lambda v: (-(near or {}).get(v, 0), -loops[v], v)))
+    elif tries == "shuffled":
+        monkeypatch.setattr(graphpoly, "_try_order",
+                            lambda cell, near, loops: rng.shuffle(cell))
+    graphs = list(_search_families(random.Random(31), 160))
+    graphs += [g for g in generate_connected_multigraphs(5) if g.n >= 4]
+    for g in graphs:
+        assert g.canonical_key() == _oracle_key(g), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14),
+    st.permutations(range(n)),
+    st.randoms(use_true_random=False))))
+def test_canonical_key_ignores_relabelling(data):
+    n, edges, perm, rnd = data
+    g = MultiGraph(n, edges)
+    order = list(range(g.m))
+    rnd.shuffle(order)
+    assert _relabel(g, perm, order).canonical_key() == g.canonical_key()
+
+
+def _nx(g: MultiGraph):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_equal_keys_iff_isomorphic():
+    rng = random.Random(4)
+    graphs = list(generate_connected_multigraphs(6))
+    for g in list(graphs[::4]):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(_relabel(g, perm, range(g.m)))
+    graphs += [_random_multigraph(rng, 6, 7) for _ in range(300)]
+    by_size = {}
+    for g in graphs:
+        by_size.setdefault((g.n, g.m, tuple(sorted(g.degree_view()))), []).append(g)
+    pairs = equal = 0
+    for group in by_size.values():
+        for a, b in itertools.combinations(group, 2):
+            same = a.canonical_key() == b.canonical_key()
+            assert same == nx.is_isomorphic(_nx(a), _nx(b)), (a, b)
+            pairs += 1
+            equal += same
+    assert pairs > 2000 and equal > 100
+
+
+def _cycle(n, start=0):
+    return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+
+SYMMETRIC = {
+    # name: (graph, spanning trees)
+    "K1,24": (MultiGraph(25, [(0, i) for i in range(1, 25)]), 1),
+    "C24": (MultiGraph(24, _cycle(24)), 24),
+    "Petersen": (MultiGraph(10, _cycle(5) + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]), 2000),
+    "K4,4": (MultiGraph(8, [(i, j) for i in range(4) for j in range(4, 8)]), 4096),
+    "3-cube": (MultiGraph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4)
+                              if i < i ^ b]), 384),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_key_on_symmetric_graphs_beyond_the_old_cap(name):
+    """Their colour cells allow more than 8! orders, where the exhaustive
+    search used to give up; the pruned search is exact and quick."""
+    g, trees = SYMMETRIC[name]
+    rng = random.Random(name)
+    start = time.perf_counter()
+    key = g.canonical_key()
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        order = list(range(g.m))
+        rng.shuffle(order)
+        assert _relabel(g, perm, order).canonical_key() == key
+    assert time.perf_counter() - start < 5.0
+    assert spanning_tree_count(g) == trees
+
+
+def test_canonical_key_separates_graphs_with_equal_degrees():
+    # C24 against two C12; Petersen against the pentagonal prism; the 3-cube
+    # against the Moebius ladder on 8 vertices
+    prism = MultiGraph(10, _cycle(5) + _cycle(5, 5) + [(i, i + 5) for i in range(5)])
+    moebius = MultiGraph(8, _cycle(8) + [(i, i + 4) for i in range(4)])
+    for a, b in ((SYMMETRIC["C24"][0], MultiGraph(24, _cycle(12) + _cycle(12, 12))),
+                 (SYMMETRIC["Petersen"][0], prism),
+                 (SYMMETRIC["3-cube"][0], moebius)):
+        assert a.canonical_key() != b.canonical_key()
+        assert not nx.is_isomorphic(_nx(a), _nx(b))
+
+
+# -- integer kernels against the rational ones ------------------------------------
+
+def test_bareiss_det_matches_gauss_jordan():
+    rng = random.Random(8)
+    cases = [[], [[0]], [[5]], [[-3]], [[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 1], [3, 0, 0]],
+             [[1, 2], [2, 4]], [[0, 0], [0, 7]], [[2, 0, 0], [0, 0, 1], [0, 1, 0]]]
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(4)
+        if n > 1 and kind == 0:  # singular: a repeated row
+            m[rng.randrange(1, n)] = list(m[0])
+        elif n > 1 and kind == 1:  # a zero pivot that needs a row swap
+            for row in m[:n - 1]:
+                row[0] = 0
+        cases.append(m)
+    for m in cases:
+        n = len(m)
+        before = [list(row) for row in m]
+        want = _gauss_jordan([[F(x) for x in row] for row in m], n)[1]
+        assert _bareiss_det(m) == want, m
+        assert m == before
+    assert _bareiss_det([]) == 1
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+def test_multipoly_eval_matches_fraction_fold():
+    rng = random.Random(9)
+    names = ["x", "y", "z", "w1"]
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            mono = tuple(sorted((v, rng.randint(1, 4))
+                                for v in rng.sample(names, rng.randint(0, 3))))
+            terms[mono] = F(rng.randint(-6, 6), rng.randint(1, 5))
+        p = MultiPoly(terms)
+        values = {v: F(rng.randint(-8, 8), rng.randint(1, 9)) for v in names}
+        if rng.random() < 0.3:
+            values["x"] = rng.randint(-3, 3)
+        want = F(0)
+        for mono, c in p.terms.items():
+            term = F(c)
+            for v, e in mono:
+                term *= F(values[v]) ** e
+            want += term
+        got = p.eval(values)
+        assert type(got) is F and got == want, (p, values)
+    with pytest.raises(ValueError):
+        (X * Y + 1).eval({"x": F(1)})
+    assert MultiPoly().eval({}) == 0
+    assert MultiPoly.const(F(3, 2)).eval({}) == F(3, 2)

@@ -79,6 +79,20 @@ def test_laurent_round_trip():
     assert empty == LaurentSeries({}, (-2, 1))
 
 
+@pytest.mark.parametrize("doc", [
+    {"terms": [{"pow": 0.7, "coef": [["1", 0]]}]},
+    {"terms": [{"pow": True, "coef": [["1", 0]]}]},
+    {"terms": [{"pow": "0", "coef": [["1", 0]]}]},
+    {"terms": [{"pow": 0, "coef": [["1", 1.5]]}]},
+    {"window": [-8, 2.5]},
+    {"window": [False, 2]},
+    {"window": [-8]},
+])
+def test_laurent_decoder_rejects_non_integers(doc):
+    with pytest.raises(ValueError):
+        ser.laurent_from_json(doc)
+
+
 def test_toy_rules_round_trip():
     r = ToyRules(residues={"g2": F(3, 7), "g1": F(1)},
                  scale=None, window=(-6, 3))
@@ -114,3 +128,11 @@ def test_multipoly_round_trip():
     q = MultiPoly.const(F(1, 2)) - 3 * MultiPoly.var("w1") ** 2
     assert ser.multipoly_from_json(ser.multipoly_to_json(q)) == q
     assert ser.multipoly_from_json([]) == MultiPoly.const(0)
+
+
+@pytest.mark.parametrize("exp", [1.5, True, False, -1, "2", None])
+def test_multipoly_decoder_rejects_bad_exponents(exp):
+    with pytest.raises(ValueError):
+        ser.multipoly_from_json([{"coef": "1", "exps": {"x": exp}}])
+    assert ser.multipoly_from_json(
+        [{"coef": "1", "exps": {"x": 2, "y": 0}}]) == MultiPoly.var("x", 2)
