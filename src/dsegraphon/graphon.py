@@ -37,6 +37,12 @@ vertices.  A vertex with an earlier neighbour only takes the colours in
 the support of that neighbour's row, so the work follows the support of
 W rather than all k colours per vertex.
 
+Simple graphs are ``graphpoly.MultiGraph``s without loops or parallel
+edges.  Their canonical code is the least sorted edge list over all
+relabelings, found by the multigraph key's pruned search started from
+one cell instead of the colour-refinement cells.  The fingerprint
+catalogue is the loop-free, simple part of the multigraph corpus.
+
 Sampling uses a counter-based generator keyed by the master seed, so a
 sample is reproducible regardless of how the work would be scheduled.
 """
@@ -50,7 +56,8 @@ from fractions import Fraction
 from math import lcm
 
 from .trees import Forest, ForestSum, _as_coeff
-from .graphpoly import tree_to_graph
+from .graphpoly import MultiGraph, generate_connected_multigraphs, \
+    least_edge_code, tree_to_graph
 
 EXACT_CUTNORM_BLOCK_LIMIT = 20
 EXACT_DISTANCE_BLOCK_LIMIT = 8
@@ -155,68 +162,42 @@ def direction(measures, values) -> StepGraphon:
 
 # -- simple graphs --------------------------------------------------------------
 
-class SimpleGraph:
-    """Simple undirected graph on vertices 0..n-1."""
+class SimpleGraph(MultiGraph):
+    """Simple undirected graph on vertices 0..n-1: a ``MultiGraph``
+    without loops or parallel edges, its edges stored once each as
+    (min, max) in sorted order, with an O(1) edge test.  Minors and
+    components are plain ``MultiGraph``s, since they may have loops or
+    parallel edges."""
 
-    __slots__ = ("n", "edges", "_edge_set")
+    __slots__ = ("_edge_set",)
 
     def __init__(self, n: int, edges):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("vertex count must be a nonnegative integer")
-        es = set()
-        for (u, v) in edges:
-            if u == v:
-                raise ValueError("simple graphs have no loops")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside vertex range")
-            es.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(es)))
+        super().__init__(n, edges)
+        if any(u == v for (u, v) in self.edges):
+            raise ValueError("simple graphs have no loops")
+        es = sorted(set(self.edges))
+        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "evars", tuple(range(1, len(es) + 1)))
         object.__setattr__(self, "_edge_set", frozenset(es))
 
     @classmethod
     def _trusted(cls, n: int, edges: list) -> "SimpleGraph":
         """Graph from an edge list already sorted, duplicate-free, in range
         and with u < v in every pair; nothing is checked."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", tuple(edges))
+        g = super()._trusted(n, tuple(edges), tuple(range(1, len(edges) + 1)))
         object.__setattr__(g, "_edge_set", frozenset(g.edges))
         return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleGraph is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, SimpleGraph) and self.n == other.n
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"SimpleGraph(n={self.n}, edges={list(self.edges)})"
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge, in O(1)."""
         return (min(u, v), max(u, v)) in self._edge_set
 
     def canonical_code(self) -> str:
-        """Labeling-invariant encoding: smallest edge list over relabelings."""
+        """Labeling-invariant encoding: the smallest sorted edge list over
+        all relabelings, as ``n:u-v,...``."""
         if self.n > 8:
             raise SizeError("canonical codes supported up to 8 vertices")
-        best = None
-        verts = range(self.n)
-        for perm in itertools.permutations(verts):
-            code = tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
-                                for (u, v) in self.edges))
-            if best is None or code < best:
-                best = code
-        return f"{self.n}:" + ",".join(f"{u}-{v}" for (u, v) in best)
+        return f"{self.n}:" + ",".join(f"{u}-{v}" for (u, v) in least_edge_code(self))
 
     def disjoint_union(self, other: "SimpleGraph") -> "SimpleGraph":
         shifted = [(u + self.n, v + self.n) for (u, v) in other.edges]
@@ -786,55 +767,18 @@ def perturb(w: StepGraphon, d: StepGraphon, eps) -> StepGraphon:
 
 # -- enumeration of small connected graphs -------------------------------------------
 
-_CONNECTED_CACHE: dict[int, list[SimpleGraph]] = {}
-
-
 def connected_graphs_up_to(max_edges: int) -> list[SimpleGraph]:
     """All connected simple graphs with at most ``max_edges`` edges (and
-    no isolated vertices), up to isomorphism; K1 included."""
+    no isolated vertices), up to isomorphism; K1 included.  They are the
+    classes of the multigraph corpus without loops or parallel edges."""
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
     if max_edges > 5:
         raise SizeError("fingerprint levels supported up to 5 edges")
-    if max_edges in _CONNECTED_CACHE:
-        return _CONNECTED_CACHE[max_edges]
-    out: list[SimpleGraph] = [SimpleGraph(1, [])]
-    seen: set[str] = set()
-    for v in range(2, max_edges + 2):
-        all_pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
-        for e in range(v - 1, max_edges + 1):
-            for subset in itertools.combinations(all_pairs, e):
-                g = SimpleGraph(v, subset)
-                touched = {x for edge in subset for x in edge}
-                if len(touched) < v:
-                    continue
-                if not _sg_connected(g):
-                    continue
-                code = g.canonical_code()
-                if code not in seen:
-                    seen.add(code)
-                    out.append(g)
+    out = [SimpleGraph(g.n, g.edges) for g in generate_connected_multigraphs(max_edges)
+           if all(u != v for (u, v) in g.edges) and len(set(g.edges)) == g.m]
     out.sort(key=lambda g: (g.m, g.n, g.canonical_code()))
-    _CONNECTED_CACHE[max_edges] = out
     return out
-
-
-def _sg_connected(g: SimpleGraph) -> bool:
-    if g.n <= 1:
-        return True
-    adj = [[] for _ in range(g.n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ branch as soon as a lower bound on its code exceeds the best code found
 corpus generator keys candidates the same way, so its order and its
 representatives are fixed by the key.
 
+The same search started from one cell holding every vertex gives
+``least_edge_code``, the least sorted edge code over all vertex orders;
+``graphon.SimpleGraph.canonical_code`` prints it.  The two starting
+partitions give different codes (the path on three vertices reads
+0-2,1-2 from its refined cells and 0-1,0-2 from one cell), so each
+caller keeps its own.
+
 The first Kirchhoff-Symanzik polynomial is the spanning-tree sum
 Psi(w) = sum_T prod_{e not in T} w_e, homogeneous of degree equal to the
 loop number.  It factors over components (spanning forests) and equals
@@ -35,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det
+from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
 
 TUTTE_EDGE_LIMIT = 24
 RANK_NULLITY_EDGE_LIMIT = 20
@@ -160,10 +167,12 @@ class MultiGraph:
     __slots__ = ("n", "edges", "evars")
 
     def __init__(self, n: int, edges, evars=None):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("vertex count must be a nonnegative integer")
         es = []
         for (u, v) in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge ({u!r},{v!r}) needs integer endpoints")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             es.append((min(u, v), max(u, v)))
@@ -188,7 +197,7 @@ class MultiGraph:
         return g
 
     def __setattr__(self, name, value):
-        raise AttributeError("MultiGraph is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, MultiGraph) and self.n == other.n
@@ -198,7 +207,7 @@ class MultiGraph:
         return hash((self.n, self.edges, self.evars))
 
     def __repr__(self):
-        return f"MultiGraph(n={self.n}, edges={list(self.edges)})"
+        return f"{type(self).__name__}(n={self.n}, edges={list(self.edges)})"
 
     @property
     def m(self) -> int:
@@ -325,6 +334,18 @@ def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[
 def _canonical_key(g: MultiGraph):
     """(n, smallest edge code over all vertex orders that list the refined
     colour cells in colour order), an exact isomorphism certificate."""
+    return (g.n, _least_code(g, refine=True))
+
+
+def least_edge_code(g: MultiGraph) -> tuple:
+    """The least sorted edge code over all vertex orders: the search of
+    ``_canonical_key`` started from one cell holding every vertex."""
+    return _least_code(g, refine=False)
+
+
+def _least_code(g: MultiGraph, refine: bool) -> tuple:
+    """Least edge code over the vertex orders that list the starting
+    cells in order: the colour-refinement cells, or one cell."""
     n = g.n
     loops = [0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]
@@ -335,11 +356,11 @@ def _canonical_key(g: MultiGraph):
             a, b = adj[u], adj[v]
             a[v] = a.get(v, 0) + 1
             b[u] = b.get(u, 0) + 1
-    colors = _refine_colors(n, loops, adj)
+    colors = _refine_colors(n, loops, adj) if refine else [0] * n
     order = sorted(range(n), key=colors.__getitem__)
     if n and colors[order[-1]] < n - 1:
         order = _least_order(n, loops, adj, colors, order)
-    return (n, _edge_code(g, order))
+    return _edge_code(g, order)
 
 
 def _least_order(n, loops, adj, colors, cell_order):
@@ -373,8 +394,7 @@ def _least_order(n, loops, adj, colors, cell_order):
         last: list[int] = []  # latest member of each twin class so far
         for v in cell:
             for i, u in enumerate(last):
-                # a cell shares its loop count, so only the neighbours differ
-                if _without(adj[u], v) == _without(adj[v], u):
+                if loops[u] == loops[v] and _without(adj[u], v) == _without(adj[v], u):
                     after[v] = u
                     last[i] = v
                     break

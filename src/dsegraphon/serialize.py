@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .trees import Tree, Forest, ForestSum, EMPTY_FOREST
+from .trees import Tree, Forest, ForestSum, EMPTY_FOREST, _is_int
 from .hopf import TensorSum
 from .dse import Cocycle, DSESpec, DSESolution
 from .renorm import LaurentSeries, ScalePoly, ToyRules
@@ -20,11 +20,6 @@ from .graphpoly import MultiGraph, MultiPoly
 def rational_to_str(q) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _is_int(x) -> bool:
-    """An integer in JSON, where a boolean is not one."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def rational_from_str(s) -> Fraction:

@@ -190,6 +190,11 @@ _GRAFTS: dict[tuple[str, Forest], Forest] = {}
 EMPTY_FOREST = Forest()
 
 
+def _is_int(x) -> bool:
+    """An integer, where a boolean is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_coeff(c) -> Fraction:
     if isinstance(c, Fraction):
         return c

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -359,6 +360,9 @@ GOLDEN_RENORM_G9 = "430bf39befb9618cb201e65091f788503b1a0b909971b094237d9a3ea2ef
 # recorded before the pruned canonical search and the integer determinants
 GOLDEN_TUTTE5 = "616a9feba1a96044c58fb6237ef4eef7bb4ed719799a250b041fe2e62978d089"
 GOLDEN_SYMANZIK5 = "09112c6eded7736a1f3a05c0afb0f44d766d953abee26d8ba0b3544b7271920c"
+# recorded before the fingerprint catalogue came from the multigraph corpus
+GOLDEN_GRAPHON4 = "e5bb507b17b07a27bad10d82bceb7fc0a74c2b68ceeb632484e35a4ce6fa4a99"
+GOLDEN_GRAPHON5 = "ba7b7ab6c005ed935e4506627dc1a8ba9c253b9f68538fb56658ddc071a6e513"
 
 
 def test_golden_documents(tmp_path):
@@ -398,6 +402,20 @@ def test_golden_documents(tmp_path):
         out = tmp_path / "doc.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def test_golden_fingerprint_documents(tmp_path, spec_file):
+    """Levels 4 and 5 fingerprint against 11 and 23 connected graphs.  The
+    time bound catches a return to a brute-force catalogue, which took
+    5.7 s at level 5."""
+    out = tmp_path / "doc.json"
+    for level, digest in (("4", GOLDEN_GRAPHON4), ("5", GOLDEN_GRAPHON5)):
+        start = time.perf_counter()
+        assert main(["graphon", "--spec", spec_file, "--level", level,
+                     "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - start
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, level
+    assert elapsed < 2.0
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -7,15 +7,18 @@ directly from the definition; the production code's component/Gray-code
 enumeration must agree with it exactly.
 """
 
+import functools
 import itertools
 import random
 import statistics
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from dsegraphon.trees import ForestSum, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
+from dsegraphon.graphpoly import MultiGraph
 from dsegraphon.graphon import (DensityFingerprint, RefinementError,
                                 SimpleGraph, SizeError, StepGraphon,
                                 _cut_norm_exact_matrix, _difference_matrix,
@@ -118,6 +121,73 @@ def test_simple_graph_validation_and_codes():
         SimpleGraph(9, []).canonical_code()
     u = complete_graph(2).disjoint_union(complete_graph(2))
     assert u.n == 4 and u.edges == ((0, 1), (2, 3))
+
+
+def test_simple_graph_rejects_non_integer_vertices():
+    for edges in ([(1.0, 0)], [(0.5, 1)], [(True, 1)], [(0, "1")]):
+        with pytest.raises(ValueError):
+            SimpleGraph(2, edges)
+
+
+def test_simple_graph_is_a_multigraph():
+    g = SimpleGraph(3, [(1, 2), (0, 2), (0, 1), (2, 1)])
+    assert isinstance(g, MultiGraph)
+    assert g.edges == ((0, 1), (0, 2), (1, 2)) and g.evars == (1, 2, 3)
+    assert g == MultiGraph(3, g.edges) and hash(g) == hash(MultiGraph(3, g.edges))
+    assert g.is_connected() and not SimpleGraph(3, [(0, 1)]).is_connected()
+    # minors and components may have loops or parallel edges
+    minors = [g.delete(0), g.contract(0)] + g.components()
+    assert all(type(h) is MultiGraph for h in minors)
+    assert g.contract(0).edges == ((0, 1), (0, 1))
+    assert repr(g) == "SimpleGraph(n=3, edges=[(0, 1), (0, 2), (1, 2)])"
+    with pytest.raises(AttributeError, match="SimpleGraph is immutable"):
+        g.n = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int):
+    import numpy as np
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+
+
+def brute_force_code(g: SimpleGraph) -> str:
+    """The least sorted edge list over all n! relabelings, as n:u-v,...
+    Each relabeled edge (a, b), a < b, is the integer a*n + b, so a row of
+    sorted integers compares as the sorted edge list does."""
+    import numpy as np
+    n = g.n
+    if not g.m:
+        return f"{n}:"
+    perms = _permutations(n)
+    a = perms[:, [u for u, _ in g.edges]]
+    b = perms[:, [v for _, v in g.edges]]
+    codes = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=1)
+    rows = np.arange(len(codes))
+    for j in range(g.m):
+        col = codes[rows, j]
+        rows = rows[col == col.min()]
+    return f"{n}:" + ",".join(f"{c // n}-{c % n}" for c in codes[rows[0]].tolist())
+
+
+def test_canonical_code_equals_brute_force_on_all_small_graphs():
+    count = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = SimpleGraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            assert g.canonical_code() == brute_force_code(g), g
+            count += 1
+    assert count == 1 + 1 + 2 + 8 + 64 + 1024  # every labelled graph, n <= 5
+
+
+def test_canonical_code_equals_brute_force_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(6, 8)
+        p = rng.random()
+        g = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < p])
+        assert g.canonical_code() == brute_force_code(g), g
 
 
 def test_graphon_from_graph_examples():
@@ -450,12 +520,40 @@ def test_density_multiplicative_over_disjoint_unions():
 # -- fingerprints ----------------------------------------------------------------------
 
 def test_connected_graph_catalogue_counts():
-    for level, count in [(0, 1), (1, 2), (2, 3), (3, 6), (4, 11)]:
+    # OEIS A002905 summed: 1, 1, 1, 3, 5, 12 connected graphs with 0..5 edges
+    for level, count in [(0, 1), (1, 2), (2, 3), (3, 6), (4, 11), (5, 23)]:
         assert len(connected_graphs_up_to(level)) == count
+    by_m = {}
+    for g in connected_graphs_up_to(5):
+        by_m[g.m] = by_m.get(g.m, 0) + 1
+    assert by_m == {0: 1, 1: 1, 2: 1, 3: 3, 4: 5, 5: 12}
     with pytest.raises(SizeError):
         connected_graphs_up_to(6)
     with pytest.raises(ValueError):
         connected_graphs_up_to(-1)
+
+
+def _nx(g: SimpleGraph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_equal_codes_iff_isomorphic_on_the_catalogue():
+    rng = random.Random(5)
+    graphs = list(connected_graphs_up_to(5))
+    for g in graphs[:]:
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    equal = 0
+    for a, b in itertools.combinations(graphs, 2):
+        same = a.canonical_code() == b.canonical_code()
+        assert same == nx.is_isomorphic(_nx(a), _nx(b)), (a, b)
+        equal += same
+    assert equal == 23 * 3  # each class with its two relabelled copies
 
 
 def test_fingerprint_anchor_values():
@@ -585,13 +683,17 @@ def test_sampled_graph_equals_validated_construction():
                                                [F(7, 8), F(0)]]),
               StepGraphon([F(1, 4), F(1, 4), F(1, 2)],
                           [[F(1), F(1, 3), F(0)], [F(1, 3), F(1, 2), F(2, 3)],
-                           [F(0), F(2, 3), F(1, 9)]])]
+                           [F(0), F(2, 3), F(1, 9)]]),
+              StepGraphon.constant(F(0)), StepGraphon.constant(F(1), k=2),
+              feynman_graphon(ForestSum.of(leaf("g")) + 2 * ForestSum.of(ladder(2)),
+                              F(1, 2))]
     for w in blocks:
-        for n, seed in ((1, 0), (2, 3), (17, 11), (60, 4)):
+        for n, seed in ((1, 0), (2, 3), (5, 1), (17, 11), (60, 4)):
             g = sample_random_graph(n, w, seed=seed)
             ref = SimpleGraph(n, list(g.edges))
+            assert type(g) is SimpleGraph
             assert g == ref and hash(g) == hash(ref)
-            assert g.edges == ref.edges and g.m == ref.m
+            assert g.edges == ref.edges and g.evars == ref.evars and g.m == ref.m
             for i in range(n):
                 for j in range(n):
                     assert g.has_edge(i, j) == ref.has_edge(i, j)

@@ -21,7 +21,8 @@ from dsegraphon import graphpoly
 from dsegraphon.trees import Tree, _bareiss_det, _gauss_jordan, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
-                                  generate_connected_multigraphs, loop_number,
+                                  generate_connected_multigraphs,
+                                  least_edge_code, loop_number,
                                   psi_deletion_contraction, spanning_tree_count,
                                   spanning_trees, symanzik_det, symanzik_psi,
                                   tree_to_graph, tutte, tutte_of_partial_sum,
@@ -91,6 +92,13 @@ def test_minors_equal_their_validated_construction():
         minors += [c for h in minors for c in h.components()]
         for h in minors:
             assert h == MultiGraph(h.n, h.edges, h.evars), h
+
+
+def test_multigraph_rejects_non_integer_vertices():
+    for n, edges in ((2, [(0.5, 1)]), (2, [(1.0, 0)]), (2, [(True, 1)]),
+                     (2, [(0, None)]), (True, [])):
+        with pytest.raises(ValueError):
+            MultiGraph(n, edges)
 
 
 def test_multigraph_connectivity_helpers():
@@ -396,6 +404,22 @@ def test_canonical_key_matches_exhaustive_search_on_random_multigraphs():
     for _ in range(300):
         g = _random_multigraph(rng, 7, 11)
         assert g.canonical_key() == _oracle_key(g), g
+
+
+def _oracle_least_code(g: MultiGraph):
+    """The least sorted edge code over all n! vertex orders."""
+    return min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for (u, v) in g.edges))
+               for p in itertools.permutations(range(g.n)))
+
+
+def test_least_edge_code_matches_exhaustive_search_on_random_multigraphs():
+    # loops and parallel edges: vertices of one cell differ in loops and
+    # degree, so twins must agree on both
+    rng = random.Random(21)
+    graphs = [MultiGraph(3, [(0, 1), (1, 2), (2, 2)])]
+    graphs += [_random_multigraph(rng, 6, 9) for _ in range(200)]
+    for g in graphs:
+        assert least_edge_code(g) == _oracle_least_code(g), g
 
 
 def _search_families(rng, count):
