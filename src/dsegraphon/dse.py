@@ -5,7 +5,7 @@ The fixed-point equation solved here is
     X = 1 + sum_{j>=1} (coupling)^j omega_j B+_{gamma_j}(X^(j+1))
 
 for finitely many grafting decorations gamma_j with rational weights
-omega_j.  Grading by vertex count turns this into the recursion
+omega_j.  Grading by coupling power turns this into the recursion
 
     X_0 = 1
     X_n = sum_j omega_j B+_{gamma_j}( sum_{k_1+...+k_{j+1} = n-j} X_{k_1} ... X_{k_{j+1}} )
@@ -18,12 +18,13 @@ are assembled or the solution is handed to the graphon side.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
-from .trees import EMPTY_FOREST, Forest, ForestSum, _accumulate, _as_coeff, \
-    _forest_product, _gauss_jordan, _scaled
-from .hopf import coproduct, graft
+from .trees import ForestSum, SparseSum, _accumulate, _as_coeff, _scaled
+from .hopf import TensorSum, coproduct, graft
 
 
 @dataclass(frozen=True)
@@ -83,27 +84,37 @@ class DSESolution:
 def solve(spec: DSESpec) -> DSESolution:
     """Solve the equation grade by grade up to ``spec.order``.
 
-    Every X_n is homogeneous of grade n; X_0 is the unit.
+    X_0 is the unit; cocycle j puts trees of n - j + 1 vertices into X_n.
     """
-    n_max = spec.order
-    xs: list[ForestSum] = [ForestSum.unit()]
-    for n in range(1, n_max + 1):
-        acc: dict = {}
-        for j, coc in enumerate(spec.cocycles, start=1):
-            if j > n:
-                break
-            inner = _graded_power_part(xs, j + 1, n - j)
-            if inner and coc.omega:
-                _accumulate(acc, _scaled(graft(coc.decoration, inner).terms, coc.omega))
-        xs.append(ForestSum._make(acc))
+    xs = _graded_fixed_point(spec, ForestSum.unit(), spec.order,
+                             lambda coc, inner: graft(coc.decoration, inner) * coc.omega)
     return DSESolution(spec=spec, coefficients=tuple(xs))
 
 
-def _graded_power_part(xs: list[ForestSum], p: int, m: int) -> ForestSum:
-    """Grade-m part of (X_0 + X_1 + ...)^p given the graded pieces."""
+def _graded_fixed_point(spec: DSESpec, unit: SparseSum, m: int, grafted) -> list:
+    """Graded pieces Y_0..Y_m of Y = unit + sum_j grafted(c_j, Y^(j+1)),
+    the j-th cocycle c_j at coupling power j, as in the module docstring;
+    ``grafted`` maps a cocycle and a sum of the class of ``unit`` to the
+    cocycle's weighted grafting term."""
+    ys = [unit]
+    for n in range(1, m + 1):
+        acc: dict = {}
+        for j, coc in enumerate(spec.cocycles[:n], start=1):
+            inner = _graded_power_part(ys, j + 1, n - j)
+            if inner:
+                _accumulate(acc, grafted(coc, inner).terms.items())
+        ys.append(unit._make(acc))
+    return ys
+
+
+def _graded_power_part(xs, p: int, m: int) -> SparseSum:
+    """Grade-m part of (xs[0] + xs[1] + ...)^p given the graded pieces, all
+    sums of one class, multiplied under that class's key product."""
+    cls = type(xs[0])
+    kmul = cls._key_mul
     # dp[g] = terms of the grade-g part of the running power; the last
     # factor only needs to reach grade m itself
-    dp: list[dict] = [{EMPTY_FOREST: 1}] + [{} for _ in range(m)]
+    dp: list[dict] = [{cls._UNIT: 1}] + [{} for _ in range(m)]
     for i in range(p):
         nxt: list[dict] = [{} for _ in range(m + 1)]
         for g in range(m + 1):
@@ -112,11 +123,11 @@ def _graded_power_part(xs: list[ForestSum], p: int, m: int) -> ForestSum:
             ks = (m - g,) if i == p - 1 else range(m - g + 1)
             for k in ks:
                 if k < len(xs) and xs[k]:
-                    _accumulate(nxt[g + k], ((_forest_product(f1, f2), c1 * c2)
+                    _accumulate(nxt[g + k], ((kmul(f1, f2), c1 * c2)
                                              for f1, c1 in dp[g].items()
                                              for f2, c2 in xs[k].terms.items()))
         dp = nxt
-    return ForestSum._make(dp[m])
+    return cls._make(dp[m])
 
 
 def partial_sum(sol: DSESolution, m: int) -> ForestSum:
@@ -159,77 +170,53 @@ class WitnessReport:
     """Outcome of expressing delta(X_n) in products of the X_k.
 
     ``coefficients`` maps pairs of exponent partitions (left factor,
-    right factor) to rational coefficients; the partition (2,1,1) stands
+    right factor) to integer coefficients; the partition (2,1,1) stands
     for the monomial X_2*X_1*X_1 and the empty partition for X_0 = 1.
     """
 
     ok: bool
     n: int
-    coefficients: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
+    coefficients: dict[tuple[tuple[int, ...], tuple[int, ...]], int]
     message: str
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+def _partitions(n: int, parts: int, cap: int = 0) -> list[tuple[int, ...]]:
+    """Partitions of n into at most ``parts`` parts, largest part first,
+    none above ``cap`` when it is set."""
     if n == 0:
         return [()]
-    out = []
-
-    def rec(rest: int, cap: int, acc: tuple[int, ...]):
-        if rest == 0:
-            out.append(acc)
-            return
-        for part in range(min(rest, cap), 0, -1):
-            rec(rest - part, part, acc + (part,))
-
-    rec(n, n, ())
-    return out
-
-
-def _monomial_value(sol: DSESolution, partition: tuple[int, ...]) -> ForestSum:
-    return ForestSum.product(sol.coefficients[k] for k in partition)
+    return [(part,) + rest for part in range(min(n, cap or n), 0, -1) if parts
+            for rest in _partitions(n - part, parts - 1, part)]
 
 
 def subalgebra_witness(sol: DSESolution, n: int) -> WitnessReport:
-    """Certify delta(X_n) as a combination of X-monomial tensor products.
+    """Certify the closed decomposition of delta(X_n) for a `solve` result:
 
-    Sets up the exact linear system over the forest-pair basis and solves
-    it by Gaussian elimination over the rationals; free variables, if the
-    monomials happen to be dependent, are pinned to zero so the reported
-    decomposition is deterministic.
+        delta(X_n) = sum_k X_k (x) [X^(k+1)]_(n-k),   root part left,
+
+    built with the graded power of `solve` and compared with
+    ``coproduct(X_n)``.  The coefficients expand each right factor into
+    the monomials X_lambda over the partitions lambda of n-k into at most
+    k+1 parts, with multinomial multiplicities; a zero X_k and every
+    monomial with a zero factor are left out.
     """
     if n < 0 or n > sol.order:
         raise ValueError(f"grade {n} outside solved range 0..{sol.order}")
-    target = coproduct(sol.coefficients[n])
-
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    columns: list[dict[tuple[Forest, Forest], Fraction]] = []
-    for p in range(n + 1):
-        for left_part in _partitions(p):
-            left_val = _monomial_value(sol, left_part)
-            for right_part in _partitions(n - p):
-                right_val = _monomial_value(sol, right_part)
-                col = _accumulate({}, (((fl, fr), cl * cr)
-                                       for fl, cl in left_val.terms.items()
-                                       for fr, cr in right_val.terms.items()))
-                pairs.append((left_part, right_part))
-                columns.append(col)
-
-    rows = sorted({k for col in columns for k in col} | set(target.terms),
-                  key=lambda k: (k[0].code, k[1].code))
-    row_index = {k: i for i, k in enumerate(rows)}
-    m_rows, m_cols = len(rows), len(columns)
-    matrix = [[0] * (m_cols + 1) for _ in range(m_rows)]
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            matrix[row_index[k]][j] = v
-    for k, v in target.terms.items():
-        matrix[row_index[k]][m_cols] = v
-
-    pivots, _ = _gauss_jordan(matrix, m_cols)
-    if any(row[m_cols] for row in matrix[len(pivots):]):
+    xs = sol.coefficients
+    closed: dict = {}
+    coeffs = {}
+    for k in range(n + 1):
+        if not xs[k]:
+            continue
+        right = _graded_power_part(xs, k + 1, n - k)
+        _accumulate(closed, (((fl, fr), cl * cr) for fl, cl in xs[k].terms.items()
+                             for fr, cr in right.terms.items()))
+        for part in _partitions(n - k, k + 1):
+            if all(xs[i] for i in part):  # k+1 factors, len(part) of them nonzero
+                coeffs[(k,) if k else (), part] = (
+                    factorial(k + 1) // factorial(k + 1 - len(part))
+                    // prod(map(factorial, Counter(part).values())))
+    if TensorSum._make(closed) != coproduct(xs[n]):
         return WitnessReport(False, n, {},
-                             "no decomposition: linear system is inconsistent")
-    coeffs = {pairs[c]: matrix[i][m_cols] for i, c in enumerate(pivots)
-              if matrix[i][m_cols]}
+                             "no decomposition: the closed form differs from the coproduct")
     return WitnessReport(True, n, coeffs, "decomposition found")
-

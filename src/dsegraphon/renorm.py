@@ -20,18 +20,19 @@ On a forest f it is phi(f) = w(f) E_|f|: w(f) is the product of
 
 Minimal subtraction keeps the strict pole part; the projection is an
 idempotent Rota-Baxter operator, which makes the counterterm S and the
-renormalized value phi_+ characters.  So BPHZ runs on trees only: one
+renormalized value phi_+ characters.  So BPHZ runs on trees: one
 Bogoliubov preparation per tree over the reduced coproduct of `hopf`
 (root part left, pruned forest right), whose pole part is -S(t) and
 whose regular part is phi_+(t); forests are products of tree values.
-A preparation groups its terms S(l) phi(r) by pruned grade n = |r| and
-multiplies each group's sum of w(r) S(l) by E_n once: at most |t| - 1
-Laurent products per tree.
+A preparation groups its terms S(l) phi(r) by pruned size s = |r| and
+multiplies each group's sum of w(r) S(l) by E_s once.  A solution of an
+equation is renormalized on its generators X_n instead, through the
+closed coproduct of `dse.subalgebra_witness` (see renormalize_solution).
 The forest-level recursion, which does not assume the character
-property, is the test oracle.  The Birkhoff reconstruction invariant
-(counterterm o antipode) * renormalized = plain rules pins the
-coproduct convention down; it is enforced in the tests rather than
-assumed.
+property, and per-tree BPHZ on the X_n are the test oracles.  The
+Birkhoff reconstruction invariant (counterterm o antipode) *
+renormalized = plain rules pins the coproduct convention down; it is
+enforced in the tests rather than assumed.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .trees import SparseSum, Tree, _accumulate, _as_coeff, _scaled
 from .hopf import Character, reduced_coproduct, _as_forest_sum
+from .dse import _graded_fixed_point, _graded_power_part
 
 
 class WindowError(ValueError):
@@ -268,9 +272,10 @@ def pole_part(s: LaurentSeries) -> LaurentSeries:
 
 # -- toy rules ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ToyRules:
-    """Configuration of the toy Feynman rules.
+    """Configuration of the toy Feynman rules; immutable, as values are
+    cached on it.
 
     ``residues`` maps decorations to rational residues r_d (default 1);
     ``scale`` fixes L to a rational value, or keeps it symbolic if None;
@@ -279,29 +284,33 @@ class ToyRules:
     WindowError names the required lower end.
     """
 
-    residues: dict[str, Fraction] = field(default_factory=dict)
+    residues: Mapping[str, Fraction] = field(default_factory=dict)
     scale: Fraction | None = None
     window: tuple[int, int] = (-8, 2)
 
     def __post_init__(self):
-        self.residues = {d: _as_coeff(r) for d, r in self.residues.items()}
+        def init(name, value):
+            object.__setattr__(self, name, value)
+
+        init("residues", MappingProxyType(
+            {d: _as_coeff(r) for d, r in self.residues.items()}))
         if self.scale is not None:
-            self.scale = _as_coeff(self.scale)
+            init("scale", _as_coeff(self.scale))
         lo, hi = self.window
         if lo > 0 or hi < 0:
             raise ValueError("rules window must contain eps^0")
         # internal expansion order E of exp(-eps L): a grade-n value is
         # exact on (-n, E-n), which still covers the configured window
-        self._exp_order = hi - lo + 1
+        init("_exp_order", hi - lo + 1)
         one = LaurentSeries.const(1, (0, self._exp_order))
-        self._phi = Character(lambda t: _rules_on_tree(self, t), one,
-                              target="laurent", name="phi")
-        self._phi_minus = Character(lambda t: -_preparation(self, t).pole_part(),
-                                    one, target="laurent", name="phi_minus")
-        self._phi_plus = Character(lambda t: _preparation(self, t).regular_part(),
-                                   one, target="laurent", name="phi_plus")
-        self._preparations: dict[Tree, LaurentSeries] = {}
-        self._exps: dict[int, LaurentSeries] = {}
+        init("_phi", Character(lambda t: _rules_on_tree(self, t), one,
+                               target="laurent", name="phi"))
+        init("_phi_minus", Character(lambda t: -_preparation(self, t).pole_part(),
+                                     one, target="laurent", name="phi_minus"))
+        init("_phi_plus", Character(lambda t: _preparation(self, t).regular_part(),
+                                    one, target="laurent", name="phi_plus"))
+        init("_preparations", {})
+        init("_exps", {})
 
     def residue(self, d: str) -> Fraction:
         return self.residues.get(d, Fraction(1))
@@ -362,27 +371,29 @@ def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
 
 # -- BPHZ ----------------------------------------------------------------------
 
+def _by_size(rules: ToyRules, groups: dict[int, list]) -> LaurentSeries:
+    """sum over sizes s of (sum of c * v over the (v, c) in groups[s]) * E_s,
+    one Laurent product per size.  Windows start from (0, E), that of
+    phi(1); window ends distribute over the grouping, so the window is
+    that of the term-by-term sum."""
+    start = rules._phi.one.window
+    return _fold(((_fold(terms, start) * _exp_series(rules, s), _ONE)
+                  for s, terms in groups.items()), start)
+
+
 def _preparation(rules: ToyRules, t: Tree) -> LaurentSeries:
     """Bogoliubov preparation of one tree, computed once per rules:
-    phi(t) + sum' S(t'_root) phi(t'_pruned) over the reduced coproduct.
-
-    As phi(r) = w(r) E_|r|, the sum c w(r) S(l) is folded per pruned grade
-    n and multiplied by E_n once; window ends distribute over the grouping,
-    so the window is that of the term-by-term sum.
+    phi(t) + sum' S(t'_root) phi(t'_pruned) over the reduced coproduct,
+    where phi(t) = w(t) E_|t| and phi(r) = w(r) E_|r|.
     """
     got = rules._preparations.get(t)
     if got is None:
-        by_grade: dict[int, list] = {}
+        groups: dict[int, list] = {t.size: [(rules._phi.one, _weight(rules, t))]}
         for (l, r), c in reduced_coproduct(t).terms.items():
             for s in r.trees:
                 c *= _weight(rules, s)
-            by_grade.setdefault(r.grade, []).append(
-                (rules._phi_minus.on_forest(l), c))
-        parts = [(rules._phi.on_tree(t), _ONE)]
-        parts.extend((_fold(terms, terms[0][0].window) * _exp_series(rules, n), _ONE)
-                     for n, terms in by_grade.items())
-        got = _fold(parts, parts[0][0].window)
-        rules._preparations[t] = got
+            groups.setdefault(r.grade, []).append((rules._phi_minus.on_forest(l), c))
+        got = rules._preparations[t] = _by_size(rules, groups)
     return got
 
 
@@ -461,6 +472,14 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
                          widen: bool = True) -> RenormReport:
     """Renormalize X_1..X_m of a solution; entry i-1 holds grade i.
 
+    BPHZ runs on the generators X_n of the solution of ``sol.spec``; no
+    tree is read.  With delta(X_n) = sum_k X_k (x) [X^(k+1)]_(n-k), the
+    preparation of X_n is phi(X_n) + sum_{0<k<n} S(X_k) phi([X^(k+1)]_(n-k))
+    and phi([X^p]_d) = sum_s [a^p]_d[s] E_s, with a_n[s] the weight of the
+    size-s trees of X_n.  The equation gives the a_n: B+_d maps weight v
+    at size s to r_d v/(s+1) at size s+1.  Values stay exact on their
+    natural window and are cut to the rules window at the end.
+
     A window too narrow for grade m is widened automatically (and the
     report says so); with ``widen=False`` it raises instead, naming the
     exponent the window must reach.
@@ -474,15 +493,26 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
             raise WindowError(
                 f"window [{lo}, {hi}] cannot hold grade-{m} poles; "
                 f"lower the window floor to {-m} or below")
-        rules = ToyRules(residues=dict(rules.residues), scale=rules.scale,
+        rules = ToyRules(residues=rules.residues, scale=rules.scale,
                          window=(-m, hi))
         widened = True
-    ren = []
-    cts = []
+    # a ScalePoly keyed by size s stands for sum_s a[s] E_s: E_a E_b = E_(a+b)
+    weights = _graded_fixed_point(sol.spec, ScalePoly.unit(), m, lambda coc, inner: ScalePoly(
+        {s + 1: coc.omega * rules.residue(coc.decoration) * v / (s + 1)
+         for s, v in inner.terms.items()}))
+    preps, cts = [], []
     for n in range(1, m + 1):
-        xn = sol.coefficients[n]
-        ren.append(renormalized_value(rules, xn))
-        cts.append(counterterm(rules, xn))
+        groups = {s: [(rules._phi.one, c)] for s, c in weights[n].terms.items()}
+        for k in range(1, n):
+            for s, c in _graded_power_part(weights, k + 1, n - k).terms.items():
+                groups.setdefault(s, []).append((cts[k - 1], c))
+        preps.append(_by_size(rules, groups))
+        cts.append(-preps[-1].pole_part())
+
+    def cut(v):
+        return _fold(((v, _ONE),), rules.window)
+
     return RenormReport(order=m, scale_symbolic=rules.scale is None,
                         window=rules.window, widened=widened,
-                        renormalized=tuple(ren), counterterms=tuple(cts))
+                        renormalized=tuple(cut(p.regular_part()) for p in preps),
+                        counterterms=tuple(map(cut, cts)))

@@ -243,37 +243,6 @@ def _scaled(terms: dict, c):
     return terms.items() if c == 1 else ((k, c * v) for k, v in terms.items())
 
 
-def _gauss_jordan(rows: list[list[Fraction]], n_cols: int) -> tuple[list[int], Fraction]:
-    """Reduce ``rows`` in place to reduced row echelon form in its first
-    ``n_cols`` columns; later columns (a right-hand side) are carried along.
-
-    Column by column, the pivot is the first row at or below the current
-    one with a nonzero entry.  Returns the pivot columns and the product
-    of the pivots signed by the row swaps, zero if a column has no pivot:
-    the determinant when the first ``n_cols`` columns are square.
-    """
-    pivots: list[int] = []
-    det = Fraction(1)
-    for c in range(n_cols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            det = Fraction(0)
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            det = -det
-        det *= rows[r][c]
-        inv = Fraction(1, rows[r][c])
-        pivot_row = rows[r] = [v * inv if v else v for v in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [a - f * b if b else a for a, b in zip(row, pivot_row)]
-        pivots.append(c)
-    return pivots, det
-
-
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss fraction-free
     elimination: every intermediate entry is an exact integer (a minor of

@@ -3,14 +3,16 @@
 The oracle below never uses the production grade-by-grade recursion: it
 iterates the raw equation Y <- 1 + sum_j omega_j B+_j(Y^(j+1)) on graded
 coefficient lists with naive truncated products until it stabilizes.
-Witness decompositions are frozen from generated-and-hand-checked runs
-and also cross-checked against the closed form
-delta(X_n) = sum_k X_k (x) (X^(k+1))_(n-k).
+Witness decompositions are frozen from generated-and-hand-checked runs,
+cross-checked against the closed form
+delta(X_n) = sum_k X_k (x) (X^(k+1))_(n-k), and against the unique
+solution of the linear system over all forest pairs, solved by sympy.
 """
 
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from dsegraphon.trees import Forest, ForestSum, Tree, ladder, leaf
 from dsegraphon.hopf import TensorSum, coproduct, graft
@@ -202,6 +204,54 @@ def test_witness_frozen_coefficients(spec):
         rep = subalgebra_witness(sol, n)
         assert rep.ok
         assert rep.coefficients == WITNESS_FIXTURES[n]
+
+
+def _all_partitions(n, cap=None):
+    cap = n if cap is None else cap
+    if n == 0:
+        return [()]
+    return [(part,) + rest for part in range(min(n, cap), 0, -1)
+            for rest in _all_partitions(n - part, part)]
+
+
+def _elimination_coefficients(sol, n):
+    """Unique coefficients of delta(X_n) over every X-monomial tensor
+    product X_lambda (x) X_mu with |lambda| + |mu| = n."""
+    def value(part):
+        return ForestSum.product(sol.coefficients[k] for k in part)
+
+    pairs = [(left, right) for p in range(n + 1) for left in _all_partitions(p)
+             for right in _all_partitions(n - p)]
+    columns = [sum((TensorSum.of(fl, fr, cl * cr)
+                    for fl, cl in value(left).terms.items()
+                    for fr, cr in value(right).terms.items()), TensorSum.zero()).terms
+               for left, right in pairs]
+    target = coproduct(sol.coefficients[n]).terms
+    rows = sorted({k for col in columns for k in col} | set(target),
+                  key=lambda k: (k[0].code, k[1].code))
+    matrix = sympy.Matrix([[sympy.Rational(str(col.get(k, 0))) for col in columns]
+                           for k in rows])
+    rhs = sympy.Matrix([sympy.Rational(str(target.get(k, 0))) for k in rows])
+    solution, params = matrix.gauss_jordan_solve(rhs)
+    assert params.shape[0] == 0, "the monomial system has free variables"
+    return {pair: F(str(v)) for pair, v in zip(pairs, solution) if v}
+
+
+@pytest.mark.parametrize("spec", [SPEC_A, SPEC_B], ids=["one-cocycle", "two-cocycle"])
+def test_witness_equals_unique_elimination_solution(spec):
+    sol = solve(spec)
+    for n in range(6):
+        assert subalgebra_witness(sol, n).coefficients == _elimination_coefficients(sol, n), n
+
+
+def test_witness_refuses_a_tampered_coefficient():
+    xs = list(solve(SPEC_A).coefficients)
+    xs[3] = xs[3] + ForestSum.of(ladder(3))
+    sol = DSESolution(SPEC_A, tuple(xs))
+    rep = subalgebra_witness(sol, 3)
+    assert not rep.ok and rep.n == 3 and rep.coefficients == {}
+    assert "differs from the coproduct" in rep.message
+    assert subalgebra_witness(sol, 2).ok
 
 
 def test_witness_grade_zero():
