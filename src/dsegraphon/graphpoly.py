@@ -4,16 +4,21 @@ Multigraphs allow parallel edges and self-loops.  Each edge carries a
 stable variable index so that deletion and contraction keep the naming
 of Symanzik variables intact.
 
+Cycles come from one spanning-forest pass, ``_cycle_space``: the number
+of roots and one fundamental cycle per edge left out of the forest.  A
+bridge is an edge that is not a loop and lies on none of these cycles.
+
 The Tutte polynomial is computed by deletion-contraction with the
-highest-index ordinary edge pivoted first, splitting into connected
-components, and memoizing minors under a canonical key.  An independent
-rank-nullity sum over all edge subsets is provided as an oracle.  The
-key is exact: two graphs get the same key exactly when they are
-isomorphic.  It is the least sorted edge code over all vertex orders
-that list the colour-refinement cells in colour order, found by a
-depth-first search that places one position at a time and drops a
-branch as soon as a lower bound on its code exceeds the best code found
-(twins and automorphisms found at tied leaves prune it further).  The
+highest-index ordinary edge on a cycle pivoted first, splitting into
+connected components, and memoizing minors under a canonical key; with
+no such edge it is x^(bridges) y^(loops).  An independent rank-nullity
+sum over all edge subsets is provided as an oracle.  The key is exact:
+two graphs get the same key exactly when they are isomorphic.  It is
+the least sorted edge code over all vertex orders that list the
+colour-refinement cells in colour order, found by a depth-first search
+that places one position at a time and drops a branch as soon as a
+lower bound on its code exceeds the best code found (twins and
+automorphisms found at tied leaves prune it further).  The
 corpus generator keys candidates the same way, so its order and its
 representatives are fixed by the key.
 
@@ -28,10 +33,12 @@ The first Kirchhoff-Symanzik polynomial is the spanning-tree sum
 Psi(w) = sum_T prod_{e not in T} w_e, homogeneous of degree equal to the
 loop number.  It factors over components (spanning forests) and equals
 the determinant of the cycle-basis matrix M with entries
-M_kr = sum_i w_i eta_ik eta_ir, for any choice of spanning tree.  The
-determinants here (cycle basis and matrix-tree cofactor) are taken over
-the integers by fraction-free elimination, the cycle basis after scaling
-the weights by the lcm of their denominators.
+M_kr = sum_i w_i eta_ik eta_ir, for any choice of spanning tree
+(Bogner-Weinzierl, arXiv:1002.3458): the Gram matrix of the pass's
+cycles under the weights.  The determinants here (cycle basis and
+matrix-tree cofactor) are taken over the integers by fraction-free
+elimination, the cycle basis after scaling the weights by the lcm of
+their denominators.
 """
 
 from __future__ import annotations
@@ -274,14 +281,9 @@ class MultiGraph:
         return out
 
     def is_bridge(self, i: int) -> bool:
+        """Not a loop and on no cycle."""
         u, v = self.edges[i]
-        if u == v:
-            return False
-        dsu = _DSU(self.n)
-        for j, (a, b) in enumerate(self.edges):
-            if j != i:
-                dsu.union(a, b)
-        return dsu.find(u) != dsu.find(v)
+        return u != v and all(i not in c for c in _cycle_space(self, 0)[1])
 
     def canonical_key(self):
         """Exact isomorphism certificate: equal exactly for isomorphic graphs."""
@@ -309,6 +311,54 @@ class _DSU:
         self.parent[ra] = rb
         self.count -= 1
         return True
+
+
+def _cycle_space(g: MultiGraph, shift: int) -> tuple[int, list[dict[int, int]]]:
+    """(number of roots, fundamental cycles) of a spanning forest grown in
+    edge-scan order starting at position ``shift``, from vertex 0 and then
+    from each vertex not yet reached.
+
+    Each vertex keeps its signed root path (edge -> +1 where the path runs
+    from the lower to the higher endpoint, -1 against it).  Each edge left
+    out of the forest gives the cycle edge + path[u] - path[v]: the shared
+    prefix cancels, so every entry is +-1, and a loop gives a cycle of one
+    edge.  The cycles are a basis of the cycle space, so their supports
+    cover exactly the edges that lie on some cycle.
+    """
+    order = list(range(shift, g.m)) + list(range(shift))
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for j in order:
+        u, v = g.edges[j]
+        if u != v:
+            adj[u].append(j)
+            adj[v].append(j)
+    path: list[dict[int, int] | None] = [None] * g.n
+    in_tree = [False] * g.m
+    roots = 0
+    for r in range(g.n):
+        if path[r] is not None:
+            continue
+        roots += 1
+        path[r] = {}
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for j in adj[x]:
+                u, v = g.edges[j]
+                y = v if x == u else u
+                if path[y] is None:
+                    path[y] = {**path[x], j: 1 if x == u else -1}
+                    in_tree[j] = True
+                    stack.append(y)
+    cycles = []
+    for j in order:
+        if not in_tree[j]:
+            pu, pv = (path[x] for x in g.edges[j])
+            cyc = {e: s for e, s in pu.items() if e not in pv}
+            cyc.update((e, -s) for e, s in pv.items() if e not in pu)
+            cyc[j] = 1
+            cycles.append(cyc)
+    return roots, cycles
 
 
 def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[int]:
@@ -596,19 +646,11 @@ def _tutte_rec(g: MultiGraph) -> MultiPoly:
     got = _TUTTE_CACHE.get(key)
     if got is not None:
         return got
-    pivot = None
-    loops = 0
-    bridges = 0
-    for i in range(g.m - 1, -1, -1):
-        u, v = g.edges[i]
-        if u == v:
-            loops += 1
-        elif g.is_bridge(i):
-            bridges += 1
-        elif pivot is None:
-            pivot = i
-    if pivot is None:
-        res = MultiPoly.var("x", 1) ** bridges * MultiPoly.var("y", 1) ** loops
+    on_cycle = set().union(*_cycle_space(g, 0)[1])
+    pivot = max((i for i in on_cycle if g.edges[i][0] != g.edges[i][1]), default=None)
+    if pivot is None:  # only loops lie on cycles; every other edge is a bridge
+        loops = len(on_cycle)
+        res = MultiPoly({(("x", g.m - loops), ("y", loops)): 1})
     else:
         res = _tutte_rec(g.delete(pivot)) + _tutte_rec(g.contract(pivot))
     _TUTTE_CACHE[key] = res
@@ -658,20 +700,19 @@ def tutte_of_partial_sum(sol, m: int) -> MultiPoly:
     """Tutte polynomial of the disjoint union underlying Y_m.
 
     The structural sum X_1 + ... + X_m must have nonnegative integer
-    coefficients; each coefficient-c forest monomial contributes its
-    trees' Tutte polynomials to the power c.  For trees every edge is a
-    bridge, so the result is a power of x with exponent the total edge
-    count.
+    coefficients; each coefficient-c forest monomial stands for c copies
+    of its forest.  Every edge of a forest is a bridge, so the result is
+    x^E with E the total edge count: a forest of grade k with t trees has
+    k - t edges, and E = sum c (k - t).  Deletion-contraction per tree is
+    the test oracle.
     """
     from .dse import structural_sum
-    y = structural_sum(sol, m)
-    out = MultiPoly.const(1)
-    for forest, c in sorted(y.terms.items(), key=lambda kv: kv[0].code):
+    edges = 0
+    for forest, c in structural_sum(sol, m).terms.items():
         if c.denominator != 1 or c < 0:
             raise ValueError(f"coefficient {c} is not a nonnegative integer")
-        for t in forest:
-            out = out * tutte(tree_to_graph(t)) ** int(c)
-    return out
+        edges += int(c) * (forest.grade - len(forest))
+    return MultiPoly.var("x", edges)
 
 
 @dataclass(frozen=True)
@@ -703,16 +744,9 @@ def tutte_subtree_formula_diagnostic(t: Tree) -> SubtreeFormulaReport:
     """Evaluate the subtree-sum expression for T(t;x,y) and compare it
     with the deletion-contraction value.  Diagnostic only."""
     g = tree_to_graph(t)
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
     ypl = MultiPoly.var("y") + 1
-    total = MultiPoly()
     # single-vertex subtrees: no edges, no leaves
-    total = total + MultiPoly.const(n)
+    total = MultiPoly.const(g.n)
     # connected edge subsets (subtrees of a tree = connected subgraphs)
     for r in range(1, len(g.edges) + 1):
         for subset in itertools.combinations(range(g.m), r):
@@ -721,13 +755,7 @@ def tutte_subtree_formula_diagnostic(t: Tree) -> SubtreeFormulaReport:
                 u, v = g.edges[i]
                 verts.add(u)
                 verts.add(v)
-            dsu = _DSU(n)
-            joins = 0
-            for i in subset:
-                u, v = g.edges[i]
-                if dsu.union(u, v):
-                    joins += 1
-            if joins != len(verts) - 1:
+            if len(verts) != r + 1:  # acyclic, so connected iff |V| = |E| + 1
                 continue
             children: dict[int, int] = {}
             for i in subset:
@@ -796,14 +824,17 @@ def loop_number(g: MultiGraph) -> int:
 
 def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
                  tree_choice: int = 0) -> Fraction:
-    """Evaluate Psi via the cycle-basis determinant.
+    """Evaluate Psi as the determinant of the cycle-basis matrix.
 
     ``assignment`` maps edge variable indices to rational values.  The
-    fundamental cycle basis comes from a greedy spanning tree; different
-    ``tree_choice`` values rotate the edge scan order, changing the
-    basis but (provably, and tested) not the determinant.
+    matrix is the weighted Gram matrix M_kr = sum_j w_j eta_kj eta_rj of
+    the fundamental cycles eta_k of ``_cycle_space``; ``tree_choice``
+    rotates its edge scan, changing the spanning tree and the basis but
+    (provably, and tested) not the determinant.  The graph must be
+    connected; the graph without vertices gives 1.
     """
-    if not g.is_connected():
+    roots, eta = _cycle_space(g, tree_choice % g.m if g.m else 0)
+    if roots > 1:
         raise ValueError("cycle-basis determinant needs a connected graph")
     w = [None] * g.m
     for j in range(g.m):
@@ -812,76 +843,11 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
             raise ValueError(f"no value assigned to edge variable w{var}")
         w[j] = _as_coeff(assignment[var])
 
-    order = list(range(g.m))
-    if g.m:
-        shift = tree_choice % g.m
-        order = order[shift:] + order[:shift]
-    dsu = _DSU(g.n)
-    tree_edges = []
-    rest = []
-    for j in order:
-        u, v = g.edges[j]
-        if u != v and dsu.union(u, v):
-            tree_edges.append(j)
-        else:
-            rest.append(j)
-
-    # children structure of the chosen tree, rooted at 0
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for j in tree_edges:
-        u, v = g.edges[j]
-        adj[u].append((v, j))
-        adj[v].append((u, j))
-    parent = [-1] * g.n
-    parent_edge = [-1] * g.n
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    topo = [0]
-    while stack:
-        u = stack.pop()
-        for (v, j) in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                parent_edge[v] = j
-                stack.append(v)
-                topo.append(v)
-    depth = [0] * g.n
-    for u in topo[1:]:
-        depth[u] = depth[parent[u]] + 1
-
-    # eta[k][j] = +-1 if edge j lies (with orientation) on cycle k
-    ell = len(rest)
-    eta = [dict() for _ in range(ell)]
-    for k, j in enumerate(rest):
-        u, v = g.edges[j]
-        eta[k][j] = 1
-        if u == v:
-            continue
-        # tree path from v back to u; edge (a,b) traversed a->b counts
-        # +1 when it matches the stored orientation (min,max)
-        a, b = v, u
-        while a != b:
-            if depth[a] >= depth[b]:
-                je = parent_edge[a]
-                pu, pv = g.edges[je]
-                step = (a, parent[a])
-                sign = 1 if step == (pu, pv) else -1
-                eta[k][je] = eta[k].get(je, 0) + sign
-                a = parent[a]
-            else:
-                je = parent_edge[b]
-                pu, pv = g.edges[je]
-                step = (parent[b], b)
-                sign = 1 if step == (pu, pv) else -1
-                eta[k][je] = eta[k].get(je, 0) + sign
-                b = parent[b]
-
     # scale the weights by the lcm D of their denominators: the integer
     # matrix is D times M, so det M = det / D**ell
     scale = math.lcm(*(x.denominator for x in w))
     w = [x.numerator * (scale // x.denominator) for x in w]
+    ell = len(eta)
     mat = [[0] * ell for _ in range(ell)]
     for k in range(ell):
         for r in range(k, ell):

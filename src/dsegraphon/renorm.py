@@ -480,6 +480,17 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
     at size s to r_d v/(s+1) at size s+1.  Values stay exact on their
     natural window and are cut to the rules window at the end.
 
+    The finite parts follow the renormalization group.  At eps^0 a tree
+    renormalizes to w(t) (-L)^|t|, so sigma = d/dL phi_+ at L = 0 is -r_d
+    on the one-vertex tree of decoration d and 0 on larger trees.  Being
+    an infinitesimal character, sigma gives gamma_n = sigma(X_n) =
+    -omega_n r_(d_n), linear in the weights because only cocycle n puts a
+    one-vertex tree into X_n (gamma_n = 0 past the last cocycle), and
+    sigma([X^(k+1)]_(n-k)) = (k+1) gamma_(n-k).  Hence phi_+(X_n) at eps^0
+    is sum_p P_p(n) L^p with P_0(n) = delta_(n0) and
+    P_p(n) = (1/p) sum_(k<n) (k+1) P_(p-1)(k) gamma_(n-k); the tests hold
+    every grade to it.
+
     A window too narrow for grade m is widened automatically (and the
     report says so); with ``widen=False`` it raises instead, naming the
     exponent the window must reach.

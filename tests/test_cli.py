@@ -404,6 +404,57 @@ def test_golden_documents(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+# a batch with a vertexless graph, a bouquet of loops, parallel edges, a
+# tree, a disconnected graph with a loop, edges stored against their
+# orientation, and isolated vertices; digests recorded before bridges and
+# cycle bases came from one spanning-forest pass
+GRAPH_BATCH_B = [
+    {"n": 0},
+    {"n": 1, "edges": [[0, 0], [0, 0], [0, 0]]},
+    {"n": 2, "edges": [[0, 1], [1, 0], [0, 1]]},
+    {"n": 4, "edges": [[0, 1], [1, 2], [1, 3]]},
+    {"n": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3], [5, 5]]},
+    {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [2, 2], [3, 0]]},
+    {"n": 5, "edges": [[4, 3], [3, 2], [2, 1], [1, 0], [0, 4], [2, 2], [0, 2]]},
+    {"n": 3, "edges": []}]
+GOLDEN_TUTTE_B = "7bd409b1086a3983c4eb76784299c9e7a219b5f05c23744e3fea5d8a19abcde6"
+GOLDEN_SYMANZIK_B = "057c359bd1d68881f4bd23a21a045d422e61ba1bc43ea4526c7b066ee00d5701"
+
+
+@pytest.mark.filterwarnings("ignore:disconnected graph")
+def test_golden_graph_batch_documents(tmp_path):
+    batch = _write(tmp_path, "batch.json", GRAPH_BATCH_B)
+    out = tmp_path / "doc.json"
+    for argv, digest in ((["tutte"], GOLDEN_TUTTE_B),
+                         (["symanzik", "--seed", "3"], GOLDEN_SYMANZIK_B)):
+        assert main(argv + ["--graphs", batch, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+_GRAPH_ITEMS = st.integers(0, 5).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n),
+    # an endpoint may be n itself, out of range: exit 2
+    "edges": st.lists(st.lists(st.integers(0, n), min_size=2, max_size=2), max_size=6)}))
+_GRAPH_BATCHES = st.lists(_GRAPH_ITEMS | st.sampled_from(
+    [{"n": -1}, {"edges": []}, {"n": 2, "edges": [[0]]}, "graph"]), max_size=4)
+
+
+@pytest.mark.filterwarnings("ignore:disconnected graph")
+@settings(max_examples=40, deadline=None)
+@given(_GRAPH_BATCHES, st.sampled_from(["tutte", "symanzik"]))
+def test_graph_batches_exit_cleanly_and_rerun_identically(tmp_path_factory, batch, sub):
+    """Any small batch ends in exit 0, 1 or 2 without an escaping
+    exception, and a rerun writes the same bytes."""
+    tmp = tmp_path_factory.mktemp("batch")
+    graphs = _write(tmp, "graphs.json", batch)
+    outs = []
+    for name in ("a.json", "b.json"):
+        code = main([sub, "--graphs", graphs, "--out", str(tmp / name)])
+        assert code in (0, 1, 2)
+        outs.append((code, (tmp / name).read_bytes() if code != 2 else None))
+    assert outs[0] == outs[1]
+
+
 def test_golden_fingerprint_documents(tmp_path, spec_file):
     """Levels 4 and 5 fingerprint against 11 and 23 connected graphs.  The
     time bound catches a return to a brute-force catalogue, which took

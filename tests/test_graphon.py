@@ -117,10 +117,20 @@ def test_simple_graph_validation_and_codes():
     a = SimpleGraph(4, [(0, 1), (1, 2), (2, 3)])
     b = SimpleGraph(4, [(3, 2), (2, 0), (0, 1)])  # relabeled path
     assert a.canonical_code() == b.canonical_code()
-    with pytest.raises(SizeError):
-        SimpleGraph(9, []).canonical_code()
+    assert SimpleGraph(9, []).canonical_code() == "9:"
     u = complete_graph(2).disjoint_union(complete_graph(2))
     assert u.n == 4 and u.edges == ((0, 1), (2, 3))
+
+
+def test_has_edge_matches_the_edge_list():
+    rng = random.Random(3)
+    for n in (1, 2, 5, 9):
+        g = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < 0.5])
+        edges = set(g.edges)
+        for u in range(n):
+            for v in range(n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges), (g, u, v)
 
 
 def test_simple_graph_rejects_non_integer_vertices():
@@ -554,6 +564,36 @@ def test_equal_codes_iff_isomorphic_on_the_catalogue():
         assert same == nx.is_isomorphic(_nx(a), _nx(b)), (a, b)
         equal += same
     assert equal == 23 * 3  # each class with its two relabelled copies
+
+
+def _cycle(n: int, offset: int = 0):
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+def test_equal_codes_iff_isomorphic_beyond_eight_vertices():
+    """Codes of 9 to 16 vertices, where an exhaustive search over n!
+    orders cannot finish: equal exactly when networkx finds an
+    isomorphism, on regular graphs with equal degree sequences and on
+    relabelled random graphs."""
+    petersen = SimpleGraph(10, _cycle(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                           + [(i, i + 5) for i in range(5)])
+    prism = SimpleGraph(10, _cycle(5) + _cycle(5, 5) + [(i, i + 5) for i in range(5)])
+    c12 = SimpleGraph(12, _cycle(12))
+    two_c6 = SimpleGraph(12, _cycle(6) + _cycle(6, 6))
+    graphs = [petersen, prism, c12, two_c6]
+    rng = random.Random(16)
+    for n in range(9, 17):
+        g = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < 0.25])
+        graphs.append(g)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(SimpleGraph(n, [(perm[u], perm[v]) for u, v in g.edges]))
+    codes = [g.canonical_code() for g in graphs]
+    for (a, ca), (b, cb) in itertools.combinations(zip(graphs, codes), 2):
+        assert (ca == cb) == nx.is_isomorphic(_nx(a), _nx(b)), (a, b)
+    assert codes[0] != codes[1] and codes[2] != codes[3]
+    assert all(codes[i] == codes[i + 1] for i in range(4, len(codes), 2))
 
 
 def test_fingerprint_anchor_values():

@@ -19,8 +19,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from dsegraphon import graphpoly
-from dsegraphon.trees import Tree, _bareiss_det, ladder, leaf
-from dsegraphon.dse import Cocycle, DSESpec, solve
+from dsegraphon.trees import Tree, _bareiss_det, all_trees, ladder, leaf
+from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
                                   generate_connected_multigraphs,
                                   least_edge_code, loop_number,
@@ -113,6 +113,43 @@ def test_multigraph_connectivity_helpers():
     assert not triangle().is_bridge(0)
 
 
+def _dsu_find(n: int, edges):
+    """The root finder of a union-find over ``edges`` on n vertices."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return find
+
+
+def _oracle_is_bridge(g: MultiGraph, i: int) -> bool:
+    """Deleting edge i separates its endpoints."""
+    u, v = g.edges[i]
+    find = _dsu_find(g.n, g.edges[:i] + g.edges[i + 1:])
+    return find(u) != find(v)
+
+
+def test_is_bridge_matches_the_deletion_definition():
+    graphs = []
+    for g in generate_connected_multigraphs(6):
+        graphs += [g] + [g.delete(i) for i in range(g.m)] + [g.contract(i) for i in range(g.m)]
+    rng = random.Random(12)
+    for _ in range(300):  # loops, parallel edges and several components
+        n = rng.randint(1, 8)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 12))]))
+    assert any(g.component_count() > 1 for g in graphs[-300:])
+    for g in graphs:
+        for i in range(g.m):
+            assert g.is_bridge(i) == _oracle_is_bridge(g, i), (g, i)
+
+
 def test_canonical_key_is_isomorphism_invariant():
     g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     h = MultiGraph(4, [(2, 0), (0, 3), (3, 1), (2, 1)])  # relabeled 4-cycle
@@ -201,6 +238,26 @@ def test_tutte_of_partial_sum_is_bridge_power():
         tutte_of_partial_sum(frac, 2)
 
 
+def _tutte_per_tree(sol, m: int) -> MultiPoly:
+    """The product over the forests of the structural sum of their trees'
+    deletion-contraction Tutte polynomials, each to its coefficient."""
+    out = MultiPoly.const(1)
+    for forest, c in structural_sum(sol, m).terms.items():
+        for t in forest:
+            out = out * tutte(tree_to_graph(t)) ** int(c)
+    return out
+
+
+def test_tutte_of_partial_sum_matches_deletion_contraction():
+    g6 = solve(DSESpec((Cocycle("g", F(1)),), order=6))
+    gh5 = solve(DSESpec((Cocycle("g", F(1)), Cocycle("h", F(2))), order=5))
+    for sol in (g6, gh5):
+        for m in range(1, sol.order + 1):
+            assert tutte_of_partial_sum(sol, m) == _tutte_per_tree(sol, m), m
+    with pytest.raises(ValueError):
+        tutte_of_partial_sum(solve(DSESpec((Cocycle("g", F(-1)),), order=2)), 2)
+
+
 def test_subtree_formula_diagnostic_disagrees():
     rep2 = tutte_subtree_formula_diagnostic(ladder(2))
     assert rep2.subtree_formula == 2 + X
@@ -221,6 +278,30 @@ def test_subtree_formula_diagnostic_disagrees():
     # the two shapes of three vertices are already told apart by the
     # diagnostic even though their Tutte polynomials agree
     assert rep3.subtree_formula != repc.subtree_formula
+
+
+def _oracle_subtree_formula(t: Tree) -> MultiPoly:
+    """The subtree sum with connectivity decided by a union-find."""
+    g = tree_to_graph(t)
+    total = MultiPoly.const(g.n)
+    for r in range(1, g.m + 1):
+        for subset in itertools.combinations(g.edges, r):
+            verts = {w for e in subset for w in e}
+            find = _dsu_find(g.n, subset)
+            if len({find(w) for w in verts}) != 1:
+                continue
+            parents = {u for u, _ in subset}
+            leaves = len(verts - parents)
+            total = total + X ** r * (Y + 1) ** (r - leaves)
+    return total
+
+
+def test_subtree_formula_diagnostic_matches_a_union_find_oracle():
+    for n in range(1, 7):
+        for t in all_trees(n):
+            rep = tutte_subtree_formula_diagnostic(t)
+            assert rep.subtree_formula == _oracle_subtree_formula(t), t
+            assert rep.deletion_contraction == X ** (n - 1)
 
 
 # -- Symanzik ----------------------------------------------------------------------
@@ -290,6 +371,50 @@ def test_det_requires_connected_and_full_assignment():
         symanzik_det(MultiGraph(4, [(0, 1), (2, 3)]), {1: F(1), 2: F(1)})
     with pytest.raises(ValueError):
         symanzik_det(triangle(), {1: F(1), 2: F(1)})
+
+
+def test_det_on_the_empty_graph_and_a_bouquet():
+    empty = MultiGraph(0, [])
+    assert symanzik_det(empty, {}) == 1 == symanzik_psi(empty).eval({})
+    bouquet = MultiGraph(1, [(0, 0)] * 3)
+    assignment = {1: F(2, 3), 2: F(-5), 3: F(7, 2)}
+    psi = symanzik_psi(bouquet)
+    assert psi == w(1) * w(2) * w(3)
+    for choice in range(4):
+        assert symanzik_det(bouquet, assignment, tree_choice=choice) == F(-35, 3)
+
+
+def _random_connected_multigraph(rng, max_n: int, extra: int) -> MultiGraph:
+    """A random spanning tree plus up to ``extra`` edges (loops and
+    parallel edges among them), in shuffled order and orientation."""
+    n = rng.randint(1, max_n)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, extra)):
+        u = rng.randrange(n)
+        edges.append(rng.choice([(u, u), (u, rng.randrange(n))] + edges[:1]))
+    rng.shuffle(edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MultiGraph(n, [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+                          for u, v in edges])
+
+
+def test_det_matches_psi_at_every_tree_choice_on_random_multigraphs():
+    # K4, K5 and K3,3 add bases whose signs no row or column flip removes
+    rng = random.Random(13)
+    k5 = MultiGraph(5, list(itertools.combinations(range(5), 2)))
+    k33 = MultiGraph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    for g in [k4(), k5, k33] + [_random_connected_multigraph(rng, 6, 6) for _ in range(80)]:
+        psi = symanzik_psi(g)
+        assignment = {v: F(rng.randint(-9, 9) or 1, rng.randint(1, 12)) for v in g.evars}
+        want = psi.eval({f"w{v}": a for v, a in assignment.items()})
+        for choice in range(g.m + 1):
+            assert symanzik_det(g, assignment, tree_choice=choice) == want, (g, choice)
+        # a second component, even an isolated vertex, is refused
+        h = MultiGraph(g.n + 1, g.edges)
+        for choice in range(g.m + 1):
+            with pytest.raises(ValueError):
+                symanzik_det(h, assignment, tree_choice=choice)
 
 
 def test_psi_deletion_contraction_split():

@@ -22,7 +22,7 @@ from dsegraphon.hopf import (antipode, convolve, coproduct, rational_character,
 from dsegraphon.dse import Cocycle, DSESolution, DSESpec, solve
 from dsegraphon.renorm import (BirkhoffPair, LaurentSeries, RenormReport,
                                ScalePoly, ToyRules, WindowError, _preparation,
-                               birkhoff, bogoliubov, counterterm,
+                               _weight, birkhoff, bogoliubov, counterterm,
                                counterterm_character, pole_part,
                                renormalize_solution, renormalized_value,
                                rules_character, toy_feynman_rules)
@@ -562,3 +562,53 @@ def test_toy_rules_are_immutable():
     assert _same(renormalized_value(rules, ladder(2)), before)
     assert _same(before, renormalized_value(ToyRules(residues={"g": F(2)}), ladder(2)))
     assert not _same(before, renormalized_value(ToyRules(), ladder(2)))
+
+
+# -- the renormalization group on the generators -----------------------------------
+
+def test_tree_finite_parts_are_powers_of_minus_L():
+    # phi_+(t) at eps^0 is w(t) (-L)^|t|: its L-derivative at L = 0 lives
+    # on the one-vertex trees, where it is -r_d
+    rules = ToyRules(residues={"g": F(3, 2), "h": F(-2)})
+    for n in range(1, 7):
+        for t in all_trees(n, ("g", "h")):
+            want = ScalePoly.L(n, _weight(rules, t) * (-1) ** n)
+            assert renormalized_value(rules, t).coeff(0) == want, t
+
+
+def _rg_finite_parts(spec: DSESpec, rules: ToyRules, m: int) -> list[ScalePoly]:
+    """sum_p P_p(n) L^p for n = 1..m: gamma_n = -omega_n r_(d_n) for the
+    cocycle at coupling power n (0 beyond the last), P_0(n) = delta_(n0)
+    and P_p(n) = (1/p) sum_(k<n) (k+1) P_(p-1)(k) gamma_(n-k)."""
+    gamma = [F(0)] * (m + 1)
+    for j, coc in enumerate(spec.cocycles[:m], 1):
+        gamma[j] = -coc.omega * rules.residue(coc.decoration)
+    ps = [[F(1)] + [F(0)] * m]
+    for p in range(1, m + 1):
+        prev = ps[-1]
+        ps.append([sum((F(k + 1) * prev[k] * gamma[n - k] for k in range(n)), F(0)) / p
+                   for n in range(m + 1)])
+    return [ScalePoly({p: ps[p][n] for p in range(m + 1)}) for n in range(1, m + 1)]
+
+
+RG_CASES = {
+    "g-12": (DSESpec((_G,), 12), ToyRules()),
+    "gh-residues-8": (DSESpec((_G, _H), 8), ToyRules(residues={"g": F(1), "h": F(2)})),
+    "omega-negative-10": (DSESpec((Cocycle("g", F(-3, 2)),), 10),
+                          ToyRules(residues={"g": F(3, 2)})),
+    "half-scale": (DSESpec((_G, _H), 8), ToyRules(scale=F(1, 2))),
+    "three-cocycles": (DSESpec((_G, _H, Cocycle("k", F(2, 3))), 8),
+                       ToyRules(residues={"h": F(-1), "k": F(5, 4)})),
+    "omega1-zero": (DSESpec((Cocycle("g", F(0)), Cocycle("h", F(1))), 9), ToyRules()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RG_CASES))
+def test_generator_finite_parts_follow_the_renormalization_group(case):
+    spec, rules = RG_CASES[case]
+    rep = renormalize_solution(rules, solve(spec), spec.order)
+    for n, want in enumerate(_rg_finite_parts(spec, rules, spec.order), 1):
+        got = rep.renormalized[n - 1].coeff(0)
+        if rules.scale is not None:
+            want = ScalePoly.const(want.eval(rules.scale))
+        assert got == want, (n, got, want)
