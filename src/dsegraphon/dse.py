@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .trees import ForestSum, SparseSum, _accumulate, _as_coeff, _scaled
+from .trees import ForestSum, SparseSum, _accumulate, _as_coeff, _scaled, check_decoration
 from .hopf import TensorSum, coproduct, graft
 
 
@@ -35,6 +35,7 @@ class Cocycle:
     omega: Fraction
 
     def __post_init__(self):
+        check_decoration(self.decoration)
         object.__setattr__(self, "omega", _as_coeff(self.omega))
 
 

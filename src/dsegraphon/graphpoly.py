@@ -8,11 +8,13 @@ Cycles come from one spanning-forest pass, ``_cycle_space``: the number
 of roots and one fundamental cycle per edge left out of the forest.  A
 bridge is an edge that is not a loop and lies on none of these cycles.
 
-The Tutte polynomial is computed by deletion-contraction with the
-highest-index ordinary edge on a cycle pivoted first, splitting into
-connected components, and memoizing minors under a canonical key; with
-no such edge it is x^(bridges) y^(loops).  An independent rank-nullity
-sum over all edge subsets is provided as an oracle.  The key is exact:
+The Tutte polynomial is the product over the connected components of
+deletion-contraction with the highest-index ordinary edge on a cycle
+pivoted first, memoizing minors under a canonical key; with no such
+edge it is x^(bridges) y^(loops).  Deleting or contracting an edge on a
+cycle keeps a graph connected, so the components are split once.  An
+independent rank-nullity sum over all edge subsets is provided as an
+oracle.  The key is exact:
 two graphs get the same key exactly when they are isomorphic.  It is
 the least sorted edge code over all vertex orders that list the
 colour-refinement cells in colour order, found by a depth-first search
@@ -632,16 +634,11 @@ def tutte(g: MultiGraph) -> MultiPoly:
     """
     if g.m > TUTTE_EDGE_LIMIT:
         raise ValueError(f"graph has {g.m} edges, limit is {TUTTE_EDGE_LIMIT}")
-    return _tutte_rec(g)
+    return MultiPoly.product(_tutte_rec(c) for c in g.components() if c.m)
 
 
 def _tutte_rec(g: MultiGraph) -> MultiPoly:
-    if not g.edges:
-        return MultiPoly.const(1)
-    comps = [c for c in g.components() if c.m]
-    if len(comps) > 1:
-        return MultiPoly.product(map(_tutte_rec, comps))
-    g = comps[0]
+    """Tutte polynomial of a connected graph with at least one edge."""
     key = _canonical_key(g)
     got = _TUTTE_CACHE.get(key)
     if got is not None:

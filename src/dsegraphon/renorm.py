@@ -20,19 +20,24 @@ On a forest f it is phi(f) = w(f) E_|f|: w(f) is the product of
 
 Minimal subtraction keeps the strict pole part; the projection is an
 idempotent Rota-Baxter operator, which makes the counterterm S and the
-renormalized value phi_+ characters.  So BPHZ runs on trees: one
-Bogoliubov preparation per tree over the reduced coproduct of `hopf`
-(root part left, pruned forest right), whose pole part is -S(t) and
-whose regular part is phi_+(t); forests are products of tree values.
-A preparation groups its terms S(l) phi(r) by pruned size s = |r| and
-multiplies each group's sum of w(r) S(l) by E_s once.  A solution of an
-equation is renormalized on its generators X_n instead, through the
-closed coproduct of `dse.subalgebra_witness` (see renormalize_solution).
-The forest-level recursion, which does not assume the character
-property, and per-tree BPHZ on the X_n are the test oracles.  The
-Birkhoff reconstruction invariant (counterterm o antipode) *
-renormalized = plain rules pins the coproduct convention down; it is
-enforced in the tests rather than assumed.
+renormalized value phi_+ characters, so forests are products of tree
+values.  On trees BPHZ depends on the size alone.  The characters
+a_x(t) = x^|t| / t! form a group, a_x * a_y = a_(x+y) (the tree-factorial
+flow of the Butcher group), so the admissible cuts of a size-n tree t
+whose root part has k vertices carry sum w(root) w(pruned) = C(n,k) w(t).
+Hence S(t) = w(t) s_|t| and phi_+(t) = w(t) (q_|t| - R q_|t|) with
+
+    q_n = E_n + sum_{0<k<n} C(n,k) s_k E_(n-k),   s_n = -R(q_n),
+
+one Laurent series per size, computed once per rules.  A solution of an
+equation sums these over the size weights of its generators (see
+renormalize_solution).  The tests keep the Bogoliubov preparation over
+the reduced coproduct, per tree and as a forest-level recursion that
+does not assume the character property, the generator recursion over
+the closed coproduct, and the group identity as oracles.  The Birkhoff
+reconstruction invariant (counterterm o antipode) * renormalized = plain
+rules pins the coproduct convention down; it is enforced in the tests
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .trees import SparseSum, Tree, _accumulate, _as_coeff, _scaled
-from .hopf import Character, reduced_coproduct, _as_forest_sum
-from .dse import _graded_fixed_point, _graded_power_part
+from .hopf import Character, _as_forest_sum
+from .dse import _graded_fixed_point
 
 
 class WindowError(ValueError):
@@ -305,11 +310,13 @@ class ToyRules:
         one = LaurentSeries.const(1, (0, self._exp_order))
         init("_phi", Character(lambda t: _rules_on_tree(self, t), one,
                                target="laurent", name="phi"))
-        init("_phi_minus", Character(lambda t: -_preparation(self, t).pole_part(),
-                                     one, target="laurent", name="phi_minus"))
-        init("_phi_plus", Character(lambda t: _preparation(self, t).regular_part(),
-                                    one, target="laurent", name="phi_plus"))
-        init("_preparations", {})
+
+        def by_size(i):
+            return lambda t: _size_bphz(self, t.size)[i] * _weight(self, t)
+
+        init("_phi_minus", Character(by_size(0), one, target="laurent", name="phi_minus"))
+        init("_phi_plus", Character(by_size(1), one, target="laurent", name="phi_plus"))
+        init("_sizes", [(one, one)])
         init("_exps", {})
 
     def residue(self, d: str) -> Fraction:
@@ -371,35 +378,26 @@ def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
 
 # -- BPHZ ----------------------------------------------------------------------
 
-def _by_size(rules: ToyRules, groups: dict[int, list]) -> LaurentSeries:
-    """sum over sizes s of (sum of c * v over the (v, c) in groups[s]) * E_s,
-    one Laurent product per size.  Windows start from (0, E), that of
-    phi(1); window ends distribute over the grouping, so the window is
-    that of the term-by-term sum."""
-    start = rules._phi.one.window
-    return _fold(((_fold(terms, start) * _exp_series(rules, s), _ONE)
-                  for s, terms in groups.items()), start)
+def _size_bphz(rules: ToyRules, n: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """(s_n, q_n - R q_n): the counterterm and the renormalized value of
+    every size-n tree divided by its weight, computed once per rules and
+    size.
 
-
-def _preparation(rules: ToyRules, t: Tree) -> LaurentSeries:
-    """Bogoliubov preparation of one tree, computed once per rules:
-    phi(t) + sum' S(t'_root) phi(t'_pruned) over the reduced coproduct,
-    where phi(t) = w(t) E_|t| and phi(r) = w(r) E_|r|.
+    q_n = sum_{k<n} C(n,k) s_k E_(n-k) with s_0 = 1 and s_n = -R(q_n);
+    windows start from (0, E), that of phi(1).
     """
-    got = rules._preparations.get(t)
-    if got is None:
-        groups: dict[int, list] = {t.size: [(rules._phi.one, _weight(rules, t))]}
-        for (l, r), c in reduced_coproduct(t).terms.items():
-            for s in r.trees:
-                c *= _weight(rules, s)
-            groups.setdefault(r.grade, []).append((rules._phi_minus.on_forest(l), c))
-        got = rules._preparations[t] = _by_size(rules, groups)
-    return got
+    got = rules._sizes
+    while len(got) <= n:
+        m = len(got)
+        q = _fold(((s * _exp_series(rules, m - k), math.comb(m, k))
+                   for k, (s, _) in enumerate(got)), rules._phi.one.window)
+        got.append((-q.pole_part(), q.regular_part()))
+    return got[n]
 
 
 def counterterm(rules: ToyRules, x) -> LaurentSeries:
-    """Minimal-subtraction counterterm S(t) = -R(prepared(t)) on trees,
-    extended to forests as a character and to sums linearly.
+    """Minimal-subtraction counterterm S(t) = -R(prepared(t)) = w(t) s_|t|
+    on trees, extended to forests as a character and to sums linearly.
 
     The forest-level recursion S(f) = -R(phi(f) + sum' S(f'_root) phi(f'_pruned))
     defines the same map; the tests keep it as the oracle.
@@ -420,7 +418,7 @@ def bogoliubov(rules: ToyRules, x) -> LaurentSeries:
 
 def renormalized_value(rules: ToyRules, x) -> LaurentSeries:
     """Renormalized value: the regular part of the preparation on trees,
-    extended as a character.
+    w(t) (q_|t| - R q_|t|), extended as a character.
 
     Equals the convolution (counterterm * rules)(x); pole free by the
     Birkhoff factorization, which is asserted here as a consistency
@@ -472,13 +470,12 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
                          widen: bool = True) -> RenormReport:
     """Renormalize X_1..X_m of a solution; entry i-1 holds grade i.
 
-    BPHZ runs on the generators X_n of the solution of ``sol.spec``; no
-    tree is read.  With delta(X_n) = sum_k X_k (x) [X^(k+1)]_(n-k), the
-    preparation of X_n is phi(X_n) + sum_{0<k<n} S(X_k) phi([X^(k+1)]_(n-k))
-    and phi([X^p]_d) = sum_s [a^p]_d[s] E_s, with a_n[s] the weight of the
-    size-s trees of X_n.  The equation gives the a_n: B+_d maps weight v
-    at size s to r_d v/(s+1) at size s+1.  Values stay exact on their
-    natural window and are cut to the rules window at the end.
+    BPHZ of the toy rules depends on the tree size alone (see the module
+    docstring), so it is linear in the size weights a_n[s], the sum of
+    c w(t) over the size-s trees c t of X_n: S(X_n) = sum_s a_n[s] s_s and
+    phi_+(X_n) = sum_s a_n[s] (q_s - R q_s).  The equation gives the a_n
+    without reading a tree: B+_d maps weight v at size s to r_d v/(s+1)
+    at size s+1.  Values are cut to the rules window at the end.
 
     The finite parts follow the renormalization group.  At eps^0 a tree
     renormalizes to w(t) (-L)^|t|, so sigma = d/dL phi_+ at L = 0 is -r_d
@@ -489,7 +486,8 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
     sigma([X^(k+1)]_(n-k)) = (k+1) gamma_(n-k).  Hence phi_+(X_n) at eps^0
     is sum_p P_p(n) L^p with P_0(n) = delta_(n0) and
     P_p(n) = (1/p) sum_(k<n) (k+1) P_(p-1)(k) gamma_(n-k); the tests hold
-    every grade to it.
+    every grade to it.  As phi_+(t) at eps^0 is w(t) (-L)^|t|, the same
+    finite part is sum_s a_n[s] (-L)^s, so P_p(n) = (-1)^p a_n[p].
 
     A window too narrow for grade m is widened automatically (and the
     report says so); with ``widen=False`` it raises instead, naming the
@@ -507,23 +505,14 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
         rules = ToyRules(residues=rules.residues, scale=rules.scale,
                          window=(-m, hi))
         widened = True
-    # a ScalePoly keyed by size s stands for sum_s a[s] E_s: E_a E_b = E_(a+b)
     weights = _graded_fixed_point(sol.spec, ScalePoly.unit(), m, lambda coc, inner: ScalePoly(
         {s + 1: coc.omega * rules.residue(coc.decoration) * v / (s + 1)
          for s, v in inner.terms.items()}))
-    preps, cts = [], []
-    for n in range(1, m + 1):
-        groups = {s: [(rules._phi.one, c)] for s, c in weights[n].terms.items()}
-        for k in range(1, n):
-            for s, c in _graded_power_part(weights, k + 1, n - k).terms.items():
-                groups.setdefault(s, []).append((cts[k - 1], c))
-        preps.append(_by_size(rules, groups))
-        cts.append(-preps[-1].pole_part())
 
-    def cut(v):
-        return _fold(((v, _ONE),), rules.window)
+    def on_sizes(i):
+        return tuple(_fold(((_size_bphz(rules, s)[i], c) for s, c in a.terms.items()),
+                           rules.window) for a in weights[1:])
 
     return RenormReport(order=m, scale_symbolic=rules.scale is None,
                         window=rules.window, widened=widened,
-                        renormalized=tuple(cut(p.regular_part()) for p in preps),
-                        counterterms=tuple(map(cut, cts)))
+                        renormalized=on_sizes(1), counterterms=on_sizes(0))

@@ -273,12 +273,23 @@ def test_input_error_reporting(capsys, tmp_path, spec_file):
         main(["frobnicate"])
 
 
-def test_cocycle_without_decoration_exits_2(capsys, tmp_path):
+def test_cocycle_without_decoration_exits_2(capsys, tmp_path, rules_file):
     spec = tmp_path / "nodeco.json"
     spec.write_text(json.dumps({"cocycles": [{"omega": "1"}], "order": 2}))
     assert main(["solve", "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "decoration" in err
+    # a decoration that is not a nonempty string is an input error too,
+    # on every subcommand that reads a spec
+    for deco in (["g"], {"a": 1}, 3, ""):
+        spec.write_text(json.dumps({"cocycles": [{"decoration": deco, "omega": "1"}],
+                                    "order": 2}))
+        for argv in (["solve"], ["renorm", "--rules", rules_file],
+                     ["graphon", "--level", "2"], ["trace"]):
+            assert main(argv + ["--spec", str(spec)]) == 2, (deco, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "decoration" in err, (deco, argv)
+            assert "Traceback" not in err
 
 
 def test_graph_with_non_array_edges_exits_2(capsys, tmp_path):

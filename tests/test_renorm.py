@@ -17,12 +17,13 @@ import pytest
 
 from dsegraphon.trees import (Forest, ForestSum, all_forests, all_forests_up_to,
                               all_trees, ladder, leaf, Tree)
-from dsegraphon.hopf import (antipode, convolve, coproduct, rational_character,
-                             reduced_coproduct)
+from dsegraphon.hopf import (Character, antipode, convolve, coproduct,
+                             rational_character, reduced_coproduct)
 from dsegraphon.dse import Cocycle, DSESolution, DSESpec, solve
+from dsegraphon.graphpoly import MultiPoly
 from dsegraphon.renorm import (BirkhoffPair, LaurentSeries, RenormReport,
-                               ScalePoly, ToyRules, WindowError, _preparation,
-                               _weight, birkhoff, bogoliubov, counterterm,
+                               ScalePoly, ToyRules, WindowError, _exp_series,
+                               _size_bphz, _weight, birkhoff, bogoliubov, counterterm,
                                counterterm_character, pole_part,
                                renormalize_solution, renormalized_value,
                                rules_character, toy_feynman_rules)
@@ -253,10 +254,11 @@ def test_birkhoff_reconstruction():
 
 # -- forest-level oracle -------------------------------------------------------
 #
-# Production evaluates the rules by their closed form and runs BPHZ on trees
-# only, relying on the character property.  This reference does neither: the
-# rules follow the recursive grafting rule, and the counterterm recursion runs
-# on whole forests, S(f) = -R(phi(f) + sum' S(f'_root) phi(f'_pruned)).
+# Production evaluates the rules by their closed form and runs BPHZ once per
+# tree size, relying on the character property and the tree-factorial group.
+# This reference does neither: the rules follow the recursive grafting rule,
+# and the counterterm recursion runs on whole forests over the reduced
+# coproduct, S(f) = -R(phi(f) + sum' S(f'_root) phi(f'_pruned)).
 
 class _ForestOracle:
     def __init__(self, rules):
@@ -346,19 +348,43 @@ def test_closed_form_equals_recursive_rule():
 
 
 def test_grouped_preparation_equals_term_by_term_sum():
-    # production folds the reduced-coproduct terms per pruned grade n and
-    # multiplies each grade's sum by exp(-eps L n)/eps^n once; here every
-    # term S(l) phi(r) is its own Laurent product
+    # production prepares every size-n tree t as w(t) q_n, with one Laurent
+    # series q_n per size; here every term S(l) phi(r) of the reduced
+    # coproduct of t is its own Laurent product
     for rules, labels, top in ((ToyRules(), ("g",), 7),
                                (ToyRules(scale=F(1, 2)), ("g",), 7),
                                (ToyRules(**_TWO_LABEL_RULES), ("g", "h"), 5)):
         phi, s = rules_character(rules), counterterm_character(rules)
         for n in range(1, top + 1):
+            s_n, r_n = _size_bphz(rules, n)
             for t in all_trees(n, labels):
                 want = phi.on_tree(t)
                 for (l, r), c in reduced_coproduct(t).terms.items():
                     want = want + s.on_forest(l) * phi.on_forest(r) * c
-                assert _same(_preparation(rules, t), want), t
+                assert _same((r_n - s_n) * _weight(rules, t), want), t
+
+
+def _tree_factorial(t: Tree) -> int:
+    return t.size * math.prod(map(_tree_factorial, t.children))
+
+
+def test_tree_factorial_characters_form_a_group():
+    # a_x(t) = x^|t| / t! satisfies a_x * a_y = a_(x+y) as polynomials in
+    # x and y: the cuts of a size-n tree whose root part has k vertices
+    # carry C(n, k) / t! in all, which BPHZ by tree size rests on
+    def a(x):
+        return Character(lambda t: MultiPoly.var(x, t.size, F(1, _tree_factorial(t))),
+                         MultiPoly.const(1), target="poly")
+
+    ax, ay = a("x"), a("y")
+    x_plus_y = MultiPoly.var("x") + MultiPoly.var("y")
+    trees = [t for n in range(1, 8) for t in all_trees(n, ("g", "h"))]
+    assert len(trees) == 5318
+    for x in trees + all_forests_up_to(5, ("g", "h")):
+        f = x if isinstance(x, Forest) else Forest((x,))
+        want = math.prod((x_plus_y ** t.size * F(1, _tree_factorial(t)) for t in f.trees),
+                         start=MultiPoly.const(1))
+        assert convolve(ax, ay, x) == want, x
 
 
 def test_renormalization_group_convolution():
@@ -488,6 +514,9 @@ GENERATOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
 def test_generator_bphz_equals_per_tree_bphz(case):
+    # both sides sum the same per-size series, so this checks the size
+    # weights the equation gives against the trees, and the window policy;
+    # the closed-coproduct recursion below is the independent oracle
     spec, rules = GENERATOR_CASES[case]
     sol = solve(spec)
     rep = renormalize_solution(rules, sol, spec.order)
@@ -506,11 +535,53 @@ def test_generator_bphz_equals_per_tree_bphz(case):
 
 
 def _power_part(xs, p, d):
-    """Grade-d part of (xs[0] + xs[1] + ...)^p for graded rationals."""
-    out = [F(1)] + [F(0)] * d
-    for _ in range(p):
-        out = [sum(out[i] * xs[g - i] for i in range(g + 1)) for g in range(d + 1)]
+    """Grade-d part of (xs[0] + xs[1] + ...)^p for graded pieces of one
+    ring with xs[0] = 1 and p >= 1."""
+    out = list(xs[:d + 1])
+    for _ in range(p - 1):
+        out = [sum((out[i] * xs[g - i] for i in range(g + 1)), xs[0] * 0)
+               for g in range(d + 1)]
     return out[d]
+
+
+def _size_weights(rules, sol, m):
+    """[1, a_1, .., a_m]: a_n[s] is the sum of c w(t) over the size-s trees
+    c t of X_n, as a ScalePoly keyed by size."""
+    weights = [ScalePoly.unit()]
+    for xn in sol.coefficients[1:m + 1]:
+        a = ScalePoly()
+        for f, c in xn.terms.items():
+            (t,) = f.trees
+            a = a + ScalePoly.L(t.size, c * _weight(rules, t))
+        weights.append(a)
+    return weights
+
+
+def _generator_recursion(rules, sol, m):
+    """(renormalized, counterterms) of X_1..X_m through the closed
+    coproduct delta(X_n) = sum_k X_k (x) [X^(k+1)]_(n-k): the preparation of
+    X_n is phi(X_n) + sum_(0<k<n) S(X_k) phi([X^(k+1)]_(n-k)).  A ScalePoly
+    keyed by size s stands for sum_s a[s] E_s, as E_a E_b = E_(a+b); the
+    size weights a_n are read off the trees of the solution.  Values stay
+    exact on their natural windows, which start from (0, E), and are cut
+    to the rules window at the end."""
+    weights = _size_weights(rules, sol, m)
+
+    def phi(a):
+        total = LaurentSeries.zero((0, rules._exp_order))
+        for s, c in a.terms.items():
+            total = total + _exp_series(rules, s) * c
+        return total
+
+    preps, cts = [], []
+    for n in range(1, m + 1):
+        prep = phi(weights[n])
+        for k in range(1, n):
+            prep = prep + cts[k - 1] * phi(_power_part(weights, k + 1, n - k))
+        preps.append(prep)
+        cts.append(-prep.pole_part())
+    cut = LaurentSeries.zero(rules.window)
+    return [cut + p.regular_part() for p in preps], [cut + s for s in cts]
 
 
 def test_scale_composition_on_generators():
@@ -542,6 +613,24 @@ def test_renormalize_solution_grade_12_reads_no_tree_and_is_fast():
     blank = DSESolution(spec, (ForestSum.unit(),) + (ForestSum.zero(),) * 12)
     assert renormalize_solution(ToyRules(), blank, 12) == rep
     assert elapsed < 1.0
+
+
+def test_per_tree_bphz_of_grade_10_is_fast():
+    """Per-tree counterterm and renormalized value of X_10 of the g, h spec
+    (3393 trees) in under 3 s.  The time bound catches a return to one
+    Bogoliubov preparation per tree over the reduced coproduct, which took
+    10.3 s in one in-process run on 2 vCPUs."""
+    spec = DSESpec((_G, _H), 10)
+    sol = solve(spec)
+    rules = ToyRules(window=(-10, 2))
+    start = time.perf_counter()
+    ct = counterterm(rules, sol.coefficients[10])
+    ren = renormalized_value(rules, sol.coefficients[10])
+    elapsed = time.perf_counter() - start
+    assert len(sol.coefficients[10].terms) == 3393
+    rep = renormalize_solution(rules, sol, 10)
+    assert _same(ct, rep.counterterms[9]) and _same(ren, rep.renormalized[9])
+    assert elapsed < 3.0
 
 
 def test_toy_rules_are_immutable():
@@ -606,9 +695,25 @@ RG_CASES = {
 @pytest.mark.parametrize("case", sorted(RG_CASES))
 def test_generator_finite_parts_follow_the_renormalization_group(case):
     spec, rules = RG_CASES[case]
-    rep = renormalize_solution(rules, solve(spec), spec.order)
+    sol = solve(spec)
+    rep = renormalize_solution(rules, sol, spec.order)
+    weights = _size_weights(rules, sol, spec.order)
     for n, want in enumerate(_rg_finite_parts(spec, rules, spec.order), 1):
+        # phi_+(t) at eps^0 is w(t) (-L)^|t|, so P_p(n) = (-1)^p a_n[p]
+        assert want == ScalePoly({p: (-1) ** p * a for p, a in weights[n].terms.items()}), n
         got = rep.renormalized[n - 1].coeff(0)
         if rules.scale is not None:
             want = ScalePoly.const(want.eval(rules.scale))
         assert got == want, (n, got, want)
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES) + sorted(RG_CASES))
+def test_generator_bphz_equals_the_closed_coproduct_recursion(case):
+    spec, rules = GENERATOR_CASES.get(case) or RG_CASES[case]
+    sol = solve(spec)
+    rep = renormalize_solution(rules, sol, spec.order)
+    tree_rules = ToyRules(residues=rules.residues, scale=rules.scale, window=rep.window)
+    renormalized, cts = _generator_recursion(tree_rules, sol, spec.order)
+    for n in range(1, spec.order + 1):
+        assert _same(rep.renormalized[n - 1], renormalized[n - 1]), n
+        assert _same(rep.counterterms[n - 1], cts[n - 1]), n
