@@ -5,6 +5,22 @@ rational block measures and rational values in [0,1].  Everything that
 can be exact is exact: cut norms in exact mode, homomorphism densities,
 Gateaux derivatives and refinements all run over the rationals.
 
+What is an integer and what stays a Fraction:
+
+- the values are integer numerators ``nums`` over one least common
+  denominator ``den``; equality and hashing use (measures, den, nums),
+  and ``values`` is only a derived Fraction view for callers;
+- the block measures stay Fractions; a computation that weighs by them
+  takes their least common denominator M and the integers M * mu_i;
+- so a mass matrix, a difference matrix or a map sum is an integer
+  matrix or sum over one known scale (such as M^2 den), and a result is
+  one Fraction formed at the end, never a Fraction per entry.
+
+The heuristic searches run on floats.  Each float is formed once per
+distinct integer n, as the Python division n / scale, which is correctly
+rounded and so equals float(Fraction(n, scale)).  Never form it as
+float(n) / scale: beyond 2^53 that rounds twice.
+
 Cut norm follows the block form of the rectangle supremum,
 
     cut_norm(W) = max_{S,T}  | sum_{i in S, j in T} mu_i mu_j W_ij |
@@ -53,7 +69,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .trees import Forest, ForestSum, _as_coeff
 from .graphpoly import MultiGraph, generate_connected_multigraphs, \
@@ -76,11 +93,23 @@ class RefinementError(ValueError):
 
 
 class StepGraphon:
-    """Symmetric block step function with rational measures and values."""
+    """Symmetric block step function with rational measures and values.
 
-    __slots__ = ("measures", "values", "k")
+    The values are stored as integer numerators ``nums`` over one least
+    common denominator ``den``; ``values`` is a derived Fraction view."""
+
+    __slots__ = ("measures", "den", "nums", "k", "_view")
 
     def __init__(self, measures, values, _direction: bool = False):
+        vals = [[_as_coeff(v) for v in row] for row in values]
+        den = lcm(*(v.denominator for row in vals for v in row))
+        self._assign(measures, den,
+                     [[v.numerator * (den // v.denominator) for v in row] for row in vals],
+                     _direction)
+
+    def _assign(self, measures, den: int, nums, direction: bool) -> None:
+        """Validate and store; ``nums`` over ``den`` are reduced to the
+        least common denominator."""
         mu = tuple(_as_coeff(m) for m in measures)
         if not mu:
             raise ValueError("graphon needs at least one block")
@@ -88,29 +117,42 @@ class StepGraphon:
             raise ValueError("block measures must be positive")
         if sum(mu) != 1:
             raise ValueError(f"block measures sum to {sum(mu)}, expected 1")
-        vals = tuple(tuple(_as_coeff(v) for v in row) for row in values)
         k = len(mu)
-        if len(vals) != k or any(len(row) != k for row in vals):
+        if len(nums) != k or any(len(row) != k for row in nums):
             raise ValueError("value matrix shape must match the number of blocks")
-        for i in range(k):
-            for j in range(k):
-                if vals[i][j] != vals[j][i]:
-                    raise ValueError("value matrix must be symmetric")
-                if not _direction and not (0 <= vals[i][j] <= 1):
-                    raise ValueError("graphon values must lie in [0,1]")
+        g = gcd(den, *itertools.chain.from_iterable(nums))
+        nums = tuple(tuple(n // g for n in row) for row in nums)
+        for i, row in enumerate(nums):
+            if any(row[j] != nums[j][i] for j in range(i)):
+                raise ValueError("value matrix must be symmetric")
+        den //= g
+        if not direction and (min(map(min, nums)) < 0 or max(map(max, nums)) > den):
+            raise ValueError("graphon values must lie in [0,1]")
         object.__setattr__(self, "measures", mu)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepGraphon is immutable")
 
+    @property
+    def values(self) -> tuple:
+        """The values as Fractions, one per distinct numerator: a view
+        built on first use and kept."""
+        if self._view is None:
+            q = {n: Fraction(n, self.den) for n in set().union(*self.nums)}
+            object.__setattr__(self, "_view",
+                               tuple(tuple(map(q.__getitem__, row)) for row in self.nums))
+        return self._view
+
     def __eq__(self, other):
         return (isinstance(other, StepGraphon) and self.measures == other.measures
-                and self.values == other.values)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.measures, self.values))
+        return hash((self.measures, self.den, self.nums))
 
     def __repr__(self):
         return f"StepGraphon(k={self.k}, measures={[str(m) for m in self.measures]})"
@@ -122,36 +164,42 @@ class StepGraphon:
         return StepGraphon(mu, [[c] * k for _ in range(k)])
 
     def is_constant(self) -> bool:
-        v = self.values[0][0]
-        return all(x == v for row in self.values for x in row)
+        v = self.nums[0][0]
+        return all(row.count(v) == self.k for row in self.nums)
 
     def total_mass(self) -> Fraction:
-        mu = self.measures
-        return sum((mu[i] * sum((mu[j] * v for j, v in enumerate(row) if v),
-                                Fraction(0))
-                    for i, row in enumerate(self.values)), Fraction(0))
+        scale, m = _measure_weights(self)
+        return Fraction(sum(mi * sum(map(mul, m, row)) for mi, row in zip(m, self.nums)),
+                        scale * scale * self.den)
 
     def permute(self, perm) -> "StepGraphon":
         """Relabel blocks: block i of the result is block perm[i] of self."""
         if sorted(perm) != list(range(self.k)):
             raise ValueError("not a permutation of the blocks")
-        mu = [self.measures[perm[i]] for i in range(self.k)]
-        vals = [[self.values[perm[i]][perm[j]] for j in range(self.k)]
-                for i in range(self.k)]
-        return StepGraphon(mu, vals)
+        return _trusted_graphon(tuple(self.measures[p] for p in perm), self.den,
+                                tuple(tuple(self.nums[p][q] for q in perm) for p in perm))
 
     def boundaries(self) -> list[Fraction]:
         return [Fraction(0), *itertools.accumulate(self.measures)]
 
 
-def _trusted_graphon(measures: tuple, values: tuple) -> StepGraphon:
-    """Internal constructor for matrices already known to be valid;
-    skips the quadratic symmetry/range validation."""
+def _trusted_graphon(measures: tuple, den: int, nums: tuple) -> StepGraphon:
+    """Internal constructor for numerators already valid and over their
+    least common denominator; nothing is checked."""
     w = StepGraphon.__new__(StepGraphon)
     object.__setattr__(w, "measures", measures)
-    object.__setattr__(w, "values", values)
+    object.__setattr__(w, "den", den)
+    object.__setattr__(w, "nums", nums)
     object.__setattr__(w, "k", len(measures))
+    object.__setattr__(w, "_view", None)
     return w
+
+
+def _measure_weights(w: StepGraphon):
+    """(M, m): the least common denominator M of the block measures and
+    the integers m_i = M * mu_i."""
+    scale = lcm(*(m.denominator for m in w.measures))
+    return scale, [m.numerator * (scale // m.denominator) for m in w.measures]
 
 
 def direction(measures, values) -> StepGraphon:
@@ -213,12 +261,10 @@ def graphon_from_graph(g: SimpleGraph) -> StepGraphon:
     """Equal blocks of measure 1/n with the adjacency matrix as values."""
     if g.n == 0:
         raise ValueError("empty graph has no graphon")
-    zero, one = Fraction(0), Fraction(1)
-    vals = [[zero] * g.n for _ in range(g.n)]
+    rows = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
-        vals[u][v] = vals[v][u] = one
-    return _trusted_graphon((Fraction(1, g.n),) * g.n,
-                            tuple(tuple(row) for row in vals))
+        rows[u][v] = rows[v][u] = 1
+    return _trusted_graphon((Fraction(1, g.n),) * g.n, 1, tuple(map(tuple, rows)))
 
 
 # -- Feynman graphons ------------------------------------------------------------
@@ -246,28 +292,42 @@ def feynman_graphon(y: ForestSum, coupling) -> StepGraphon:
         total += f.grade * int(c)
     if total == 0:
         raise ValueError("cannot build a graphon from the zero sum")
-    vals = [[Fraction(0)] * total for _ in range(total)]
+    blocks = []  # (offset, edges, grade) of every tree copy with an edge
     offset = 0
     for f, c in monomials:
-        value = coupling ** f.grade  # <= 1: the coupling lies in (0, 1]
+        graphs = [tree_to_graph(t) for t in f]
         for _ in range(c):
-            for t in f:
-                g = tree_to_graph(t)
-                for (u, v) in g.edges:
-                    vals[offset + u][offset + v] = vals[offset + v][offset + u] = value
+            for g in graphs:
+                if g.edges:
+                    blocks.append((offset, g.edges, f.grade))
                 offset += g.n
-    return _trusted_graphon((Fraction(1, total),) * total,
-                            tuple(tuple(row) for row in vals))
+    # edge values (coupling)^n <= 1 over the least common denominator of
+    # the grades that have an edge
+    value = {n: coupling ** n for _, _, n in blocks}
+    den = lcm(*(v.denominator for v in value.values()))
+    num = {n: v.numerator * (den // v.denominator) for n, v in value.items()}
+    rows = [[0] * total for _ in range(total)]
+    for offset, edges, n in blocks:
+        x = num[n]
+        for (u, v) in edges:
+            rows[offset + u][offset + v] = rows[offset + v][offset + u] = x
+    return _trusted_graphon((Fraction(1, total),) * total, den, tuple(map(tuple, rows)))
 
 
 # -- cut norm ---------------------------------------------------------------------
+#
+# The matrices below are integer numerators over one scale, passed along
+# with it: an entry n of a matrix with scale s stands for the mass n / s.
 
-def _mass_matrix(w: StepGraphon) -> list[list[Fraction]]:
-    return [[w.measures[i] * w.measures[j] * w.values[i][j] for j in range(w.k)]
-            for i in range(w.k)]
+def _mass_numerators(w: StepGraphon):
+    """The mass matrix mu_i mu_j W_ij of w as integers m_i m_j n_ij, and
+    its scale M^2 den."""
+    scale, m = _measure_weights(w)
+    return ([[mi * mj * n for mj, n in zip(m, row)] for mi, row in zip(m, w.nums)],
+            scale * scale * w.den)
 
 
-def _support_components(mat: list[list[Fraction]]) -> list[list[int]]:
+def _support_components(mat: list[list[int]]) -> list[list[int]]:
     k = len(mat)
     seen = [False] * k
     comps = []
@@ -288,15 +348,15 @@ def _support_components(mat: list[list[Fraction]]) -> list[list[int]]:
     return comps
 
 
-def _component_extrema(mat: list[list[Fraction]], comp: list[int]):
+def _component_extrema(mat: list[list[int]], comp: list[int]):
     """(max, min) of sum_{i in S, j in T} mat[i][j] over S,T subsets of comp."""
     p = len(comp)
     sub = [[mat[a][b] for b in comp] for a in comp]
-    colsum = [Fraction(0)] * p
-    pos = Fraction(0)  # sum_j max(0, colsum_j)
-    neg = Fraction(0)  # sum_j min(0, colsum_j)
-    best_max = Fraction(0)
-    best_min = Fraction(0)
+    colsum = [0] * p
+    pos = 0  # sum_j max(0, colsum_j)
+    neg = 0  # sum_j min(0, colsum_j)
+    best_max = 0
+    best_min = 0
     state = 0
     for step in range(1, 1 << p):
         r = (step & -step).bit_length() - 1  # the Gray-code bit that flips
@@ -328,22 +388,20 @@ def _component_extrema(mat: list[list[Fraction]], comp: list[int]):
 def _sign_definite(rows) -> bool:
     """No entry is negative, or no entry is positive.  With positive
     block measures this is also the sign pattern of the mass matrix."""
-    return (all(v >= 0 for row in rows for v in row)
-            or all(v <= 0 for row in rows for v in row))
+    return min(map(min, rows)) >= 0 or max(map(max, rows)) <= 0
 
 
-def _cut_norm_exact_matrix(mat: list[list[Fraction]]) -> Fraction:
+def _cut_norm_exact_matrix(mat: list[list[int]], scale: int = 1) -> Fraction:
     if _sign_definite(mat):
         # the full square sums every entry with one sign: nothing beats it
-        return abs(sum(map(sum, mat)))
-    comps = _support_components(mat)
-    total_max = Fraction(0)
-    total_min = Fraction(0)
-    for comp in comps:
+        return Fraction(abs(sum(map(sum, mat))), scale)
+    total_max = 0
+    total_min = 0
+    for comp in _support_components(mat):
         cmax, cmin = _component_extrema(mat, comp)
         total_max += cmax
         total_min += cmin
-    return max(total_max, -total_min)
+    return Fraction(max(total_max, -total_min), scale)
 
 
 def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
@@ -375,38 +433,38 @@ def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
     return best_val, best_pair[0], best_pair[1]
 
 
-def _value_codes(rows, table: dict) -> np.ndarray:
-    """Matrix of the positions of the entries of ``rows`` in ``table``
-    (distinct value -> position, extended in place).  Each entry object is
-    hashed once however often it is shared, as refinements share them."""
+def _value_codes(rows):
+    """The distinct integers of ``rows`` and the matrix of their positions
+    in that list."""
     import numpy as np
-    objs: dict = {}
-    for row in rows:
-        objs.update(zip(map(id, row), row))
-    pos = {i: table.setdefault(v, len(table)) for i, v in objs.items()}
-    return np.array([list(map(pos.__getitem__, map(id, row))) for row in rows],
-                    dtype=np.intp)
+    pos = {n: i for i, n in enumerate(set().union(*rows))}
+    k = len(rows)
+    codes = np.fromiter(map(pos.__getitem__, itertools.chain.from_iterable(rows)),
+                        dtype=np.intp, count=k * k)
+    return list(pos), codes.reshape(k, k)
 
 
-def _rectangle_sum(table: dict, plus, minus=None) -> Fraction:
-    """Exact sum of the coded entries of ``plus`` minus those of ``minus``:
-    one product per distinct value, by its count."""
+def _floats(table: list, scale: int):
+    """The floats of table[i] / scale, each formed as a Python int
+    division: correctly rounded, so equal to float(Fraction(n, scale))."""
     import numpy as np
-    counts = np.bincount(plus.ravel(), minlength=len(table))
-    if minus is not None:
-        counts -= np.bincount(minus.ravel(), minlength=len(table))
-    return sum((int(n) * v for n, v in zip(counts, table) if n), Fraction(0))
+    return np.array([n / scale for n in table])
 
 
-def _cut_norm_heuristic_matrix(mat, restarts: int, seed: int) -> Fraction:
+def _rectangle_sum(table: list, codes) -> int:
+    """Exact sum of the coded entries: one product per distinct value."""
+    import numpy as np
+    counts = np.bincount(codes.ravel(), minlength=len(table)).tolist()
+    return sum(c * n for c, n in zip(counts, table) if c)
+
+
+def _cut_norm_heuristic_matrix(mat, scale: int, restarts: int, seed: int) -> Fraction:
     """Randomized search on floats, exact evaluation of the chosen pair."""
     import numpy as np
-    table: dict = {}
-    codes = _value_codes(mat, table)
+    table, codes = _value_codes(mat)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    _, s, t = _heuristic_pair(np.array([float(v) for v in table])[codes], rng,
-                              restarts)
-    return abs(_rectangle_sum(table, codes[np.ix_(s, t)]))
+    _, s, t = _heuristic_pair(_floats(table, scale)[codes], rng, restarts)
+    return Fraction(abs(_rectangle_sum(table, codes[np.ix_(s, t)])), scale)
 
 
 def cut_norm(w: StepGraphon, mode: str = "exact", *, seed: int = 0,
@@ -422,15 +480,15 @@ def cut_norm(w: StepGraphon, mode: str = "exact", *, seed: int = 0,
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if _sign_definite(w.values):
+    if _sign_definite(w.nums):
         return abs(w.total_mass())
     if mode == "exact":
         if w.k > EXACT_CUTNORM_BLOCK_LIMIT:
             raise SizeError(
                 f"exact cut norm limited to {EXACT_CUTNORM_BLOCK_LIMIT} blocks "
                 f"(got {w.k}); use heuristic mode")
-        return _cut_norm_exact_matrix(_mass_matrix(w))
-    return _cut_norm_heuristic_matrix(_mass_matrix(w), restarts, seed)
+        return _cut_norm_exact_matrix(*_mass_numerators(w))
+    return _cut_norm_heuristic_matrix(*_mass_numerators(w), restarts, seed)
 
 
 # -- refinement and cut distance ---------------------------------------------------
@@ -441,7 +499,8 @@ def _equal_refinement_count(w: StepGraphon, u: StepGraphon) -> int:
     return lcm(*dens)
 
 
-def _refine_equal(w: StepGraphon, cells: int) -> StepGraphon:
+def _cell_blocks(w: StepGraphon, cells: int) -> list[int]:
+    """The block of each of ``cells`` equal cells."""
     reps = []
     for i, m in enumerate(w.measures):
         cnt = m * cells
@@ -449,10 +508,21 @@ def _refine_equal(w: StepGraphon, cells: int) -> StepGraphon:
             raise RefinementError(
                 f"block of measure {m} does not split into cells of 1/{cells}")
         reps.extend([i] * int(cnt))
-    # cells of one block share its (immutable) refined row
-    rows = [tuple(row[b] for b in reps) for row in w.values]
-    vals = tuple(rows[a] for a in reps)
-    return _trusted_graphon((Fraction(1, cells),) * cells, vals)
+    return reps
+
+
+def _lift(g: StepGraphon, idx: list[int], measures: tuple) -> StepGraphon:
+    """g on a finer partition whose cell c lies in block idx[c]; idx is
+    non-decreasing and meets every block, so the denominator stays.
+    Cells of one block share that block's (immutable) row."""
+    if len(idx) == g.k:
+        return g
+    rows = [tuple(map(row.__getitem__, idx)) for row in g.nums]
+    return _trusted_graphon(measures, g.den, tuple(rows[a] for a in idx))
+
+
+def _refine_equal(w: StepGraphon, cells: int) -> StepGraphon:
+    return _lift(w, _cell_blocks(w, cells), (Fraction(1, cells),) * cells)
 
 
 def common_refinement(w: StepGraphon, u: StepGraphon,
@@ -475,33 +545,41 @@ def _overlay(w: StepGraphon, u: StepGraphon):
 
     def lift(g: StepGraphon) -> StepGraphon:
         bounds = g.boundaries()
-        idx = [bisect_right(bounds, lo) - 1 for lo in cuts[:-1]]
-        rows = tuple(tuple(g.values[a][b] for b in idx) for a in idx)
-        return _trusted_graphon(mu, rows)
+        return _lift(g, [bisect_right(bounds, lo) - 1 for lo in cuts[:-1]], mu)
 
     return lift(w), lift(u)
 
 
 def _difference_matrix(w: StepGraphon, u: StepGraphon, perm=None):
-    k = w.k
-    mu = w.measures
+    """The mass matrix of W relabeled by ``perm`` minus that of U, on
+    their common partition, as integers with their scale."""
+    scale, m = _measure_weights(w)
+    den = lcm(w.den, u.den)
+    a, b = den // w.den, den // u.den
     if perm is None:
-        perm = range(k)
-    zero = Fraction(0)
+        perm = range(w.k)
     out = []
-    for i in range(k):
-        wrow, urow = w.values[perm[i]], u.values[i]
-        out.append([mu[i] * mu[j] * (wrow[perm[j]] - urow[j])
-                    if wrow[perm[j]] or urow[j] else zero for j in range(k)])
-    return out
+    for mi, p, urow in zip(m, perm, u.nums):
+        wrow = w.nums[p]
+        out.append([mi * mj * (a * wrow[q] - b * y) for mj, q, y in zip(m, perm, urow)])
+    return out, scale * scale * den
 
 
-def _distance_eval(mat, seed: int):
+def _distance_eval(mat, scale: int, seed: int):
     """Exact norm if the support decomposes small enough, else heuristic."""
     comps = _support_components(mat)
     if all(len(c) <= _EXACT_COMPONENT_CAP for c in comps):
-        return _cut_norm_exact_matrix(mat), True
-    return _cut_norm_heuristic_matrix(mat, HEURISTIC_RESTARTS, seed), False
+        return _cut_norm_exact_matrix(mat, scale), True
+    return _cut_norm_heuristic_matrix(mat, scale, HEURISTIC_RESTARTS, seed), False
+
+
+def _cell_codes(w: StepGraphon, cells: int):
+    """The distinct numerators of w and the matrix of their positions on
+    the equal-cell refinement, coded once per block pair."""
+    import numpy as np
+    table, codes = _value_codes(w.nums)
+    idx = np.asarray(_cell_blocks(w, cells))
+    return table, codes[np.ix_(idx, idx)]
 
 
 def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
@@ -535,29 +613,34 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     wr, ur = common_refinement(w, u)
     k = wr.k
     rng = np.random.Generator(np.random.Philox(key=seed))
-    cell_sq = wr.measures[0] * wr.measures[0]  # refinement cells are equal
-    table: dict = {}
-    wc, uc = _value_codes(wr.values, table), _value_codes(ur.values, table)
-    floats = np.array([float(v) for v in table])
-    wf, uf = floats[wc], floats[uc]
+    # a difference numerator over this scale is a cell's mass: cells are equal
+    den = lcm(w.den, u.den)
+    sw, su, scale = den // w.den, den // u.den, k * k * den
+    wt, wc = _cell_codes(w, k)
+    ut, uc = _cell_codes(u, k)
+    wf, uf = _floats(wt, w.den)[wc], _floats(ut, u.den)[uc]
+    cell_sq = 1 / (k * k)
+
+    def search_matrix(perm):
+        idx = np.asarray(perm)
+        return idx, (wf[np.ix_(idx, idx)] - uf) * cell_sq
 
     def certified(perm) -> Fraction:
         # float search for a good rectangle, exact evaluation of that
         # rectangle: a true lower bound on the norm, reported as the
         # distance value for this alignment
-        idx = np.asarray(perm)
-        mfd = (wf[np.ix_(idx, idx)] - uf) * float(cell_sq)
+        idx, mfd = search_matrix(perm)
         _, s, t = _heuristic_pair(mfd, rng, 6)
         rows, cols = np.flatnonzero(s), np.flatnonzero(t)
-        total = _rectangle_sum(table, wc[np.ix_(idx[rows], idx[cols])],
-                               uc[np.ix_(rows, cols)])
-        return abs(total) * cell_sq
+        total = sw * _rectangle_sum(wt, wc[np.ix_(idx[rows], idx[cols])]) \
+            - su * _rectangle_sum(ut, uc[np.ix_(rows, cols)])
+        return Fraction(abs(total), scale)
 
     small = k <= 64
     if small:
-        id_mat = _difference_matrix(wr, ur)
-        id_val, id_exact = _distance_eval(id_mat, seed)
-        mass_gap = abs(sum((v for row in id_mat for v in row), Fraction(0)))
+        id_mat, _ = _difference_matrix(wr, ur)
+        id_val, id_exact = _distance_eval(id_mat, scale, seed)
+        mass_gap = Fraction(abs(sum(map(sum, id_mat))), scale)
         # |mass(W)-mass(U)| lower-bounds the norm of every alignment, so
         # an exact identity value attaining it is the exact distance
         if id_exact and id_val == mass_gap:
@@ -578,12 +661,12 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
         best = id_val
         seen = {tuple(map(tuple, id_mat))}
         for perm in itertools.permutations(range(k)):
-            mat = _difference_matrix(wr, ur, perm)
+            mat, _ = _difference_matrix(wr, ur, perm)
             key = tuple(map(tuple, mat))
             if key in seen:
                 continue
             seen.add(key)
-            val = _cut_norm_exact_matrix(mat)
+            val = _cut_norm_exact_matrix(mat, scale)
             if val < best:
                 best = val
                 if best == mass_gap:
@@ -593,9 +676,7 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     # heuristic: search permutations on a float score, then evaluate the
     # winner once with exact arithmetic (or a certified lower bound)
     def score(perm) -> float:
-        idx = np.asarray(perm)
-        val, _, _ = _heuristic_pair((wf[np.ix_(idx, idx)] - uf) * float(cell_sq),
-                                    rng, 4)
+        val, _, _ = _heuristic_pair(search_matrix(perm)[1], rng, 4)
         return val
 
     best_perm = list(range(k))
@@ -621,7 +702,7 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
                     best_perm = perm
                     improved = True
     if small:
-        final, _ = _distance_eval(_difference_matrix(wr, ur, best_perm), seed)
+        final, _ = _distance_eval(*_difference_matrix(wr, ur, best_perm), seed)
     else:
         final = certified(best_perm)
     if best_perm != list(range(k)) and id_val < final:
@@ -635,7 +716,7 @@ def _overlay_distance(w: StepGraphon, u: StepGraphon, mode: str,
     no relabeling search: permuting cells of unequal measure is not
     measure-preserving."""
     wo, uo = _overlay(w, u)
-    val, exact = _distance_eval(_difference_matrix(wo, uo), seed)
+    val, exact = _distance_eval(*_difference_matrix(wo, uo), seed)
     if mode == "heuristic":
         return val
     # |mass(W)-mass(U)| lower-bounds every alignment, and a constant side
@@ -658,20 +739,21 @@ def _weighted_map_sum(nv: int, edge_mats, k: int, mu):
     ``edge_mats`` is a list of (a, b, matrix) with a < b.  A vertex with
     earlier neighbours only takes the colours in the support of one of
     their rows (the shortest): every other colour makes the product zero.
+    Exact for int or Fraction entries.
     """
     supports = {}
     edges_at: list[list[tuple[int, object, list]]] = [[] for _ in range(nv)]
     for (a, b, mat) in edge_mats:
         supp = supports.get(id(mat))
         if supp is None:
-            supp = supports[id(mat)] = [[j for j, v in enumerate(row) if v]
+            supp = supports[id(mat)] = [list(itertools.compress(range(k), row))
                                         for row in mat]
         edges_at[max(a, b)].append((min(a, b), mat, supp))
     every = range(k)
-    total = Fraction(0)
+    total = 0
     assign = [0] * nv
 
-    def rec(depth: int, acc: Fraction):
+    def rec(depth: int, acc):
         nonlocal total
         if depth == nv:
             total += acc
@@ -693,14 +775,17 @@ def _weighted_map_sum(nv: int, edge_mats, k: int, mu):
             if ok:
                 rec(depth + 1, term)
 
-    rec(0, Fraction(1))
+    rec(0, 1)
     return total
 
 
 def hom_density(h: SimpleGraph, w: StepGraphon) -> Fraction:
-    """Exact homomorphism density t(H, W)."""
-    mats = [(a, b, w.values) for (a, b) in h.edges]
-    return _weighted_map_sum(h.n, mats, w.k, w.measures)
+    """Exact homomorphism density t(H, W): an integer map sum over the
+    integer measures and numerators, divided once."""
+    scale, m = _measure_weights(w)
+    mats = [(a, b, w.nums) for (a, b) in h.edges]
+    return Fraction(_weighted_map_sum(h.n, mats, w.k, m),
+                    scale ** h.n * w.den ** len(mats))
 
 
 def hom_density_graph(h: SimpleGraph, g: SimpleGraph) -> Fraction:
@@ -738,16 +823,20 @@ def gateaux_density_derivative(h: SimpleGraph, w: StepGraphon,
     Exactly the edge-sum formula: for each edge of H replace W by D on
     that edge and keep W on the others.  When D lives on another
     partition, both are lifted to the overlay of their boundaries first.
+    Every term is an integer map sum over the same scale, divided once.
     """
     if d.measures != w.measures:
         w, d = _overlay(w, d)
-    total = Fraction(0)
     edges = list(h.edges)
+    if not edges:
+        return Fraction(0)
+    scale, m = _measure_weights(w)
+    total = 0
     for idx in range(len(edges)):
-        mats = [(a, b, d.values if i == idx else w.values)
+        mats = [(a, b, d.nums if i == idx else w.nums)
                 for i, (a, b) in enumerate(edges)]
-        total += _weighted_map_sum(h.n, mats, w.k, w.measures)
-    return total
+        total += _weighted_map_sum(h.n, mats, w.k, m)
+    return Fraction(total, scale ** h.n * w.den ** (len(edges) - 1) * d.den)
 
 
 def perturb(w: StepGraphon, d: StepGraphon, eps) -> StepGraphon:
@@ -757,9 +846,13 @@ def perturb(w: StepGraphon, d: StepGraphon, eps) -> StepGraphon:
         cells = _equal_refinement_count(w, d)
         w = _refine_equal(w, cells)
         d = _refine_equal(d, cells)
-    vals = [[w.values[i][j] + eps * d.values[i][j] for j in range(w.k)]
-            for i in range(w.k)]
-    return StepGraphon(w.measures, vals)
+    # over w.den * d.den * eps.denominator
+    a, b = d.den * eps.denominator, eps.numerator * w.den
+    out = StepGraphon.__new__(StepGraphon)
+    out._assign(w.measures, w.den * a,
+                [[a * x + b * y for x, y in zip(wrow, drow)]
+                 for wrow, drow in zip(w.nums, d.nums)], False)
+    return out
 
 
 # -- enumeration of small connected graphs -------------------------------------------
@@ -837,11 +930,13 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
                               endpoint=False).tolist()
     types = np.array([next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
                       for x in vert_draws])
-    # a coin is an edge when it lies below int(v * 2^64); for v = 1 that
-    # is 2^64, beyond uint64, and every coin is an edge
-    below = np.array([[min(int(v * scale), scale - 1) for v in row]
-                      for row in w.values], dtype=np.uint64)
-    always = np.array([[v == 1 for v in row] for row in w.values])
+    # a coin is an edge when it lies below floor(v * 2^64), which is
+    # x * 2^64 // den for v = x / den; for v = 1 that is 2^64, beyond
+    # uint64, and every coin is an edge
+    den = w.den
+    below = np.array([[min(x * scale // den, scale - 1) for x in row]
+                      for row in w.nums], dtype=np.uint64)
+    always = np.array([[x == den for x in row] for row in w.nums])
     edge_draws = rng.integers(0, scale, size=n * (n - 1) // 2, dtype=np.uint64,
                               endpoint=False)
     # the pairs i < j in lexicographic order, as the coins were drawn and

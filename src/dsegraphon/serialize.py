@@ -161,11 +161,19 @@ def toy_rules_from_json(obj) -> ToyRules:
 # -- graphons and graphs ----------------------------------------------------------------
 
 def graphon_to_json(w: StepGraphon) -> dict:
+    """One string per distinct numerator of the values, shared by its
+    entries."""
+    text = {n: rational_to_str(Fraction(n, w.den)) for n in set().union(*w.nums)}
     return {"measures": [rational_to_str(m) for m in w.measures],
-            "values": [[rational_to_str(v) for v in row] for row in w.values]}
+            "values": [list(map(text.__getitem__, row)) for row in w.nums]}
 
 
 def graphon_from_json(obj) -> StepGraphon:
+    if not (isinstance(obj, dict) and isinstance(obj.get("measures"), list)
+            and isinstance(obj.get("values"), list)
+            and all(isinstance(row, list) for row in obj["values"])):
+        raise ValueError("graphon object needs a 'measures' array and a "
+                         "'values' array of arrays")
     return StepGraphon([rational_from_str(m) for m in obj["measures"]],
                        [[rational_from_str(v) for v in row]
                         for row in obj["values"]])
@@ -200,5 +208,10 @@ def _exponent(e) -> int:
 
 
 def multipoly_from_json(obj) -> MultiPoly:
+    if not isinstance(obj, list) or not all(
+            isinstance(item, dict) and "coef" in item
+            and isinstance(item.get("exps", {}), dict) for item in obj):
+        raise ValueError("polynomial must be an array of objects with 'coef' "
+                         "and an 'exps' object")
     return MultiPoly((((v, _exponent(e)) for v, e in item.get("exps", {}).items()),
                       rational_from_str(item["coef"])) for item in obj)

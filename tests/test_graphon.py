@@ -270,6 +270,10 @@ def test_cut_norm_matches_subset_oracle():
     cases.append(direction([F(1, 2), F(1, 2)], [[1, -1], [-1, 1]]))
     cases.append(direction([F(1, 4), F(3, 4)], [[F(-1, 2), F(1, 3)],
                                                 [F(1, 3), F(1, 5)]]))
+    # mixed signs on unequal measures: the Gray-code extrema run on the
+    # integer-scaled mass matrix, the oracle on Fractions
+    cases += [direction(random_measures(rng, k), sparse_values(rng, k, lo=-8))
+              for k in (2, 3, 4, 5, 5, 6) for _ in range(3)]
     for w in cases:
         assert cut_norm(w, "exact") == oracle_cut_norm(w)
 
@@ -429,8 +433,8 @@ def test_overlay_identity_norm_matches_equal_refinement():
         assert wo.total_mass() == w.total_mass()
         assert uo.total_mass() == u.total_mass()
         wr, ur = common_refinement(w, u)
-        assert _cut_norm_exact_matrix(_difference_matrix(wo, uo)) == \
-            _cut_norm_exact_matrix(_difference_matrix(wr, ur))
+        assert _cut_norm_exact_matrix(*_difference_matrix(wo, uo)) == \
+            _cut_norm_exact_matrix(*_difference_matrix(wr, ur))
 
 
 # -- homomorphism densities -----------------------------------------------------------
@@ -509,6 +513,15 @@ def test_sparse_map_sum_matches_dense_reference():
                 mats = [(a, b, choose(i)) for i, (a, b) in enumerate(h.edges)]
                 assert _weighted_map_sum(h.n, mats, k, mu) == \
                     dense_map_sum(h.n, mats, k, mu)
+            # the integer map sums behind the densities and the Gateaux
+            # derivative, against the Fraction map sums checked above
+            wg, dg = StepGraphon(mu, w), direction(mu, signed)
+            assert hom_density(h, wg) == \
+                _weighted_map_sum(h.n, [(a, b, w) for (a, b) in h.edges], k, mu)
+            assert gateaux_density_derivative(h, wg, dg) == sum(
+                (_weighted_map_sum(h.n, [(a, b, signed if i == e else w)
+                                         for i, (a, b) in enumerate(h.edges)], k, mu)
+                 for e in range(h.m)), F(0))
 
 
 def test_density_multiplicative_over_disjoint_unions():
@@ -848,3 +861,55 @@ def test_convergence_trace_range_checks():
         convergence_trace(sol, 0)
     with pytest.raises(ValueError):
         convergence_trace(sol, 4)
+
+
+# -- the float path of the heuristics ------------------------------------------------------
+
+def test_heuristic_floats_are_rounded_once_beyond_two_to_the_53(monkeypatch):
+    """Entries over 3^40 have numerators beyond 2^53 over the common
+    denominator, where float(n) / den would round twice.  The search must
+    see the correctly rounded floats of the Fraction entries, and its
+    results are pinned."""
+    import dsegraphon.graphon as graphon_mod
+    seen = []
+    search = graphon_mod._heuristic_pair
+
+    def spy(mf, rng, restarts):
+        seen.append(mf.copy())
+        return search(mf, rng, restarts)
+
+    monkeypatch.setattr(graphon_mod, "_heuristic_pair", spy)
+    big = 3 ** 40
+    d = direction([F(1, 6), F(1, 3), F(1, 4), F(1, 4)],
+                  [[F((-1) ** (i + j) * (big // 2 + 7 * i * j + i + j + 1), big)
+                    for j in range(4)] for i in range(4)])
+    assert max(abs(n) for row in d.nums for n in row) > 2 ** 53
+    assert cut_norm(d, "heuristic", seed=3, restarts=4) == \
+        F(148931401873447378507, 875351913052098873672)
+    mass = [[float(d.measures[i] * d.measures[j] * d.values[i][j]) for j in range(4)]
+            for i in range(4)]
+    assert seen[0].tolist() == mass
+
+    w = StepGraphon([F(1, 5), F(3, 10), F(1, 2)],
+                    [[F(big - 1, big), F(2, big), F(big // 3 + 5, big)],
+                     [F(2, big), F(big // 2 - 4, big), F(1, big)],
+                     [F(big // 3 + 5, big), F(1, big), F(big // 7, big)]])
+    u = StepGraphon([F(1, 2), F(1, 2)],
+                    [[F(big // 2 + 3, big), F(1, big)],
+                     [F(1, big), F(big - 11, big)]])
+    seen.clear()
+    assert cut_distance(w, u, "heuristic", seed=5, restarts=4) == \
+        F(114050480734962617671, 607883272952846440050)
+    assert len(seen) == 50  # the identity, 4 restarts, 45 swaps
+    # the first search scores the identity alignment on the 10 equal cells
+    wr, ur = common_refinement(w, u)
+    cell_sq = float(F(1, 100))
+    assert seen[0].tolist() == [[(float(x) - float(y)) * cell_sq
+                                 for x, y in zip(wrow, urow)]
+                                for wrow, urow in zip(wr.values, ur.values)]
+    far = StepGraphon([F(1, 67), F(66, 67)],
+                      [[F(big - 2, big), F(big // 4 + 1, big)],
+                       [F(big // 4 + 1, big), F(big // 11, big)]])
+    # 134 equal cells: certified rectangles of the aligned search
+    assert cut_distance(far, u, "heuristic", seed=2, restarts=2) == \
+        F(20333695480272713410165, 72767680327608737850252)

@@ -4,13 +4,15 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsegraphon import serialize as ser
 from dsegraphon.trees import Forest, ForestSum, Tree, ladder, leaf
 from dsegraphon.hopf import coproduct
 from dsegraphon.dse import Cocycle, DSESpec, solve
 from dsegraphon.renorm import LaurentSeries, ToyRules, toy_feynman_rules
-from dsegraphon.graphon import StepGraphon, graphon_from_graph, path_graph
+from dsegraphon.graphon import StepGraphon, direction, graphon_from_graph, \
+    path_graph, perturb
 from dsegraphon.graphpoly import MultiGraph, MultiPoly, tutte
 
 
@@ -136,3 +138,50 @@ def test_multipoly_decoder_rejects_bad_exponents(exp):
         ser.multipoly_from_json([{"coef": "1", "exps": {"x": exp}}])
     assert ser.multipoly_from_json(
         [{"coef": "1", "exps": {"x": 2, "y": 0}}]) == MultiPoly.var("x", 2)
+
+
+@pytest.mark.parametrize("decode, doc", [
+    (ser.graphon_from_json, {}),
+    (ser.graphon_from_json, {"measures": ["1"], "values": [1]}),
+    (ser.graphon_from_json, {"measures": "1", "values": [["1"]]}),
+    (ser.multipoly_from_json, [{"coef": "1", "exps": [1]}]),
+], ids=["graphon-empty", "graphon-flat-values", "graphon-string-measures",
+        "multipoly-list-exps"])
+def test_decoders_reject_malformed_objects(decode, doc):
+    with pytest.raises(ValueError):
+        decode(doc)
+
+
+_unit_values = st.one_of(st.sampled_from([F(0), F(1)]),
+                         st.fractions(min_value=0, max_value=1, max_denominator=60))
+
+
+@st.composite
+def step_graphons(draw):
+    """Step graphons with k <= 5 blocks of rational measures and values in
+    [0, 1], 0 and 1 included."""
+    k = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    vals = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            vals[i][j] = vals[j][i] = draw(_unit_values)
+    return StepGraphon([F(x, sum(weights)) for x in weights], vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_graphons(), st.integers(2, 6))
+def test_graphon_codec_property(w, t):
+    doc = ser.graphon_to_json(w)
+    back = ser.graphon_from_json(doc)
+    assert back == w and hash(back) == hash(w)
+    # the per-numerator writer against the per-entry one
+    assert doc["values"] == [[ser.rational_to_str(v) for v in row] for row in w.values]
+    # numerators over a non-least denominator reduce to the same graphon
+    scaled = {"measures": doc["measures"],
+              "values": [[f"{v.numerator * t}/{v.denominator * t}" for v in row]
+                         for row in w.values]}
+    assert ser.graphon_from_json(scaled) == w
+    zero = direction(w.measures, [[0] * w.k for _ in range(w.k)])
+    moved = perturb(w, zero, F(1, t))
+    assert moved == w and hash(moved) == hash(w) and moved.den == w.den
