@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"dsegraphon {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, spec=False, rules=False, graphs=False):
+    def common(p, spec=False, rules=False, graphs=False, mode=None):
         if spec:
             p.add_argument("--spec", required=True,
                            help="equation spec JSON file")
@@ -400,8 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-edges", type=int, default=4,
                            help="corpus bound when --graphs absent")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("exact", "heuristic"),
-                       default="exact")
+        if mode:
+            p.add_argument("--mode", choices=("exact", "heuristic"), default=mode)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -410,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("renorm", help="renormalize a solved equation"),
            spec=True, rules=True)
     g = sub.add_parser("graphon", help="graphon image and fingerprint of a solution")
-    common(g, spec=True)
+    common(g, spec=True, mode="exact")
     g.add_argument("--level", type=int, default=3,
                    help="fingerprint edge bound (<=5)")
     common(sub.add_parser("tutte", help="Tutte polynomial batch"), graphs=True)
@@ -422,8 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--samples", type=int, default=100_000)
     h.add_argument("--radii", default=DEFAULT_RADII)
     t = sub.add_parser("trace", help="graphon convergence trace of a solution")
-    common(t, spec=True)
-    t.set_defaults(mode="heuristic")
+    common(t, spec=True, mode="heuristic")
     return parser
 
 

@@ -81,10 +81,11 @@ EXACT_DISTANCE_BLOCK_LIMIT = 8
 HEURISTIC_RESTARTS = 32
 _EXACT_COMPONENT_CAP = 16  # exact norm per support component in distance search
 _EQUAL_CELL_CAP = 4096  # beyond this, cut distance aligns on the interval overlay
+_FEYNMAN_CELL_CAP = 4096  # feynman_graphon refuses more cells: its matrix is dense
 
 
 class SizeError(ValueError):
-    """Exact mode requested beyond its size guard."""
+    """A computation requested beyond its size guard."""
 
 
 class RefinementError(ValueError):
@@ -275,7 +276,8 @@ def feynman_graphon(y: ForestSum, coupling) -> StepGraphon:
     Each grade-n monomial with integer coefficient c contributes c
     copies of its forest adjacency pattern as diagonal blocks with edge
     value (coupling)^n in (0, 1]; block measures are proportional
-    to vertex counts (every vertex cell gets measure 1/total).
+    to vertex counts (every vertex cell gets measure 1/total).  More
+    than 4096 cells raise SizeError before the dense matrix is built.
     """
     coupling = _as_coeff(coupling)
     if not (0 < coupling <= 1):
@@ -292,6 +294,9 @@ def feynman_graphon(y: ForestSum, coupling) -> StepGraphon:
         total += f.grade * int(c)
     if total == 0:
         raise ValueError("cannot build a graphon from the zero sum")
+    if total > _FEYNMAN_CELL_CAP:
+        raise SizeError(f"Feynman graphon of {total} cells exceeds the limit of "
+                        f"{_FEYNMAN_CELL_CAP} cells of its dense matrix")
     blocks = []  # (offset, edges, grade) of every tree copy with an edge
     offset = 0
     for f, c in monomials:

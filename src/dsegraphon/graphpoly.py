@@ -263,9 +263,12 @@ class MultiGraph:
         return self.n <= 1 or self.component_count() == 1
 
     def components(self) -> list["MultiGraph"]:
+        """Connected components as plain MultiGraphs; a connected one is itself."""
         dsu = _DSU(self.n)
         for (u, v) in self.edges:
             dsu.union(u, v)
+        if dsu.count == 1 and type(self) is MultiGraph:
+            return [self]
         groups: dict[int, list[int]] = {}
         for w in range(self.n):
             groups.setdefault(dsu.find(w), []).append(w)

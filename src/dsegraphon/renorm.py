@@ -12,32 +12,37 @@ The toy rules assign to a grafting of a subforest w
     phi(B+_d(w)) = r_d * exp(-eps*L) / ((|w|+1) * eps) * phi(w)
 
 extended multiplicatively over forests, with phi(1) = 1.  Unrolled over
-the vertices this is the closed form phi(t) = (prod_v r_v) *
-exp(-eps L |t|) / (t! eps^|t|) with the tree factorial t!, which is what
-is evaluated; the recursive rule is kept in the tests as its oracle.
-On a forest f it is phi(f) = w(f) E_|f|: w(f) is the product of
-(prod r_v)/t! over the trees and E_n = exp(-eps L n)/eps^n.
+the vertices this is phi(f) = w(f) y^|f| with y = exp(-eps L)/eps: w(f)
+is the product over the trees of (prod r_v)/t!, with the tree factorial
+t!.  So phi is a_y in the family of characters a_x(f) = w(f) x^|f|,
+which form a group, a_x * a_y = a_(x+y) (the tree-factorial flow of the
+Butcher group).
 
-Minimal subtraction keeps the strict pole part; the projection is an
-idempotent Rota-Baxter operator, which makes the counterterm S and the
-renormalized value phi_+ characters, so forests are products of tree
-values.  On trees BPHZ depends on the size alone.  The characters
-a_x(t) = x^|t| / t! form a group, a_x * a_y = a_(x+y) (the tree-factorial
-flow of the Butcher group), so the admissible cuts of a size-n tree t
-whose root part has k vertices carry sum w(root) w(pruned) = C(n,k) w(t).
-Hence S(t) = w(t) s_|t| and phi_+(t) = w(t) (q_|t| - R q_|t|) with
+Minimal subtraction keeps the strict pole part.  Its Birkhoff
+factorization phi_+ = S * phi into a counterterm S, a pole part on
+every nonempty forest, and a renormalized value phi_+ free of poles is
+unique.  a_(-1/eps) is such a pole part, and a_(-1/eps) * a_y =
+a_((exp(-eps L) - 1)/eps) is a power series in eps, so
 
-    q_n = E_n + sum_{0<k<n} C(n,k) s_k E_(n-k),   s_n = -R(q_n),
+    S(f) = w(f) (-1/eps)^|f|,   phi_+(f) = w(f) ((exp(-eps L) - 1)/eps)^|f|.
 
-one Laurent series per size, computed once per rules.  A solution of an
-equation sums these over the size weights of its generators (see
-renormalize_solution).  The tests keep the Bogoliubov preparation over
-the reduced coproduct, per tree and as a forest-level recursion that
-does not assume the character property, the generator recursion over
-the closed coproduct, and the group identity as oracles.  The Birkhoff
-reconstruction invariant (counterterm o antipode) * renormalized = plain
-rules pins the coproduct convention down; it is enforced in the tests
-rather than assumed.
+Each of phi, S and phi_+ is w(f) times one series per size n,
+((a exp(-eps L) - c)/eps)^n with (a, c) = (1, 0), (0, 1) and (1, 1);
+its coefficient of eps^(k-n) is (-L)^k/k! sum_j C(n,j) a^j (-c)^(n-j) j^k
+(with 0^0 = 1), which for phi_+ is (-L)^k n! S(k, n)/k! with Stirling
+numbers of the second kind, zero below k = n.  Every value is one fold
+sum_s a[s] series(s) over size weights: a[s] is the sum of c w(f) over
+the forests c f of size s of an element, and the equation gives the
+weights of its generators directly (see renormalize_solution).
+
+The tests keep as oracles the recursive grafting rule, the Bogoliubov
+preparation over the reduced coproduct (per tree and as a forest-level
+recursion that does not assume the character property), the per-size
+recursion q_n = sum_(k<n) C(n,k) s_k y^(n-k), s_n = -R(q_n), the
+generator recursion over the closed coproduct, and the group identity.
+The Birkhoff reconstruction invariant (counterterm o antipode) *
+renormalized = plain rules pins the coproduct convention down; it is
+enforced in the tests rather than assumed.
 """
 
 from __future__ import annotations
@@ -277,6 +282,11 @@ def pole_part(s: LaurentSeries) -> LaurentSeries:
 
 # -- toy rules ----------------------------------------------------------------
 
+# the characters phi, S and phi_+ as the pair (a, c) of their size series
+# ((a exp(-eps L) - c)/eps)^n, see the module docstring
+_RULES, _COUNTERTERM, _RENORMALIZED = (1, 0), (0, 1), (1, 1)
+
+
 @dataclass(frozen=True)
 class ToyRules:
     """Configuration of the toy Feynman rules; immutable, as values are
@@ -307,47 +317,71 @@ class ToyRules:
         # internal expansion order E of exp(-eps L): a grade-n value is
         # exact on (-n, E-n), which still covers the configured window
         init("_exp_order", hi - lo + 1)
+        init("_series", {})
+        init("_weights", {})
         one = LaurentSeries.const(1, (0, self._exp_order))
-        init("_phi", Character(lambda t: _rules_on_tree(self, t), one,
-                               target="laurent", name="phi"))
 
-        def by_size(i):
-            return lambda t: _size_bphz(self, t.size)[i] * _weight(self, t)
+        def character(kind, name):
+            return Character(lambda t: _series(self, kind, t.size) * _weight(self, t),
+                             one, target="laurent", name=name)
 
-        init("_phi_minus", Character(by_size(0), one, target="laurent", name="phi_minus"))
-        init("_phi_plus", Character(by_size(1), one, target="laurent", name="phi_plus"))
-        init("_sizes", [(one, one)])
-        init("_exps", {})
+        init("_phi", character(_RULES, "phi"))
+        init("_phi_minus", character(_COUNTERTERM, "phi_minus"))
 
     def residue(self, d: str) -> Fraction:
         return self.residues.get(d, Fraction(1))
 
 
 def _weight(rules: ToyRules, t: Tree) -> Fraction:
-    """(product of the residues of t) / t!, with t! = |t| * prod of the children's t!."""
-    w = Fraction(rules.residue(t.label), t.size)
-    for c in t.children:
-        w *= _weight(rules, c)
-    return w
-
-
-def _exp_series(rules: ToyRules, n: int) -> LaurentSeries:
-    """E_n = exp(-eps L n) / eps^n, expanded over eps^-n .. eps^(E-n);
-    computed once per rules and grade."""
-    got = rules._exps.get(n)
+    """(product of the residues of t) / t!, with t! = |t| * prod of the
+    children's t!; computed once per rules and tree."""
+    got = rules._weights.get(t)
     if got is None:
-        terms = {}
-        for k in range(rules._exp_order + 1):
-            c = Fraction((-n) ** k, math.factorial(k))
-            terms[k - n] = ScalePoly.L(k, c) if rules.scale is None else c * rules.scale ** k
-        got = rules._exps[n] = LaurentSeries(terms, (-n, rules._exp_order - n))
+        got = Fraction(rules.residue(t.label), t.size)
+        for c in t.children:
+            got *= _weight(rules, c)
+        rules._weights[t] = got
     return got
 
 
-def _rules_on_tree(rules: ToyRules, t: Tree) -> LaurentSeries:
-    """Closed form phi(t) = w(t) E_|t| = (prod r_v) exp(-eps L |t|) / (t! eps^|t|)."""
-    e = _exp_series(rules, t.size)
-    return _fold(((e, _weight(rules, t)),), e.window)
+def _series(rules: ToyRules, kind: tuple[int, int], n: int) -> LaurentSeries:
+    """((a exp(-eps L) - c)/eps)^n for kind (a, c), expanded over
+    eps^-n .. eps^(E-n); computed once per rules, kind and size."""
+    got = rules._series.get((kind, n))
+    if got is None:
+        a, c = kind
+        terms = {}
+        for k in range(rules._exp_order + 1):
+            total = sum(math.comb(n, j) * a ** j * (-c) ** (n - j) * j ** k
+                        for j in range(n + 1))
+            v = Fraction((-1) ** k * total, math.factorial(k))
+            terms[k - n] = ScalePoly.L(k, v) if rules.scale is None else v * rules.scale ** k
+        got = rules._series[kind, n] = LaurentSeries(terms, (-n, rules._exp_order - n))
+    return got
+
+
+def _on_sizes(rules: ToyRules, kind: tuple[int, int], sizes) -> LaurentSeries:
+    """sum_s a[s] series(s) over the size weights ``sizes`` {s: a[s]}, on
+    the rules window.
+
+    A size-s series is exact on (-s, E-s) and E-s > hi once -s >= lo, so
+    for sizes up to -lo the sum is exact on the whole window.
+    """
+    return _fold(((_series(rules, kind, s), a) for s, a in sizes.items()), rules.window)
+
+
+def _size_weights(rules: ToyRules, x) -> dict[int, Fraction]:
+    """{s: sum of c w(f) over the forests c f of size s} of a Tree, Forest
+    or ForestSum, once the rules window is checked to hold its poles."""
+    xs = _as_forest_sum(x)
+    needed = xs.max_grade()
+    if -needed < rules.window[0]:
+        raise WindowError(
+            f"window {rules.window} too narrow for grade {needed}: "
+            f"lower end must be <= {-needed}")
+    pairs = ((f.grade, math.prod((_weight(rules, t) for t in f.trees), start=c))
+             for f, c in xs.terms.items())
+    return _accumulate({}, ((s, a) for s, a in pairs if a))
 
 
 def rules_character(rules: ToyRules) -> Character:
@@ -355,54 +389,22 @@ def rules_character(rules: ToyRules) -> Character:
     return rules._phi
 
 
-def _extend(rules: ToyRules, x, value) -> LaurentSeries:
-    """Linear extension of the forest map ``value`` to a Tree, Forest or
-    ForestSum, on the window of the rules.
-
-    A grade-n value is exact on (-n, E-n) and E-n > hi once -n >= lo,
-    so after this check the sum is exact on the whole window.
-    """
-    xs = _as_forest_sum(x)
-    needed = xs.max_grade()
-    if -needed < rules.window[0]:
-        raise WindowError(
-            f"window {rules.window} too narrow for grade {needed}: "
-            f"lower end must be <= {-needed}")
-    return _fold(((value(f), c) for f, c in xs.terms.items()), rules.window)
-
-
 def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
-    """Evaluate the toy rules character on a Tree, Forest or ForestSum."""
-    return _extend(rules, x, rules._phi.on_forest)
+    """Evaluate the toy rules phi(f) = w(f) (exp(-eps L)/eps)^|f| on a
+    Tree, Forest or ForestSum."""
+    return _on_sizes(rules, _RULES, _size_weights(rules, x))
 
 
 # -- BPHZ ----------------------------------------------------------------------
 
-def _size_bphz(rules: ToyRules, n: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """(s_n, q_n - R q_n): the counterterm and the renormalized value of
-    every size-n tree divided by its weight, computed once per rules and
-    size.
-
-    q_n = sum_{k<n} C(n,k) s_k E_(n-k) with s_0 = 1 and s_n = -R(q_n);
-    windows start from (0, E), that of phi(1).
-    """
-    got = rules._sizes
-    while len(got) <= n:
-        m = len(got)
-        q = _fold(((s * _exp_series(rules, m - k), math.comb(m, k))
-                   for k, (s, _) in enumerate(got)), rules._phi.one.window)
-        got.append((-q.pole_part(), q.regular_part()))
-    return got[n]
-
-
 def counterterm(rules: ToyRules, x) -> LaurentSeries:
-    """Minimal-subtraction counterterm S(t) = -R(prepared(t)) = w(t) s_|t|
-    on trees, extended to forests as a character and to sums linearly.
+    """Minimal-subtraction counterterm S(f) = w(f) (-1/eps)^|f|, extended
+    to sums linearly.
 
     The forest-level recursion S(f) = -R(phi(f) + sum' S(f'_root) phi(f'_pruned))
     defines the same map; the tests keep it as the oracle.
     """
-    return _extend(rules, x, rules._phi_minus.on_forest)
+    return _on_sizes(rules, _COUNTERTERM, _size_weights(rules, x))
 
 
 def counterterm_character(rules: ToyRules) -> Character:
@@ -412,19 +414,19 @@ def counterterm_character(rules: ToyRules) -> Character:
 def bogoliubov(rules: ToyRules, x) -> LaurentSeries:
     """Preparation map phi(x) + sum' S(x'_root) phi(x'_pruned), which is
     renormalized value minus counterterm."""
-    return _extend(rules, x, lambda f: rules._phi_plus.on_forest(f)
-                   - rules._phi_minus.on_forest(f))
+    sizes = _size_weights(rules, x)
+    return _on_sizes(rules, _RENORMALIZED, sizes) - _on_sizes(rules, _COUNTERTERM, sizes)
 
 
 def renormalized_value(rules: ToyRules, x) -> LaurentSeries:
-    """Renormalized value: the regular part of the preparation on trees,
-    w(t) (q_|t| - R q_|t|), extended as a character.
+    """Renormalized value phi_+(f) = w(f) ((exp(-eps L) - 1)/eps)^|f|,
+    extended to sums linearly.
 
     Equals the convolution (counterterm * rules)(x); pole free by the
     Birkhoff factorization, which is asserted here as a consistency
     guard.
     """
-    val = _extend(rules, x, rules._phi_plus.on_forest)
+    val = _on_sizes(rules, _RENORMALIZED, _size_weights(rules, x))
     if not val.is_pole_free():
         raise ArithmeticError(
             f"internal consistency failure: renormalized value has poles: {val!r}")
@@ -470,24 +472,13 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
                          widen: bool = True) -> RenormReport:
     """Renormalize X_1..X_m of a solution; entry i-1 holds grade i.
 
-    BPHZ of the toy rules depends on the tree size alone (see the module
-    docstring), so it is linear in the size weights a_n[s], the sum of
-    c w(t) over the size-s trees c t of X_n: S(X_n) = sum_s a_n[s] s_s and
-    phi_+(X_n) = sum_s a_n[s] (q_s - R q_s).  The equation gives the a_n
-    without reading a tree: B+_d maps weight v at size s to r_d v/(s+1)
-    at size s+1.  Values are cut to the rules window at the end.
-
-    The finite parts follow the renormalization group.  At eps^0 a tree
-    renormalizes to w(t) (-L)^|t|, so sigma = d/dL phi_+ at L = 0 is -r_d
-    on the one-vertex tree of decoration d and 0 on larger trees.  Being
-    an infinitesimal character, sigma gives gamma_n = sigma(X_n) =
-    -omega_n r_(d_n), linear in the weights because only cocycle n puts a
-    one-vertex tree into X_n (gamma_n = 0 past the last cocycle), and
-    sigma([X^(k+1)]_(n-k)) = (k+1) gamma_(n-k).  Hence phi_+(X_n) at eps^0
-    is sum_p P_p(n) L^p with P_0(n) = delta_(n0) and
-    P_p(n) = (1/p) sum_(k<n) (k+1) P_(p-1)(k) gamma_(n-k); the tests hold
-    every grade to it.  As phi_+(t) at eps^0 is w(t) (-L)^|t|, the same
-    finite part is sum_s a_n[s] (-L)^s, so P_p(n) = (-1)^p a_n[p].
+    Both factors are folds over the size weights a_n[s] of X_n (see the
+    module docstring), which the equation gives without reading a tree:
+    B+_d maps weight v at size s to r_d v/(s+1) at size s+1.  The finite
+    part of phi_+(X_n), its eps^0 term, is sum_s a_n[s] (-L)^s.  Its
+    L-derivative at L = 0 lives on the one-vertex trees, so the anomalous
+    dimension gamma_n = -omega_n r_(d_n) is linear in the couplings; the
+    tests hold every grade to the renormalization-group recursion in it.
 
     A window too narrow for grade m is widened automatically (and the
     report says so); with ``widen=False`` it raises instead, naming the
@@ -509,10 +500,10 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
         {s + 1: coc.omega * rules.residue(coc.decoration) * v / (s + 1)
          for s, v in inner.terms.items()}))
 
-    def on_sizes(i):
-        return tuple(_fold(((_size_bphz(rules, s)[i], c) for s, c in a.terms.items()),
-                           rules.window) for a in weights[1:])
+    def on_sizes(kind):
+        return tuple(_on_sizes(rules, kind, a.terms) for a in weights[1:])
 
     return RenormReport(order=m, scale_symbolic=rules.scale is None,
                         window=rules.window, widened=widened,
-                        renormalized=on_sizes(1), counterterms=on_sizes(0))
+                        renormalized=on_sizes(_RENORMALIZED),
+                        counterterms=on_sizes(_COUNTERTERM))

@@ -337,6 +337,27 @@ def test_graphon_and_trace_zero_denominator_exit_2(capsys, tmp_path):
         _exits_2(capsys, [sub, "--spec", _spec(tmp_path, coupling="1/0")], "denominator")
 
 
+def test_graphon_and_trace_beyond_the_dense_cell_limit_exit_2(capsys, tmp_path, monkeypatch):
+    # the limit is 4096 cells; lowered here, order 5 already passes it
+    monkeypatch.setattr("dsegraphon.graphon._FEYNMAN_CELL_CAP", 10)
+    for sub in ("graphon", "trace"):
+        _exits_2(capsys, [sub, "--spec", _spec(tmp_path), "--order", "5"], "cells")
+
+
+def test_mode_is_an_option_of_graphon_and_trace_only(capsys, spec_file, rules_file):
+    for argv in (["solve", "--spec", spec_file],
+                 ["renorm", "--spec", spec_file, "--rules", rules_file],
+                 ["tutte", "--max-edges", "2"], ["symanzik", "--max-edges", "2"],
+                 ["haar", "--samples", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mode", "exact"])
+        assert exc.value.code == 2, argv
+        assert "--mode" in capsys.readouterr().err
+    for argv, mode in ((["graphon"], "heuristic"), (["trace", "--order", "2"], "exact")):
+        code, doc = run_json(capsys, argv + ["--spec", spec_file, "--mode", mode])
+        assert code == 0 and doc["config"]["mode"] == mode, argv
+
+
 def test_haar_zero_denominator_exits_2(capsys):
     _exits_2(capsys, ["haar", "--radii", "1/0", "--samples", "10"], "denominator")
     _exits_2(capsys, ["haar", "--radii", "1/2,3/0", "--samples", "10"], "denominator")

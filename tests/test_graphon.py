@@ -235,6 +235,18 @@ def test_feynman_graphon_blocks_and_values():
     assert half.values[1][2] == half.values[2][1]
 
 
+def test_feynman_graphon_refuses_more_cells_than_its_dense_matrix_holds(monkeypatch):
+    # 2049 two-vertex ladders are 4098 cells, just past the limit of 4096:
+    # refused before the matrix is allocated
+    with pytest.raises(SizeError) as exc:
+        feynman_graphon(2049 * ForestSum.of(ladder(2)), F(1, 2))
+    assert "4098 cells" in str(exc.value)
+    monkeypatch.setattr("dsegraphon.graphon._FEYNMAN_CELL_CAP", 4)
+    assert len(feynman_graphon(2 * ForestSum.of(ladder(2)), F(1, 2)).measures) == 4
+    with pytest.raises(SizeError):
+        feynman_graphon(2 * ForestSum.of(ladder(2)) + ForestSum.of(leaf("g")), F(1, 2))
+
+
 def test_feynman_graphon_rejects_bad_input():
     with pytest.raises(ValueError):
         feynman_graphon(F(1, 2) * ForestSum.of(leaf("g")), F(1))

@@ -113,6 +113,13 @@ def test_multigraph_connectivity_helpers():
     assert not triangle().is_bridge(0)
 
 
+def test_a_connected_graph_is_its_own_component():
+    for g in (triangle(), MultiGraph(1, []), MultiGraph(2, [(0, 0), (0, 1), (0, 1)])):
+        comps = g.components()
+        assert len(comps) == 1 and comps[0] is g
+    assert MultiGraph(0, []).components() == []
+
+
 def _dsu_find(n: int, edges):
     """The root finder of a union-find over ``edges`` on n vertices."""
     parent = list(range(n))

@@ -22,8 +22,9 @@ from dsegraphon.hopf import (Character, antipode, convolve, coproduct,
 from dsegraphon.dse import Cocycle, DSESolution, DSESpec, solve
 from dsegraphon.graphpoly import MultiPoly
 from dsegraphon.renorm import (BirkhoffPair, LaurentSeries, RenormReport,
-                               ScalePoly, ToyRules, WindowError, _exp_series,
-                               _size_bphz, _weight, birkhoff, bogoliubov, counterterm,
+                               ScalePoly, ToyRules, WindowError, _COUNTERTERM,
+                               _RENORMALIZED, _RULES, _series, _weight, birkhoff,
+                               bogoliubov, counterterm,
                                counterterm_character, pole_part,
                                renormalize_solution, renormalized_value,
                                rules_character, toy_feynman_rules)
@@ -315,6 +316,55 @@ def _same(got, want):
     return got.window == want.window and got.terms == want.terms
 
 
+def _size_recursion(rules, top):
+    """[(E_n, s_n, r_n) for n = 0..top]: the rules, the counterterm and the
+    renormalized value of every size-n tree divided by its weight, by the
+    Bogoliubov preparation grouped by tree size,
+
+        q_n = sum_(k<n) C(n,k) s_k E_(n-k),  s_0 = 1,  s_n = -R(q_n),  r_n = q_n - R(q_n),
+
+    with E_n = (exp(-eps L)/eps)^n as a power of the oracle's one-vertex
+    factor; windows start from (0, E), that of phi(1)."""
+    ref = _ForestOracle(rules)
+    step = ref.exp * LaurentSeries({-1: 1}, (-1, rules._exp_order - 1))
+    es = [ref.one]
+    for _ in range(top):
+        es.append(es[-1] * step)
+    out = [(ref.one, ref.one, ref.one)]
+    for n in range(1, top + 1):
+        q = LaurentSeries.zero(ref.one.window)
+        for k in range(n):
+            q = q + out[k][1] * es[n - k] * math.comb(n, k)
+        out.append((es[n], -q.pole_part(), q.regular_part()))
+    return out
+
+
+def test_closed_form_series_equal_the_size_recursion():
+    # production evaluates ((a exp(-eps L) - c)/eps)^n in closed form
+    for scale in (None, F(1, 2), F(-3, 7)):
+        for window in ((-8, 2), (-16, 2), (-20, 5), (-3, 0)):
+            rules = ToyRules(scale=scale, window=window)
+            for n, (e, s, r) in enumerate(_size_recursion(rules, 16)):
+                case = (scale, window, n)
+                assert _same(_series(rules, _RULES, n), e), case
+                assert _same(_series(rules, _COUNTERTERM, n), s), case
+                assert _same(_series(rules, _RENORMALIZED, n), r), case
+
+
+def test_renormalized_series_coefficients_are_stirling_numbers():
+    # the eps^p coefficient of ((exp(-eps L) - 1)/eps)^n is
+    # (-L)^(n+p) n! S(n+p, n) / (n+p)!, with S(k, n) = 0 for k < n
+    from sympy.functions.combinatorial.numbers import stirling
+    rules = ToyRules(window=(-16, 4))
+    for n in range(17):
+        r = _series(rules, _RENORMALIZED, n)
+        assert r.window == (-n, rules._exp_order - n)
+        for p in range(-n, rules._exp_order - n + 1):
+            k = n + p
+            want = F((-1) ** k * math.factorial(n) * int(stirling(k, n)), math.factorial(k))
+            assert r.coeff(p) == ScalePoly.L(k, want), (n, p)
+
+
 _TWO_LABEL_RULES = dict(residues={"g": F(3, 2), "h": F(-2)})
 
 
@@ -348,15 +398,15 @@ def test_closed_form_equals_recursive_rule():
 
 
 def test_grouped_preparation_equals_term_by_term_sum():
-    # production prepares every size-n tree t as w(t) q_n, with one Laurent
-    # series q_n per size; here every term S(l) phi(r) of the reduced
-    # coproduct of t is its own Laurent product
+    # production prepares every size-n tree t as w(t) (r_n - s_n), with the
+    # closed-form series r_n and s_n of phi_+ and S; here every term
+    # S(l) phi(r) of the reduced coproduct of t is its own Laurent product
     for rules, labels, top in ((ToyRules(), ("g",), 7),
                                (ToyRules(scale=F(1, 2)), ("g",), 7),
                                (ToyRules(**_TWO_LABEL_RULES), ("g", "h"), 5)):
         phi, s = rules_character(rules), counterterm_character(rules)
         for n in range(1, top + 1):
-            s_n, r_n = _size_bphz(rules, n)
+            s_n, r_n = _series(rules, _COUNTERTERM, n), _series(rules, _RENORMALIZED, n)
             for t in all_trees(n, labels):
                 want = phi.on_tree(t)
                 for (l, r), c in reduced_coproduct(t).terms.items():
@@ -570,7 +620,7 @@ def _generator_recursion(rules, sol, m):
     def phi(a):
         total = LaurentSeries.zero((0, rules._exp_order))
         for s, c in a.terms.items():
-            total = total + _exp_series(rules, s) * c
+            total = total + _series(rules, _RULES, s) * c
         return total
 
     preps, cts = [], []
