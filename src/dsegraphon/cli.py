@@ -290,13 +290,12 @@ def _run_symanzik(args):
         loops = loop_number(g)
         homogeneous = psi.is_homogeneous(loops)
         matches = True
-        if g.component_count() == 1:
-            for _ in range(3):
-                assignment = {idx: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                              for idx in g.evars}
-                if symanzik_det(g, assignment) != psi.eval(
-                        {f"w{idx}": v for idx, v in assignment.items()}):
-                    matches = False
+        for _ in range(3):
+            assignment = {idx: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                          for idx in g.evars}
+            if symanzik_det(g, assignment) != psi.eval(
+                    {f"w{idx}": v for idx, v in assignment.items()}):
+                matches = False
         hom_ok = hom_ok and homogeneous
         det_ok = det_ok and matches
         entries.append({"graph": multigraph_to_json(g),

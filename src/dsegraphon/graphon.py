@@ -526,10 +526,6 @@ def _lift(g: StepGraphon, idx: list[int], measures: tuple) -> StepGraphon:
     return _trusted_graphon(measures, g.den, tuple(rows[a] for a in idx))
 
 
-def _refine_equal(w: StepGraphon, cells: int) -> StepGraphon:
-    return _lift(w, _cell_blocks(w, cells), (Fraction(1, cells),) * cells)
-
-
 def common_refinement(w: StepGraphon, u: StepGraphon,
                       max_cells: int | None = None):
     """Refine both graphons to the same equal-measure partition."""
@@ -538,7 +534,8 @@ def common_refinement(w: StepGraphon, u: StepGraphon,
         raise RefinementError(
             f"common equal-measure partition needs {cells} blocks, "
             f"limit is {max_cells}")
-    return _refine_equal(w, cells), _refine_equal(u, cells)
+    mu = (Fraction(1, cells),) * cells
+    return _lift(w, _cell_blocks(w, cells), mu), _lift(u, _cell_blocks(u, cells), mu)
 
 
 def _overlay(w: StepGraphon, u: StepGraphon):
@@ -663,14 +660,17 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
             raise SizeError(
                 f"exact cut distance limited to {EXACT_DISTANCE_BLOCK_LIMIT} "
                 f"equal blocks after refinement (got {k}); use heuristic mode")
+        # cells of one block of w share their row, so the matrix depends
+        # only on the block of each relabeled cell
+        blocks = _cell_blocks(w, k)
         best = id_val
-        seen = {tuple(map(tuple, id_mat))}
+        seen = {tuple(blocks)}
         for perm in itertools.permutations(range(k)):
-            mat, _ = _difference_matrix(wr, ur, perm)
-            key = tuple(map(tuple, mat))
+            key = tuple(map(blocks.__getitem__, perm))
             if key in seen:
                 continue
             seen.add(key)
+            mat, _ = _difference_matrix(wr, ur, perm)
             val = _cut_norm_exact_matrix(mat, scale)
             if val < best:
                 best = val
@@ -845,12 +845,11 @@ def gateaux_density_derivative(h: SimpleGraph, w: StepGraphon,
 
 
 def perturb(w: StepGraphon, d: StepGraphon, eps) -> StepGraphon:
-    """W + eps*D on the common partition (values must stay in [0,1])."""
+    """W + eps*D (values must stay in [0,1]); when D lives on another
+    partition, both are lifted to the overlay of their boundaries first."""
     eps = _as_coeff(eps)
     if d.measures != w.measures:
-        cells = _equal_refinement_count(w, d)
-        w = _refine_equal(w, cells)
-        d = _refine_equal(d, cells)
+        w, d = _overlay(w, d)
     # over w.den * d.den * eps.denominator
     a, b = d.den * eps.denominator, eps.numerator * w.den
     out = StepGraphon.__new__(StepGraphon)
@@ -958,14 +957,17 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
 def convergence_trace(sol, m: int, mode: str = "heuristic", *, seed: int = 0,
                       restarts: int = 2) -> list:
     """Successive cut distances of the Feynman graphons of the partial
-    structural sums Y_1..Y_m at the solution's coupling."""
+    structural sums Y_1..Y_m at the solution's coupling.  Y_m, the
+    largest, is built first, so a size refusal comes before any other
+    work; then two graphons are live at a time."""
     from .dse import structural_sum
     if m < 1 or m > sol.order:
         raise ValueError(f"trace needs 1 <= m <= {sol.order}")
-    graphons = [feynman_graphon(structural_sum(sol, i), sol.coupling)
-                for i in range(1, m + 1)]
-    out = []
-    for i in range(m - 1):
-        out.append(cut_distance(graphons[i], graphons[i + 1], mode,
-                                seed=seed, restarts=restarts))
+    last = feynman_graphon(structural_sum(sol, m), sol.coupling)
+    out, prev = [], None
+    for i in range(1, m + 1):
+        cur = last if i == m else feynman_graphon(structural_sum(sol, i), sol.coupling)
+        if prev is not None:
+            out.append(cut_distance(prev, cur, mode, seed=seed, restarts=restarts))
+        prev = cur
     return out

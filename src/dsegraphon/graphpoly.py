@@ -4,8 +4,8 @@ Multigraphs allow parallel edges and self-loops.  Each edge carries a
 stable variable index so that deletion and contraction keep the naming
 of Symanzik variables intact.
 
-Cycles come from one spanning-forest pass, ``_cycle_space``: the number
-of roots and one fundamental cycle per edge left out of the forest.  A
+Cycles come from one spanning-forest pass, ``_cycle_space``: one
+fundamental cycle per edge left out of the forest.  A
 bridge is an edge that is not a loop and lies on none of these cycles.
 
 The Tutte polynomial is the product over the connected components of
@@ -31,16 +31,18 @@ partitions give different codes (the path on three vertices reads
 0-2,1-2 from its refined cells and 0-1,0-2 from one cell), so each
 caller keeps its own.
 
-The first Kirchhoff-Symanzik polynomial is the spanning-tree sum
-Psi(w) = sum_T prod_{e not in T} w_e, homogeneous of degree equal to the
-loop number.  It factors over components (spanning forests) and equals
-the determinant of the cycle-basis matrix M with entries
-M_kr = sum_i w_i eta_ik eta_ir, for any choice of spanning tree
+The first Kirchhoff-Symanzik polynomial is the spanning-forest sum
+Psi(w) = sum_F prod_{e not in F} w_e over the maximal spanning forests F
+(n - c edges, no cycle, for c components), homogeneous of degree equal to
+the loop number.  On a connected graph the forests are the spanning
+trees; on any graph the sum is the product of the components' sums.  It
+equals the determinant of the cycle-basis matrix M with entries
+M_kr = sum_i w_i eta_ik eta_ir, for any choice of spanning forest
 (Bogner-Weinzierl, arXiv:1002.3458): the Gram matrix of the pass's
-cycles under the weights.  The determinants here (cycle basis and
-matrix-tree cofactor) are taken over the integers by fraction-free
-elimination, the cycle basis after scaling the weights by the lcm of
-their denominators.
+cycles under the weights, block-diagonal by component.  The
+determinants here (cycle basis and matrix-tree cofactor) are taken
+over the integers by fraction-free elimination, the cycle basis after
+scaling the weights by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ RANK_NULLITY_EDGE_LIMIT = 20
 
 
 class DisconnectedNotice(UserWarning):
-    """Emitted when a per-component product stands in for a connected input."""
+    """Emitted when Psi is taken of a disconnected graph: its spanning
+    forests are not trees, and Psi is the product of the components'."""
 
 
 # -- multivariate polynomials -------------------------------------------------
@@ -288,7 +291,7 @@ class MultiGraph:
     def is_bridge(self, i: int) -> bool:
         """Not a loop and on no cycle."""
         u, v = self.edges[i]
-        return u != v and all(i not in c for c in _cycle_space(self, 0)[1])
+        return u != v and all(i not in c for c in _cycle_space(self, 0))
 
     def canonical_key(self):
         """Exact isomorphism certificate: equal exactly for isomorphic graphs."""
@@ -318,10 +321,10 @@ class _DSU:
         return True
 
 
-def _cycle_space(g: MultiGraph, shift: int) -> tuple[int, list[dict[int, int]]]:
-    """(number of roots, fundamental cycles) of a spanning forest grown in
-    edge-scan order starting at position ``shift``, from vertex 0 and then
-    from each vertex not yet reached.
+def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
+    """The fundamental cycles of a spanning forest grown in edge-scan
+    order starting at position ``shift``, from vertex 0 and then from
+    each vertex not yet reached.
 
     Each vertex keeps its signed root path (edge -> +1 where the path runs
     from the lower to the higher endpoint, -1 against it).  Each edge left
@@ -339,11 +342,9 @@ def _cycle_space(g: MultiGraph, shift: int) -> tuple[int, list[dict[int, int]]]:
             adj[v].append(j)
     path: list[dict[int, int] | None] = [None] * g.n
     in_tree = [False] * g.m
-    roots = 0
     for r in range(g.n):
         if path[r] is not None:
             continue
-        roots += 1
         path[r] = {}
         stack = [r]
         while stack:
@@ -363,7 +364,7 @@ def _cycle_space(g: MultiGraph, shift: int) -> tuple[int, list[dict[int, int]]]:
             cyc.update((e, -s) for e, s in pv.items() if e not in pu)
             cyc[j] = 1
             cycles.append(cyc)
-    return roots, cycles
+    return cycles
 
 
 def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[int]:
@@ -646,7 +647,7 @@ def _tutte_rec(g: MultiGraph) -> MultiPoly:
     got = _TUTTE_CACHE.get(key)
     if got is not None:
         return got
-    on_cycle = set().union(*_cycle_space(g, 0)[1])
+    on_cycle = set().union(*_cycle_space(g, 0))
     pivot = max((i for i in on_cycle if g.edges[i][0] != g.edges[i][1]), default=None)
     if pivot is None:  # only loops lie on cycles; every other edge is a bridge
         loops = len(on_cycle)
@@ -774,48 +775,39 @@ def _wvar(i: int) -> str:
     return f"w{i}"
 
 
-def spanning_trees(g: MultiGraph):
-    """Yield spanning trees of a connected multigraph as index tuples."""
-    need = g.n - 1
-    if need < 0:
-        return
+def spanning_forests(g: MultiGraph):
+    """Yield the maximal spanning forests of a multigraph as index tuples:
+    the (n - c)-edge subsets with no cycle, for c components.  On a
+    connected graph they are the spanning trees."""
+    need = g.n - g.component_count()
     for subset in itertools.combinations(range(g.m), need):
         dsu = _DSU(g.n)
-        ok = True
         for i in subset:
             u, v = g.edges[i]
             if u == v or not dsu.union(u, v):
-                ok = False
                 break
-        if ok and dsu.count == 1:
+        else:
             yield subset
 
 
 def symanzik_psi(g: MultiGraph) -> MultiPoly:
-    """First Symanzik polynomial: sum over spanning trees of the product
-    of the complementary edge variables.
-
-    Disconnected graphs are handled per component (spanning forests) and
-    multiplied, with a notice.
-    """
-    comps = g.components()
-    if len(comps) > 1:
-        warnings.warn("disconnected graph: Symanzik polynomial computed per "
-                      "component and multiplied", DisconnectedNotice,
-                      stacklevel=2)
-    out = MultiPoly.const(1)
-    for comp in comps:
-        terms: dict = {}
-        for tree in spanning_trees(comp):
-            tset = set(tree)
-            exps: dict[str, int] = {}
-            for j in range(comp.m):
-                if j not in tset:
-                    v = _wvar(comp.evars[j])
-                    exps[v] = exps.get(v, 0) + 1
-            _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
-        out = out * MultiPoly._make(terms)
-    return out
+    """First Symanzik polynomial: sum over maximal spanning forests of the
+    product of the complementary edge variables.  A disconnected graph
+    gets a notice: its Psi is the product of its components'."""
+    if g.component_count() > 1:
+        warnings.warn("disconnected graph: Symanzik polynomial summed over "
+                      "spanning forests, the product of its components'",
+                      DisconnectedNotice, stacklevel=2)
+    terms: dict = {}
+    for forest in spanning_forests(g):
+        fset = set(forest)
+        exps: dict[str, int] = {}
+        for j in range(g.m):
+            if j not in fset:
+                v = _wvar(g.evars[j])
+                exps[v] = exps.get(v, 0) + 1
+        _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
+    return MultiPoly._make(terms)
 
 
 def loop_number(g: MultiGraph) -> int:
@@ -829,13 +821,11 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
     ``assignment`` maps edge variable indices to rational values.  The
     matrix is the weighted Gram matrix M_kr = sum_j w_j eta_kj eta_rj of
     the fundamental cycles eta_k of ``_cycle_space``; ``tree_choice``
-    rotates its edge scan, changing the spanning tree and the basis but
-    (provably, and tested) not the determinant.  The graph must be
-    connected; the graph without vertices gives 1.
+    rotates its edge scan, changing the spanning forest and the basis but
+    (provably, and tested) not the determinant.  The graph without cycles
+    gives 1.
     """
-    roots, eta = _cycle_space(g, tree_choice % g.m if g.m else 0)
-    if roots > 1:
-        raise ValueError("cycle-basis determinant needs a connected graph")
+    eta = _cycle_space(g, tree_choice % g.m if g.m else 0)
     w = [None] * g.m
     for j in range(g.m):
         var = g.evars[j]
@@ -904,13 +894,10 @@ def psi_deletion_contraction(g: MultiGraph, i: int) -> PsiSplitReport:
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
-    """Spanning trees via the matrix-tree cofactor; 0 if disconnected."""
+    """Spanning trees via the matrix-tree cofactor, which is 0 on a
+    disconnected graph; the graph without vertices has none."""
     if g.n == 0:
         return 0
-    if not g.is_connected():
-        return 0
-    if g.n == 1:
-        return 1
     lap = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
         if u == v:

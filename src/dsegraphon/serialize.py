@@ -45,6 +45,8 @@ def tree_from_json(obj) -> Tree:
     if not isinstance(obj, dict) or "d" not in obj:
         raise ValueError("tree object needs a 'd' label field")
     children = obj.get("c", [])
+    if not isinstance(children, list):
+        raise ValueError("tree 'c' must be an array of trees")
     return Tree(obj["d"], [tree_from_json(c) for c in children])
 
 
@@ -64,8 +66,9 @@ def forest_sum_to_json(s: ForestSum) -> list:
 
 
 def forest_sum_from_json(obj) -> ForestSum:
-    if not isinstance(obj, list):
-        raise ValueError("forest sum must be an array of terms")
+    if not isinstance(obj, list) or not all(
+            isinstance(item, dict) and "forest" in item and "coef" in item for item in obj):
+        raise ValueError("forest sum must be an array of objects with 'coef' and 'forest'")
     return ForestSum((forest_from_json(item["forest"]), rational_from_str(item["coef"]))
                      for item in obj)
 
@@ -119,18 +122,22 @@ def laurent_to_json(s: LaurentSeries) -> dict:
 
 
 def laurent_from_json(obj) -> LaurentSeries:
+    if not isinstance(obj, dict):
+        raise ValueError("Laurent series must be an object")
     window = obj.get("window", [-8, 2])
     if not (isinstance(window, (list, tuple)) and len(window) == 2
             and all(map(_is_int, window))):
         raise ValueError("Laurent 'window' must be a pair of integers")
-    terms = {}
-    for item in obj.get("terms", []):
-        if not _is_int(item["pow"]):
-            raise ValueError(f"Laurent power must be an integer, got {item['pow']!r}")
-        if not all(_is_int(k) for _, k in item["coef"]):
-            raise ValueError("scale-polynomial powers must be integers")
-        poly = {k: rational_from_str(c) for (c, k) in item["coef"]}
-        terms[item["pow"]] = ScalePoly(poly)
+    items = obj.get("terms", [])
+    if not isinstance(items, list) or not all(
+            isinstance(item, dict) and _is_int(item.get("pow"))
+            and isinstance(item.get("coef"), list)
+            and all(isinstance(c, list) and len(c) == 2 and _is_int(c[1]) for c in item["coef"])
+            for item in items):
+        raise ValueError("Laurent 'terms' must be an array of objects with an integer "
+                         "'pow' and a 'coef' array of [value, integer power] pairs")
+    terms = {item["pow"]: ScalePoly({k: rational_from_str(c) for c, k in item["coef"]})
+             for item in items}
     return LaurentSeries(terms, tuple(window))
 
 

@@ -344,6 +344,22 @@ def test_graphon_and_trace_beyond_the_dense_cell_limit_exit_2(capsys, tmp_path, 
         _exits_2(capsys, [sub, "--spec", _spec(tmp_path), "--order", "5"], "cells")
 
 
+def test_trace_refuses_an_over_cap_order_before_building_other_graphons(capsys, tmp_path,
+                                                                         monkeypatch):
+    # Y_8 has 15521 cells, past the 4096-cell limit; Y_1..Y_7 are not built
+    from dsegraphon import graphon
+    feynman_graphon = graphon.feynman_graphon
+    built = []
+
+    def counting(y, coupling):
+        built.append(y)
+        return feynman_graphon(y, coupling)
+
+    monkeypatch.setattr(graphon, "feynman_graphon", counting)
+    _exits_2(capsys, ["trace", "--spec", _spec(tmp_path), "--order", "8"], "cells")
+    assert len(built) == 1
+
+
 def test_mode_is_an_option_of_graphon_and_trace_only(capsys, spec_file, rules_file):
     for argv in (["solve", "--spec", spec_file],
                  ["renorm", "--spec", spec_file, "--rules", rules_file],

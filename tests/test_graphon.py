@@ -7,8 +7,10 @@ directly from the definition; the production code's component/Gray-code
 enumeration must agree with it exactly.
 """
 
+import bisect
 import functools
 import itertools
+import math
 import random
 import statistics
 from fractions import Fraction as F
@@ -400,6 +402,31 @@ def test_cut_distance_heuristic_upper_bounds_exact():
         assert heur >= exact
 
 
+def test_exact_cut_distance_builds_one_matrix_per_block_sequence(monkeypatch):
+    # a's two blocks of 1/2 and b's 1/8, 3/8, 1/2 make 8 equal cells; the
+    # 8! relabelings place a's blocks in C(8,4) = 70 distinct sequences
+    rng = random.Random(0)
+    a = random_graphon(rng, 2, equal=True)
+    b = random_graphon(rng, 3)
+    b = StepGraphon((F(1, 8), F(3, 8), F(1, 2)), b.values)
+    wr, ur = common_refinement(a, b)
+    mats = {}
+    for perm in itertools.permutations(range(8)):
+        mat, scale = _difference_matrix(wr, ur, perm)
+        mats[tuple(map(tuple, mat))] = scale
+    want = min(_cut_norm_exact_matrix([list(r) for r in m], s) for m, s in mats.items())
+    assert want > abs(a.total_mass() - b.total_mass())  # no early exit
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return _difference_matrix(*args, **kwargs)
+
+    monkeypatch.setattr("dsegraphon.graphon._difference_matrix", counting)
+    assert cut_distance(a, b, "exact") == want
+    assert len(built) <= 70
+
+
 def test_cut_distance_guards():
     w = graphon_from_graph(path_graph(5))
     u = StepGraphon((F(1, 2), F(1, 2)),
@@ -704,6 +731,46 @@ def test_perturb_stays_in_range():
     assert perturb(w, d, F(1, 4)).values[0][0] == F(3, 4)
     with pytest.raises(ValueError):
         perturb(w, d, F(3, 4))  # leaves [0,1]
+
+
+def _value_at(w: StepGraphon, x, y):
+    bounds = w.boundaries()
+    i, j = (bisect.bisect_right(bounds, t) - 1 for t in (x, y))
+    return w.values[i][j]
+
+
+def test_perturb_aligns_mismatched_partitions_on_the_overlay():
+    rng = random.Random(21)
+    # the first pair has 8198 equal cells and a 3-cell overlay
+    pairs = [(StepGraphon((F(1, 4099), F(4098, 4099)), [[F(1, 2), F(1, 4)], [F(1, 4), F(0)]]),
+              direction((F(1, 2), F(1, 2)), [[1, 1], [1, 0]]))]
+
+    def symmetric(mu, lo, hi, den):
+        v = [[F(rng.randint(lo, hi), den) for _ in mu] for _ in mu]
+        return [[v[min(i, j)][max(i, j)] for j in range(len(mu))] for i in range(len(mu))]
+
+    while len(pairs) < 12:  # values in [1/4, 3/4] stay in [0,1] under eps*D
+        mu = random_measures(rng, rng.choice([2, 3]))
+        w = StepGraphon(mu, symmetric(mu, 2, 6, 8))
+        mu = random_measures(rng, rng.choice([2, 3]))
+        d = direction(mu, symmetric(mu, -2, 2, 1))
+        if d.measures != w.measures and math.lcm(*(
+                b.denominator for b in w.boundaries() + d.boundaries())) <= 24:
+            pairs.append((w, d))
+    eps = F(1, 16)
+    for n, (w, d) in enumerate(pairs):
+        got = perturb(w, d, eps)
+        assert got.k <= w.k + d.k - 1
+        cuts = got.boundaries()
+        for lo, hi in zip(cuts, cuts[1:]):
+            for lo2, hi2 in zip(cuts, cuts[1:]):
+                x, y = (lo + hi) / 2, (lo2 + hi2) / 2
+                assert _value_at(got, x, y) == _value_at(w, x, y) + eps * _value_at(d, x, y)
+        if n:  # the equal-cell construction, on the common refinement
+            wr, dr = common_refinement(w, d)
+            equal = perturb(wr, direction(dr.measures, dr.values), eps)
+            for h in (complete_graph(2), path_graph(3), complete_graph(3)):
+                assert hom_density(h, got) == hom_density(h, equal)
 
 
 def test_gateaux_aligns_mismatched_partitions():

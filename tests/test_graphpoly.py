@@ -25,7 +25,7 @@ from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
                                   generate_connected_multigraphs,
                                   least_edge_code, loop_number,
                                   psi_deletion_contraction, spanning_tree_count,
-                                  spanning_trees, symanzik_det, symanzik_psi,
+                                  spanning_forests, symanzik_det, symanzik_psi,
                                   tree_to_graph, tutte, tutte_of_partial_sum,
                                   tutte_rank_nullity,
                                   tutte_subtree_formula_diagnostic)
@@ -352,11 +352,11 @@ def test_psi_disconnected_warns_and_factors():
 
 
 def test_spanning_trees_enumeration():
-    trees = list(spanning_trees(triangle()))
+    trees = list(spanning_forests(triangle()))
     assert sorted(trees) == [(0, 1), (0, 2), (1, 2)]
     # self-loops never enter a spanning tree
     g = MultiGraph(2, [(0, 0), (0, 1)])
-    assert list(spanning_trees(g)) == [(1,)]
+    assert list(spanning_forests(g)) == [(1,)]
 
 
 def test_det_matches_psi_on_corpus():
@@ -374,8 +374,10 @@ def test_det_matches_psi_on_corpus():
 
 
 def test_det_requires_connected_and_full_assignment():
-    with pytest.raises(ValueError):
-        symanzik_det(MultiGraph(4, [(0, 1), (2, 3)]), {1: F(1), 2: F(1)})
+    g = MultiGraph(4, [(0, 1), (2, 3)])
+    with pytest.warns(DisconnectedNotice):
+        psi = symanzik_psi(g)
+    assert symanzik_det(g, {1: F(1), 2: F(1)}) == psi.eval({"w1": F(1), "w2": F(1)})
     with pytest.raises(ValueError):
         symanzik_det(triangle(), {1: F(1), 2: F(1)})
 
@@ -417,11 +419,52 @@ def test_det_matches_psi_at_every_tree_choice_on_random_multigraphs():
         want = psi.eval({f"w{v}": a for v, a in assignment.items()})
         for choice in range(g.m + 1):
             assert symanzik_det(g, assignment, tree_choice=choice) == want, (g, choice)
-        # a second component, even an isolated vertex, is refused
+        # a second component, even an isolated vertex, leaves Psi as it is
         h = MultiGraph(g.n + 1, g.edges)
+        with pytest.warns(DisconnectedNotice):
+            assert symanzik_psi(h) == psi
         for choice in range(g.m + 1):
-            with pytest.raises(ValueError):
-                symanzik_det(h, assignment, tree_choice=choice)
+            assert symanzik_det(h, assignment, tree_choice=choice) == want, (h, choice)
+
+
+def _random_disconnected_multigraph(rng) -> MultiGraph:
+    """Two or three random connected multigraphs (loops and parallel edges
+    among them) and up to two isolated vertices, with the vertices and the
+    edges of the union shuffled."""
+    parts = [_random_connected_multigraph(rng, 4, 3) for _ in range(rng.randint(2, 3))]
+    n = sum(p.n for p in parts) + rng.randint(0, 2)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, base = [], 0
+    for p in parts:
+        edges += [(perm[u + base], perm[v + base]) for u, v in p.edges]
+        base += p.n
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
+
+
+def test_one_spanning_forest_path_on_disconnected_multigraphs():
+    # Psi is the product of the components' Psi, the cycle-basis determinant
+    # equals it at every tree choice, and the forests are exactly the
+    # acyclic (n - c)-edge subsets
+    rng = random.Random(15)
+    graphs = [MultiGraph(0, [])] + [_random_disconnected_multigraph(rng) for _ in range(60)]
+    for g in graphs:
+        c = g.component_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedNotice)
+            psi = symanzik_psi(g)
+            want = MultiPoly.product(symanzik_psi(h) for h in g.components())
+        assert psi == want, g
+        brute = [s for s in itertools.combinations(range(g.m), g.n - c)
+                 if g.component_count(s) == c]
+        assert list(spanning_forests(g)) == brute, g
+        for _ in range(2):
+            assignment = {v: F(rng.randint(-9, 9) or 1, rng.randint(1, 12)) for v in g.evars}
+            value = psi.eval({f"w{v}": a for v, a in assignment.items()})
+            for choice in range(g.m + 1):
+                assert symanzik_det(g, assignment, tree_choice=choice) == value, (g, choice)
+    assert sum(g.component_count() > 1 for g in graphs) == 60
 
 
 def test_psi_deletion_contraction_split():

@@ -145,11 +145,40 @@ def test_multipoly_decoder_rejects_bad_exponents(exp):
     (ser.graphon_from_json, {"measures": ["1"], "values": [1]}),
     (ser.graphon_from_json, {"measures": "1", "values": [["1"]]}),
     (ser.multipoly_from_json, [{"coef": "1", "exps": [1]}]),
+    (ser.tree_from_json, {"d": "g", "c": 5}),
+    (ser.forest_sum_from_json, [{"coef": "1"}]),
+    (ser.forest_sum_from_json, [5]),
+    (ser.laurent_from_json, []),
+    (ser.laurent_from_json, {"terms": [{"pow": 0}]}),
+    (ser.laurent_from_json, {"terms": [5]}),
 ], ids=["graphon-empty", "graphon-flat-values", "graphon-string-measures",
-        "multipoly-list-exps"])
+        "multipoly-list-exps", "tree-int-children", "forest-sum-no-forest",
+        "forest-sum-int-term", "laurent-array", "laurent-no-coef", "laurent-int-term"])
 def test_decoders_reject_malformed_objects(decode, doc):
     with pytest.raises(ValueError):
         decode(doc)
+
+
+_FIELDS = ["d", "c", "coef", "forest", "pow", "terms", "window", "n", "edges",
+           "measures", "values", "exps", "residues", "scale", "cocycles",
+           "decoration", "omega", "order", "coupling"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "g", "1", "1/2", "-3/4", "1/0", "x"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16)
+_DECODERS = sorted(name for name in vars(ser) if name.endswith(("_from_json", "_from_str")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_DECODERS), _json_values)
+def test_every_decoder_decodes_or_raises_value_error(name, doc):
+    # a JSON value that does not decode raises ValueError, never another error
+    try:
+        getattr(ser, name)(doc)
+    except ValueError:
+        pass
 
 
 _unit_values = st.one_of(st.sampled_from([F(0), F(1)]),
