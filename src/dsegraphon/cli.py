@@ -18,6 +18,7 @@ import io
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -25,8 +26,9 @@ from . import __version__
 from .dse import solve, structural_sum
 from .graphon import SizeError, cut_norm, density_fingerprint, \
     convergence_trace, feynman_graphon
-from .graphpoly import MultiGraph, generate_connected_multigraphs, \
-    loop_number, spanning_tree_count, symanzik_det, symanzik_psi, tutte
+from .graphpoly import MultiGraph, corpus_tutte, det_matches_psi, \
+    generate_connected_multigraphs, loop_number, spanning_tree_count, \
+    symanzik_psi, tutte
 from .haar import ball_measure_mc, ks_critical_value, norm_uniformity_statistic
 from .renorm import WindowError, renormalize_solution
 from .serialize import dse_spec_from_json, dse_spec_to_json, \
@@ -247,15 +249,17 @@ def _run_graphon(args):
 
 
 def _run_tutte(args):
-    batch = _graph_batch(args)
+    if args.graphs is None:
+        batch = corpus_tutte(args.max_edges)
+    else:
+        batch = [(g, tutte(g)) for g in _graph_batch(args)]
     config = {"subcommand": "tutte",
-              "graphs": [multigraph_to_json(g) for g in batch],
+              "graphs": [multigraph_to_json(g) for g, _ in batch],
               "format": args.format}
     entries = []
     rows = []
     all_ok = True
-    for g in batch:
-        poly = tutte(g)
+    for g, poly in batch:
         t11 = poly.eval({"x": Fraction(1), "y": Fraction(1)})
         connected = g.component_count() == 1
         trees = spanning_tree_count(g) if connected else None
@@ -285,17 +289,17 @@ def _run_symanzik(args):
     rows = []
     hom_ok = True
     det_ok = True
-    for g in batch:
-        psi = symanzik_psi(g)
+    for i, g in enumerate(batch):
+        with warnings.catch_warnings(record=True) as notes:
+            warnings.simplefilter("always")
+            psi = symanzik_psi(g)
+        for note in notes:
+            print(f"dsegraphon: note: graph {i}: {note.message}", file=sys.stderr)
         loops = loop_number(g)
         homogeneous = psi.is_homogeneous(loops)
-        matches = True
-        for _ in range(3):
-            assignment = {idx: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                          for idx in g.evars}
-            if symanzik_det(g, assignment) != psi.eval(
-                    {f"w{idx}": v for idx, v in assignment.items()}):
-                matches = False
+        draws = [[(rng.randint(1, 9), rng.randint(1, 9)) for _ in g.evars]
+                 for _ in range(3)]
+        matches = det_matches_psi(g, psi, draws)
         hom_ok = hom_ok and homogeneous
         det_ok = det_ok and matches
         entries.append({"graph": multigraph_to_json(g),

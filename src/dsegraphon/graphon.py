@@ -412,30 +412,32 @@ def _cut_norm_exact_matrix(mat: list[list[int]], scale: int = 1) -> Fraction:
 def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
     """Alternating maximization of |s·M·t| over subset indicator pairs.
 
-    Returns (float value, s, t); the caller certifies the pair exactly.
+    Returns (float value, s, t) with boolean s and t; the caller
+    certifies the pair exactly.  The indicators are multiplied as float64
+    vectors, which every NumPy sends to BLAS (a bool operand need not be).
     """
     import numpy as np
     k = mf.shape[0]
     best_val = -1.0
-    best_pair = (np.ones(k, bool), np.ones(k, bool))
+    best_pair = (np.ones(k), np.ones(k))
     for sign in (1.0, -1.0):
         m = sign * mf
-        starts = [np.ones(k, bool)]
+        starts = [np.ones(k)]
         for _ in range(restarts):
-            starts.append(rng.integers(0, 2, k).astype(bool))
+            starts.append(rng.integers(0, 2, k).astype(np.float64))
         for s in starts:
             for _ in range(40):
-                t = m.T @ s > 0
-                s_new = m @ t > 0
+                t = (m.T @ s > 0).astype(np.float64)
+                s_new = (m @ t > 0).astype(np.float64)
                 if (s_new == s).all():
                     break
                 s = s_new
-            t = m.T @ s > 0
+            t = (m.T @ s > 0).astype(np.float64)
             val = float(s @ m @ t)
             if val > best_val:
                 best_val = val
-                best_pair = (s.copy(), t.copy())
-    return best_val, best_pair[0], best_pair[1]
+                best_pair = (s, t)
+    return best_val, best_pair[0] > 0, best_pair[1] > 0
 
 
 def _value_codes(rows):
@@ -661,16 +663,14 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
                 f"exact cut distance limited to {EXACT_DISTANCE_BLOCK_LIMIT} "
                 f"equal blocks after refinement (got {k}); use heuristic mode")
         # cells of one block of w share their row, so the matrix depends
-        # only on the block of each relabeled cell
+        # only on the block of each relabeled cell, and the first cell of
+        # a block stands for all of them: one matrix per distinct block
+        # sequence, the identity's already evaluated
         blocks = _cell_blocks(w, k)
+        first = {b: blocks.index(b) for b in set(blocks)}
         best = id_val
-        seen = {tuple(blocks)}
-        for perm in itertools.permutations(range(k)):
-            key = tuple(map(blocks.__getitem__, perm))
-            if key in seen:
-                continue
-            seen.add(key)
-            mat, _ = _difference_matrix(wr, ur, perm)
+        for seq in _block_sequences(blocks):
+            mat, _ = _difference_matrix(wr, ur, [first[b] for b in seq])
             val = _cut_norm_exact_matrix(mat, scale)
             if val < best:
                 best = val
@@ -713,6 +713,25 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     if best_perm != list(range(k)) and id_val < final:
         return id_val
     return final
+
+
+def _block_sequences(blocks: list[int]):
+    """The distinct rearrangements of the non-decreasing ``blocks`` after
+    ``blocks`` itself, in lexicographic order (the multiset permutations,
+    by the next-permutation step)."""
+    a = list(blocks)
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        yield tuple(a)
 
 
 def _overlay_distance(w: StepGraphon, u: StepGraphon, mode: str,

@@ -22,7 +22,9 @@ that places one position at a time and drops a branch as soon as a
 lower bound on its code exceeds the best code found (twins and
 automorphisms found at tied leaves prune it further).  The
 corpus generator keys candidates the same way, so its order and its
-representatives are fixed by the key.
+representatives are fixed by the key.  Its growth pass records each
+class's parent, from which ``corpus_tutte`` reads the corpus's Tutte
+polynomials with one key per cycle-closing class and no minors.
 
 The same search started from one cell holding every vertex gives
 ``least_edge_code``, the least sorted edge code over all vertex orders;
@@ -43,6 +45,8 @@ cycles under the weights, block-diagonal by component.  The
 determinants here (cycle basis and matrix-tree cofactor) are taken
 over the integers by fraction-free elimination, the cycle basis after
 scaling the weights by the lcm of their denominators.
+``det_matches_psi`` checks the identity at several weight draws on one
+cycle basis, comparing integers only.
 """
 
 from __future__ import annotations
@@ -825,7 +829,7 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
     (provably, and tested) not the determinant.  The graph without cycles
     gives 1.
     """
-    eta = _cycle_space(g, tree_choice % g.m if g.m else 0)
+    gram = _cycle_gram(g, tree_choice % g.m if g.m else 0)
     w = [None] * g.m
     for j in range(g.m):
         var = g.evars[j]
@@ -837,18 +841,68 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
     # matrix is D times M, so det M = det / D**ell
     scale = math.lcm(*(x.denominator for x in w))
     w = [x.numerator * (scale // x.denominator) for x in w]
-    ell = len(eta)
+    return Fraction(_gram_det(gram, w), scale ** gram[0])
+
+
+def det_matches_psi(g: MultiGraph, psi: MultiPoly, draws) -> bool:
+    """Whether det M(w) == psi(w) at every weight draw, on one cycle basis.
+
+    A draw lists one (numerator, denominator) pair of positive integers
+    per edge of ``g``, in edge order; an edge variable shared by several
+    edges takes the last of its pairs.  Each draw is put over the lcm D of
+    its denominators, so the weights D*w are integers.  The Gram matrix at
+    D*w is D times M(w), and a monomial of degree d of psi is D**d times
+    its value at w.  With top the larger of the loop number ell and the
+    degree of psi, the test is the integer identity
+    det M(D*w) * D**(top - ell) == sum_mono c * mono(D*w) * D**(top - d),
+    which is exactly det M(w) == psi(w), homogeneous psi or not.
+    """
+    gram = _cycle_gram(g, 0)
+    ell = gram[0]
+    names = {_wvar(v): v for v in g.evars}
+    by_degree: dict[int, list] = {}  # d -> [(c, variables repeated by exponent)]
+    for mono, c in psi.terms.items():
+        for v, _ in mono:
+            if v not in names:
+                raise ValueError(f"no value supplied for variable {v!r}")
+        factors = [names[v] for v, e in mono for _ in range(e)]
+        by_degree.setdefault(len(factors), []).append((c, factors))
+    top = max(ell, *by_degree) if by_degree else ell
+    for draw in draws:
+        frac = dict(zip(g.evars, draw))
+        scale = math.lcm(*(b for _, b in frac.values()))
+        num = {v: a * (scale // b) for v, (a, b) in frac.items()}
+        rhs = sum(scale ** (top - d) * sum(c * math.prod(map(num.__getitem__, fs))
+                                           for c, fs in terms)
+                  for d, terms in by_degree.items())
+        if _gram_det(gram, [num[v] for v in g.evars]) * scale ** (top - ell) != rhs:
+            return False
+    return True
+
+
+def _cycle_gram(g: MultiGraph, shift: int):
+    """(ell, overlaps) for the fundamental cycles of ``_cycle_space(g,
+    shift)``: ell cycles, and for each pair k <= r sharing an edge, the
+    edges j they share with the product of their signs there."""
+    eta = _cycle_space(g, shift)
+    overlaps = []
+    for k, ck in enumerate(eta):
+        for r in range(k, len(eta)):
+            cr = eta[r]
+            shared = [(j, s * cr[j]) for j, s in ck.items() if j in cr]
+            if shared:
+                overlaps.append((k, r, shared))
+    return len(eta), overlaps
+
+
+def _gram_det(gram, w: list[int]) -> int:
+    """det of the Gram matrix M_kr = sum_j w_j eta_kj eta_rj of a
+    ``_cycle_gram`` at the integer edge weights ``w``."""
+    ell, overlaps = gram
     mat = [[0] * ell for _ in range(ell)]
-    for k in range(ell):
-        for r in range(k, ell):
-            s = 0
-            for j, sk in eta[k].items():
-                sr = eta[r].get(j)
-                if sr:
-                    s += w[j] * sk * sr
-            mat[k][r] = s
-            mat[r][k] = s
-    return Fraction(_bareiss_det(mat), scale ** ell)
+    for k, r, shared in overlaps:
+        mat[k][r] = mat[r][k] = sum(w[j] * s for j, s in shared)
+    return _bareiss_det(mat)
 
 
 @dataclass(frozen=True)
@@ -920,25 +974,61 @@ def generate_connected_multigraphs(max_edges: int) -> list[MultiGraph]:
     leaves a connected multigraph with e edges, so edge growth reaches
     everything.
     """
+    grown = _grow(max_edges)
+    return [grown[key][0] for key in _corpus_order(grown)]
+
+
+def corpus_tutte(max_edges: int) -> list[tuple[MultiGraph, MultiPoly]]:
+    """The graphs of ``generate_connected_multigraphs(max_edges)``, in its
+    order, each with its Tutte polynomial, read from the growth pass.
+
+    A class h = g + e grown from its parent g has T(h) = y T(g) when e is
+    a loop, x T(g) when e is a pendant edge to a new vertex, and
+    T(g) + T(h/e) otherwise, since e then closes a cycle (Tutte 1954);
+    h/e is a corpus class with one edge fewer, found by its key.
+    """
+    grown = _grow(max_edges)
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    polys: dict = {}
+    for key, (h, parent) in grown.items():  # parents and h/e come first
+        if parent is None:
+            polys[key] = MultiPoly.unit()
+            continue
+        u, v = h.edges[-1]
+        if u == v:
+            polys[key] = y * polys[parent]
+        elif parent[0] < h.n:
+            polys[key] = x * polys[parent]
+        else:
+            polys[key] = polys[parent] + polys[_canonical_key(h.contract(h.m - 1))]
+    return [(grown[key][0], polys[key]) for key in _corpus_order(grown)]
+
+
+def _grow(max_edges: int) -> dict:
+    """The growth pass: the canonical key of every class, in the order
+    found, mapped to (its first graph h, the key of the class h grew
+    from).  The edge added is the last edge of h; the seed, one vertex,
+    has no parent."""
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
     seed = MultiGraph(1, [])
-    seen = {(_canonical_key(seed)): seed}
-    frontier = [seed]
+    grown = {_canonical_key(seed): (seed, None)}
+    frontier = list(grown.items())
     for _ in range(max_edges):
         nxt = []
-        for g in frontier:
+        for parent, (g, _) in frontier:
             ev = tuple(range(1, g.m + 2))
-            candidates = []
             for u in range(g.n):
-                for v in range(u, g.n):
-                    candidates.append(MultiGraph._trusted(g.n, g.edges + ((u, v),), ev))
-                candidates.append(MultiGraph._trusted(g.n + 1, g.edges + ((u, g.n),), ev))
-            for h in candidates:
-                key = _canonical_key(h)
-                if key not in seen:
-                    seen[key] = h
-                    nxt.append(h)
+                for v in range(u, g.n + 1):
+                    h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),), ev)
+                    key = _canonical_key(h)
+                    if key not in grown:
+                        grown[key] = (h, parent)
+                        nxt.append((key, grown[key]))
         frontier = nxt
-    ordered = sorted(seen.items(), key=lambda kg: (kg[1].m, kg[1].n, kg[0][1]))
-    return [g for _, g in ordered]
+    return grown
+
+
+def _corpus_order(grown: dict) -> list:
+    """The keys by edge count, vertex count and edge code."""
+    return sorted(grown, key=lambda key: (grown[key][0].m, key[0], key[1]))

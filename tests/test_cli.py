@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -411,6 +412,10 @@ GOLDEN_SYMANZIK5 = "09112c6eded7736a1f3a05c0afb0f44d766d953abee26d8ba0b3544b7271
 # recorded before the fingerprint catalogue came from the multigraph corpus
 GOLDEN_GRAPHON4 = "e5bb507b17b07a27bad10d82bceb7fc0a74c2b68ceeb632484e35a4ce6fa4a99"
 GOLDEN_GRAPHON5 = "ba7b7ab6c005ed935e4506627dc1a8ba9c253b9f68538fb56658ddc071a6e513"
+# recorded before the corpus Tutte came from the growth pass and the
+# Symanzik check from one cycle basis per graph
+GOLDEN_TUTTE6 = "743ba23aef34addd49e64331965023aa64e23ce0cefa2dae01255815ccf2ca2e"
+GOLDEN_SYMANZIK6 = "7a5e0836a98e17c85a75a1c4b32e0e92950cdabca771785ccccab2b2746b0720"
 
 
 def test_golden_documents(tmp_path):
@@ -446,7 +451,10 @@ def test_golden_documents(tmp_path):
               "--order", "9"], GOLDEN_RENORM_G9),
             (["tutte", "--max-edges", "5"], GOLDEN_TUTTE5),
             (["symanzik", "--max-edges", "5", "--seed", "3"],
-             GOLDEN_SYMANZIK5)):
+             GOLDEN_SYMANZIK5),
+            (["tutte", "--max-edges", "6"], GOLDEN_TUTTE6),
+            (["symanzik", "--max-edges", "6", "--seed", "2"],
+             GOLDEN_SYMANZIK6)):
         out = tmp_path / "doc.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
@@ -469,7 +477,6 @@ GOLDEN_TUTTE_B = "7bd409b1086a3983c4eb76784299c9e7a219b5f05c23744e3fea5d8a19abcd
 GOLDEN_SYMANZIK_B = "057c359bd1d68881f4bd23a21a045d422e61ba1bc43ea4526c7b066ee00d5701"
 
 
-@pytest.mark.filterwarnings("ignore:disconnected graph")
 def test_golden_graph_batch_documents(tmp_path):
     batch = _write(tmp_path, "batch.json", GRAPH_BATCH_B)
     out = tmp_path / "doc.json"
@@ -477,6 +484,30 @@ def test_golden_graph_batch_documents(tmp_path):
                          (["symanzik", "--seed", "3"], GOLDEN_SYMANZIK_B)):
         assert main(argv + ["--graphs", batch, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def test_symanzik_notes_a_disconnected_graph_on_stderr(tmp_path):
+    """A disconnected graph gives one note line of the tool on stderr, not
+    a Python warning, and the same document."""
+    graphs = _write(tmp_path, "graphs.json", [
+        {"n": 3, "edges": [[0, 1], [2, 2]]}, {"n": 2, "edges": [[0, 1]]},
+        {"n": 2, "edges": []}])
+    src = os.path.dirname(os.path.dirname(dsegraphon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "dsegraphon.cli", "symanzik",
+                           "--graphs", graphs], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    note = ("disconnected graph: Symanzik polynomial summed over spanning "
+            "forests, the product of its components'")
+    assert proc.stderr == (f"dsegraphon: note: graph 0: {note}\n"
+                           f"dsegraphon: note: graph 2: {note}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["symanzik", "--graphs", graphs, "--out",
+                     str(tmp_path / "doc.json")]) == 0
+    assert (tmp_path / "doc.json").read_text() == proc.stdout
 
 
 _GRAPH_ITEMS = st.integers(0, 5).flatmap(lambda n: st.fixed_dictionaries({
@@ -487,7 +518,6 @@ _GRAPH_BATCHES = st.lists(_GRAPH_ITEMS | st.sampled_from(
     [{"n": -1}, {"edges": []}, {"n": 2, "edges": [[0]]}, "graph"]), max_size=4)
 
 
-@pytest.mark.filterwarnings("ignore:disconnected graph")
 @settings(max_examples=40, deadline=None)
 @given(_GRAPH_BATCHES, st.sampled_from(["tutte", "symanzik"]))
 def test_graph_batches_exit_cleanly_and_rerun_identically(tmp_path_factory, batch, sub):

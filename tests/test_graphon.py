@@ -23,6 +23,7 @@ from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import MultiGraph
 from dsegraphon.graphon import (DensityFingerprint, RefinementError,
                                 SimpleGraph, SizeError, StepGraphon,
+                                _block_sequences, _cell_blocks,
                                 _cut_norm_exact_matrix, _difference_matrix,
                                 _overlay, _weighted_map_sum,
                                 common_refinement, complete_graph,
@@ -403,28 +404,41 @@ def test_cut_distance_heuristic_upper_bounds_exact():
 
 
 def test_exact_cut_distance_builds_one_matrix_per_block_sequence(monkeypatch):
-    # a's two blocks of 1/2 and b's 1/8, 3/8, 1/2 make 8 equal cells; the
-    # 8! relabelings place a's blocks in C(8,4) = 70 distinct sequences
-    rng = random.Random(0)
-    a = random_graphon(rng, 2, equal=True)
-    b = random_graphon(rng, 3)
-    b = StepGraphon((F(1, 8), F(3, 8), F(1, 2)), b.values)
-    wr, ur = common_refinement(a, b)
-    mats = {}
-    for perm in itertools.permutations(range(8)):
-        mat, scale = _difference_matrix(wr, ur, perm)
-        mats[tuple(map(tuple, mat))] = scale
-    want = min(_cut_norm_exact_matrix([list(r) for r in m], s) for m, s in mats.items())
-    assert want > abs(a.total_mass() - b.total_mass())  # no early exit
+    # the minimum over all k! relabelings, and the distinct block
+    # sequences they give, against the multiset enumeration: a's blocks
+    # of 1/2 and b's 1/6, 1/3, 1/2 make 6 equal cells, with C(6,3) = 20
+    # distinct block sequences of a; 7 cells give C(7,3) = 35 and 8 cells
+    # C(8,4) = 70
     built = []
 
     def counting(*args, **kwargs):
         built.append(1)
         return _difference_matrix(*args, **kwargs)
 
-    monkeypatch.setattr("dsegraphon.graphon._difference_matrix", counting)
-    assert cut_distance(a, b, "exact") == want
-    assert len(built) <= 70
+    for mu_a, mu_b in (((F(1, 2), F(1, 2)), (F(1, 6), F(1, 3), F(1, 2))),
+                       ((F(3, 7), F(4, 7)), (F(1, 7), F(4, 7), F(2, 7))),
+                       ((F(1, 2), F(1, 2)), (F(1, 8), F(3, 8), F(1, 2)))):
+        rng = random.Random(0)
+        a = StepGraphon(mu_a, random_graphon(rng, 2, equal=True).values)
+        b = StepGraphon(mu_b, random_graphon(rng, 3).values)
+        wr, ur = common_refinement(a, b)
+        k = wr.k
+        blocks = _cell_blocks(a, k)
+        mats = {}
+        keys = set()
+        for perm in itertools.permutations(range(k)):
+            keys.add(tuple(map(blocks.__getitem__, perm)))
+            mat, scale = _difference_matrix(wr, ur, perm)
+            mats[tuple(map(tuple, mat))] = scale
+        assert list(_block_sequences(blocks)) == sorted(keys - {tuple(blocks)})
+        want = min(_cut_norm_exact_matrix([list(r) for r in m], s)
+                   for m, s in mats.items())
+        assert want > abs(a.total_mass() - b.total_mass())  # no early exit
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr("dsegraphon.graphon._difference_matrix", counting)
+            assert cut_distance(a, b, "exact") == want
+        assert len(built) == len(keys) == math.comb(k, blocks.count(0))
 
 
 def test_cut_distance_guards():

@@ -22,6 +22,7 @@ from dsegraphon import graphpoly
 from dsegraphon.trees import Tree, _bareiss_det, all_trees, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
+                                  corpus_tutte, det_matches_psi,
                                   generate_connected_multigraphs,
                                   least_edge_code, loop_number,
                                   psi_deletion_contraction, spanning_tree_count,
@@ -192,6 +193,20 @@ def test_tutte_multiplicative_over_components():
 def test_tutte_matches_rank_nullity_on_corpus(max_edges):
     for g in generate_connected_multigraphs(max_edges):
         assert tutte(g) == tutte_rank_nullity(g)
+
+
+def test_corpus_tutte_matches_the_general_tutte():
+    # the growth pass's polynomials against memoized deletion-contraction,
+    # and against the rank-nullity sum up to 5 edges
+    got = corpus_tutte(7)
+    assert [g for g, _ in got] == generate_connected_multigraphs(7)
+    for g, poly in got:
+        assert poly == tutte(g), g
+        if g.m <= 5:
+            assert poly == tutte_rank_nullity(g), g
+    assert corpus_tutte(0) == [(MultiGraph(1, []), MultiPoly.const(1))]
+    with pytest.raises(ValueError):
+        corpus_tutte(-1)
 
 
 def test_tutte_matches_rank_nullity_random():
@@ -427,6 +442,17 @@ def test_det_matches_psi_at_every_tree_choice_on_random_multigraphs():
             assert symanzik_det(h, assignment, tree_choice=choice) == want, (h, choice)
 
 
+def _per_call_det_matches(g: MultiGraph, psi: MultiPoly, draws) -> bool:
+    """The check of ``det_matches_psi`` with one ``symanzik_det`` and one
+    ``MultiPoly.eval`` per draw, in Fractions."""
+    ok = True
+    for draw in draws:
+        assignment = {v: F(a, b) for v, (a, b) in zip(g.evars, draw)}
+        values = {f"w{v}": a for v, a in assignment.items()}
+        ok = ok and symanzik_det(g, assignment) == psi.eval(values)
+    return ok
+
+
 def _random_disconnected_multigraph(rng) -> MultiGraph:
     """Two or three random connected multigraphs (loops and parallel edges
     among them) and up to two isolated vertices, with the vertices and the
@@ -465,6 +491,46 @@ def test_one_spanning_forest_path_on_disconnected_multigraphs():
             for choice in range(g.m + 1):
                 assert symanzik_det(g, assignment, tree_choice=choice) == value, (g, choice)
     assert sum(g.component_count() > 1 for g in graphs) == 60
+
+
+def test_det_matches_psi_on_one_basis_agrees_with_per_call_evaluation():
+    # Psi itself, Psi off by a monomial of lower or higher degree, on
+    # connected and disconnected multigraphs with loops and parallel edges,
+    # and on edges sharing a variable
+    rng = random.Random(17)
+    graphs = [MultiGraph(0, []), MultiGraph(1, [(0, 0)] * 3), k4(),
+              MultiGraph(3, [(0, 1), (1, 2), (0, 2), (1, 1)], evars=(1, 1, 2, 2))]
+    graphs += [_random_connected_multigraph(rng, 6, 6) for _ in range(40)]
+    graphs += [_random_disconnected_multigraph(rng) for _ in range(40)]
+    for g in graphs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedNotice)
+            psi = symanzik_psi(g)
+        draws = [[(rng.randint(1, 9), rng.randint(1, 9)) for _ in g.evars]
+                 for _ in range(3)]
+        assert det_matches_psi(g, psi, draws), g
+        for off in (1, MultiPoly.var(f"w{g.evars[0]}", 2) if g.m else 2,
+                    MultiPoly.product([psi, psi])):
+            wrong = psi + off
+            assert det_matches_psi(g, wrong, draws) == \
+                _per_call_det_matches(g, wrong, draws), (g, off)
+
+
+def test_det_matches_psi_on_a_polynomial_that_is_not_homogeneous():
+    # the triangle has loop number 1; psi + w1*w2*(3*w1 - 2) has degrees 1,
+    # 2 and 3 and equals Psi exactly where w1 = 2/3
+    g = triangle()
+    psi = symanzik_psi(g)
+    w1, w2 = MultiPoly.var("w1"), MultiPoly.var("w2")
+    q = psi + w1 * w2 * (3 * w1 - 2)
+    assert not q.is_homogeneous()
+    hit = [[(2, 3), (5, 7), (1, 4)], [(4, 6), (9, 2), (3, 3)]]
+    miss = [[(2, 3), (5, 7), (1, 4)], [(1, 3), (9, 2), (3, 3)]]
+    for draws, want in ((hit, True), (miss, False)):
+        assert det_matches_psi(g, q, draws) is want
+        assert _per_call_det_matches(g, q, draws) is want
+    with pytest.raises(ValueError):
+        det_matches_psi(g, psi + MultiPoly.var("w9"), hit)
 
 
 def test_psi_deletion_contraction_split():
