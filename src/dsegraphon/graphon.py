@@ -36,17 +36,19 @@ with Gray-code updates, up to 20 blocks; heuristic mode runs randomized
 alternating maximization and certifies the best pair it finds with exact
 arithmetic, so it reports a true lower bound.
 
-Cut distance minimizes the cut norm of the difference over block
-relabelings.  Up to 4096 cells, both graphons are refined to a common
-equal-measure partition whose cells are relabeled.  Whenever the
-identity alignment already attains the permutation-invariant lower
-bound |total mass difference|, that value is returned as the provable
-exact minimum without any search; this is what makes the rescaling
-diagnostics exact even at twenty blocks.  Beyond 4096 equal cells the
-two graphons are aligned on the overlay of their block boundaries
-instead: at most k1 + k2 - 1 cells of unequal measure, on which only the
-identity alignment is evaluated, because relabeling cells of unequal
-measure does not preserve measure.
+Cut distance minimizes the cut norm of the difference over
+measure-preserving relabelings of the cells of the common equal-measure
+refinement, up to 4096 cells; beyond that only the overlay of the block
+boundaries is left, at most k1 + k2 - 1 cells of unequal measure that no
+relabeling may permute.  Exact mode gives the exact distance or refuses,
+with no float: the identity alignment, whose norm is the same on every
+common partition and so is evaluated on the overlay, is the distance
+when it attains the permutation-invariant lower bound |total mass
+difference| (this makes the rescaling diagnostics exact even at twenty
+blocks) or when one side is constant; otherwise the relabelings of at
+most 8 equal cells are enumerated.  Heuristic mode searches relabelings
+of the equal cells on floats and reports the norm of the best alignment
+it finds, exact or a certified rectangle.
 
 Homomorphism densities sum over block colourings of the pattern's
 vertices.  A vertex with an earlier neighbour only takes the colours in
@@ -216,7 +218,8 @@ class SimpleGraph(MultiGraph):
     without loops or parallel edges, its edges stored once each as
     (min, max) in sorted order, so an edge test is a bisection.  Minors
     and components are plain ``MultiGraph``s, since they may have loops
-    or parallel edges."""
+    or parallel edges.  The edge variables ``evars`` are 1..m, built on
+    their first read: only minors and the Symanzik routines read them."""
 
     __slots__ = ()
 
@@ -224,15 +227,25 @@ class SimpleGraph(MultiGraph):
         super().__init__(n, edges)
         if any(u == v for (u, v) in self.edges):
             raise ValueError("simple graphs have no loops")
-        es = sorted(set(self.edges))
-        object.__setattr__(self, "edges", tuple(es))
-        object.__setattr__(self, "evars", tuple(range(1, len(es) + 1)))
+        object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
+        object.__delattr__(self, "evars")
 
     @classmethod
     def _trusted(cls, n: int, edges: list) -> "SimpleGraph":
         """Graph from an edge list already sorted, duplicate-free, in range
         and with u < v in every pair; nothing is checked."""
-        return super()._trusted(n, tuple(edges), tuple(range(1, len(edges) + 1)))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
+        return g
+
+    def __getattr__(self, name):
+        # called when lookup fails, as it does for the unset ``evars``
+        # slot, which is then built and kept
+        if name != "evars":
+            raise AttributeError(f"'SimpleGraph' object has no attribute {name!r}")
+        object.__setattr__(self, "evars", tuple(range(1, len(self.edges) + 1)))
+        return self.evars
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge, by bisection of the sorted edges."""
@@ -333,22 +346,20 @@ def _mass_numerators(w: StepGraphon):
 
 
 def _support_components(mat: list[list[int]]) -> list[list[int]]:
-    k = len(mat)
-    seen = [False] * k
+    """The support components of the symmetric ``mat``, each sorted."""
+    every = range(len(mat))
+    seen = [False] * len(mat)
     comps = []
-    for s in range(k):
+    for s in every:
         if seen[s]:
             continue
-        stack = [s]
         seen[s] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in range(k):
-                if not seen[v] and (mat[u][v] or mat[v][u]):
+        comp = [s]
+        for u in comp:  # grows while it is read: a breadth-first search
+            for v in itertools.compress(every, mat[u]):
+                if not seen[v]:
                     seen[v] = True
-                    stack.append(v)
+                    comp.append(v)
         comps.append(sorted(comp))
     return comps
 
@@ -396,13 +407,18 @@ def _sign_definite(rows) -> bool:
     return min(map(min, rows)) >= 0 or max(map(max, rows)) <= 0
 
 
-def _cut_norm_exact_matrix(mat: list[list[int]], scale: int = 1) -> Fraction:
+def _cut_norm_exact_matrix(mat, scale: int = 1, cap: int | None = None):
+    """Exact cut norm of ``mat`` over ``scale`` as a Fraction, or None when
+    a support component has more than ``cap`` cells."""
+    comps = _support_components(mat)
+    if cap is not None and max(map(len, comps)) > cap:
+        return None
     if _sign_definite(mat):
         # the full square sums every entry with one sign: nothing beats it
         return Fraction(abs(sum(map(sum, mat))), scale)
     total_max = 0
     total_min = 0
-    for comp in _support_components(mat):
+    for comp in comps:
         cmax, cmin = _component_extrema(mat, comp)
         total_max += cmax
         total_min += cmin
@@ -501,21 +517,14 @@ def cut_norm(w: StepGraphon, mode: str = "exact", *, seed: int = 0,
 # -- refinement and cut distance ---------------------------------------------------
 
 def _equal_refinement_count(w: StepGraphon, u: StepGraphon) -> int:
-    dens = [b.denominator for b in w.boundaries()] + \
-           [b.denominator for b in u.boundaries()]
-    return lcm(*dens)
+    return lcm(*(b.denominator for g in (w, u) for b in g.boundaries()))
 
 
 def _cell_blocks(w: StepGraphon, cells: int) -> list[int]:
-    """The block of each of ``cells`` equal cells."""
-    reps = []
-    for i, m in enumerate(w.measures):
-        cnt = m * cells
-        if cnt.denominator != 1:
-            raise RefinementError(
-                f"block of measure {m} does not split into cells of 1/{cells}")
-        reps.extend([i] * int(cnt))
-    return reps
+    """The block of each of ``cells`` equal cells; ``cells`` is a multiple
+    of every boundary denominator, so each block holds whole cells."""
+    return [i for i, m in enumerate(w.measures)
+            for _ in range(m.numerator * (cells // m.denominator))]
 
 
 def _lift(g: StepGraphon, idx: list[int], measures: tuple) -> StepGraphon:
@@ -569,59 +578,93 @@ def _difference_matrix(w: StepGraphon, u: StepGraphon, perm=None):
     return out, scale * scale * den
 
 
-def _distance_eval(mat, scale: int, seed: int):
-    """Exact norm if the support decomposes small enough, else heuristic."""
-    comps = _support_components(mat)
-    if all(len(c) <= _EXACT_COMPONENT_CAP for c in comps):
-        return _cut_norm_exact_matrix(mat, scale), True
-    return _cut_norm_heuristic_matrix(mat, scale, HEURISTIC_RESTARTS, seed), False
-
-
-def _cell_codes(w: StepGraphon, cells: int):
-    """The distinct numerators of w and the matrix of their positions on
-    the equal-cell refinement, coded once per block pair."""
-    import numpy as np
-    table, codes = _value_codes(w.nums)
-    idx = np.asarray(_cell_blocks(w, cells))
-    return table, codes[np.ix_(idx, idx)]
+def _distance_eval(mat, scale: int, seed: int) -> Fraction:
+    """The exact norm when every support component has at most
+    _EXACT_COMPONENT_CAP cells, else the certified heuristic rectangle."""
+    val = _cut_norm_exact_matrix(mat, scale, _EXACT_COMPONENT_CAP)
+    return _cut_norm_heuristic_matrix(mat, scale, HEURISTIC_RESTARTS, seed) \
+        if val is None else val
 
 
 def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
                  seed: int = 0, restarts: int = 8):
-    """Cut distance: minimum over block relabelings of the difference norm.
+    """Cut distance: minimum over measure-preserving relabelings of the
+    cut norm of the difference.  Relabelings permute the cells of the
+    common equal-measure refinement, up to 4096 cells; beyond that only
+    the overlay of the block boundaries is left, whose cells of unequal
+    measure are never relabeled.
 
-    When the common equal-measure partition has at most 4096 cells, both
-    graphons are refined to it.  If the identity alignment attains the
-    permutation-invariant bound |mass(W) - mass(U)| the exact minimum is
-    returned at once (in either mode).  Otherwise exact mode enumerates
-    the distinct relabelings (limit 8 blocks, else SizeError) and returns
-    the exact distance; heuristic mode descends by pairwise swaps from
-    the identity plus seeded random restarts and returns the norm of the
-    best alignment it found: exact when every support component of the
-    difference has at most 16 cells, else the certified rectangle of that
-    alignment (above 64 cells always the certified rectangle), which is a
-    lower bound on that alignment's norm.
+    Exact mode returns the distance or raises, and forms no float.  The
+    identity alignment, evaluated on the overlay when every support
+    component of its difference has at most 16 cells, is the distance
+    when it equals the mass gap |mass(W) - mass(U)| (a lower bound on
+    every alignment) or when one side is constant.  Otherwise the
+    relabelings of at most 8 equal cells are enumerated; else SizeError
+    is raised, or RefinementError beyond 4096 equal cells.
 
-    Beyond 4096 cells both graphons are aligned on the overlay of their
-    block boundaries and only the identity is evaluated there.
-    Heuristic mode returns that value, exact or certified as above.
-    Exact mode returns it only when it is provably the distance: exact
-    and equal to the mass gap, or one side constant; otherwise it raises
-    RefinementError.
+    Heuristic mode evaluates only the identity beyond 4096 equal cells.
+    Otherwise it returns the identity when that is exact and attains the
+    mass gap (at most 64 cells) or when one side is constant, else the
+    best alignment of a seeded float search (swap descent from the
+    identity plus random restarts).  A value is exact when the support
+    components of its difference have at most 16 cells (and there are at
+    most 64 cells), else that alignment's certified rectangle: a lower
+    bound on its norm only.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    cells = _equal_refinement_count(w, u)
+    if mode == "heuristic":
+        if cells > _EQUAL_CELL_CAP:
+            return _distance_eval(*_difference_matrix(*_overlay(w, u)), seed)
+        return _heuristic_distance(w, u, *common_refinement(w, u), seed, restarts)
+    # the identity's norm is the same on every common partition: use the coarsest
+    mat, scale = _difference_matrix(*_overlay(w, u))
+    val = _cut_norm_exact_matrix(mat, scale, _EXACT_COMPONENT_CAP)
+    mass_gap = Fraction(abs(sum(map(sum, mat))), scale)
+    if val is not None and (val == mass_gap or w.is_constant() or u.is_constant()):
+        return val
+    if cells <= EXACT_DISTANCE_BLOCK_LIMIT:
+        # cells of one block of w share their row, so the matrix depends
+        # only on the block of each relabeled cell, and the first cell of
+        # a block stands for all of them: one matrix per distinct block
+        # sequence, the identity's already evaluated
+        wr, ur = common_refinement(w, u)
+        blocks = _cell_blocks(w, cells)
+        first = {b: blocks.index(b) for b in set(blocks)}
+        for seq in _block_sequences(blocks):
+            val = min(val, _cut_norm_exact_matrix(
+                *_difference_matrix(wr, ur, [first[b] for b in seq])))
+            if val == mass_gap:
+                break
+        return val
+    if cells > _EQUAL_CELL_CAP:
+        raise RefinementError(
+            f"common equal-measure partition needs {cells} blocks, limit is "
+            f"{_EQUAL_CELL_CAP}, and the identity on the {len(mat)}-cell overlay "
+            f"is not certified exact")
+    raise SizeError(f"exact cut distance limited to {EXACT_DISTANCE_BLOCK_LIMIT} "
+                    f"equal cells (got {cells}) when the identity alignment is "
+                    f"not certified exact; use heuristic mode")
+
+
+def _heuristic_distance(w, u, wr, ur, seed: int, restarts: int) -> Fraction:
+    """Heuristic cut distance of w and u on their equal-cell refinements
+    wr and ur; see ``cut_distance``."""
     import numpy as np
-    if _equal_refinement_count(w, u) > _EQUAL_CELL_CAP:
-        return _overlay_distance(w, u, mode, seed)
-    wr, ur = common_refinement(w, u)
     k = wr.k
     rng = np.random.Generator(np.random.Philox(key=seed))
     # a difference numerator over this scale is a cell's mass: cells are equal
     den = lcm(w.den, u.den)
     sw, su, scale = den // w.den, den // u.den, k * k * den
-    wt, wc = _cell_codes(w, k)
-    ut, uc = _cell_codes(u, k)
+    # the distinct numerators of each side and the matrix of their
+    # positions on the equal cells, coded once per block pair
+    coded = []
+    for g in (w, u):
+        table, codes = _value_codes(g.nums)
+        idx = np.asarray(_cell_blocks(g, k))
+        coded.append((table, codes[np.ix_(idx, idx)]))
+    (wt, wc), (ut, uc) = coded
     wf, uf = _floats(wt, w.den)[wc], _floats(ut, u.den)[uc]
     cell_sq = 1 / (k * k)
 
@@ -643,43 +686,20 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     small = k <= 64
     if small:
         id_mat, _ = _difference_matrix(wr, ur)
-        id_val, id_exact = _distance_eval(id_mat, scale, seed)
-        mass_gap = Fraction(abs(sum(map(sum, id_mat))), scale)
-        # |mass(W)-mass(U)| lower-bounds the norm of every alignment, so
-        # an exact identity value attaining it is the exact distance
-        if id_exact and id_val == mass_gap:
-            return id_val
+        id_val = _cut_norm_exact_matrix(id_mat, scale, _EXACT_COMPONENT_CAP)
+        if id_val is None:
+            id_val = _cut_norm_heuristic_matrix(id_mat, scale, HEURISTIC_RESTARTS, seed)
+        elif id_val == Fraction(abs(sum(map(sum, id_mat))), scale):
+            return id_val  # exact and attaining the mass gap: the distance
     else:
         id_val = certified(list(range(k)))
-        id_exact = False
 
     # a constant graphon is invariant under every relabeling
     if w.is_constant() or u.is_constant():
         return id_val
 
-    if mode == "exact":
-        if k > EXACT_DISTANCE_BLOCK_LIMIT:
-            raise SizeError(
-                f"exact cut distance limited to {EXACT_DISTANCE_BLOCK_LIMIT} "
-                f"equal blocks after refinement (got {k}); use heuristic mode")
-        # cells of one block of w share their row, so the matrix depends
-        # only on the block of each relabeled cell, and the first cell of
-        # a block stands for all of them: one matrix per distinct block
-        # sequence, the identity's already evaluated
-        blocks = _cell_blocks(w, k)
-        first = {b: blocks.index(b) for b in set(blocks)}
-        best = id_val
-        for seq in _block_sequences(blocks):
-            mat, _ = _difference_matrix(wr, ur, [first[b] for b in seq])
-            val = _cut_norm_exact_matrix(mat, scale)
-            if val < best:
-                best = val
-                if best == mass_gap:
-                    break
-        return best
-
-    # heuristic: search permutations on a float score, then evaluate the
-    # winner once with exact arithmetic (or a certified lower bound)
+    # search permutations on a float score, then evaluate the winner once
+    # with exact arithmetic (or a certified lower bound)
     def score(perm) -> float:
         val, _, _ = _heuristic_pair(search_matrix(perm)[1], rng, 4)
         return val
@@ -707,7 +727,7 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
                     best_perm = perm
                     improved = True
     if small:
-        final, _ = _distance_eval(*_difference_matrix(wr, ur, best_perm), seed)
+        final = _distance_eval(*_difference_matrix(wr, ur, best_perm), seed)
     else:
         final = certified(best_perm)
     if best_perm != list(range(k)) and id_val < final:
@@ -732,27 +752,6 @@ def _block_sequences(blocks: list[int]):
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = a[:i:-1]
         yield tuple(a)
-
-
-def _overlay_distance(w: StepGraphon, u: StepGraphon, mode: str,
-                      seed: int) -> Fraction:
-    """Identity alignment on the overlay; see ``cut_distance``.  There is
-    no relabeling search: permuting cells of unequal measure is not
-    measure-preserving."""
-    wo, uo = _overlay(w, u)
-    val, exact = _distance_eval(*_difference_matrix(wo, uo), seed)
-    if mode == "heuristic":
-        return val
-    # |mass(W)-mass(U)| lower-bounds every alignment, and a constant side
-    # makes every alignment equal to the identity
-    if exact and (val == abs(w.total_mass() - u.total_mass())
-                  or w.is_constant() or u.is_constant()):
-        return val
-    raise RefinementError(
-        f"common equal-measure partition needs "
-        f"{_equal_refinement_count(w, u)} blocks, limit is {_EQUAL_CELL_CAP}, "
-        f"and the identity alignment on the {wo.k}-cell overlay is not "
-        f"certified exact")
 
 
 # -- homomorphism densities ----------------------------------------------------------

@@ -460,6 +460,31 @@ def test_golden_documents(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+# heuristic traces at seed 0, recorded before the exact and heuristic cut
+# distances became separate paths.  Order 4 of g compares on 5, 20 and 380
+# equal cells; order 5 of g and gh-unit end on the overlay of the block
+# boundaries (10 868 and 4836 equal cells would be needed)
+GOLDEN_TRACE4 = "560c3559ae5668200dbbe6321e289507a736764f18fded31ba76d577f4e9ab48"
+GOLDEN_TRACE5 = "b02fbe37a4e34640a71f249ffa6f774ad13ef9f78f81d7a15b0a48f50c2eeb6b"
+GOLDEN_TRACE_GH = "ee7932c956e7099662004eb361ad4fd412e555b7a38bd9d3c1b3743a3d5a14dd"
+
+
+def test_golden_trace_documents(tmp_path):
+    g = _write(tmp_path, "g.json", {
+        "cocycles": [{"decoration": "g", "omega": "1"}],
+        "order": 10, "coupling": "1/2"})
+    gh = _write(tmp_path, "gh-unit.json", {
+        "cocycles": [{"decoration": "g", "omega": "1"},
+                     {"decoration": "h", "omega": "1"}],
+        "order": 4, "coupling": "1/2"})
+    out = tmp_path / "doc.json"
+    for argv, digest in ((["--spec", g, "--order", "4"], GOLDEN_TRACE4),
+                         (["--spec", g, "--order", "5"], GOLDEN_TRACE5),
+                         (["--spec", gh], GOLDEN_TRACE_GH)):
+        assert main(["trace", *argv, "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
 # a batch with a vertexless graph, a bouquet of loops, parallel edges, a
 # tree, a disconnected graph with a loop, edges stored against their
 # orientation, and isolated vertices; digests recorded before bridges and

@@ -11,13 +11,17 @@ import bisect
 import functools
 import itertools
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import networkx as nx
 import pytest
 
+import dsegraphon
 from dsegraphon.trees import ForestSum, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import MultiGraph
@@ -140,6 +144,31 @@ def test_simple_graph_rejects_non_integer_vertices():
     for edges in ([(1.0, 0)], [(0.5, 1)], [(True, 1)], [(0, "1")]):
         with pytest.raises(ValueError):
             SimpleGraph(2, edges)
+
+
+def test_simple_graph_builds_edge_variables_on_first_read():
+    """A sampled graph holds no edge variables until a minor or a Symanzik
+    routine reads them; they are then 1..m, kept, and minors stay plain
+    MultiGraphs carrying theirs."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        g = sample_random_graph(300, StepGraphon.constant(F(1, 2)), seed=4)
+        before = tracemalloc.get_traced_memory()[0]
+        ev = g.evars
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ev == tuple(range(1, g.m + 1)) and g.evars is ev
+    assert grown >= sys.getsizeof(ev)
+    for h in (g, SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])):
+        ev = h.evars
+        d, c = h.delete(1), h.contract(0)
+        assert type(d) is type(c) is MultiGraph
+        assert d.evars == ev[:1] + ev[2:] and c.evars == ev[1:]
+        assert h == MultiGraph(h.n, h.edges, ev)
+    with pytest.raises(AttributeError):
+        g.no_such_attribute
 
 
 def test_simple_graph_is_a_multigraph():
@@ -460,6 +489,128 @@ def test_cut_distance_guards():
         cut_distance(odd2, corner)
     with pytest.raises(ValueError):
         cut_distance(w, u, "fancy")
+
+
+def test_exact_cut_distance_refuses_what_it_cannot_certify():
+    # W-random graphs against their constant: the identity's difference
+    # has one support component of n cells, too large to evaluate
+    # exactly, so exact mode refuses where it used to return the
+    # certified rectangle, a lower bound only; heuristic mode still does
+    half = StepGraphon.constant(F(1, 2))
+    for n, rectangle in ((30, F(31, 600)), (100, F(151, 5000))):
+        g = graphon_from_graph(sample_random_graph(n, half, seed=7))
+        with pytest.raises(SizeError):
+            cut_distance(g, half, "exact")
+        assert cut_distance(g, half, "heuristic") == rectangle
+
+
+def test_exact_cut_distance_certifies_the_identity_at_any_cell_count():
+    # 4096 equal cells, far beyond enumeration: W >= U everywhere, so the
+    # identity attains the mass gap, the lower bound on every alignment;
+    # it is evaluated on the 3-cell overlay, where its norm is the same
+    w = StepGraphon((F(1, 4096), F(4095, 4096)), [[F(1), F(1, 2)], [F(1, 2), F(1, 2)]])
+    u = StepGraphon((F(1, 2), F(1, 2)), [[F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
+    assert cut_distance(w, u, "exact") == w.total_mass() - u.total_mass()
+    assert cut_distance(u, w, "exact") == w.total_mass() - u.total_mass()
+
+
+def _brute_force_distance(w: StepGraphon, u: StepGraphon, cells: int) -> F:
+    """min over all cells! relabelings of the equal cells of the largest
+    |sum over S x T| of the difference, with the best T for each S."""
+    den = math.lcm(w.den, u.den)
+    wn = [[n * (den // w.den) for n in row] for row in w.nums]
+    un = [[n * (den // u.den) for n in row] for row in u.nums]
+    blocks_w = [i for i, m in enumerate(w.measures) for _ in range(int(m * cells))]
+    blocks_u = [i for i, m in enumerate(u.measures) for _ in range(int(m * cells))]
+    best = {}
+    for perm in itertools.permutations(range(cells)):
+        seq = tuple(blocks_w[p] for p in perm)  # all the difference depends on
+        if seq in best:
+            continue
+        diff = [[wn[a][b] - un[x][y] for b, y in zip(seq, blocks_u)]
+                for a, x in zip(seq, blocks_u)]
+        norm = 0
+        for sbits in range(1 << cells):
+            cols = [sum(diff[i][j] for i in range(cells) if sbits >> i & 1)
+                    for j in range(cells)]
+            norm = max(norm, sum(c for c in cols if c > 0), -sum(c for c in cols if c < 0))
+        best[seq] = norm
+    return F(min(best.values()), den * cells * cells)
+
+
+def test_exact_cut_distance_is_the_minimum_over_cell_permutations(monkeypatch):
+    """Exact values on at most 7 equal cells, from the identity
+    certificate and from block-sequence enumeration alike, against a
+    brute-force minimum over every permutation of the cells."""
+    import dsegraphon.graphon as graphon_mod
+    enumerated = []
+    sequences = graphon_mod._block_sequences
+
+    def spy(blocks):
+        enumerated.append(1)
+        return sequences(blocks)
+
+    monkeypatch.setattr(graphon_mod, "_block_sequences", spy)
+    rng = random.Random(2024)
+    paths = {"certificate": 0, "enumeration": 0}
+    for trial in range(48):
+        cells = 2 + trial % 6
+        parts = []
+        for _ in range(2):
+            cuts = sorted(rng.sample(range(1, cells), rng.randint(1, min(3, cells - 1))))
+            bounds = [0, *cuts, cells]
+            parts.append([F(b - a, cells) for a, b in zip(bounds, bounds[1:])])
+        kind = trial % 8
+        if kind < 6:
+            w, u = (StepGraphon(mu, random_graphon(rng, len(mu)).values) for mu in parts)
+        elif kind == 6:
+            w = StepGraphon(parts[0], sparse_values(rng, len(parts[0])))
+            u = StepGraphon.constant(F(rng.randint(0, 8), 8))
+        else:  # below w everywhere: the identity attains the mass gap
+            w = StepGraphon(parts[0], sparse_values(rng, len(parts[0])))
+            scale = sparse_values(rng, w.k)
+            u = StepGraphon(parts[0], [[v * x for v, x in zip(row, xs)]
+                                       for row, xs in zip(w.values, scale)])
+        enumerated.clear()
+        got = cut_distance(w, u, "exact")
+        paths["enumeration" if enumerated else "certificate"] += 1
+        assert got == _brute_force_distance(w, u, cells), trial
+    assert min(paths.values()) >= 10, paths
+
+
+def test_exact_cut_distance_imports_no_numpy():
+    """Certificate, enumeration, overlay certificate and both refusals run
+    on integers only: numpy stays out of a fresh interpreter."""
+    script = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from dsegraphon.graphon import (RefinementError, SizeError, StepGraphon,\n"
+        "    complete_graph, cut_distance, graphon_from_graph, path_graph)\n"
+        "half = StepGraphon.constant(F(1, 2))\n"
+        "u = StepGraphon((F(1, 2), F(1, 2)), [[F(3, 4), F(1, 4)], [F(1, 4), F(1, 2)]])\n"
+        "assert cut_distance(graphon_from_graph(complete_graph(2)), half) == F(1, 8)\n"
+        "assert cut_distance(graphon_from_graph(path_graph(3)), u) > 0\n"
+        "odd = StepGraphon((F(1, 4099), F(4098, 4099)), [[F(1), F(0)], [F(0), F(0)]])\n"
+        "assert cut_distance(odd, u) == F(117612591, 268828816)\n"
+        "for w, v, err in ((graphon_from_graph(path_graph(5)), u, SizeError),\n"
+        "                  (graphon_from_graph(complete_graph(20)), half, SizeError),\n"
+        "                  (StepGraphon((F(1, 4099), F(4098, 4099)),\n"
+        "                               [[F(0), F(1)], [F(1), F(0)]]),\n"
+        "                   StepGraphon((F(1, 2), F(1, 2)),\n"
+        "                               [[F(1), F(0)], [F(0), F(0)]]), RefinementError)):\n"
+        "    try:\n"
+        "        cut_distance(w, v, 'exact')\n"
+        "    except err:\n"
+        "        pass\n"
+        "    else:\n"
+        "        sys.exit('no refusal')\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by exact cut_distance'\n")
+    src = os.path.dirname(os.path.dirname(dsegraphon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 def test_overlay_identity_norm_matches_equal_refinement():
@@ -924,7 +1075,7 @@ def test_sampling_consistency_median_trend():
         ds = []
         for trial in range(20):
             g = sample_random_graph(n, w, seed=n * 100 + trial)
-            ds.append(cut_distance(graphon_from_graph(g), w))
+            ds.append(cut_distance(graphon_from_graph(g), w, "heuristic"))
         medians.append(statistics.median(ds))
     assert medians[0] > medians[1] > medians[2]
 
