@@ -21,21 +21,15 @@ import sys
 import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dse import solve, structural_sum
-from .graphon import SizeError, cut_norm, density_fingerprint, \
-    convergence_trace, feynman_graphon
-from .graphpoly import MultiGraph, corpus_tutte, det_matches_psi, \
-    generate_connected_multigraphs, loop_number, spanning_tree_count, \
-    symanzik_psi, tutte
-from .haar import ball_measure_mc, ks_critical_value, norm_uniformity_statistic
-from .renorm import WindowError, renormalize_solution
-from .serialize import dse_spec_from_json, dse_spec_to_json, \
-    forest_sum_to_json, graphon_to_json, laurent_to_json, \
-    multigraph_from_json, multigraph_to_json, multipoly_to_json, \
-    rational_from_str, rational_to_str, solution_to_json, \
-    toy_rules_from_json, toy_rules_to_json
+
+# Every layer module is imported by the handler that runs it, so that a
+# subcommand's process loads (and, without a bytecode cache, compiles)
+# only the layers it uses.
+if TYPE_CHECKING:
+    from .graphpoly import MultiGraph
 
 
 class CLIError(Exception):
@@ -160,6 +154,8 @@ def _edges_code(g: MultiGraph) -> str:
 
 
 def _graph_batch(args) -> list[MultiGraph]:
+    from .graphpoly import generate_connected_multigraphs
+    from .serialize import multigraph_from_json
     if args.graphs is not None:
         obj = _load_json(args.graphs)
         if not isinstance(obj, list):
@@ -171,6 +167,9 @@ def _graph_batch(args) -> list[MultiGraph]:
 # -- subcommand handlers ----------------------------------------------------------
 
 def _run_solve(args):
+    from .dse import solve
+    from .serialize import dse_spec_from_json, dse_spec_to_json, \
+        rational_to_str, solution_to_json
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
     config = {"subcommand": "solve", "spec": dse_spec_to_json(sol.spec),
@@ -189,6 +188,11 @@ def _run_solve(args):
 
 
 def _run_renorm(args):
+    from .dse import solve
+    from .renorm import WindowError, renormalize_solution
+    from .serialize import dse_spec_from_json, dse_spec_to_json, \
+        laurent_to_json, rational_to_str, toy_rules_from_json, \
+        toy_rules_to_json
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
     rules_obj = _load_json(args.rules)
@@ -225,6 +229,11 @@ def _run_renorm(args):
 
 
 def _run_graphon(args):
+    from .dse import solve, structural_sum
+    from .graphon import SizeError, cut_norm, density_fingerprint, \
+        feynman_graphon
+    from .serialize import dse_spec_from_json, dse_spec_to_json, \
+        graphon_to_json, rational_to_str
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
     m = args.order if args.order is not None else sol.order
@@ -249,6 +258,9 @@ def _run_graphon(args):
 
 
 def _run_tutte(args):
+    from .graphpoly import corpus_tutte, spanning_tree_count, tutte
+    from .serialize import multigraph_to_json, multipoly_to_json, \
+        rational_to_str
     if args.graphs is None:
         batch = corpus_tutte(args.max_edges)
     else:
@@ -280,6 +292,8 @@ def _run_tutte(args):
 
 
 def _run_symanzik(args):
+    from .graphpoly import det_matches_psi, loop_number, symanzik_psi
+    from .serialize import multigraph_to_json, multipoly_to_json
     batch = _graph_batch(args)
     config = {"subcommand": "symanzik",
               "graphs": [multigraph_to_json(g) for g in batch],
@@ -316,6 +330,9 @@ def _run_symanzik(args):
 
 
 def _run_haar(args):
+    from .haar import ball_measure_mc, ks_critical_value, \
+        norm_uniformity_statistic
+    from .serialize import rational_from_str, rational_to_str
     try:
         radii = [rational_from_str(tok) for tok in args.radii.split(",") if tok]
     except ValueError as exc:
@@ -349,6 +366,10 @@ def _run_haar(args):
 
 
 def _run_trace(args):
+    from .dse import solve
+    from .graphon import SizeError, convergence_trace
+    from .serialize import dse_spec_from_json, dse_spec_to_json, \
+        rational_to_str
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
     m = args.order if args.order is not None else sol.order

@@ -247,6 +247,18 @@ class SimpleGraph(MultiGraph):
         object.__setattr__(self, "evars", tuple(range(1, len(self.edges) + 1)))
         return self.evars
 
+    # The variables of a simple graph are 1..m, so equality and the hash
+    # (that of the equal ``MultiGraph``) are taken without storing them.
+    def __eq__(self, other):
+        if isinstance(other, SimpleGraph):
+            return self.n == other.n and self.edges == other.edges
+        return (isinstance(other, MultiGraph) and self.n == other.n
+                and self.edges == other.edges
+                and other.evars == tuple(range(1, len(self.edges) + 1)))
+
+    def __hash__(self):
+        return hash((self.n, self.edges, tuple(range(1, len(self.edges) + 1))))
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge, by bisection of the sorted edges."""
         e = (min(u, v), max(u, v))

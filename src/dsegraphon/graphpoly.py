@@ -784,14 +784,40 @@ def spanning_forests(g: MultiGraph):
     the (n - c)-edge subsets with no cycle, for c components.  On a
     connected graph they are the spanning trees."""
     need = g.n - g.component_count()
-    for subset in itertools.combinations(range(g.m), need):
-        dsu = _DSU(g.n)
-        for i in subset:
+    # One backtracking pass over the edges in index order, so the forests
+    # come in ``itertools.combinations`` order.  A union-find by size
+    # without path compression undoes its last union when an edge is taken
+    # back; an edge that closes a cycle (a loop included) is skipped, and
+    # with it every subset that holds it with the edges chosen so far.
+    parent = list(range(g.n))
+    size = [1] * g.n
+    chosen: list[int] = []
+    merged: list[tuple[int, int]] = []
+    i = 0
+    while True:
+        if len(chosen) == need:
+            yield tuple(chosen)
+        elif i <= g.m - need + len(chosen):
             u, v = g.edges[i]
-            if u == v or not dsu.union(u, v):
-                break
-        else:
-            yield subset
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                if size[u] > size[v]:
+                    u, v = v, u
+                parent[u] = v
+                size[v] += size[u]
+                chosen.append(i)
+                merged.append((u, v))
+            i += 1
+            continue
+        if not chosen:
+            return
+        i = chosen.pop() + 1
+        u, v = merged.pop()
+        parent[u] = u
+        size[v] -= size[u]
 
 
 def symanzik_psi(g: MultiGraph) -> MultiPoly:

@@ -8,13 +8,18 @@ byte-stable for identical inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .trees import Tree, Forest, ForestSum, EMPTY_FOREST, _is_int
-from .hopf import TensorSum
-from .dse import Cocycle, DSESpec, DSESolution
-from .renorm import LaurentSeries, ScalePoly, ToyRules
-from .graphon import StepGraphon
-from .graphpoly import MultiGraph, MultiPoly
+from .trees import Tree, Forest, ForestSum, _is_int
+
+# A decoder imports the type it builds when it is called, so that
+# importing this module loads no layer beyond the trees.
+if TYPE_CHECKING:
+    from .hopf import TensorSum
+    from .dse import DSESpec, DSESolution
+    from .renorm import LaurentSeries, ToyRules
+    from .graphon import StepGraphon
+    from .graphpoly import MultiGraph, MultiPoly
 
 
 def rational_to_str(q) -> str:
@@ -91,6 +96,7 @@ def dse_spec_to_json(spec: DSESpec) -> dict:
 
 
 def dse_spec_from_json(obj) -> DSESpec:
+    from .dse import Cocycle, DSESpec
     if not isinstance(obj, dict):
         raise ValueError("equation spec must be an object")
     raw = obj.get("cocycles")
@@ -122,6 +128,7 @@ def laurent_to_json(s: LaurentSeries) -> dict:
 
 
 def laurent_from_json(obj) -> LaurentSeries:
+    from .renorm import LaurentSeries, ScalePoly
     if not isinstance(obj, dict):
         raise ValueError("Laurent series must be an object")
     window = obj.get("window", [-8, 2])
@@ -149,6 +156,7 @@ def toy_rules_to_json(r: ToyRules) -> dict:
 
 
 def toy_rules_from_json(obj) -> ToyRules:
+    from .renorm import ToyRules
     if not isinstance(obj, dict):
         raise ValueError("rules must be an object")
     residues = obj.get("residues", {})
@@ -176,6 +184,7 @@ def graphon_to_json(w: StepGraphon) -> dict:
 
 
 def graphon_from_json(obj) -> StepGraphon:
+    from .graphon import StepGraphon
     if not (isinstance(obj, dict) and isinstance(obj.get("measures"), list)
             and isinstance(obj.get("values"), list)
             and all(isinstance(row, list) for row in obj["values"])):
@@ -191,6 +200,7 @@ def multigraph_to_json(g: MultiGraph) -> dict:
 
 
 def multigraph_from_json(obj) -> MultiGraph:
+    from .graphpoly import MultiGraph
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("graph object needs 'n' and 'edges'")
     if not _is_int(obj["n"]):
@@ -215,6 +225,7 @@ def _exponent(e) -> int:
 
 
 def multipoly_from_json(obj) -> MultiPoly:
+    from .graphpoly import MultiPoly
     if not isinstance(obj, list) or not all(
             isinstance(item, dict) and "coef" in item
             and isinstance(item.get("exps", {}), dict) for item in obj):

@@ -625,6 +625,49 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     assert hashlib.sha256(haar.read_bytes()).hexdigest() == GOLDEN_HAAR
 
 
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    """Importing the CLI loads no layer module; each subcommand then
+    imports the layers it runs and no other, in a fresh interpreter."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "cocycles": [{"decoration": "g", "omega": "1"}],
+        "order": 3, "coupling": "1/2"}))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"residues": {"g": "1"}, "scale": None}))
+
+    def modules(*names):
+        return ",".join(n if n == "numpy" else f"dsegraphon.{n}" for n in names)
+
+    dse_idle = modules("graphon", "graphpoly", "haar", "numpy")
+    graphs_idle = modules("dse", "renorm", "graphon", "haar", "numpy")
+    cases = [
+        ([], modules("dse", "hopf", "renorm", "graphon", "graphpoly", "haar")),
+        (["solve", "--spec", str(spec)], dse_idle),
+        (["renorm", "--spec", str(spec), "--rules", str(rules)], dse_idle),
+        (["tutte", "--max-edges", "3"], graphs_idle),
+        (["symanzik", "--max-edges", "3"], graphs_idle),
+        (["haar", "--samples", "2000", "--depth", "12"],
+         modules("dse", "renorm", "graphon", "graphpoly")),
+    ]
+    script = (
+        "import sys\n"
+        "import dsegraphon.cli as cli\n"
+        "argv, idle = sys.argv[1:-1], sys.argv[-1].split(',')\n"
+        "if argv and cli.main(argv) == 2:\n"
+        "    sys.exit(f'{argv} exited 2')\n"
+        "loaded = [m for m in idle if m in sys.modules]\n"
+        "sys.exit(f'{argv or \"import\"} loaded {loaded}' if loaded else 0)\n")
+    src = os.path.dirname(os.path.dirname(dsegraphon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for argv, idle in cases:
+        if argv:
+            argv = argv + ["--out", str(tmp_path / "doc.json")]
+        proc = subprocess.run([sys.executable, "-c", script, *argv, idle], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 def _run_twice(tmp_path, argv):
     outs = []
     for name in ("a.out", "b.out"):

@@ -186,6 +186,24 @@ def test_simple_graph_is_a_multigraph():
         g.n = 4
 
 
+def test_simple_graph_compares_and_hashes_without_storing_its_variables():
+    g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    twin = SimpleGraph(4, list(g.edges))
+    plain = MultiGraph(4, g.edges)
+    assert g == twin and twin == g and g == plain and plain == g
+    assert hash(g) == hash(twin) == hash(plain)
+    assert g != MultiGraph(4, g.edges, (4, 3, 2, 1))
+    assert MultiGraph(4, g.edges, (4, 3, 2, 1)) != g
+    assert g != SimpleGraph(4, g.edges[:3]) and g != MultiGraph(5, g.edges)
+    assert g != g.edges
+    for h in (g, twin):
+        with pytest.raises(AttributeError):
+            MultiGraph.evars.__get__(h)
+    # a graph whose variables were built still compares and hashes alike
+    assert twin.evars == (1, 2, 3, 4)
+    assert g == twin and hash(g) == hash(twin)
+
+
 @functools.lru_cache(maxsize=None)
 def _permutations(n: int):
     import numpy as np

@@ -493,6 +493,37 @@ def test_one_spanning_forest_path_on_disconnected_multigraphs():
     assert sum(g.component_count() > 1 for g in graphs) == 60
 
 
+def _per_subset_spanning_forests(g: MultiGraph):
+    """The forests as enumerated before the backtracking pass: every
+    (n - c)-edge subset in ``itertools.combinations`` order, tested with a
+    fresh union-find."""
+    need = g.n - g.component_count()
+    for subset in itertools.combinations(range(g.m), need):
+        dsu = graphpoly._DSU(g.n)
+        for i in subset:
+            u, v = g.edges[i]
+            if u == v or not dsu.union(u, v):
+                break
+        else:
+            yield subset
+
+
+def test_spanning_forests_match_the_per_subset_enumeration():
+    # the same tuples in the same order, on random multigraphs with loops,
+    # parallel edges, several components and isolated vertices
+    rng = random.Random(21)
+    graphs = [MultiGraph(0, []), MultiGraph(3, []), MultiGraph(1, [(0, 0), (0, 0)]),
+              MultiGraph(2, [(0, 1), (0, 1), (1, 1)])]
+    graphs += [_random_connected_multigraph(rng, 6, 6) for _ in range(60)]
+    graphs += [_random_disconnected_multigraph(rng) for _ in range(60)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 9))]))
+    for g in graphs:
+        assert list(spanning_forests(g)) == list(_per_subset_spanning_forests(g)), g
+
+
 def test_det_matches_psi_on_one_basis_agrees_with_per_call_evaluation():
     # Psi itself, Psi off by a monomial of lower or higher degree, on
     # connected and disconnected multigraphs with loops and parallel edges,
