@@ -189,7 +189,7 @@ def _run_solve(args):
 
 def _run_renorm(args):
     from .dse import solve
-    from .renorm import WindowError, renormalize_solution
+    from .renorm import renormalize_solution
     from .serialize import dse_spec_from_json, dse_spec_to_json, \
         laurent_to_json, rational_to_str, toy_rules_from_json, \
         toy_rules_to_json
@@ -199,10 +199,7 @@ def _run_renorm(args):
     rules = toy_rules_from_json(rules_obj)
     window_pinned = isinstance(rules_obj, dict) and "window" in rules_obj
     m = args.order if args.order is not None else sol.order
-    try:
-        report = renormalize_solution(rules, sol, m, widen=not window_pinned)
-    except WindowError as exc:
-        raise CLIError(str(exc)) from exc
+    report = renormalize_solution(rules, sol, m, widen=not window_pinned)
     config = {"subcommand": "renorm", "spec": dse_spec_to_json(sol.spec),
               "rules": toy_rules_to_json(rules), "order": m,
               "format": args.format}
@@ -230,8 +227,7 @@ def _run_renorm(args):
 
 def _run_graphon(args):
     from .dse import solve, structural_sum
-    from .graphon import SizeError, cut_norm, density_fingerprint, \
-        feynman_graphon
+    from .graphon import cut_norm, density_fingerprint, feynman_graphon
     from .serialize import dse_spec_from_json, dse_spec_to_json, \
         graphon_to_json, rational_to_str
     spec_obj = _spec_from_args(args)
@@ -239,10 +235,7 @@ def _run_graphon(args):
     m = args.order if args.order is not None else sol.order
     y = structural_sum(sol, m)
     w = feynman_graphon(y, sol.coupling)
-    try:
-        norm_val = cut_norm(w, args.mode, seed=args.seed)
-    except SizeError as exc:
-        raise CLIError(str(exc)) from exc
+    norm_val = cut_norm(w, args.mode, seed=args.seed)
     fp = density_fingerprint(w, level=args.level)
     config = {"subcommand": "graphon", "spec": dse_spec_to_json(sol.spec),
               "order": m, "level": args.level, "mode": args.mode,
@@ -367,16 +360,13 @@ def _run_haar(args):
 
 def _run_trace(args):
     from .dse import solve
-    from .graphon import SizeError, convergence_trace
+    from .graphon import convergence_trace
     from .serialize import dse_spec_from_json, dse_spec_to_json, \
         rational_to_str
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
     m = args.order if args.order is not None else sol.order
-    try:
-        distances = convergence_trace(sol, m, mode=args.mode, seed=args.seed)
-    except SizeError as exc:
-        raise CLIError(str(exc)) from exc
+    distances = convergence_trace(sol, m, mode=args.mode, seed=args.seed)
     config = {"subcommand": "trace", "spec": dse_spec_to_json(sol.spec),
               "order": m, "mode": args.mode, "seed": args.seed,
               "format": args.format}

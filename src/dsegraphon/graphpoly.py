@@ -9,13 +9,14 @@ fundamental cycle per edge left out of the forest.  A
 bridge is an edge that is not a loop and lies on none of these cycles.
 
 The Tutte polynomial is the product over the connected components of
-deletion-contraction with the highest-index ordinary edge on a cycle
-pivoted first, memoizing minors under a canonical key; with no such
-edge it is x^(bridges) y^(loops).  Deleting or contracting an edge on a
-cycle keeps a graph connected, so the components are split once.  An
-independent rank-nullity sum over all edge subsets is provided as an
-oracle.  The key is exact:
-two graphs get the same key exactly when they are isomorphic.  It is
+one ``functools.cache`` entry per isomorphism class, keyed by the
+canonical key: deletion-contraction on the class's representative whose
+edges are the key's code, with its highest-index ordinary edge on a
+cycle pivoted first; with no such edge it is x^(bridges) y^(loops).
+Deleting or contracting an edge on a cycle keeps a graph connected, so
+the components are split once.  An independent rank-nullity sum over
+all edge subsets is provided as an oracle.  The key is exact: two
+graphs get the same key exactly when they are isomorphic.  It is
 the least sorted edge code over all vertex orders that list the
 colour-refinement cells in colour order, found by a depth-first search
 that places one position at a time and drops a branch as soon as a
@@ -56,6 +57,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
 
@@ -630,9 +632,6 @@ def _edge_code(g: MultiGraph, order: list[int]):
 
 # -- Tutte polynomial ----------------------------------------------------------
 
-_TUTTE_CACHE: dict[object, MultiPoly] = {}
-
-
 def tutte(g: MultiGraph) -> MultiPoly:
     """Tutte polynomial by deletion-contraction.
 
@@ -642,24 +641,23 @@ def tutte(g: MultiGraph) -> MultiPoly:
     """
     if g.m > TUTTE_EDGE_LIMIT:
         raise ValueError(f"graph has {g.m} edges, limit is {TUTTE_EDGE_LIMIT}")
-    return MultiPoly.product(_tutte_rec(c) for c in g.components() if c.m)
+    return MultiPoly.product(_tutte_of(_canonical_key(c)) for c in g.components() if c.m)
 
 
-def _tutte_rec(g: MultiGraph) -> MultiPoly:
-    """Tutte polynomial of a connected graph with at least one edge."""
-    key = _canonical_key(g)
-    got = _TUTTE_CACHE.get(key)
-    if got is not None:
-        return got
+@cache
+def _tutte_of(key) -> MultiPoly:
+    """Tutte polynomial of the connected class with canonical key
+    (n, code) and at least one edge, taken on the class's representative
+    whose edges are the code."""
+    n, code = key
+    g = MultiGraph._trusted(n, code, tuple(range(1, len(code) + 1)))
     on_cycle = set().union(*_cycle_space(g, 0))
     pivot = max((i for i in on_cycle if g.edges[i][0] != g.edges[i][1]), default=None)
     if pivot is None:  # only loops lie on cycles; every other edge is a bridge
         loops = len(on_cycle)
-        res = MultiPoly({(("x", g.m - loops), ("y", loops)): 1})
-    else:
-        res = _tutte_rec(g.delete(pivot)) + _tutte_rec(g.contract(pivot))
-    _TUTTE_CACHE[key] = res
-    return res
+        return MultiPoly({(("x", g.m - loops), ("y", loops)): 1})
+    return (_tutte_of(_canonical_key(g.delete(pivot)))
+            + _tutte_of(_canonical_key(g.contract(pivot))))
 
 
 def tutte_rank_nullity(g: MultiGraph) -> MultiPoly:
@@ -824,10 +822,6 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
     """First Symanzik polynomial: sum over maximal spanning forests of the
     product of the complementary edge variables.  A disconnected graph
     gets a notice: its Psi is the product of its components'."""
-    if g.component_count() > 1:
-        warnings.warn("disconnected graph: Symanzik polynomial summed over "
-                      "spanning forests, the product of its components'",
-                      DisconnectedNotice, stacklevel=2)
     terms: dict = {}
     for forest in spanning_forests(g):
         fset = set(forest)
@@ -837,6 +831,11 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
                 v = _wvar(g.evars[j])
                 exps[v] = exps.get(v, 0) + 1
         _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
+    # there is always a forest, and each has n - c edges for c components
+    if g.n - len(forest) > 1:
+        warnings.warn("disconnected graph: Symanzik polynomial summed over "
+                      "spanning forests, the product of its components'",
+                      DisconnectedNotice, stacklevel=2)
     return MultiPoly._make(terms)
 
 

@@ -22,6 +22,7 @@ All maps are linear in ForestSum and exact over the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .trees import EMPTY_FOREST, Forest, ForestSum, SparseSum, Tree, \
     _accumulate, _forest_product, _grafted, _scaled
@@ -99,21 +100,14 @@ def _as_forest_sum(x) -> ForestSum:
 
 # -- coproduct ---------------------------------------------------------------
 
-_COPROD_CACHE: dict[Tree, TensorSum] = {}
-
-
+@cache
 def _coproduct_tree(t: Tree) -> TensorSum:
-    got = _COPROD_CACHE.get(t)
-    if got is not None:
-        return got
     # delta(B+(f)) = (B+ (x) id) delta(f) + 1 (x) B+(f); the grafted left
     # factors are distinct and never empty, so no two terms meet
     d = TensorSum.product(map(_coproduct_tree, t.children))
     out = {(_grafted(t.label, l), r): c for (l, r), c in d.terms.items()}
     out[EMPTY_FOREST, Forest((t,))] = 1
-    res = TensorSum._make(out)
-    _COPROD_CACHE[t] = res
-    return res
+    return TensorSum._make(out)
 
 
 def _coproduct_terms(x: ForestSum) -> dict:
@@ -144,13 +138,8 @@ def counit(x) -> Fraction:
 
 # -- antipode ----------------------------------------------------------------
 
-_ANTIPODE_CACHE: dict[Tree, ForestSum] = {}
-
-
+@cache
 def _antipode_tree(t: Tree) -> ForestSum:
-    got = _ANTIPODE_CACHE.get(t)
-    if got is not None:
-        return got
     # S(t) = -t - sum' S(left) * right over the reduced coproduct, which
     # is the terms of delta(t) with both factors nonempty
     out = {Forest((t,)): -1}
@@ -158,9 +147,7 @@ def _antipode_tree(t: Tree) -> ForestSum:
         if l.trees and r.trees:
             _accumulate(out, ((_forest_product(f, r), v)
                               for f, v in _scaled(_antipode_forest(l).terms, -c)))
-    res = ForestSum._make(out)
-    _ANTIPODE_CACHE[t] = res
-    return res
+    return ForestSum._make(out)
 
 
 def _antipode_forest(f: Forest) -> ForestSum:
@@ -185,8 +172,9 @@ def antipode(x) -> ForestSum:
 class Character:
     """Algebra morphism from forests into a commutative target algebra.
 
-    ``rule`` gives the value on a single tree; values on forests are the
-    products of the tree values and the empty forest maps to ``one``.
+    ``rule`` gives the value on a single tree, called once per tree
+    through ``on_tree``; values on forests are the products of the tree
+    values and the empty forest maps to ``one``.
     ``target`` is a tag used to refuse convolution of characters landing
     in different algebras.
     """
@@ -196,14 +184,7 @@ class Character:
         self.one = one
         self.target = target
         self.name = name
-        self._tree_cache: dict[Tree, object] = {}
-
-    def on_tree(self, t: Tree):
-        got = self._tree_cache.get(t)
-        if got is None:
-            got = self.rule(t)
-            self._tree_cache[t] = got
-        return got
+        self.on_tree = cache(rule)
 
     def on_forest(self, f: Forest):
         if not f.trees:

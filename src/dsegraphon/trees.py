@@ -8,11 +8,13 @@ combination of forests.  ForestSums form a commutative algebra under
 juxtaposition of forests; the empty forest is the unit.
 
 Trees and forests are interned: their constructors look the canonical
-code up in ``_TREES`` and ``_FORESTS`` and return the one object already
-built for it, so equal trees (forests) are the same object and compare
-and hash by identity.  ``_PRODUCTS`` caches forest products and
-``_GRAFTS`` the one-tree forests B+_label(f).  All four tables live for
-the whole process.
+code up in the dicts ``_TREES`` and ``_FORESTS`` and return the one
+object already built for it, so equal trees (forests) are the same
+object and compare and hash by identity.  The forest product
+``_forest_product``, the one-tree forests B+_label(f) of ``_grafted``
+and the enumerations ``_trees_memo`` and ``_forests_memo`` are
+``functools.cache``d.  The tables and the caches live for the whole
+process.
 
 Coefficients are exact: a sum stores each one as an ``int`` when it is
 integral and as a ``Fraction`` otherwise, never zero and never a float.
@@ -29,6 +31,7 @@ vertices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -164,29 +167,25 @@ def _forest(trees: tuple[Tree, ...]) -> Forest:
     return f
 
 
+@cache
 def _forest_product(a: Forest, b: Forest) -> Forest:
-    """The forest ``a b``, built once per pair and cached."""
-    got = _PRODUCTS.get((a, b))
-    if got is None:
-        got = _PRODUCTS[a, b] = (
-            a if not b.trees else b if not a.trees
-            else _forest(tuple(sorted(a.trees + b.trees, key=_CODE))))
-    return got
+    """The forest ``a b``, built once per pair."""
+    if not b.trees:
+        return a
+    if not a.trees:
+        return b
+    return _forest(tuple(sorted(a.trees + b.trees, key=_CODE)))
 
 
+@cache
 def _grafted(label: str, f: Forest) -> Forest:
     """The one-tree forest B+_label(f): ``f`` grafted onto a new ``label``
-    root, built once per pair and cached."""
-    got = _GRAFTS.get((label, f))
-    if got is None:
-        got = _GRAFTS[label, f] = _forest((Tree(label, f.trees),))
-    return got
+    root, built once per pair."""
+    return _forest((Tree(label, f.trees),))
 
 
 _TREES: dict[str, Tree] = {}
 _FORESTS: dict[str, Forest] = {}
-_PRODUCTS: dict[tuple[Forest, Forest], Forest] = {}
-_GRAFTS: dict[tuple[str, Forest], Forest] = {}
 EMPTY_FOREST = Forest()
 
 
@@ -469,26 +468,15 @@ def all_trees(n: int, labels: tuple[str, ...] = ("g",)) -> list[Tree]:
     return _trees_memo(n, tuple(labels))
 
 
-_TREE_CACHE: dict[tuple[int, tuple[str, ...]], list[Tree]] = {}
-
-
+@cache
 def _trees_memo(n: int, labels: tuple[str, ...]) -> list[Tree]:
-    key = (n, labels)
-    if key in _TREE_CACHE:
-        return _TREE_CACHE[key]
     if n == 0:
-        out: list[Tree] = []
-    else:
-        out = []
-        for forest in _forests_memo(n - 1, labels):
-            for lab in labels:
-                out.append(Tree(lab, forest.trees))
-        out = sorted(set(out), key=lambda t: t.code)
-    _TREE_CACHE[key] = out
-    return out
-
-
-_FOREST_CACHE: dict[tuple[int, tuple[str, ...]], list[Forest]] = {}
+        return []
+    out = []
+    for forest in _forests_memo(n - 1, labels):
+        for lab in labels:
+            out.append(Tree(lab, forest.trees))
+    return sorted(set(out), key=lambda t: t.code)
 
 
 def all_forests(n: int, labels: tuple[str, ...] = ("g",)) -> list[Forest]:
@@ -498,25 +486,20 @@ def all_forests(n: int, labels: tuple[str, ...] = ("g",)) -> list[Forest]:
     return _forests_memo(n, tuple(labels))
 
 
+@cache
 def _forests_memo(n: int, labels: tuple[str, ...]) -> list[Forest]:
-    key = (n, labels)
-    if key in _FOREST_CACHE:
-        return _FOREST_CACHE[key]
     if n == 0:
-        res = [EMPTY_FOREST]
-    else:
-        # multisets of trees of total size n: pick the code-largest tree
-        # first to avoid generating permutations of the same multiset
-        seen: set[Forest] = set()
-        for k in range(1, n + 1):
-            for t in _trees_memo(k, labels):
-                for rest in _forests_memo(n - k, labels):
-                    if rest.trees and rest.trees[-1].code > t.code:
-                        continue
-                    seen.add(Forest(rest.trees + (t,)))
-        res = sorted(seen, key=lambda f: f.code)
-    _FOREST_CACHE[key] = res
-    return res
+        return [EMPTY_FOREST]
+    # multisets of trees of total size n: pick the code-largest tree
+    # first to avoid generating permutations of the same multiset
+    seen: set[Forest] = set()
+    for k in range(1, n + 1):
+        for t in _trees_memo(k, labels):
+            for rest in _forests_memo(n - k, labels):
+                if rest.trees and rest.trees[-1].code > t.code:
+                    continue
+                seen.add(Forest(rest.trees + (t,)))
+    return sorted(seen, key=lambda f: f.code)
 
 
 def all_forests_up_to(n: int, labels: tuple[str, ...] = ("g",)) -> list[Forest]:

@@ -345,6 +345,15 @@ def test_graphon_and_trace_beyond_the_dense_cell_limit_exit_2(capsys, tmp_path, 
         _exits_2(capsys, [sub, "--spec", _spec(tmp_path), "--order", "5"], "cells")
 
 
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "doc.json"
+    assert main(["tutte", "--max-edges", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.parent.exists()
+
+
 def test_trace_refuses_an_over_cap_order_before_building_other_graphons(capsys, tmp_path,
                                                                          monkeypatch):
     # Y_8 has 15521 cells, past the 4096-cell limit; Y_1..Y_7 are not built

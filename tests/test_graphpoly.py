@@ -209,6 +209,20 @@ def test_corpus_tutte_matches_the_general_tutte():
         corpus_tutte(-1)
 
 
+def test_tutte_of_a_relabelled_copy_adds_no_cache_miss():
+    # K4 with a loop, a parallel edge and a pendant triangle
+    edges = list(itertools.combinations(range(4), 2))
+    edges += [(2, 2), (0, 1), (3, 4), (4, 5), (3, 5)]
+    g = MultiGraph(6, edges)
+    want = tutte(g)
+    perm = [4, 2, 5, 0, 3, 1]
+    h = MultiGraph(6, [(perm[v], perm[u]) for u, v in reversed(edges)])
+    info = graphpoly._tutte_of.cache_info()
+    assert tutte(h) == want
+    after = graphpoly._tutte_of.cache_info()
+    assert after.misses == info.misses and after.hits == info.hits + 1
+
+
 def test_tutte_matches_rank_nullity_random():
     rng = random.Random(7)
     for _ in range(40):
@@ -364,6 +378,27 @@ def test_psi_disconnected_warns_and_factors():
     with pytest.warns(DisconnectedNotice):
         psi = symanzik_psi(g)
     assert psi == (w(1) + w(2) + w(3)) * (w(4) + w(5) + w(6))
+
+
+def test_psi_counts_the_components_once(monkeypatch):
+    # the notice reads the component count off the forests themselves
+    calls = []
+    component_count = MultiGraph.component_count
+
+    def counting(self, edge_subset=None):
+        calls.append(self)
+        return component_count(self, edge_subset)
+
+    monkeypatch.setattr(MultiGraph, "component_count", counting)
+    for g, notices in ((triangle(), 0), (MultiGraph(0, []), 0),
+                       (MultiGraph(4, [(0, 1), (2, 3)]), 1),
+                       (MultiGraph(3, []), 1)):
+        calls.clear()
+        with warnings.catch_warnings(record=True) as notes:
+            warnings.simplefilter("always")
+            symanzik_psi(g)
+        assert calls == [g]
+        assert [n.category for n in notes] == [DisconnectedNotice] * notices, g
 
 
 def test_spanning_trees_enumeration():

@@ -232,6 +232,22 @@ def test_character_multiplicative_and_convolution():
     assert convolve(phi, eps, x) == phi(x)
 
 
+def test_character_calls_its_rule_once_per_distinct_tree():
+    calls = []
+
+    def rule(t):
+        calls.append(t)
+        return F(t.size)
+
+    phi = rational_character(rule, name="size")
+    forests = all_forests_up_to(4, ("g", "h"))
+    for _ in range(2):
+        for f in forests:
+            phi(ForestSum.of(f))
+    assert sorted(calls) == sorted({t for f in forests for t in f.trees})
+    assert phi.on_tree.cache_info().misses == len(calls)
+
+
 def test_convolution_antipode_gives_inverse_character():
     phi = rational_character(lambda t: F(1), name="ones")
     sphi = rational_character(lambda t: phi(antipode(ForestSum.of(Forest((t,))))),

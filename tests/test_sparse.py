@@ -191,17 +191,17 @@ def test_public_constructors_validate():
 
 # -- accumulators never write into cached values --------------------------------
 
-def _snapshot(cache: dict) -> dict:
-    return {t: dict(v.terms) for t, v in cache.items()}
+def _snapshot(per_tree) -> dict:
+    """The terms of ``per_tree(t)`` for the trees of every forest up to 3
+    vertices, copied."""
+    return {t: dict(per_tree(t).terms)
+            for f in all_forests_up_to(3) for t in f.trees}
 
 
 def test_cancelling_folds_leave_caches_unchanged():
     cherry, l3 = Tree("g", [leaf("g"), leaf("g")]), ladder(3)
-    for t in (cherry, l3):
-        coproduct(ForestSum.of(t))
-        antipode(ForestSum.of(t))
-    coprod_before = _snapshot(hopf._COPROD_CACHE)
-    anti_before = _snapshot(hopf._ANTIPODE_CACHE)
+    coprod_before = _snapshot(hopf._coproduct_tree)
+    anti_before = _snapshot(hopf._antipode_tree)
 
     # the l2 (x) g terms cancel: 2 from the cherry, -2 from the ladder
     x = ForestSum.of(cherry) - 2 * ForestSum.of(l3)
@@ -212,10 +212,8 @@ def test_cancelling_folds_leave_caches_unchanged():
     y = ForestSum.of(cherry) - ForestSum.of(l3)
     assert antipode(y) == -y
 
-    for t, terms in coprod_before.items():
-        assert hopf._COPROD_CACHE[t].terms == terms
-    for t, terms in anti_before.items():
-        assert hopf._ANTIPODE_CACHE[t].terms == terms
+    assert _snapshot(hopf._coproduct_tree) == coprod_before
+    assert _snapshot(hopf._antipode_tree) == anti_before
 
 
 # -- int and Fraction coefficients ----------------------------------------------

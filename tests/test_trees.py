@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from dsegraphon.trees import (
-    _PRODUCTS, EMPTY_FOREST, Forest, ForestSum, Tree, _grafted, all_forests,
+    EMPTY_FOREST, Forest, ForestSum, Tree, _forest_product, _grafted, all_forests,
     all_forests_up_to, all_trees, check_decoration, ladder, leaf)
 
 
@@ -136,8 +136,10 @@ def test_cached_forest_product_is_the_validated_forest():
             assert got.code == want.code == "".join(codes)
             assert got.grade == want.grade == a.grade + b.grade
             assert hash(got) == hash(want) and got == want and got is want
-            assert _PRODUCTS[a, b] is got
-            assert a * b is got and b * a is got
+            hits = _forest_product.cache_info().hits
+            assert a * b is got
+            assert _forest_product.cache_info().hits == hits + 1
+            assert b * a is got
     with pytest.raises(TypeError):
         forests[1] * leaf("g")
 
