@@ -32,10 +32,6 @@ if TYPE_CHECKING:
     from .graphpoly import MultiGraph
 
 
-class CLIError(Exception):
-    """Bad input: reported on stderr, exit code 2."""
-
-
 DEFAULT_RADII = "1/10,1/4,1/2,3/4,9/10"
 
 
@@ -44,10 +40,10 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CLIError(f"{path}: invalid JSON at line {exc.lineno} "
-                       f"column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -141,7 +137,7 @@ def _check(name: str, ok: bool) -> dict:
 def _spec_from_args(args) -> dict:
     obj = _load_json(args.spec)
     if not isinstance(obj, dict):
-        raise CLIError(f"{args.spec}: equation spec must be a JSON object")
+        raise ValueError(f"{args.spec}: equation spec must be a JSON object")
     if args.order is not None:
         obj = {**obj, "order": args.order}
     if args.coupling is not None:
@@ -159,7 +155,7 @@ def _graph_batch(args) -> list[MultiGraph]:
     if args.graphs is not None:
         obj = _load_json(args.graphs)
         if not isinstance(obj, list):
-            raise CLIError(f"{args.graphs}: expected a JSON array of graphs")
+            raise ValueError(f"{args.graphs}: expected a JSON array of graphs")
         return [multigraph_from_json(item) for item in obj]
     return generate_connected_multigraphs(args.max_edges)
 
@@ -198,15 +194,14 @@ def _run_renorm(args):
     rules_obj = _load_json(args.rules)
     rules = toy_rules_from_json(rules_obj)
     window_pinned = isinstance(rules_obj, dict) and "window" in rules_obj
-    m = args.order if args.order is not None else sol.order
-    report = renormalize_solution(rules, sol, m, widen=not window_pinned)
+    report = renormalize_solution(rules, sol, sol.order, widen=not window_pinned)
     config = {"subcommand": "renorm", "spec": dse_spec_to_json(sol.spec),
-              "rules": toy_rules_to_json(rules), "order": m,
+              "rules": toy_rules_to_json(rules), "order": sol.order,
               "format": args.format}
     grades = []
     rows = []
     checks = []
-    for n in range(1, m + 1):
+    for n in range(1, sol.order + 1):
         ren = report.renormalized[n - 1]
         ct = report.counterterms[n - 1]
         finite = ren.coeff(0)
@@ -232,13 +227,12 @@ def _run_graphon(args):
         graphon_to_json, rational_to_str
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
-    m = args.order if args.order is not None else sol.order
-    y = structural_sum(sol, m)
+    y = structural_sum(sol, sol.order)
     w = feynman_graphon(y, sol.coupling)
     norm_val = cut_norm(w, args.mode, seed=args.seed)
     fp = density_fingerprint(w, level=args.level)
     config = {"subcommand": "graphon", "spec": dse_spec_to_json(sol.spec),
-              "order": m, "level": args.level, "mode": args.mode,
+              "order": sol.order, "level": args.level, "mode": args.mode,
               "seed": args.seed, "format": args.format}
     fp_rows = [{"graph": code, "density": rational_to_str(d)}
                for code, d in fp.densities]
@@ -329,7 +323,7 @@ def _run_haar(args):
     try:
         radii = [rational_from_str(tok) for tok in args.radii.split(",") if tok]
     except ValueError as exc:
-        raise CLIError(f"bad radius list {args.radii!r}: {exc}") from exc
+        raise ValueError(f"bad radius list {args.radii!r}: {exc}") from exc
     config = {"subcommand": "haar", "depth": args.depth,
               "samples": args.samples, "seed": args.seed,
               "radii": [rational_to_str(r) for r in radii],
@@ -365,10 +359,9 @@ def _run_trace(args):
         rational_to_str
     spec_obj = _spec_from_args(args)
     sol = solve(dse_spec_from_json(spec_obj))
-    m = args.order if args.order is not None else sol.order
-    distances = convergence_trace(sol, m, mode=args.mode, seed=args.seed)
+    distances = convergence_trace(sol, sol.order, mode=args.mode, seed=args.seed)
     config = {"subcommand": "trace", "spec": dse_spec_to_json(sol.spec),
-              "order": m, "mode": args.mode, "seed": args.seed,
+              "order": sol.order, "mode": args.mode, "seed": args.seed,
               "format": args.format}
     non_increasing = all(distances[i] >= distances[i + 1]
                          for i in range(len(distances) - 1))
@@ -445,7 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config, results, checks, header, rows = _HANDLERS[args.subcommand](args)
-    except (CLIError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render(_document(config, results, checks), args.format, header, rows)

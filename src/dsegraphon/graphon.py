@@ -218,8 +218,10 @@ class SimpleGraph(MultiGraph):
     without loops or parallel edges, its edges stored once each as
     (min, max) in sorted order, so an edge test is a bisection.  Minors
     and components are plain ``MultiGraph``s, since they may have loops
-    or parallel edges.  The edge variables ``evars`` are 1..m, built on
-    their first read: only minors and the Symanzik routines read them."""
+    or parallel edges.  Its edge variables are ``MultiGraph``'s default
+    1..m, which is never stored, so a simple graph equals and hashes like
+    the ``MultiGraph`` on its edges.  ``_trusted`` takes a tuple of edges
+    already sorted, duplicate-free, in range and with u < v."""
 
     __slots__ = ()
 
@@ -228,36 +230,6 @@ class SimpleGraph(MultiGraph):
         if any(u == v for (u, v) in self.edges):
             raise ValueError("simple graphs have no loops")
         object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
-        object.__delattr__(self, "evars")
-
-    @classmethod
-    def _trusted(cls, n: int, edges: list) -> "SimpleGraph":
-        """Graph from an edge list already sorted, duplicate-free, in range
-        and with u < v in every pair; nothing is checked."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", tuple(edges))
-        return g
-
-    def __getattr__(self, name):
-        # called when lookup fails, as it does for the unset ``evars``
-        # slot, which is then built and kept
-        if name != "evars":
-            raise AttributeError(f"'SimpleGraph' object has no attribute {name!r}")
-        object.__setattr__(self, "evars", tuple(range(1, len(self.edges) + 1)))
-        return self.evars
-
-    # The variables of a simple graph are 1..m, so equality and the hash
-    # (that of the equal ``MultiGraph``) are taken without storing them.
-    def __eq__(self, other):
-        if isinstance(other, SimpleGraph):
-            return self.n == other.n and self.edges == other.edges
-        return (isinstance(other, MultiGraph) and self.n == other.n
-                and self.edges == other.edges
-                and other.evars == tuple(range(1, len(self.edges) + 1)))
-
-    def __hash__(self):
-        return hash((self.n, self.edges, tuple(range(1, len(self.edges) + 1))))
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge, by bisection of the sorted edges."""
@@ -629,7 +601,7 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
     if mode == "heuristic":
         if cells > _EQUAL_CELL_CAP:
             return _distance_eval(*_difference_matrix(*_overlay(w, u)), seed)
-        return _heuristic_distance(w, u, *common_refinement(w, u), seed, restarts)
+        return _heuristic_distance(w, u, cells, seed, restarts)
     # the identity's norm is the same on every common partition: use the coarsest
     mat, scale = _difference_matrix(*_overlay(w, u))
     val = _cut_norm_exact_matrix(mat, scale, _EXACT_COMPONENT_CAP)
@@ -660,11 +632,11 @@ def cut_distance(w: StepGraphon, u: StepGraphon, mode: str = "exact", *,
                     f"not certified exact; use heuristic mode")
 
 
-def _heuristic_distance(w, u, wr, ur, seed: int, restarts: int) -> Fraction:
-    """Heuristic cut distance of w and u on their equal-cell refinements
-    wr and ur; see ``cut_distance``."""
+def _heuristic_distance(w, u, k: int, seed: int, restarts: int) -> Fraction:
+    """Heuristic cut distance of w and u on their common refinement into
+    k equal cells, which is built only when k is at most 64; see
+    ``cut_distance``."""
     import numpy as np
-    k = wr.k
     rng = np.random.Generator(np.random.Philox(key=seed))
     # a difference numerator over this scale is a cell's mass: cells are equal
     den = lcm(w.den, u.den)
@@ -697,6 +669,7 @@ def _heuristic_distance(w, u, wr, ur, seed: int, restarts: int) -> Fraction:
 
     small = k <= 64
     if small:
+        wr, ur = common_refinement(w, u)
         id_mat, _ = _difference_matrix(wr, ur)
         id_val = _cut_norm_exact_matrix(id_mat, scale, _EXACT_COMPONENT_CAP)
         if id_val is None:
@@ -978,8 +951,8 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
     first, second = np.triu_indices(n, k=1)
     ti, tj = types[first], types[second]
     hit = np.flatnonzero((edge_draws < below[ti, tj]) | always[ti, tj])
-    return SimpleGraph._trusted(n, list(zip(first[hit].tolist(),
-                                            second[hit].tolist())))
+    return SimpleGraph._trusted(n, tuple(zip(first[hit].tolist(),
+                                             second[hit].tolist())))
 
 
 # -- solution-series diagnostics --------------------------------------------------------

@@ -178,11 +178,13 @@ class MultiPoly(SparseSum):
 class MultiGraph:
     """Multigraph on vertices 0..n-1 with loops and parallel edges.
 
-    ``evars`` are the stable Symanzik variable indices of the edges
-    (1-based positions by default); minors keep them.
+    ``evars`` are the stable Symanzik variable indices of the edges, and
+    minors keep them.  An edge's variable is its 1-based position unless
+    others are given; only variables that differ from 1..m are stored,
+    so a graph given 1..m is the one built without variables.
     """
 
-    __slots__ = ("n", "edges", "evars")
+    __slots__ = ("n", "edges", "_evars")
 
     def __init__(self, n: int, edges, evars=None):
         if not _is_int(n) or n < 0:
@@ -194,35 +196,48 @@ class MultiGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             es.append((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(es))
-        if evars is None:
-            evars = tuple(range(1, len(es) + 1))
-        else:
+        if evars is not None:
             evars = tuple(evars)
             if len(evars) != len(es):
                 raise ValueError("evars length must match edge count")
-        object.__setattr__(self, "evars", evars)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "_evars", self._stored(evars))
 
     @classmethod
-    def _trusted(cls, n: int, edges: tuple, evars: tuple) -> "MultiGraph":
+    def _trusted(cls, n: int, edges: tuple, evars=None) -> "MultiGraph":
         """A graph from in-range edges already stored as (min, max) and
-        their variables, without the checks: minors and corpus growth."""
+        their variables (None for 1..m), without the checks: minors,
+        corpus growth and sampled graphs."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "evars", evars)
+        object.__setattr__(g, "_evars", cls._stored(evars))
         return g
+
+    @staticmethod
+    def _stored(evars):
+        """What is stored for the variables ``evars``: None for 1..m."""
+        if evars is None or evars == tuple(range(1, len(evars) + 1)):
+            return None
+        return evars
+
+    @property
+    def evars(self) -> tuple:
+        """The edge variables, 1..m when none are stored; a loop reads
+        them once, since each read of 1..m builds the tuple."""
+        ev = self._evars
+        return tuple(range(1, len(self.edges) + 1)) if ev is None else ev
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, MultiGraph) and self.n == other.n
-                and self.edges == other.edges and self.evars == other.evars)
+                and self.edges == other.edges and self._evars == other._evars)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.evars))
+        return hash((self.n, self.edges, self._evars))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, edges={list(self.edges)})"
@@ -232,9 +247,9 @@ class MultiGraph:
         return len(self.edges)
 
     def delete(self, i: int) -> "MultiGraph":
-        es = self.edges[:i] + self.edges[i + 1:]
-        ev = self.evars[:i] + self.evars[i + 1:]
-        return MultiGraph._trusted(self.n, es, ev)
+        ev = self.evars
+        return MultiGraph._trusted(self.n, self.edges[:i] + self.edges[i + 1:],
+                                   ev[:i] + ev[i + 1:])
 
     def contract(self, i: int) -> "MultiGraph":
         """Contract edge i (identify endpoints, drop the edge itself)."""
@@ -278,6 +293,7 @@ class MultiGraph:
             dsu.union(u, v)
         if dsu.count == 1 and type(self) is MultiGraph:
             return [self]
+        evars = self.evars
         groups: dict[int, list[int]] = {}
         for w in range(self.n):
             groups.setdefault(dsu.find(w), []).append(w)
@@ -287,10 +303,10 @@ class MultiGraph:
             vset = set(verts)
             es = []
             ev = []
-            for j, (u, v) in enumerate(self.edges):
+            for (u, v), var in zip(self.edges, evars):
                 if u in vset:
                     es.append((index[u], index[v]))
-                    ev.append(self.evars[j])
+                    ev.append(var)
             out.append(MultiGraph._trusted(len(verts), tuple(es), tuple(ev)))
         return out
 
@@ -650,7 +666,7 @@ def _tutte_of(key) -> MultiPoly:
     (n, code) and at least one edge, taken on the class's representative
     whose edges are the code."""
     n, code = key
-    g = MultiGraph._trusted(n, code, tuple(range(1, len(code) + 1)))
+    g = MultiGraph._trusted(n, code)
     on_cycle = set().union(*_cycle_space(g, 0))
     pivot = max((i for i in on_cycle if g.edges[i][0] != g.edges[i][1]), default=None)
     if pivot is None:  # only loops lie on cycles; every other edge is a bridge
@@ -823,12 +839,13 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
     product of the complementary edge variables.  A disconnected graph
     gets a notice: its Psi is the product of its components'."""
     terms: dict = {}
+    names = [_wvar(v) for v in g.evars]
     for forest in spanning_forests(g):
         fset = set(forest)
         exps: dict[str, int] = {}
         for j in range(g.m):
             if j not in fset:
-                v = _wvar(g.evars[j])
+                v = names[j]
                 exps[v] = exps.get(v, 0) + 1
         _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
     # there is always a forest, and each has n - c edges for c components
@@ -856,8 +873,7 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
     """
     gram = _cycle_gram(g, tree_choice % g.m if g.m else 0)
     w = [None] * g.m
-    for j in range(g.m):
-        var = g.evars[j]
+    for j, var in enumerate(g.evars):
         if var not in assignment:
             raise ValueError(f"no value assigned to edge variable w{var}")
         w[j] = _as_coeff(assignment[var])
@@ -884,7 +900,8 @@ def det_matches_psi(g: MultiGraph, psi: MultiPoly, draws) -> bool:
     """
     gram = _cycle_gram(g, 0)
     ell = gram[0]
-    names = {_wvar(v): v for v in g.evars}
+    evars = g.evars
+    names = {_wvar(v): v for v in evars}
     by_degree: dict[int, list] = {}  # d -> [(c, variables repeated by exponent)]
     for mono, c in psi.terms.items():
         for v, _ in mono:
@@ -894,13 +911,13 @@ def det_matches_psi(g: MultiGraph, psi: MultiPoly, draws) -> bool:
         by_degree.setdefault(len(factors), []).append((c, factors))
     top = max(ell, *by_degree) if by_degree else ell
     for draw in draws:
-        frac = dict(zip(g.evars, draw))
+        frac = dict(zip(evars, draw))
         scale = math.lcm(*(b for _, b in frac.values()))
         num = {v: a * (scale // b) for v, (a, b) in frac.items()}
         rhs = sum(scale ** (top - d) * sum(c * math.prod(map(num.__getitem__, fs))
                                            for c, fs in terms)
                   for d, terms in by_degree.items())
-        if _gram_det(gram, [num[v] for v in g.evars]) * scale ** (top - ell) != rhs:
+        if _gram_det(gram, [num[v] for v in evars]) * scale ** (top - ell) != rhs:
             return False
     return True
 
@@ -1042,10 +1059,9 @@ def _grow(max_edges: int) -> dict:
     for _ in range(max_edges):
         nxt = []
         for parent, (g, _) in frontier:
-            ev = tuple(range(1, g.m + 2))
             for u in range(g.n):
                 for v in range(u, g.n + 1):
-                    h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),), ev)
+                    h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),))
                     key = _canonical_key(h)
                     if key not in grown:
                         grown[key] = (h, parent)

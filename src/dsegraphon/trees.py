@@ -13,8 +13,9 @@ object already built for it, so equal trees (forests) are the same
 object and compare and hash by identity.  The forest product
 ``_forest_product``, the one-tree forests B+_label(f) of ``_grafted``
 and the enumerations ``_trees_memo`` and ``_forests_memo`` are
-``functools.cache``d.  The tables and the caches live for the whole
-process.
+``functools.cache``d; the enumerations cache tuples, which ``all_trees``
+and ``all_forests`` copy into a new list per call.  The tables and the
+caches live for the whole process.
 
 Coefficients are exact: a sum stores each one as an ``int`` when it is
 integral and as a ``Fraction`` otherwise, never zero and never a float.
@@ -462,34 +463,36 @@ class ForestSum(SparseSum):
 # values doubles as a correctness check of the canonical encoding.
 
 def all_trees(n: int, labels: tuple[str, ...] = ("g",)) -> list[Tree]:
-    """All distinct decorated rooted trees with exactly ``n`` vertices."""
+    """All distinct decorated rooted trees with exactly ``n`` vertices,
+    in a new list on each call."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return _trees_memo(n, tuple(labels))
+    return list(_trees_memo(n, tuple(labels)))
 
 
 @cache
-def _trees_memo(n: int, labels: tuple[str, ...]) -> list[Tree]:
+def _trees_memo(n: int, labels: tuple[str, ...]) -> tuple[Tree, ...]:
     if n == 0:
-        return []
+        return ()
     out = []
     for forest in _forests_memo(n - 1, labels):
         for lab in labels:
             out.append(Tree(lab, forest.trees))
-    return sorted(set(out), key=lambda t: t.code)
+    return tuple(sorted(set(out), key=lambda t: t.code))
 
 
 def all_forests(n: int, labels: tuple[str, ...] = ("g",)) -> list[Forest]:
-    """All distinct forests with exactly ``n`` vertices in total."""
+    """All distinct forests with exactly ``n`` vertices in total, in a
+    new list on each call."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return _forests_memo(n, tuple(labels))
+    return list(_forests_memo(n, tuple(labels)))
 
 
 @cache
-def _forests_memo(n: int, labels: tuple[str, ...]) -> list[Forest]:
+def _forests_memo(n: int, labels: tuple[str, ...]) -> tuple[Forest, ...]:
     if n == 0:
-        return [EMPTY_FOREST]
+        return (EMPTY_FOREST,)
     # multisets of trees of total size n: pick the code-largest tree
     # first to avoid generating permutations of the same multiset
     seen: set[Forest] = set()
@@ -499,7 +502,7 @@ def _forests_memo(n: int, labels: tuple[str, ...]) -> list[Forest]:
                 if rest.trees and rest.trees[-1].code > t.code:
                     continue
                 seen.add(Forest(rest.trees + (t,)))
-    return sorted(seen, key=lambda f: f.code)
+    return tuple(sorted(seen, key=lambda f: f.code))
 
 
 def all_forests_up_to(n: int, labels: tuple[str, ...] = ("g",)) -> list[Forest]:

@@ -147,26 +147,31 @@ def test_simple_graph_rejects_non_integer_vertices():
 
 
 def test_simple_graph_builds_edge_variables_on_first_read():
-    """A sampled graph holds no edge variables until a minor or a Symanzik
-    routine reads them; they are then 1..m, kept, and minors stay plain
-    MultiGraphs carrying theirs."""
+    """A sampled graph stores no edge variables, and hashing, comparing
+    and reading them store and retain nothing: a read builds 1..m anew.
+    Minors stay plain MultiGraphs carrying their variables."""
     import tracemalloc
+    g = sample_random_graph(300, StepGraphon.constant(F(1, 2)), seed=4)
+    plain = MultiGraph(g.n, g.edges)
+    assert g._evars is None
     tracemalloc.start()
     try:
-        g = sample_random_graph(300, StepGraphon.constant(F(1, 2)), seed=4)
         before = tracemalloc.get_traced_memory()[0]
-        ev = g.evars
-        grown = tracemalloc.get_traced_memory()[0] - before
+        hashed = hash(g) == hash(plain)
+        equal = g == plain and plain == g
+        read = g.evars == tuple(range(1, g.m + 1))
+        retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert ev == tuple(range(1, g.m + 1)) and g.evars is ev
-    assert grown >= sys.getsizeof(ev)
+    assert hashed and equal and read
+    assert retained == 0 and g._evars is None
     for h in (g, SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])):
         ev = h.evars
         d, c = h.delete(1), h.contract(0)
         assert type(d) is type(c) is MultiGraph
         assert d.evars == ev[:1] + ev[2:] and c.evars == ev[1:]
         assert h == MultiGraph(h.n, h.edges, ev)
+        assert h._evars is None
     with pytest.raises(AttributeError):
         g.no_such_attribute
 
@@ -190,17 +195,20 @@ def test_simple_graph_compares_and_hashes_without_storing_its_variables():
     g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     twin = SimpleGraph(4, list(g.edges))
     plain = MultiGraph(4, g.edges)
+    explicit = MultiGraph(4, g.edges, (1, 2, 3, 4))
     assert g == twin and twin == g and g == plain and plain == g
-    assert hash(g) == hash(twin) == hash(plain)
+    assert g == explicit and explicit == g
+    assert hash(g) == hash(twin) == hash(plain) == hash(explicit)
     assert g != MultiGraph(4, g.edges, (4, 3, 2, 1))
     assert MultiGraph(4, g.edges, (4, 3, 2, 1)) != g
     assert g != SimpleGraph(4, g.edges[:3]) and g != MultiGraph(5, g.edges)
     assert g != g.edges
-    for h in (g, twin):
-        with pytest.raises(AttributeError):
-            MultiGraph.evars.__get__(h)
-    # a graph whose variables were built still compares and hashes alike
+    for h in (g, twin, plain, explicit):
+        assert h._evars is None
+    # a graph whose variables were read still stores none, and compares
+    # and hashes alike
     assert twin.evars == (1, 2, 3, 4)
+    assert twin._evars is None
     assert g == twin and hash(g) == hash(twin)
 
 

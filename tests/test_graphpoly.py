@@ -96,6 +96,63 @@ def test_minors_equal_their_validated_construction():
             assert h == MultiGraph(h.n, h.edges, h.evars), h
 
 
+@st.composite
+def _variables(draw, m: int):
+    """Edge variables for m edges: the default (None), 1..m given
+    explicitly, a permutation of 1..m, or values shared by several edges."""
+    kind = draw(st.sampled_from(("default", "explicit", "permuted", "shared")))
+    if kind == "default":
+        return None
+    if kind == "explicit":
+        return tuple(range(1, m + 1))
+    if kind == "permuted":
+        return tuple(draw(st.permutations(range(1, m + 1))))
+    return tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+
+
+@st.composite
+def _multigraph_pairs(draw):
+    """Two multigraphs with loops, parallel edges and usually several
+    components; the second often has the first's edges, so that equal
+    graphs built with different variable arguments are common."""
+    n = draw(st.integers(1, 7))
+    edges = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     max_size=9)
+    first = draw(edges)
+    second = first if draw(st.booleans()) else draw(edges)
+    return tuple(MultiGraph(n, es, draw(_variables(len(es)))) for es in (first, second))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraph_pairs())
+def test_one_edge_variable_rule(pair):
+    g, h = pair
+    for a in pair:
+        ev = a.evars
+        assert len(ev) == a.m
+        # only variables other than 1..m are stored
+        assert (a._evars is None) == (ev == tuple(range(1, a.m + 1)))
+    # equality and the hash are those of (n, edges, evars)
+    assert (g == h) == ((g.n, g.edges, g.evars) == (h.n, h.edges, h.evars))
+    assert (h == g) == (g == h)
+    if g == h:
+        assert hash(g) == hash(h)
+    ev = g.evars
+    for i in range(g.m):
+        for minor in (g.delete(i), g.contract(i)):
+            assert minor.evars == ev[:i] + ev[i + 1:]
+            assert minor == MultiGraph(minor.n, minor.edges, minor.evars)
+    # components, by their least vertex, carry the variables of their edges
+    want = []
+    for verts in sorted(map(sorted, nx.connected_components(_nx(g))), key=min):
+        index = {w: k for k, w in enumerate(verts)}
+        mine = [j for j, (u, _) in enumerate(g.edges) if u in index]
+        edges = [(index[g.edges[j][0]], index[g.edges[j][1]]) for j in mine]
+        want.append(MultiGraph(len(verts), edges, [ev[j] for j in mine]))
+    parts = g.components()
+    assert parts == want and [c.evars for c in parts] == [c.evars for c in want]
+
+
 def test_multigraph_rejects_non_integer_vertices():
     for n, edges in ((2, [(0.5, 1)]), (2, [(1.0, 0)]), (2, [(True, 1)]),
                      (2, [(0, None)]), (True, [])):

@@ -97,6 +97,19 @@ def test_forest_counts_single_label():
     assert len(all_forests_up_to(6)) == 1 + 1 + 2 + 4 + 9 + 20 + 48
 
 
+def test_enumerations_return_a_new_list_per_call():
+    # the enumerations are cached; mutating a returned list must not
+    # reach the cache or the next call
+    for enumerate_ in (all_trees, all_forests):
+        for labels in (("g",), ("g", "h")):
+            first = enumerate_(3, labels)
+            want = list(first)
+            first.clear()
+            first.append(None)
+            again = enumerate_(3, labels)
+            assert again == want and again is not enumerate_(3, labels)
+
+
 def test_tree_counts_two_labels():
     # every vertex independently carries one of two labels
     assert len(all_trees(1, ("a", "b"))) == 2
