@@ -44,6 +44,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _config_hash(config: dict) -> str:
@@ -134,7 +136,11 @@ def _check(name: str, ok: bool) -> dict:
     return {"name": name, "status": "PASS" if ok else "FAIL"}
 
 
-def _spec_from_args(args) -> dict:
+def _solved(args):
+    """The solution of ``--spec`` with ``--order`` and ``--coupling``
+    applied, and its spec as the document's config records it."""
+    from .dse import solve
+    from .serialize import dse_spec_from_json, dse_spec_to_json
     obj = _load_json(args.spec)
     if not isinstance(obj, dict):
         raise ValueError(f"{args.spec}: equation spec must be a JSON object")
@@ -142,7 +148,8 @@ def _spec_from_args(args) -> dict:
         obj = {**obj, "order": args.order}
     if args.coupling is not None:
         obj = {**obj, "coupling": args.coupling}
-    return obj
+    sol = solve(dse_spec_from_json(obj))
+    return sol, dse_spec_to_json(sol.spec)
 
 
 def _edges_code(g: MultiGraph) -> str:
@@ -163,13 +170,9 @@ def _graph_batch(args) -> list[MultiGraph]:
 # -- subcommand handlers ----------------------------------------------------------
 
 def _run_solve(args):
-    from .dse import solve
-    from .serialize import dse_spec_from_json, dse_spec_to_json, \
-        rational_to_str, solution_to_json
-    spec_obj = _spec_from_args(args)
-    sol = solve(dse_spec_from_json(spec_obj))
-    config = {"subcommand": "solve", "spec": dse_spec_to_json(sol.spec),
-              "format": args.format}
+    from .serialize import rational_to_str, solution_to_json
+    sol, spec = _solved(args)
+    config = {"spec": spec}
     summary = []
     rows = []
     for n in range(1, sol.order + 1):
@@ -184,20 +187,15 @@ def _run_solve(args):
 
 
 def _run_renorm(args):
-    from .dse import solve
     from .renorm import renormalize_solution
-    from .serialize import dse_spec_from_json, dse_spec_to_json, \
-        laurent_to_json, rational_to_str, toy_rules_from_json, \
-        toy_rules_to_json
-    spec_obj = _spec_from_args(args)
-    sol = solve(dse_spec_from_json(spec_obj))
+    from .serialize import laurent_to_json, rational_to_str, \
+        toy_rules_from_json, toy_rules_to_json
+    sol, spec = _solved(args)
     rules_obj = _load_json(args.rules)
     rules = toy_rules_from_json(rules_obj)
     window_pinned = isinstance(rules_obj, dict) and "window" in rules_obj
     report = renormalize_solution(rules, sol, sol.order, widen=not window_pinned)
-    config = {"subcommand": "renorm", "spec": dse_spec_to_json(sol.spec),
-              "rules": toy_rules_to_json(rules), "order": sol.order,
-              "format": args.format}
+    config = {"spec": spec, "rules": toy_rules_to_json(rules), "order": sol.order}
     grades = []
     rows = []
     checks = []
@@ -221,19 +219,16 @@ def _run_renorm(args):
 
 
 def _run_graphon(args):
-    from .dse import solve, structural_sum
+    from .dse import structural_sum
     from .graphon import cut_norm, density_fingerprint, feynman_graphon
-    from .serialize import dse_spec_from_json, dse_spec_to_json, \
-        graphon_to_json, rational_to_str
-    spec_obj = _spec_from_args(args)
-    sol = solve(dse_spec_from_json(spec_obj))
+    from .serialize import graphon_to_json, rational_to_str
+    sol, spec = _solved(args)
     y = structural_sum(sol, sol.order)
     w = feynman_graphon(y, sol.coupling)
     norm_val = cut_norm(w, args.mode, seed=args.seed)
     fp = density_fingerprint(w, level=args.level)
-    config = {"subcommand": "graphon", "spec": dse_spec_to_json(sol.spec),
-              "order": sol.order, "level": args.level, "mode": args.mode,
-              "seed": args.seed, "format": args.format}
+    config = {"spec": spec, "order": sol.order, "level": args.level,
+              "mode": args.mode, "seed": args.seed}
     fp_rows = [{"graph": code, "density": rational_to_str(d)}
                for code, d in fp.densities]
     results = {"graphon": graphon_to_json(w),
@@ -252,9 +247,7 @@ def _run_tutte(args):
         batch = corpus_tutte(args.max_edges)
     else:
         batch = [(g, tutte(g)) for g in _graph_batch(args)]
-    config = {"subcommand": "tutte",
-              "graphs": [multigraph_to_json(g) for g, _ in batch],
-              "format": args.format}
+    config = {"graphs": [multigraph_to_json(g) for g, _ in batch]}
     entries = []
     rows = []
     all_ok = True
@@ -282,9 +275,7 @@ def _run_symanzik(args):
     from .graphpoly import det_matches_psi, loop_number, symanzik_psi
     from .serialize import multigraph_to_json, multipoly_to_json
     batch = _graph_batch(args)
-    config = {"subcommand": "symanzik",
-              "graphs": [multigraph_to_json(g) for g in batch],
-              "seed": args.seed, "format": args.format}
+    config = {"graphs": [multigraph_to_json(g) for g in batch], "seed": args.seed}
     rng = random.Random(args.seed)
     entries = []
     rows = []
@@ -324,10 +315,8 @@ def _run_haar(args):
         radii = [rational_from_str(tok) for tok in args.radii.split(",") if tok]
     except ValueError as exc:
         raise ValueError(f"bad radius list {args.radii!r}: {exc}") from exc
-    config = {"subcommand": "haar", "depth": args.depth,
-              "samples": args.samples, "seed": args.seed,
-              "radii": [rational_to_str(r) for r in radii],
-              "format": args.format}
+    config = {"depth": args.depth, "samples": args.samples, "seed": args.seed,
+              "radii": [rational_to_str(r) for r in radii]}
     entries = []
     rows = []
     checks = []
@@ -353,16 +342,11 @@ def _run_haar(args):
 
 
 def _run_trace(args):
-    from .dse import solve
     from .graphon import convergence_trace
-    from .serialize import dse_spec_from_json, dse_spec_to_json, \
-        rational_to_str
-    spec_obj = _spec_from_args(args)
-    sol = solve(dse_spec_from_json(spec_obj))
+    from .serialize import rational_to_str
+    sol, spec = _solved(args)
     distances = convergence_trace(sol, sol.order, mode=args.mode, seed=args.seed)
-    config = {"subcommand": "trace", "spec": dse_spec_to_json(sol.spec),
-              "order": sol.order, "mode": args.mode, "seed": args.seed,
-              "format": args.format}
+    config = {"spec": spec, "order": sol.order, "mode": args.mode, "seed": args.seed}
     non_increasing = all(distances[i] >= distances[i + 1]
                          for i in range(len(distances) - 1))
     positive = all(d > 0 for d in distances)
@@ -441,6 +425,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    config.update(subcommand=args.subcommand, format=args.format)
     text = _render(_document(config, results, checks), args.format, header, rows)
     if args.out:
         try:

@@ -131,11 +131,7 @@ class StepGraphon:
         den //= g
         if not direction and (min(map(min, nums)) < 0 or max(map(max, nums)) > den):
             raise ValueError("graphon values must lie in [0,1]")
-        object.__setattr__(self, "measures", mu)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_view", None)
+        _set_slots(self, mu, den, nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepGraphon is immutable")
@@ -189,12 +185,15 @@ class StepGraphon:
 def _trusted_graphon(measures: tuple, den: int, nums: tuple) -> StepGraphon:
     """Internal constructor for numerators already valid and over their
     least common denominator; nothing is checked."""
-    w = StepGraphon.__new__(StepGraphon)
-    object.__setattr__(w, "measures", measures)
-    object.__setattr__(w, "den", den)
-    object.__setattr__(w, "nums", nums)
-    object.__setattr__(w, "k", len(measures))
-    object.__setattr__(w, "_view", None)
+    return _set_slots(StepGraphon.__new__(StepGraphon), measures, den, nums)
+
+
+def _set_slots(w: StepGraphon, measures: tuple, den: int, nums: tuple) -> StepGraphon:
+    """Store the measures, numerators and block count of ``w``; its
+    Fraction view is built on first use."""
+    for name, value in (("measures", measures), ("den", den), ("nums", nums),
+                        ("k", len(measures)), ("_view", None)):
+        object.__setattr__(w, name, value)
     return w
 
 

@@ -57,10 +57,7 @@ class VertexUniverse:
         raise KeyError(f"unknown universe item {item!r}")
 
     def point(self, items=()) -> "SolutionPoint":
-        mask = 0
-        for it in items:
-            mask |= 1 << (self.rank_of(it) - 1)
-        return SolutionPoint(self, mask)
+        return self.point_from_ranks(map(self.rank_of, items))
 
     def point_from_ranks(self, ranks=()) -> "SolutionPoint":
         mask = 0
@@ -140,14 +137,10 @@ def norm(x: SolutionPoint, g=1, eps=1) -> Fraction:
 
 def sample_haar(depth: int, seed: int = 0) -> SolutionPoint:
     """One Haar sample: an independent fair coin per rank."""
-    mask = int(_sample_norm_ints(depth, 1, seed)[0])
-    # the integer encodes bits at weights 2^(depth-r); reverse to a mask
-    bits = [(mask >> (depth - r)) & 1 for r in range(1, depth + 1)]
-    out = 0
-    for r, b in enumerate(bits, start=1):
-        if b:
-            out |= 1 << (r - 1)
-    return SolutionPoint(VertexUniverse(depth), out)
+    norm_int = int(_sample_norm_ints(depth, 1, seed)[0])
+    # the integer holds the coin of rank r at weight 2^(depth-r)
+    return VertexUniverse(depth).point_from_ranks(
+        r for r in range(1, depth + 1) if norm_int >> (depth - r) & 1)
 
 
 # rows of coins drawn at a time: 2^16 rows of 62 uint64 coins are 32 MB

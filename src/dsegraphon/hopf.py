@@ -66,9 +66,6 @@ class TensorSum(SparseSum):
             ((l, f), c * v) for (l, r), c in self.terms.items()
             for f, v in fn(r).terms.items())))
 
-    def swap(self) -> "TensorSum":
-        return TensorSum._make({(r, l): c for (l, r), c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "TensorSum(0)"

@@ -35,6 +35,11 @@ sum_s a[s] series(s) over size weights: a[s] is the sum of c w(f) over
 the forests c f of size s of an element, and the equation gives the
 weights of its generators directly (see renormalize_solution).
 
+ToyRules is hashable configuration, equal rules hashing alike, so the
+size series ``_series``, the tree weights ``_weight`` and the characters
+``rules_character`` and ``counterterm_character`` are ``functools.cache``
+functions of it; they live for the whole process.
+
 The tests keep as oracles the recursive grafting rule, the Bogoliubov
 preparation over the reduced coproduct (per tree and as a forest-level
 recursion that does not assume the character property), the per-size
@@ -49,8 +54,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -289,8 +295,8 @@ _RULES, _COUNTERTERM, _RENORMALIZED = (1, 0), (0, 1), (1, 1)
 
 @dataclass(frozen=True)
 class ToyRules:
-    """Configuration of the toy Feynman rules; immutable, as values are
-    cached on it.
+    """Configuration of the toy Feynman rules; immutable and hashable, as
+    the series, tree weights and characters of equal rules are cached once.
 
     ``residues`` maps decorations to rational residues r_d (default 1);
     ``scale`` fixes L to a rational value, or keeps it symbolic if None;
@@ -311,53 +317,43 @@ class ToyRules:
             {d: _as_coeff(r) for d, r in self.residues.items()}))
         if self.scale is not None:
             init("scale", _as_coeff(self.scale))
+        init("window", tuple(self.window))
         lo, hi = self.window
         if lo > 0 or hi < 0:
             raise ValueError("rules window must contain eps^0")
         # internal expansion order E of exp(-eps L): a grade-n value is
         # exact on (-n, E-n), which still covers the configured window
         init("_exp_order", hi - lo + 1)
-        init("_series", {})
-        init("_weights", {})
-        one = LaurentSeries.const(1, (0, self._exp_order))
 
-        def character(kind, name):
-            return Character(lambda t: _series(self, kind, t.size) * _weight(self, t),
-                             one, target="laurent", name=name)
-
-        init("_phi", character(_RULES, "phi"))
-        init("_phi_minus", character(_COUNTERTERM, "phi_minus"))
+    def __hash__(self):
+        return hash((frozenset(self.residues.items()), self.scale, self.window))
 
     def residue(self, d: str) -> Fraction:
         return self.residues.get(d, Fraction(1))
 
 
+@cache
 def _weight(rules: ToyRules, t: Tree) -> Fraction:
     """(product of the residues of t) / t!, with t! = |t| * prod of the
     children's t!; computed once per rules and tree."""
-    got = rules._weights.get(t)
-    if got is None:
-        got = Fraction(rules.residue(t.label), t.size)
-        for c in t.children:
-            got *= _weight(rules, c)
-        rules._weights[t] = got
+    got = Fraction(rules.residue(t.label), t.size)
+    for c in t.children:
+        got *= _weight(rules, c)
     return got
 
 
+@cache
 def _series(rules: ToyRules, kind: tuple[int, int], n: int) -> LaurentSeries:
     """((a exp(-eps L) - c)/eps)^n for kind (a, c), expanded over
     eps^-n .. eps^(E-n); computed once per rules, kind and size."""
-    got = rules._series.get((kind, n))
-    if got is None:
-        a, c = kind
-        terms = {}
-        for k in range(rules._exp_order + 1):
-            total = sum(math.comb(n, j) * a ** j * (-c) ** (n - j) * j ** k
-                        for j in range(n + 1))
-            v = Fraction((-1) ** k * total, math.factorial(k))
-            terms[k - n] = ScalePoly.L(k, v) if rules.scale is None else v * rules.scale ** k
-        got = rules._series[kind, n] = LaurentSeries(terms, (-n, rules._exp_order - n))
-    return got
+    a, c = kind
+    terms = {}
+    for k in range(rules._exp_order + 1):
+        total = sum(math.comb(n, j) * a ** j * (-c) ** (n - j) * j ** k
+                    for j in range(n + 1))
+        v = Fraction((-1) ** k * total, math.factorial(k))
+        terms[k - n] = ScalePoly.L(k, v) if rules.scale is None else v * rules.scale ** k
+    return LaurentSeries(terms, (-n, rules._exp_order - n))
 
 
 def _on_sizes(rules: ToyRules, kind: tuple[int, int], sizes) -> LaurentSeries:
@@ -384,9 +380,16 @@ def _size_weights(rules: ToyRules, x) -> dict[int, Fraction]:
     return _accumulate({}, ((s, a) for s, a in pairs if a))
 
 
+def _character(rules: ToyRules, kind: tuple[int, int], name: str) -> Character:
+    one = LaurentSeries.const(1, (0, rules._exp_order))
+    return Character(lambda t: _series(rules, kind, t.size) * _weight(rules, t),
+                     one, target="laurent", name=name)
+
+
+@cache
 def rules_character(rules: ToyRules) -> Character:
     """The toy rules packaged as a character with Laurent target."""
-    return rules._phi
+    return _character(rules, _RULES, "phi")
 
 
 def toy_feynman_rules(rules: ToyRules, x) -> LaurentSeries:
@@ -407,8 +410,9 @@ def counterterm(rules: ToyRules, x) -> LaurentSeries:
     return _on_sizes(rules, _COUNTERTERM, _size_weights(rules, x))
 
 
+@cache
 def counterterm_character(rules: ToyRules) -> Character:
-    return rules._phi_minus
+    return _character(rules, _COUNTERTERM, "phi_minus")
 
 
 def bogoliubov(rules: ToyRules, x) -> LaurentSeries:
@@ -493,8 +497,7 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
             raise WindowError(
                 f"window [{lo}, {hi}] cannot hold grade-{m} poles; "
                 f"lower the window floor to {-m} or below")
-        rules = ToyRules(residues=rules.residues, scale=rules.scale,
-                         window=(-m, hi))
+        rules = replace(rules, window=(-m, hi))
         widened = True
     weights = _graded_fixed_point(sol.spec, ScalePoly.unit(), m, lambda coc, inner: ScalePoly(
         {s + 1: coc.omega * rules.residue(coc.decoration) * v / (s + 1)

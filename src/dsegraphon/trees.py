@@ -83,12 +83,6 @@ class Tree:
     def edge_count(self) -> int:
         return self.size - 1
 
-    def decorations(self) -> set[str]:
-        out = {self.label}
-        for k in self.children:
-            out |= k.decorations()
-        return out
-
     def __repr__(self):
         if not self.children:
             return f"Tree({self.label!r})"
@@ -428,13 +422,6 @@ class ForestSum(SparseSum):
     def counit(self):
         """Coefficient of the empty forest."""
         return self.terms.get(EMPTY_FOREST, 0)
-
-    def grades(self) -> dict[int, "ForestSum"]:
-        """Split into homogeneous components keyed by vertex count."""
-        out: dict[int, dict[Forest, Fraction]] = {}
-        for f, c in self.terms.items():
-            out.setdefault(f.grade, {})[f] = c
-        return {g: ForestSum._make(d) for g, d in sorted(out.items())}
 
     def homogeneous_part(self, n: int) -> "ForestSum":
         return ForestSum._make({f: c for f, c in self.terms.items() if f.grade == n})

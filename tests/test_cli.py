@@ -314,6 +314,20 @@ def _write(tmp_path, name, obj) -> str:
     return str(path)
 
 
+def test_deeply_nested_input_files_exit_2(capsys, tmp_path, spec_file, rules_file):
+    """JSON nested past the decoder's recursion limit is an input error
+    naming the file, on every option that reads one."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["solve", "--spec", str(deep)],
+                 ["renorm", "--spec", spec_file, "--rules", str(deep)],
+                 ["tutte", "--graphs", str(deep)],
+                 ["symanzik", "--graphs", str(deep)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {deep}: JSON nested too deeply\n", argv
+
+
 def _spec(tmp_path, omega="1", **extra) -> str:
     return _write(tmp_path, "zspec.json", {
         "cocycles": [{"decoration": "g", "omega": omega}], "order": 3, **extra})
@@ -467,6 +481,44 @@ def test_golden_documents(tmp_path):
         out = tmp_path / "doc.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+# one --format csv document per subcommand, recorded before the handlers
+# stopped writing "subcommand" and "format" into their configs; every CSV
+# header carries the config_sha256
+GOLDEN_CSV = {
+    "solve": "689eafc233ce756d252334a46766c0cddc99c7ed1afdc5bdeb297bfe0440f06b",
+    "renorm": "b9ba98f6e136c191baa93beca2451906aae519ee55b886fde291b1c87b0fbb88",
+    "graphon": "876be57c02bfb6ada814545c082319d7542e355fdd5daedd3ecc3567652179e3",
+    "tutte": "feefed2bc3c1bfde9ea4e4afe145ba073e3ed743196570f017b91c55e581acef",
+    "symanzik": "b0f2d8ce414f301243408855c40999726c79113ede3d7ae00add9fdc8c30fe12",
+    "haar": "2ef43bcf6ec0cd2b4cd46c4a9a1c5fcc17294ce2a8fe8fa46cb866362317f8b3",
+    "trace": "e7f2dfdacdad3fc380dea2e75d0f1a2a96990380d07d1268ff1f57d8be7d53e1",
+}
+
+
+def test_golden_csv_documents(tmp_path):
+    spec = _write(tmp_path, "spec.json", {
+        "cocycles": [{"decoration": "g", "omega": "1"},
+                     {"decoration": "h", "omega": "1/2"}],
+        "order": 4, "coupling": "1/2"})
+    unit = _write(tmp_path, "unit.json", {
+        "cocycles": [{"decoration": "g", "omega": "1"},
+                     {"decoration": "h", "omega": "1"}],
+        "order": 4, "coupling": "1/2"})
+    rules = _write(tmp_path, "rules.json",
+                   {"residues": {"g": "1", "h": "2"}, "scale": "1/2"})
+    argvs = {"solve": ["--spec", spec],
+             "renorm": ["--spec", spec, "--rules", rules],
+             "graphon": ["--spec", unit, "--order", "3"],
+             "tutte": ["--max-edges", "4"],
+             "symanzik": ["--max-edges", "4", "--seed", "3"],
+             "haar": ["--samples", "20000", "--depth", "22"],
+             "trace": ["--spec", unit, "--order", "3"]}
+    out = tmp_path / "doc.csv"
+    for sub, digest in GOLDEN_CSV.items():
+        assert main([sub, *argvs[sub], "--format", "csv", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, sub
 
 
 # heuristic traces at seed 0, recorded before the exact and heuristic cut

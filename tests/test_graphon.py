@@ -813,11 +813,23 @@ def _cycle(n: int, offset: int = 0):
     return [(offset + i, offset + (i + 1) % n) for i in range(n)]
 
 
-def test_equal_codes_iff_isomorphic_beyond_eight_vertices():
+def test_equal_codes_iff_isomorphic_beyond_eight_vertices(monkeypatch):
     """Codes of 9 to 16 vertices, where an exhaustive search over n!
     orders cannot finish: equal exactly when networkx finds an
     isomorphism, on regular graphs with equal degree sequences and on
-    relabelled random graphs."""
+    relabelled random graphs.  The search's lower bound keeps it within
+    30 000 nodes (calls of ``_try_order``): these codes take 13 933, and
+    without the bound the test ran for 223 s."""
+    from dsegraphon import graphpoly
+    nodes = [0]
+    search = graphpoly._try_order
+
+    def spy(cell, near, loops):
+        nodes[0] += 1
+        assert nodes[0] <= 30_000, "canonical search beyond 30 000 nodes"
+        search(cell, near, loops)
+
+    monkeypatch.setattr(graphpoly, "_try_order", spy)
     petersen = SimpleGraph(10, _cycle(5) + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                            + [(i, i + 5) for i in range(5)])
     prism = SimpleGraph(10, _cycle(5) + _cycle(5, 5) + [(i, i + 5) for i in range(5)])

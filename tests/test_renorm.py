@@ -703,6 +703,25 @@ def test_toy_rules_are_immutable():
     assert not _same(before, renormalized_value(ToyRules(), ladder(2)))
 
 
+def test_equal_toy_rules_hash_alike_and_share_the_caches():
+    a = ToyRules(residues={"g": 2, "h": F(1, 3)}, scale=F(1, 2), window=[-6, 2])
+    b = ToyRules(residues={"h": F(1, 3), "g": F(2)}, scale=F(1, 2), window=(-6, 2))
+    assert type(a.window) is tuple and a.window == (-6, 2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ToyRules(residues={"g": 2, "h": F(1, 3)}, window=(-6, 2))
+    assert rules_character(a) is rules_character(b)
+    assert counterterm_character(a) is counterterm_character(b)
+    sol = solve(DSESpec(cocycles=(Cocycle("g", 1), Cocycle("h", F(1, 2))),
+                        order=5, coupling=F(1, 2)))
+    first = renormalize_solution(a, sol, 5)
+    before = _series.cache_info()
+    second = renormalize_solution(b, sol, 5)
+    after = _series.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert all(map(_same, first.renormalized, second.renormalized))
+    assert all(map(_same, first.counterterms, second.counterterms))
+
+
 # -- the renormalization group on the generators -----------------------------------
 
 def test_tree_finite_parts_are_powers_of_minus_L():
