@@ -6,7 +6,7 @@ configuration, the results, and a list of named PASS/FAIL checks.
 Identical configurations produce byte-identical output.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 input or
-usage error.
+usage error, an input too large to allocate included.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ def _document(config: dict, results, checks: list[dict]) -> dict:
             "checks": checks}
 
 
-class _Unwritable(Exception):
-    """A value the document writer leaves to ``json.dumps``."""
-
-
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
@@ -71,15 +67,12 @@ def _json_text(doc) -> str:
 
     CPython's C encoder is skipped whenever ``indent`` is set, so large
     documents went through the pure-Python generator; this writer joins
-    the pieces itself.  It knows dicts with string keys, lists, tuples,
-    strings, ints, bools and None; for anything else the whole document
-    goes to ``json.dumps``.
+    the pieces itself.  It knows what documents hold: dicts with string
+    keys, lists, tuples, strings, ints, bools and None.  Anything else (a
+    float, a Fraction, a non-string key) raises TypeError.
     """
     parts: list[str] = []
-    try:
-        _write_json(doc, "\n", parts.append)
-    except (_Unwritable, RecursionError, TypeError, ValueError):
-        return json.dumps(doc, sort_keys=True, indent=2)
+    _write_json(doc, "\n", parts.append)
     return "".join(parts)
 
 
@@ -97,7 +90,7 @@ def _write_json(x, newline: str, put) -> None:
         sep = "{" + inner
         for key in sorted(x):
             if type(key) is not str:
-                raise _Unwritable
+                raise TypeError(f"document keys must be str, not {type(key).__name__}")
             put(sep + encode_basestring_ascii(key) + ": ")
             _write_json(x[key], inner, put)
             sep = "," + inner
@@ -116,7 +109,7 @@ def _write_json(x, newline: str, put) -> None:
     elif x is None or t is bool:
         put(_LITERALS[x])
     else:
-        raise _Unwritable
+        raise TypeError(f"documents hold no {t.__name__}")
 
 
 def _render(doc: dict, fmt: str, header: list[str], rows: list[list]) -> str:
@@ -207,8 +200,8 @@ def _run_renorm(args):
         grades.append({"grade": n,
                        "renormalized": laurent_to_json(ren),
                        "counterterm": laurent_to_json(ct),
-                       "finite_part": [[rational_to_str(finite.coeffs[k]), k]
-                                       for k in sorted(finite.coeffs)],
+                       "finite_part": [[rational_to_str(finite.terms[k]), k]
+                                       for k in sorted(finite.terms)],
                        "pole_free": pole_free})
         rows.append([n, "yes" if pole_free else "no", str(finite)])
         checks.append(_check(f"pole-free-grade-{n}", pole_free))
@@ -424,6 +417,9 @@ def main(argv=None) -> int:
         config, results, checks, header, rows = _HANDLERS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: its arrays cannot be allocated", file=sys.stderr)
         return 2
     config.update(subcommand=args.subcommand, format=args.format)
     text = _render(_document(config, results, checks), args.format, header, rows)

@@ -131,24 +131,24 @@ def _graded_power_part(xs, p: int, m: int) -> SparseSum:
     return cls._make(dp[m])
 
 
-def partial_sum(sol: DSESolution, m: int) -> ForestSum:
-    """Y_m = sum_{n=1..m} coupling^n X_n (no grade-0 term)."""
+def _graded_sum(sol: DSESolution, m: int, coupling) -> ForestSum:
+    """sum_{n=1..m} coupling^n X_n (no grade-0 term)."""
     if m < 0 or m > sol.order:
         raise ValueError(f"partial sum order {m} outside solved range 0..{sol.order}")
     out: dict = {}
     for n in range(1, m + 1):
-        _accumulate(out, _scaled(sol.coefficients[n].terms, sol.coupling ** n))
+        _accumulate(out, _scaled(sol.coefficients[n].terms, coupling ** n))
     return ForestSum._make(out)
+
+
+def partial_sum(sol: DSESolution, m: int) -> ForestSum:
+    """Y_m = sum_{n=1..m} coupling^n X_n (no grade-0 term)."""
+    return _graded_sum(sol, m, sol.coupling)
 
 
 def structural_sum(sol: DSESolution, m: int) -> ForestSum:
     """sum_{n=1..m} X_n with unit coefficients, coupling left aside."""
-    if m < 0 or m > sol.order:
-        raise ValueError(f"partial sum order {m} outside solved range 0..{sol.order}")
-    out: dict = {}
-    for n in range(1, m + 1):
-        _accumulate(out, sol.coefficients[n].terms.items())
-    return ForestSum._make(out)
+    return _graded_sum(sol, m, 1)
 
 
 def rescale(sol: DSESolution, factor: Fraction) -> DSESolution:

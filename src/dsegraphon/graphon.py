@@ -84,6 +84,7 @@ HEURISTIC_RESTARTS = 32
 _EXACT_COMPONENT_CAP = 16  # exact norm per support component in distance search
 _EQUAL_CELL_CAP = 4096  # beyond this, cut distance aligns on the interval overlay
 _FEYNMAN_CELL_CAP = 4096  # feynman_graphon refuses more cells: its matrix is dense
+_TRACE_RESTARTS = 2  # random restarts of each heuristic distance in a trace
 
 
 class SizeError(ValueError):
@@ -390,7 +391,7 @@ def _sign_definite(rows) -> bool:
     return min(map(min, rows)) >= 0 or max(map(max, rows)) <= 0
 
 
-def _cut_norm_exact_matrix(mat, scale: int = 1, cap: int | None = None):
+def _cut_norm_exact_matrix(mat, scale: int, cap: int | None = None):
     """Exact cut norm of ``mat`` over ``scale`` as a Fraction, or None when
     a support component has more than ``cap`` cells."""
     comps = _support_components(mat)
@@ -520,14 +521,9 @@ def _lift(g: StepGraphon, idx: list[int], measures: tuple) -> StepGraphon:
     return _trusted_graphon(measures, g.den, tuple(rows[a] for a in idx))
 
 
-def common_refinement(w: StepGraphon, u: StepGraphon,
-                      max_cells: int | None = None):
+def common_refinement(w: StepGraphon, u: StepGraphon):
     """Refine both graphons to the same equal-measure partition."""
     cells = _equal_refinement_count(w, u)
-    if max_cells is not None and cells > max_cells:
-        raise RefinementError(
-            f"common equal-measure partition needs {cells} blocks, "
-            f"limit is {max_cells}")
     mu = (Fraction(1, cells),) * cells
     return _lift(w, _cell_blocks(w, cells), mu), _lift(u, _cell_blocks(u, cells), mu)
 
@@ -907,7 +903,7 @@ def _code_edges(code: str) -> int:
     return 0 if not rest else rest.count(",") + 1
 
 
-def density_fingerprint(w: StepGraphon, level: int = 4) -> DensityFingerprint:
+def density_fingerprint(w: StepGraphon, level: int) -> DensityFingerprint:
     """Fingerprint of W by densities of connected graphs up to ``level`` edges."""
     rows = []
     for h in connected_graphs_up_to(level):
@@ -956,8 +952,7 @@ def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
 
 # -- solution-series diagnostics --------------------------------------------------------
 
-def convergence_trace(sol, m: int, mode: str = "heuristic", *, seed: int = 0,
-                      restarts: int = 2) -> list:
+def convergence_trace(sol, m: int, mode: str = "heuristic", *, seed: int = 0) -> list:
     """Successive cut distances of the Feynman graphons of the partial
     structural sums Y_1..Y_m at the solution's coupling.  Y_m, the
     largest, is built first, so a size refusal comes before any other
@@ -970,6 +965,6 @@ def convergence_trace(sol, m: int, mode: str = "heuristic", *, seed: int = 0,
     for i in range(1, m + 1):
         cur = last if i == m else feynman_graphon(structural_sum(sol, i), sol.coupling)
         if prev is not None:
-            out.append(cut_distance(prev, cur, mode, seed=seed, restarts=restarts))
+            out.append(cut_distance(prev, cur, mode, seed=seed, restarts=_TRACE_RESTARTS))
         prev = cur
     return out

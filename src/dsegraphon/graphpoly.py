@@ -4,13 +4,14 @@ Multigraphs allow parallel edges and self-loops.  Each edge carries a
 stable variable index so that deletion and contraction keep the naming
 of Symanzik variables intact.
 
-Cycles come from one spanning-forest pass, ``_cycle_space``: one
-fundamental cycle per edge left out of the forest.  A
-bridge is an edge that is not a loop and lies on none of these cycles.
+Components come from one union-find pass, ``_roots``.  Cycles come from
+one spanning-forest pass, ``_cycle_space``: one fundamental cycle per
+edge left out of the forest.  A bridge is an edge that is not a loop
+and lies on none of these cycles.
 
 The Tutte polynomial is the product over the connected components of
-one ``functools.cache`` entry per isomorphism class, keyed by the
-canonical key: deletion-contraction on the class's representative whose
+one ``functools.cache`` entry per isomorphism class, keyed by
+``MultiGraph.canonical_key``: deletion-contraction on the representative whose
 edges are the key's code, with its highest-index ordinary edge on a
 cycle pivoted first; with no such edge it is x^(bridges) y^(loops).
 Deleting or contracting an edge on a cycle keeps a graph connected, so
@@ -27,12 +28,12 @@ representatives are fixed by the key.  Its growth pass records each
 class's parent, from which ``corpus_tutte`` reads the corpus's Tutte
 polynomials with one key per cycle-closing class and no minors.
 
-The same search started from one cell holding every vertex gives
-``least_edge_code``, the least sorted edge code over all vertex orders;
-``graphon.SimpleGraph.canonical_code`` prints it.  The two starting
-partitions give different codes (the path on three vertices reads
-0-2,1-2 from its refined cells and 0-1,0-2 from one cell), so each
-caller keeps its own.
+The search of ``MultiGraph.canonical_key`` started from one cell holding
+every vertex gives ``least_edge_code``, the least sorted edge code over
+all vertex orders; ``graphon.SimpleGraph.canonical_code`` prints it.
+The two starting partitions give different codes (the path on three
+vertices reads 0-2,1-2 from its refined cells and 0-1,0-2 from one
+cell), so each caller keeps its own.
 
 The first Kirchhoff-Symanzik polynomial is the spanning-forest sum
 Psi(w) = sum_F prod_{e not in F} w_e over the maximal spanning forests F
@@ -277,26 +278,20 @@ class MultiGraph:
         return deg
 
     def component_count(self, edge_subset=None) -> int:
-        dsu = _DSU(self.n)
         edges = self.edges if edge_subset is None else [self.edges[i] for i in edge_subset]
-        for (u, v) in edges:
-            dsu.union(u, v)
-        return dsu.count
+        return len(set(_roots(self.n, edges)))
 
     def is_connected(self) -> bool:
         return self.n <= 1 or self.component_count() == 1
 
     def components(self) -> list["MultiGraph"]:
         """Connected components as plain MultiGraphs; a connected one is itself."""
-        dsu = _DSU(self.n)
-        for (u, v) in self.edges:
-            dsu.union(u, v)
-        if dsu.count == 1 and type(self) is MultiGraph:
+        groups: dict[int, list[int]] = {}
+        for w, r in enumerate(_roots(self.n, self.edges)):
+            groups.setdefault(r, []).append(w)
+        if len(groups) == 1 and type(self) is MultiGraph:
             return [self]
         evars = self.evars
-        groups: dict[int, list[int]] = {}
-        for w in range(self.n):
-            groups.setdefault(dsu.find(w), []).append(w)
         out = []
         for verts in groups.values():
             index = {w: i for i, w in enumerate(verts)}
@@ -316,31 +311,26 @@ class MultiGraph:
         return u != v and all(i not in c for c in _cycle_space(self, 0))
 
     def canonical_key(self):
-        """Exact isomorphism certificate: equal exactly for isomorphic graphs."""
-        return _canonical_key(self)
+        """(n, smallest edge code over all vertex orders that list the
+        refined colour cells in colour order), an exact isomorphism
+        certificate: equal exactly for isomorphic graphs."""
+        return (self.n, _least_code(self, refine=True))
 
 
-class _DSU:
-    __slots__ = ("parent", "count")
+def _roots(n: int, edges) -> list[int]:
+    """The root of each vertex in a union-find over ``edges``, with path
+    halving: two vertices share a root exactly when they are connected."""
+    parent = list(range(n))
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        self.count -= 1
-        return True
+    for (u, v) in edges:
+        parent[find(u)] = find(v)
+    return [find(w) for w in range(n)]
 
 
 def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
@@ -409,15 +399,9 @@ def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[
     return colors
 
 
-def _canonical_key(g: MultiGraph):
-    """(n, smallest edge code over all vertex orders that list the refined
-    colour cells in colour order), an exact isomorphism certificate."""
-    return (g.n, _least_code(g, refine=True))
-
-
 def least_edge_code(g: MultiGraph) -> tuple:
     """The least sorted edge code over all vertex orders: the search of
-    ``_canonical_key`` started from one cell holding every vertex."""
+    ``MultiGraph.canonical_key`` started from one cell holding every vertex."""
     return _least_code(g, refine=False)
 
 
@@ -657,7 +641,7 @@ def tutte(g: MultiGraph) -> MultiPoly:
     """
     if g.m > TUTTE_EDGE_LIMIT:
         raise ValueError(f"graph has {g.m} edges, limit is {TUTTE_EDGE_LIMIT}")
-    return MultiPoly.product(_tutte_of(_canonical_key(c)) for c in g.components() if c.m)
+    return MultiPoly.product(_tutte_of(c.canonical_key()) for c in g.components() if c.m)
 
 
 @cache
@@ -672,8 +656,8 @@ def _tutte_of(key) -> MultiPoly:
     if pivot is None:  # only loops lie on cycles; every other edge is a bridge
         loops = len(on_cycle)
         return MultiPoly({(("x", g.m - loops), ("y", loops)): 1})
-    return (_tutte_of(_canonical_key(g.delete(pivot)))
-            + _tutte_of(_canonical_key(g.contract(pivot))))
+    return (_tutte_of(g.delete(pivot).canonical_key())
+            + _tutte_of(g.contract(pivot).canonical_key()))
 
 
 def tutte_rank_nullity(g: MultiGraph) -> MultiPoly:
@@ -1042,7 +1026,7 @@ def corpus_tutte(max_edges: int) -> list[tuple[MultiGraph, MultiPoly]]:
         elif parent[0] < h.n:
             polys[key] = x * polys[parent]
         else:
-            polys[key] = polys[parent] + polys[_canonical_key(h.contract(h.m - 1))]
+            polys[key] = polys[parent] + polys[h.contract(h.m - 1).canonical_key()]
     return [(grown[key][0], polys[key]) for key in _corpus_order(grown)]
 
 
@@ -1054,7 +1038,7 @@ def _grow(max_edges: int) -> dict:
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
     seed = MultiGraph(1, [])
-    grown = {_canonical_key(seed): (seed, None)}
+    grown = {seed.canonical_key(): (seed, None)}
     frontier = list(grown.items())
     for _ in range(max_edges):
         nxt = []
@@ -1062,7 +1046,7 @@ def _grow(max_edges: int) -> dict:
             for u in range(g.n):
                 for v in range(u, g.n + 1):
                     h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),))
-                    key = _canonical_key(h)
+                    key = h.canonical_key()
                     if key not in grown:
                         grown[key] = (h, parent)
                         nxt.append((key, grown[key]))

@@ -177,7 +177,6 @@ class Character:
     """
 
     def __init__(self, rule, one, target: str, name: str = ""):
-        self.rule = rule
         self.one = one
         self.target = target
         self.name = name

@@ -3,9 +3,9 @@
 Values of the rules live in truncated Laurent series in the regulator
 ``eps`` whose coefficients are exact rational polynomials in the scale
 ``L`` (kept symbolic unless the rules fix a rational value).  A series
-carries a window [lo, hi]: coefficients of eps^p for p in the window are
-exact, everything above hi is unknown truncation and reading it raises,
-everything below lo is exactly zero.
+carries a window [lo, hi], [-8, 2] unless given: coefficients of eps^p
+for p in the window are exact, everything above hi is unknown truncation
+and reading it raises, everything below lo is exactly zero.
 
 The toy rules assign to a grafting of a subforest w
 
@@ -18,11 +18,12 @@ t!.  So phi is a_y in the family of characters a_x(f) = w(f) x^|f|,
 which form a group, a_x * a_y = a_(x+y) (the tree-factorial flow of the
 Butcher group).
 
-Minimal subtraction keeps the strict pole part.  Its Birkhoff
-factorization phi_+ = S * phi into a counterterm S, a pole part on
-every nonempty forest, and a renormalized value phi_+ free of poles is
-unique.  a_(-1/eps) is such a pole part, and a_(-1/eps) * a_y =
-a_((exp(-eps L) - 1)/eps) is a power series in eps, so
+Minimal subtraction keeps the strict pole part, the series'
+``pole_part``.  Its Birkhoff factorization phi_+ = S * phi into a
+counterterm S, a pole part on every nonempty forest, and a renormalized
+value phi_+ free of poles is unique.  a_(-1/eps) is such a pole part,
+and a_(-1/eps) * a_y = a_((exp(-eps L) - 1)/eps) is a power series in
+eps, so
 
     S(f) = w(f) (-1/eps)^|f|,   phi_+(f) = w(f) ((exp(-eps L) - 1)/eps)^|f|.
 
@@ -69,6 +70,9 @@ class WindowError(ValueError):
     """Raised when a requested coefficient lies outside the exact window."""
 
 
+_WINDOW = (-8, 2)  # the default eps-window of series, rules and their decoders
+
+
 class ScalePoly(SparseSum):
     """Polynomial in the scale L with exact rational coefficients.
 
@@ -86,10 +90,6 @@ class ScalePoly(SparseSum):
             raise ValueError("polynomial powers must be nonnegative")
         return k
 
-    @property
-    def coeffs(self) -> dict[int, Fraction]:
-        return self.terms
-
     @staticmethod
     def const(c) -> "ScalePoly":
         return ScalePoly({0: c})
@@ -99,7 +99,7 @@ class ScalePoly(SparseSum):
         return ScalePoly({power: coeff})
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
+        return self.terms.get(k, Fraction(0))
 
     def derivative(self) -> "ScalePoly":
         return ScalePoly._make(_accumulate({}, ((k - 1, k * v)
@@ -107,11 +107,11 @@ class ScalePoly(SparseSum):
 
     def eval(self, value) -> Fraction:
         value = _as_coeff(value)
-        return sum((v * value ** k for k, v in self.coeffs.items()), Fraction(0))
+        return sum((v * value ** k for k, v in self.terms.items()), Fraction(0))
 
     def __repr__(self):
         return " + ".join(f"{v}" if k == 0 else f"{v}*L" if k == 1 else f"{v}*L^{k}"
-                          for k, v in sorted(self.coeffs.items())) or "0"
+                          for k, v in sorted(self.terms.items())) or "0"
 
 
 class LaurentSeries:
@@ -120,7 +120,7 @@ class LaurentSeries:
     __slots__ = ("terms", "lo", "hi")
 
     def __init__(self, terms: dict[int, ScalePoly] | None = None,
-                 window: tuple[int, int] = (-8, 2)):
+                 window: tuple[int, int] = _WINDOW):
         lo, hi = window
         if lo > hi:
             raise ValueError(f"empty window {window}")
@@ -149,11 +149,11 @@ class LaurentSeries:
         return (self.lo, self.hi)
 
     @staticmethod
-    def const(c, window=(-8, 2)) -> "LaurentSeries":
+    def const(c, window=_WINDOW) -> "LaurentSeries":
         return LaurentSeries({0: ScalePoly.const(c)}, window)
 
     @staticmethod
-    def zero(window=(-8, 2)) -> "LaurentSeries":
+    def zero(window=_WINDOW) -> "LaurentSeries":
         return LaurentSeries({}, window)
 
     def coeff(self, p: int) -> ScalePoly:
@@ -176,9 +176,7 @@ class LaurentSeries:
         return LaurentSeries({p: -c for p, c in self.terms.items()}, self.window)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.const(other, self.window)
-        if not isinstance(other, LaurentSeries):
+        if not isinstance(other, (int, Fraction, LaurentSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -224,7 +222,8 @@ class LaurentSeries:
         return bool(self.terms)
 
     def pole_part(self) -> "LaurentSeries":
-        """Strict pole part: terms with negative powers of eps."""
+        """Minimal-subtraction projection R onto the negative powers of eps:
+        idempotent and Rota-Baxter, R(a)R(b) = R(R(a)b) + R(aR(b)) - R(ab)."""
         return LaurentSeries({p: c for p, c in self.terms.items() if p < 0},
                              self.window)
 
@@ -278,14 +277,6 @@ def _fold(parts, window: tuple[int, int]) -> LaurentSeries:
     return _from_accumulated(acc, (lo, hi))
 
 
-def pole_part(s: LaurentSeries) -> LaurentSeries:
-    """Minimal-subtraction projection R: keep only negative powers.
-
-    Idempotent and Rota-Baxter: R(a)R(b) = R(R(a)b) + R(aR(b)) - R(ab).
-    """
-    return s.pole_part()
-
-
 # -- toy rules ----------------------------------------------------------------
 
 # the characters phi, S and phi_+ as the pair (a, c) of their size series
@@ -307,7 +298,7 @@ class ToyRules:
 
     residues: Mapping[str, Fraction] = field(default_factory=dict)
     scale: Fraction | None = None
-    window: tuple[int, int] = (-8, 2)
+    window: tuple[int, int] = _WINDOW
 
     def __post_init__(self):
         def init(name, value):

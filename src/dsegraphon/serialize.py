@@ -123,18 +123,25 @@ def solution_to_json(sol: DSESolution) -> list:
 def laurent_to_json(s: LaurentSeries) -> dict:
     return {"window": [s.lo, s.hi],
             "terms": [{"pow": p, "coef": [[rational_to_str(v), k]
-                                          for k, v in sorted(poly.coeffs.items())]}
+                                          for k, v in sorted(poly.terms.items())]}
                       for p, poly in sorted(s.terms.items())]}
+
+
+def _window(obj: dict, what: str) -> tuple[int, int]:
+    """The 'window' of a decoded object, ``renorm``'s default when absent."""
+    from .renorm import _WINDOW
+    window = obj.get("window", _WINDOW)
+    if not (isinstance(window, (list, tuple)) and len(window) == 2
+            and all(map(_is_int, window))):
+        raise ValueError(f"{what} 'window' must be a pair of integers")
+    return tuple(window)
 
 
 def laurent_from_json(obj) -> LaurentSeries:
     from .renorm import LaurentSeries, ScalePoly
     if not isinstance(obj, dict):
         raise ValueError("Laurent series must be an object")
-    window = obj.get("window", [-8, 2])
-    if not (isinstance(window, (list, tuple)) and len(window) == 2
-            and all(map(_is_int, window))):
-        raise ValueError("Laurent 'window' must be a pair of integers")
+    window = _window(obj, "Laurent")
     items = obj.get("terms", [])
     if not isinstance(items, list) or not all(
             isinstance(item, dict) and _is_int(item.get("pow"))
@@ -145,7 +152,7 @@ def laurent_from_json(obj) -> LaurentSeries:
                          "'pow' and a 'coef' array of [value, integer power] pairs")
     terms = {item["pow"]: ScalePoly({k: rational_from_str(c) for c, k in item["coef"]})
              for item in items}
-    return LaurentSeries(terms, tuple(window))
+    return LaurentSeries(terms, window)
 
 
 def toy_rules_to_json(r: ToyRules) -> dict:
@@ -162,15 +169,12 @@ def toy_rules_from_json(obj) -> ToyRules:
     residues = obj.get("residues", {})
     if not isinstance(residues, dict):
         raise ValueError("rules 'residues' must be an object")
-    window = obj.get("window", [-8, 2])
-    if not (isinstance(window, (list, tuple)) and len(window) == 2
-            and all(map(_is_int, window))):
-        raise ValueError("rules 'window' must be a pair of integers")
+    window = _window(obj, "rules")
     scale = obj.get("scale")
     if scale is not None:
         scale = rational_from_str(scale)
     return ToyRules(residues={d: rational_from_str(v) for d, v in residues.items()},
-                    scale=scale, window=tuple(window))
+                    scale=scale, window=window)
 
 
 # -- graphons and graphs ----------------------------------------------------------------

@@ -376,7 +376,7 @@ def test_criterion_10_coupling_rescaling():
         assert two_step.coupling == sol.coupling * a * b
         assert two_step.coefficients == rescale(sol, a * b).coefficients
         assert two_step.coefficients is sol.coefficients
-    assert convergence_trace(sol, 3, "heuristic", seed=3, restarts=2) == \
+    assert convergence_trace(sol, 3, "heuristic", seed=3) == \
         [F(1, 25), F(53, 1600)]
     base_sol = solve(DSESpec((Cocycle("g", F(1)),), order=3, coupling=F(1)))
     y3 = structural_sum(base_sol, 3)

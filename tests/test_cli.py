@@ -1,7 +1,9 @@
 """End-to-end command-line runs: document shape, exit codes, error
 reporting, and byte-level reproducibility of every subcommand."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -206,6 +208,19 @@ def test_haar_without_samples_exits_2(capsys):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error:") and "at least one sample" in err, argv
+
+
+def test_inputs_too_large_to_allocate_exit_2(capsys, tmp_path):
+    """10**12 samples or vertices ask for terabytes; the allocation fails
+    at once, and the run ends in one error line, not a traceback."""
+    graphs = _write(tmp_path, "big.json", [{"n": 10 ** 12, "edges": []}])
+    for argv in (["haar", "--samples", str(10 ** 12)],
+                 ["tutte", "--graphs", graphs],
+                 ["symanzik", "--graphs", graphs]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input too large: its arrays cannot be allocated\n"
 
 
 def test_trace_rows(capsys, spec_file):
@@ -619,6 +634,86 @@ def test_graph_batches_exit_cleanly_and_rerun_identically(tmp_path_factory, batc
     assert outs[0] == outs[1]
 
 
+_ORDERS = st.integers(1, 3)
+_SPECS = st.fixed_dictionaries({
+    "cocycles": st.lists(st.fixed_dictionaries({
+        "decoration": st.sampled_from(["g", "h"]),
+        "omega": st.sampled_from(["1", "1/2", "2"])}), min_size=1, max_size=2),
+    "order": _ORDERS, "coupling": st.sampled_from(["1/2", "1/3", "1"])})
+_RULES = st.fixed_dictionaries(
+    {"residues": st.dictionaries(st.sampled_from(["g", "h"]),
+                                 st.sampled_from(["1", "2", "-1/2"]), max_size=2)},
+    optional={"scale": st.sampled_from([None, "1/2", "0"]),
+              "window": st.sampled_from([[-8, 2], [-1, 0], [-3, 3]])})
+# malformed JSON, wrong types and nesting past the decoder's recursion limit
+_BAD_FILES = st.sampled_from([
+    "", "{", "[1,", "null", "42", '"spec"', "[]", "{}", '{"cocycles": 5}',
+    '{"cocycles": [{"decoration": 1, "omega": "1"}], "order": 2}',
+    '{"cocycles": [{"decoration": "g", "omega": "1/0"}], "order": true}',
+    '{"residues": [], "window": [0]}', '[{"n": "3", "edges": []}]',
+    "[" * 100_000 + "]" * 100_000])
+_GRAPH_FILES = st.just([{"n": 10 ** 12, "edges": []}]) | _GRAPH_BATCHES
+
+
+def _json_file(objects):
+    return objects.map(json.dumps) | _BAD_FILES
+
+
+@st.composite
+def _cli_runs(draw, sub):
+    """The argv of ``sub`` over bounded sizes, with the files it reads."""
+    argv, files = [sub], {}
+    if sub in ("solve", "renorm", "graphon", "trace"):
+        files["spec.json"] = draw(_json_file(_SPECS))
+        argv += ["--spec", "spec.json"]
+        if draw(st.booleans()):
+            argv += ["--order", str(draw(_ORDERS))]
+        if draw(st.booleans()):
+            argv += ["--coupling", draw(st.sampled_from(["1/4", "0", "3/2", "x"]))]
+    if sub == "renorm":
+        files["rules.json"] = draw(_json_file(_RULES))
+        argv += ["--rules", "rules.json"]
+    if sub in ("graphon", "trace"):
+        argv += ["--mode", draw(st.sampled_from(["exact", "heuristic"]))]
+    if sub == "graphon":
+        argv += ["--level", str(draw(st.integers(0, 3)))]
+    if sub in ("tutte", "symanzik"):
+        if draw(st.booleans()):
+            argv += ["--max-edges", str(draw(st.integers(0, 3)))]
+        else:
+            files["graphs.json"] = draw(_json_file(_GRAPH_FILES))
+            argv += ["--graphs", "graphs.json"]
+    if sub == "haar":
+        argv += ["--samples", str(draw(st.sampled_from([10 ** 12]) | st.integers(1, 2000))),
+                 "--depth", str(draw(st.integers(1, 30)))]
+    argv += ["--seed", str(draw(st.integers(0, 7))),
+             "--format", draw(st.sampled_from(["json", "csv"]))]
+    return argv, files
+
+
+@pytest.mark.parametrize("sub", ["solve", "renorm", "graphon", "trace", "tutte",
+                                 "symanzik", "haar"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exit_codes_are_0_1_or_2_and_reruns_identical(tmp_path_factory, sub, data):
+    """Every run ends in exit 0, 1 or 2 with no traceback on stderr, and a
+    rerun writes the same bytes to stdout and stderr."""
+    argv, files = data.draw(_cli_runs(sub))
+    tmp = tmp_path_factory.mktemp("cli")
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    argv = [str(tmp / a) if a in files else a for a in argv]
+    results = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        results.append((code, out.getvalue(), err.getvalue()))
+    assert results[0] == results[1], argv
+
+
 def test_golden_fingerprint_documents(tmp_path, spec_file):
     """Levels 4 and 5 fingerprint against 11 and 23 connected graphs.  The
     time bound catches a return to a brute-force catalogue, which took
@@ -798,10 +893,15 @@ def test_document_writer_matches_json_dumps_on_json_trees(doc):
     assert _json_text(doc) == _dumps(doc)
 
 
-def test_document_writer_falls_back_to_json_dumps():
-    for doc in ({"x": 1.5}, [float("nan"), float("inf")], {1: "a", 2: ["b"]},
-                {"t": (1, (2, 3))}, [[[]], {}]):
+def test_document_writer_refuses_what_documents_never_hold():
+    for doc in ({"t": (1, (2, 3))}, [[[]], {}]):
         assert _json_text(doc) == _dumps(doc)
+    # json.dumps writes these, but no document holds a float or a
+    # non-string key, so the writer refuses them
+    for bad in ({"x": 1.5}, [float("nan"), float("inf")], {1: "a", 2: ["b"]}):
+        _dumps(bad)
+        with pytest.raises(TypeError):
+            _json_text(bad)
     for bad in ({"x": F(1, 2)}, {1: "a", "b": 2}, [object()]):
         with pytest.raises(TypeError):
             _dumps(bad)

@@ -587,16 +587,15 @@ def test_one_spanning_forest_path_on_disconnected_multigraphs():
 
 def _per_subset_spanning_forests(g: MultiGraph):
     """The forests as enumerated before the backtracking pass: every
-    (n - c)-edge subset in ``itertools.combinations`` order, tested with a
-    fresh union-find."""
-    need = g.n - g.component_count()
-    for subset in itertools.combinations(range(g.m), need):
-        dsu = graphpoly._DSU(g.n)
-        for i in subset:
-            u, v = g.edges[i]
-            if u == v or not dsu.union(u, v):
-                break
-        else:
+    (n - c)-edge subset in ``itertools.combinations`` order whose union-find
+    leaves c components, so that no edge of it closes a cycle."""
+    def components(edges) -> int:
+        find = _dsu_find(g.n, edges)
+        return len({find(w) for w in range(g.n)})
+
+    c = components(g.edges)
+    for subset in itertools.combinations(range(g.m), g.n - c):
+        if components([g.edges[i] for i in subset]) == c:
             yield subset
 
 
