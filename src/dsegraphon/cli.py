@@ -66,14 +66,15 @@ def _json_text(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
 
     CPython's C encoder is skipped whenever ``indent`` is set, so large
-    documents went through the pure-Python generator; this writer joins
-    the pieces itself.  It knows what documents hold: dicts with string
+    documents went through the pure-Python generator; this writer puts
+    the pieces into one text buffer itself, not a list of small strings
+    joined at the end.  It knows what documents hold: dicts with string
     keys, lists, tuples, strings, ints, bools and None.  Anything else (a
     float, a Fraction, a non-string key) raises TypeError.
     """
-    parts: list[str] = []
-    _write_json(doc, "\n", parts.append)
-    return "".join(parts)
+    buf = io.StringIO()
+    _write_json(doc, "\n", buf.write)
+    return buf.getvalue()
 
 
 def _write_json(x, newline: str, put) -> None:
@@ -143,6 +144,21 @@ def _solved(args):
         obj = {**obj, "coupling": args.coupling}
     sol = solve(dse_spec_from_json(obj))
     return sol, dse_spec_to_json(sol.spec)
+
+
+def _graphon_ready(sol) -> None:
+    """Refuse, naming the spec's cocycles, a solution whose tree
+    coefficients the Feynman graphon cannot take as block counts."""
+    for n in range(1, sol.order + 1):
+        for c in sol.coefficients[n].terms.values():
+            if c.denominator != 1 or c < 0:
+                named = "; ".join(f"cocycle {k.decoration} has omega {k.omega}"
+                                  for k in sol.spec.cocycles
+                                  if k.omega.denominator != 1 or k.omega < 0)
+                raise ValueError(
+                    "the Feynman graphon needs nonnegative integer tree "
+                    f"coefficients, but a grade-{n} tree has coefficient {c} "
+                    f"({named})")
 
 
 def _edges_code(g: MultiGraph) -> str:
@@ -216,6 +232,7 @@ def _run_graphon(args):
     from .graphon import cut_norm, density_fingerprint, feynman_graphon
     from .serialize import graphon_to_json, rational_to_str
     sol, spec = _solved(args)
+    _graphon_ready(sol)
     y = structural_sum(sol, sol.order)
     w = feynman_graphon(y, sol.coupling)
     norm_val = cut_norm(w, args.mode, seed=args.seed)
@@ -338,6 +355,7 @@ def _run_trace(args):
     from .graphon import convergence_trace
     from .serialize import rational_to_str
     sol, spec = _solved(args)
+    _graphon_ready(sol)
     distances = convergence_trace(sol, sol.order, mode=args.mode, seed=args.seed)
     config = {"spec": spec, "order": sol.order, "mode": args.mode, "seed": args.seed}
     non_increasing = all(distances[i] >= distances[i + 1]

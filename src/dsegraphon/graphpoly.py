@@ -638,10 +638,14 @@ def tutte(g: MultiGraph) -> MultiPoly:
     Empty edge set gives 1; a bridge contributes a factor x, a loop a
     factor y, and the polynomial is multiplicative over connected
     components (and hence over disjoint unions and one-point joins).
+    An isolated vertex contributes 1, so components are only formed over
+    the vertices that meet an edge.
     """
     if g.m > TUTTE_EDGE_LIMIT:
         raise ValueError(f"graph has {g.m} edges, limit is {TUTTE_EDGE_LIMIT}")
-    return MultiPoly.product(_tutte_of(c.canonical_key()) for c in g.components() if c.m)
+    index = {w: i for i, w in enumerate(sorted({w for e in g.edges for w in e}))}
+    core = MultiGraph._trusted(len(index), tuple((index[u], index[v]) for u, v in g.edges))
+    return MultiPoly.product(_tutte_of(c.canonical_key()) for c in core.components())
 
 
 @cache

@@ -11,8 +11,10 @@ truncation term and binomial noise.
 
 Each run draws its sample once: the norms of ``samples`` coin vectors
 come from one Philox stream, drawn in fixed row chunks so memory stays
-bounded, and the last draw is kept, so every radius of a sweep and the
-Kolmogorov-Smirnov statistic read the same array.
+bounded, and the last draw is kept sorted, so every radius of a sweep is
+one binary search and the Kolmogorov-Smirnov statistic one chunked walk
+over the same array.  A sweep holds 8 bytes per sample (one uint64 norm)
+plus a fixed working set of about 2 MB.
 """
 
 from __future__ import annotations
@@ -137,25 +139,24 @@ def norm(x: SolutionPoint, g=1, eps=1) -> Fraction:
 
 def sample_haar(depth: int, seed: int = 0) -> SolutionPoint:
     """One Haar sample: an independent fair coin per rank."""
-    norm_int = int(_sample_norm_ints(depth, 1, seed)[0])
+    norm_int = int(_draw_norm_ints(depth, 1, seed)[0])
     # the integer holds the coin of rank r at weight 2^(depth-r)
     return VertexUniverse(depth).point_from_ranks(
         r for r in range(1, depth + 1) if norm_int >> (depth - r) & 1)
 
 
-# rows of coins drawn at a time: 2^16 rows of 62 uint64 coins are 32 MB
-_CHUNK_ROWS = 1 << 16
+# rows of coins drawn, and sorted norms walked, at a time: 2^12 rows of
+# 62 uint64 coins are 2 MB
+_CHUNK_ROWS = 1 << 12
 
 
-@lru_cache(maxsize=1)
-def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
-    """n independent samples, each reduced to the integer
+def _draw_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
+    """n independent samples in draw order, each reduced to the integer
     round(2^depth * norm): the bit at rank r contributes 2^(depth-r).
 
     One counter-based stream per master seed.  The coin matrix is drawn
     in row chunks; the stream is sequential, so the norms equal those of
-    a single (n, depth) block.  The last draw is cached and returned
-    read-only, so callers sharing it cannot corrupt it.
+    a single (n, depth) block.
     """
     import numpy as np
     if depth < 1 or depth > 62:
@@ -168,9 +169,18 @@ def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
     out = np.empty(n, dtype=np.uint64)
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        bits = rng.integers(0, 2, size=(hi - lo, depth), dtype=np.uint64)
-        np.matmul(bits, weights, out=out[lo:hi])
-        del bits  # free this chunk before the next one is drawn
+        np.matmul(rng.integers(0, 2, size=(hi - lo, depth), dtype=np.uint64),
+                  weights, out=out[lo:hi])
+    return out
+
+
+@lru_cache(maxsize=1)
+def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
+    """The run's shared draw: ``_draw_norm_ints`` sorted in place.  The
+    last draw is cached and returned read-only, so callers sharing it
+    cannot corrupt it."""
+    out = _draw_norm_ints(depth, n, seed)
+    out.sort()
     out.flags.writeable = False
     return out
 
@@ -216,7 +226,7 @@ def ball_measure_mc(r, depth: int = 24, samples: int = 100_000,
     import numpy as np
     ints = _sample_norm_ints(depth, samples, seed)
     threshold = (r.numerator << depth) // r.denominator
-    hits = int(np.count_nonzero(ints <= np.uint64(threshold)))
+    hits = int(np.searchsorted(ints, np.uint64(threshold), side="right"))
     return BallEstimate(r=r, hits=hits, samples=samples, depth=depth, seed=seed)
 
 
@@ -226,21 +236,25 @@ def norm_uniformity_statistic(depth: int = 24, samples: int = 100_000,
     against uniform [0,1]; small iff the norm map pushes Haar to
     Lebesgue, as claimed.
 
-    Reads the run's shared draw and computes D = max(D+, D-) on the sorted
-    values x_1 <= ... <= x_n directly, D+ = max(i/n - x_i) and
+    Walks the run's sorted shared draw x_1 <= ... <= x_n in chunks and
+    computes D = max(D+, D-) directly, D+ = max(i/n - x_i) and
     D- = max(x_i - (i-1)/n), in the float arithmetic of
     ``scipy.stats.kstest(values, "uniform")``, which the tests hold it to.
+    No array of n floats is built: each chunk forms its own x_i and i/n.
     """
     import numpy as np
-    # in place where scipy makes copies, to hold three arrays of n floats
-    x = _sample_norm_ints(depth, samples, seed).astype(np.float64)
-    x.sort()
-    x /= float(1 << depth)
-    n = x.shape[0]
-    steps = np.arange(1.0, n + 1)
-    steps /= n  # steps[i - 1] = i/n
-    d_plus = (steps - x).max()
-    d_minus = (x[1:] - steps[:-1]).max(initial=x[0])  # x_1 - 0/n = x_1
+    ints = _sample_norm_ints(depth, samples, seed)
+    n = ints.shape[0]
+    scale = float(1 << depth)
+    d_plus = d_minus = -np.inf
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        x = ints[lo:hi].astype(np.float64)
+        x /= scale
+        steps = np.arange(lo, hi + 1, dtype=np.float64)
+        steps /= n  # steps[k] = (lo + k)/n
+        d_plus = max(d_plus, (steps[1:] - x).max())
+        d_minus = max(d_minus, (x - steps[:-1]).max())  # x_1 - 0/n = x_1
     return float(max(d_plus, d_minus))
 
 

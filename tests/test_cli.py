@@ -223,6 +223,18 @@ def test_inputs_too_large_to_allocate_exit_2(capsys, tmp_path):
         assert captured.err == "error: input too large: its arrays cannot be allocated\n"
 
 
+def test_tutte_of_many_isolated_vertices_is_fast(capsys, tmp_path):
+    """An isolated vertex contributes T = 1, so a million of them cost no
+    graph object each."""
+    graphs = _write(tmp_path, "isolated.json", [{"n": 10 ** 6, "edges": []}])
+    start = time.perf_counter()
+    code, doc = run_json(capsys, ["tutte", "--graphs", graphs])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    [entry] = doc["results"]["entries"]
+    assert entry["t11"] == "1" and entry["spanning_trees"] is None
+
+
 def test_trace_rows(capsys, spec_file):
     code, doc = run_json(capsys, ["trace", "--spec", spec_file])
     assert code == 0
@@ -365,6 +377,17 @@ def test_graphon_and_trace_zero_denominator_exit_2(capsys, tmp_path):
     for sub in ("graphon", "trace"):
         _exits_2(capsys, [sub, "--spec", _spec(tmp_path, omega="1/0")], "denominator")
         _exits_2(capsys, [sub, "--spec", _spec(tmp_path, coupling="1/0")], "denominator")
+
+
+def test_graphon_and_trace_name_a_non_integer_omega(capsys, tmp_path):
+    # omega 1/2 gives X_1 the tree coefficient 1/2, which no block count is
+    for sub in ("graphon", "trace"):
+        assert main([sub, "--spec", _spec(tmp_path, omega="1/2")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the Feynman graphon needs nonnegative integer tree coefficients, "
+            "but a grade-1 tree has coefficient 1/2 (cocycle g has omega 1/2)\n")
 
 
 def test_graphon_and_trace_beyond_the_dense_cell_limit_exit_2(capsys, tmp_path, monkeypatch):
@@ -912,3 +935,20 @@ def test_document_writer_refuses_what_documents_never_hold():
         _dumps(huge)
     with pytest.raises(ValueError):
         _json_text(huge)
+
+
+def test_document_writer_holds_the_text_about_twice():
+    """The writer's traced peak stays within 2.5 times the text it returns:
+    one buffer and the final string, not a list of small pieces."""
+    import tracemalloc
+    doc = {"entries": [{"graph": {"n": i % 7, "edges": [[0, 1], [1, i % 5]]},
+                        "name": f"entry-{i}", "ok": i % 2 == 0, "none": None}
+                       for i in range(20_000)]}
+    tracemalloc.start()
+    try:
+        text = _json_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _dumps(doc)
+    assert peak <= 2.5 * len(text), (peak, len(text))

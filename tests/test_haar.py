@@ -180,9 +180,12 @@ def _one_block_norms(depth, n, seed):
 def test_chunked_draw_equals_one_block(depth):
     chunk = haar._CHUNK_ROWS
     for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
-        got = haar._sample_norm_ints(depth, n, 3)
+        got = haar._draw_norm_ints(depth, n, 3)
         assert got.dtype == np.uint64 and got.shape == (n,)
         assert np.array_equal(got, _one_block_norms(depth, n, 3)), n
+        shared = haar._sample_norm_ints(depth, n, 3)
+        assert np.array_equal(shared, np.sort(_one_block_norms(depth, n, 3))), n
+        assert not shared.flags.writeable
 
 
 def test_ks_statistic_matches_scipy():
@@ -220,3 +223,20 @@ def test_shared_draw_is_read_only():
     with pytest.raises(ValueError):
         ints[0] = 1
     assert haar._sample_norm_ints(24, 1000, 0) is ints
+
+
+def test_sweep_holds_eight_bytes_per_sample():
+    """Three radii and the KS statistic over one draw trace at most one
+    uint64 per sample plus a fixed working set of chunks."""
+    import tracemalloc
+    n = 200_000
+    haar._sample_norm_ints.cache_clear()
+    tracemalloc.start()
+    try:
+        for r in (F(1, 4), F(1, 2), F(3, 4)):
+            ball_measure_mc(r, depth=24, samples=n, seed=0)
+        norm_uniformity_statistic(24, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + (4 << 20), peak
