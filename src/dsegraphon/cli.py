@@ -12,7 +12,6 @@ usage error, an input too large to allocate included.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -25,9 +24,9 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 
-# Every layer module is imported by the handler that runs it, so that a
-# subcommand's process loads (and, without a bytecode cache, compiles)
-# only the layers it uses.
+# Every layer module is imported by the handler that runs it, and ``csv``
+# by the CSV branch of ``_render``, so that a subcommand's process loads
+# (and, without a bytecode cache, compiles) only the modules it uses.
 if TYPE_CHECKING:
     from .graphpoly import MultiGraph
 
@@ -116,6 +115,7 @@ def _write_json(x, newline: str, put) -> None:
 def _render(doc: dict, fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "json":
         return _json_text(doc) + "\n"
+    import csv
     buf = io.StringIO()
     buf.write(f"# tool=dsegraphon\n# version={__version__}\n")
     buf.write(f"# config_sha256={doc['config_sha256']}\n")

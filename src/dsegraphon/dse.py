@@ -19,56 +19,49 @@ are assembled or the solution is handed to the graphon side.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .trees import ForestSum, SparseSum, _accumulate, _as_coeff, _scaled, check_decoration
+from .trees import ForestSum, Record, SparseSum, _accumulate, _as_coeff, _scaled, \
+    check_decoration
 from .hopf import TensorSum, coproduct, graft
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Record):
     """One grafting term of the equation: decoration plus weight."""
 
-    decoration: str
-    omega: Fraction
+    _fields = ("decoration", "omega")
 
-    def __post_init__(self):
-        check_decoration(self.decoration)
-        object.__setattr__(self, "omega", _as_coeff(self.omega))
+    def __init__(self, decoration: str, omega: Fraction):
+        super().__init__(check_decoration(decoration), _as_coeff(omega))
 
 
-@dataclass(frozen=True)
-class DSESpec:
+class DSESpec(Record):
     """Equation data: cocycle list, truncation order, coupling.
 
     The j-th cocycle (1-based) grafts the (j+1)-st power of the unknown
     and sits at coupling power j.  Coupling must lie in (0, 1].
     """
 
-    cocycles: tuple[Cocycle, ...]
-    order: int
-    coupling: Fraction = Fraction(1)
+    _fields = ("cocycles", "order", "coupling")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cocycles", tuple(self.cocycles))
-        object.__setattr__(self, "coupling", _as_coeff(self.coupling))
-        if not self.cocycles:
+    def __init__(self, cocycles: tuple[Cocycle, ...], order: int,
+                 coupling: Fraction = Fraction(1)):
+        cocycles = tuple(cocycles)
+        coupling = _as_coeff(coupling)
+        if not cocycles:
             raise ValueError("equation needs at least one cocycle")
-        if (not isinstance(self.order, int) or isinstance(self.order, bool)
-                or self.order < 1):
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ValueError("truncation order must be a positive integer")
-        if not (0 < self.coupling <= 1):
+        if not (0 < coupling <= 1):
             raise ValueError("coupling must lie in (0, 1]")
+        super().__init__(cocycles, order, coupling)
 
 
-@dataclass(frozen=True)
-class DSESolution:
+class DSESolution(Record):
     """Graded coefficients X_0..X_N of the truncated solution."""
 
-    spec: DSESpec
-    coefficients: tuple[ForestSum, ...]
+    _fields = ("spec", "coefficients")
 
     @property
     def order(self) -> int:
@@ -166,8 +159,7 @@ def rescale(sol: DSESolution, factor: Fraction) -> DSESolution:
 
 # -- subalgebra certificate ---------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Outcome of expressing delta(X_n) in products of the X_k.
 
     ``coefficients`` maps pairs of exponent partitions (left factor,
@@ -175,10 +167,7 @@ class WitnessReport:
     for the monomial X_2*X_1*X_1 and the empty partition for X_0 = 1.
     """
 
-    ok: bool
-    n: int
-    coefficients: dict[tuple[tuple[int, ...], tuple[int, ...]], int]
-    message: str
+    _fields = ("ok", "n", "coefficients", "message")
 
 
 def _partitions(n: int, parts: int, cap: int = 0) -> list[tuple[int, ...]]:

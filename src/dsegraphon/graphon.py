@@ -69,12 +69,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .trees import Forest, ForestSum, _as_coeff
+from .trees import ForestSum, Record, _as_coeff
 from .graphpoly import MultiGraph, generate_connected_multigraphs, \
     least_edge_code, tree_to_graph
 
@@ -879,13 +878,11 @@ def connected_graphs_up_to(max_edges: int) -> list[SimpleGraph]:
     return out
 
 
-@dataclass(frozen=True)
-class DensityFingerprint:
+class DensityFingerprint(Record):
     """Homomorphism densities against all connected graphs with at most
     ``level`` edges, keyed by canonical graph code."""
 
-    level: int
-    densities: tuple[tuple[str, Fraction], ...]
+    _fields = ("level", "densities")
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.densities)

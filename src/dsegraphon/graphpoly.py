@@ -7,7 +7,12 @@ of Symanzik variables intact.
 Components come from one union-find pass, ``_roots``.  Cycles come from
 one spanning-forest pass, ``_cycle_space``: one fundamental cycle per
 edge left out of the forest.  A bridge is an edge that is not a loop
-and lies on none of these cycles.
+and lies on none of these cycles.  These passes, the spanning forests
+and the Tutte polynomial run on ``_core``, the vertices that meet an
+edge relabelled in increasing order, and count each isolated vertex as
+one component: the edges keep their indices, so the forests, cycles and
+polynomials are those of the whole graph, at a cost in its edges rather
+than its vertex count.
 
 The Tutte polynomial is the product over the connected components of
 one ``functools.cache`` entry per isomorphism class, keyed by
@@ -56,11 +61,10 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
+from .trees import Record, SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
 
 TUTTE_EDGE_LIMIT = 24
 RANK_NULLITY_EDGE_LIMIT = 20
@@ -279,7 +283,8 @@ class MultiGraph:
 
     def component_count(self, edge_subset=None) -> int:
         edges = self.edges if edge_subset is None else [self.edges[i] for i in edge_subset]
-        return len(set(_roots(self.n, edges)))
+        k, edges = _core(self.n, edges)
+        return len(set(_roots(k, edges))) + self.n - k
 
     def is_connected(self) -> bool:
         return self.n <= 1 or self.component_count() == 1
@@ -317,6 +322,19 @@ class MultiGraph:
         return (self.n, _least_code(self, refine=True))
 
 
+def _core(n: int, edges) -> tuple[int, tuple]:
+    """(k, edges relabelled): the k vertices of 0..n-1 that meet ``edges``,
+    renumbered 0..k-1 in increasing order, and the edges in the same
+    order on them.  Vertex order and edge indices are kept, so a pass
+    over the core visits what a pass over all n vertices would, less the
+    n - k isolated vertices."""
+    touched = {w for e in edges for w in e}
+    if len(touched) == n:
+        return n, tuple(edges)
+    index = {w: i for i, w in enumerate(sorted(touched))}
+    return len(index), tuple((index[u], index[v]) for u, v in edges)
+
+
 def _roots(n: int, edges) -> list[int]:
     """The root of each vertex in a union-find over ``edges``, with path
     halving: two vertices share a root exactly when they are connected."""
@@ -345,16 +363,17 @@ def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
     edge.  The cycles are a basis of the cycle space, so their supports
     cover exactly the edges that lie on some cycle.
     """
+    n, edges = _core(g.n, g.edges)
     order = list(range(shift, g.m)) + list(range(shift))
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
     for j in order:
-        u, v = g.edges[j]
+        u, v = edges[j]
         if u != v:
             adj[u].append(j)
             adj[v].append(j)
-    path: list[dict[int, int] | None] = [None] * g.n
+    path: list[dict[int, int] | None] = [None] * n
     in_tree = [False] * g.m
-    for r in range(g.n):
+    for r in range(n):
         if path[r] is not None:
             continue
         path[r] = {}
@@ -362,7 +381,7 @@ def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
         while stack:
             x = stack.pop()
             for j in adj[x]:
-                u, v = g.edges[j]
+                u, v = edges[j]
                 y = v if x == u else u
                 if path[y] is None:
                     path[y] = {**path[x], j: 1 if x == u else -1}
@@ -371,7 +390,7 @@ def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
     cycles = []
     for j in order:
         if not in_tree[j]:
-            pu, pv = (path[x] for x in g.edges[j])
+            pu, pv = (path[x] for x in edges[j])
             cyc = {e: s for e, s in pu.items() if e not in pv}
             cyc.update((e, -s) for e, s in pv.items() if e not in pu)
             cyc[j] = 1
@@ -643,8 +662,7 @@ def tutte(g: MultiGraph) -> MultiPoly:
     """
     if g.m > TUTTE_EDGE_LIMIT:
         raise ValueError(f"graph has {g.m} edges, limit is {TUTTE_EDGE_LIMIT}")
-    index = {w: i for i, w in enumerate(sorted({w for e in g.edges for w in e}))}
-    core = MultiGraph._trusted(len(index), tuple((index[u], index[v]) for u, v in g.edges))
+    core = MultiGraph._trusted(*_core(g.n, g.edges))
     return MultiPoly.product(_tutte_of(c.canonical_key()) for c in core.components())
 
 
@@ -722,8 +740,7 @@ def tutte_of_partial_sum(sol, m: int) -> MultiPoly:
     return MultiPoly.var("x", edges)
 
 
-@dataclass(frozen=True)
-class SubtreeFormulaReport:
+class SubtreeFormulaReport(Record):
     """Diagnostic comparison of the subtree-sum formula against
     deletion-contraction on a rooted tree.
 
@@ -737,10 +754,7 @@ class SubtreeFormulaReport:
     carries both values and their difference.
     """
 
-    tree: Tree
-    subtree_formula: MultiPoly
-    deletion_contraction: MultiPoly
-    agree: bool
+    _fields = ("tree", "subtree_formula", "deletion_contraction", "agree")
 
     @property
     def discrepancy(self) -> MultiPoly:
@@ -786,13 +800,14 @@ def spanning_forests(g: MultiGraph):
     the (n - c)-edge subsets with no cycle, for c components.  On a
     connected graph they are the spanning trees."""
     need = g.n - g.component_count()
+    n, edges = _core(g.n, g.edges)
     # One backtracking pass over the edges in index order, so the forests
     # come in ``itertools.combinations`` order.  A union-find by size
     # without path compression undoes its last union when an edge is taken
     # back; an edge that closes a cycle (a loop included) is skipped, and
     # with it every subset that holds it with the edges chosen so far.
-    parent = list(range(g.n))
-    size = [1] * g.n
+    parent = list(range(n))
+    size = [1] * n
     chosen: list[int] = []
     merged: list[tuple[int, int]] = []
     i = 0
@@ -800,7 +815,7 @@ def spanning_forests(g: MultiGraph):
         if len(chosen) == need:
             yield tuple(chosen)
         elif i <= g.m - need + len(chosen):
-            u, v = g.edges[i]
+            u, v = edges[i]
             while parent[u] != u:
                 u = parent[u]
             while parent[v] != v:
@@ -935,8 +950,7 @@ def _gram_det(gram, w: list[int]) -> int:
     return _bareiss_det(mat)
 
 
-@dataclass(frozen=True)
-class PsiSplitReport:
+class PsiSplitReport(Record):
     """Deletion-contraction split of Psi at one edge.
 
     For an ordinary edge, psi == w_e * deleted + contracted holds with
@@ -945,13 +959,8 @@ class PsiSplitReport:
     ``degenerate`` names the case.
     """
 
-    edge_index: int
-    variable: str
-    psi: MultiPoly
-    deleted: MultiPoly
-    contracted: MultiPoly
-    identity_holds: bool | None
-    degenerate: str | None
+    _fields = ("edge_index", "variable", "psi", "deleted", "contracted",
+               "identity_holds", "degenerate")
 
 
 def psi_deletion_contraction(g: MultiGraph, i: int) -> PsiSplitReport:

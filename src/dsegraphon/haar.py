@@ -19,36 +19,33 @@ plus a fixed working set of about 2 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
-from .trees import _as_coeff
+from .trees import Record, _as_coeff
 
 
-@dataclass(frozen=True)
-class VertexUniverse:
+class VertexUniverse(Record):
     """Ranked universe truncated at ``depth``; ranks run 1..depth.
 
     ``alpha`` optionally names the items: pairs (item id, rank), injective
     in both coordinates.  Unnamed ranks are their own ids.
     """
 
-    depth: int
-    alpha: tuple = ()
+    _fields = ("depth", "alpha")
 
-    def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 1:
+    def __init__(self, depth: int, alpha: tuple = ()):
+        if not isinstance(depth, int) or depth < 1:
             raise ValueError("depth must be a positive integer")
-        pairs = tuple((i, int(r)) for (i, r) in self.alpha)
+        pairs = tuple((i, int(r)) for (i, r) in alpha)
         ids = [i for (i, _) in pairs]
         ranks = [r for (_, r) in pairs]
         if len(set(ids)) != len(ids) or len(set(ranks)) != len(ranks):
             raise ValueError("rank assignment must be a bijection")
-        if any(not (1 <= r <= self.depth) for r in ranks):
-            raise ValueError(f"ranks must lie in 1..{self.depth}")
-        object.__setattr__(self, "alpha", pairs)
+        if any(not (1 <= r <= depth) for r in ranks):
+            raise ValueError(f"ranks must lie in 1..{depth}")
+        super().__init__(depth, pairs)
 
     def rank_of(self, item) -> int:
         for (i, r) in self.alpha:
@@ -76,17 +73,16 @@ class VertexUniverse:
         return SolutionPoint(self, (1 << self.depth) - 1)
 
 
-@dataclass(frozen=True)
-class SolutionPoint:
+class SolutionPoint(Record):
     """Subset of a ranked universe; a group element under symmetric
     difference with the empty set as identity."""
 
-    universe: VertexUniverse
-    mask: int
+    _fields = ("universe", "mask")
 
-    def __post_init__(self):
-        if not (0 <= self.mask < (1 << self.universe.depth)):
+    def __init__(self, universe: VertexUniverse, mask: int):
+        if not (0 <= mask < (1 << universe.depth)):
             raise ValueError("bitset exceeds universe depth")
+        super().__init__(universe, mask)
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(r for r in range(1, self.universe.depth + 1)
@@ -185,16 +181,11 @@ def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BallEstimate:
+class BallEstimate(Record):
     """Monte-Carlo estimate of the Haar measure of a closed ball around
     the identity at base 2."""
 
-    r: Fraction
-    hits: int
-    samples: int
-    depth: int
-    seed: int
+    _fields = ("r", "hits", "samples", "depth", "seed")
 
     @property
     def estimate(self) -> Fraction:

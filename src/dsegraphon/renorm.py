@@ -55,13 +55,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .trees import SparseSum, Tree, _accumulate, _as_coeff, _scaled
+from .trees import Record, SparseSum, Tree, _accumulate, _as_coeff, _scaled
 from .hopf import Character, _as_forest_sum
 from .dse import _graded_fixed_point
 
@@ -284,8 +283,7 @@ def _fold(parts, window: tuple[int, int]) -> LaurentSeries:
 _RULES, _COUNTERTERM, _RENORMALIZED = (1, 0), (0, 1), (1, 1)
 
 
-@dataclass(frozen=True)
-class ToyRules:
+class ToyRules(Record):
     """Configuration of the toy Feynman rules; immutable and hashable, as
     the series, tree weights and characters of equal rules are cached once.
 
@@ -296,25 +294,20 @@ class ToyRules:
     WindowError names the required lower end.
     """
 
-    residues: Mapping[str, Fraction] = field(default_factory=dict)
-    scale: Fraction | None = None
-    window: tuple[int, int] = _WINDOW
+    _fields = ("residues", "scale", "window")
 
-    def __post_init__(self):
-        def init(name, value):
-            object.__setattr__(self, name, value)
-
-        init("residues", MappingProxyType(
-            {d: _as_coeff(r) for d, r in self.residues.items()}))
-        if self.scale is not None:
-            init("scale", _as_coeff(self.scale))
-        init("window", tuple(self.window))
-        lo, hi = self.window
+    def __init__(self, residues: Mapping[str, Fraction] = MappingProxyType({}),
+                 scale: Fraction | None = None, window: tuple[int, int] = _WINDOW):
+        residues = MappingProxyType({d: _as_coeff(r) for d, r in residues.items()})
+        if scale is not None:
+            scale = _as_coeff(scale)
+        lo, hi = window = tuple(window)
         if lo > 0 or hi < 0:
             raise ValueError("rules window must contain eps^0")
+        super().__init__(residues, scale, window)
         # internal expansion order E of exp(-eps L): a grade-n value is
         # exact on (-n, E-n), which still covers the configured window
-        init("_exp_order", hi - lo + 1)
+        object.__setattr__(self, "_exp_order", hi - lo + 1)
 
     def __hash__(self):
         return hash((frozenset(self.residues.items()), self.scale, self.window))
@@ -428,12 +421,10 @@ def renormalized_value(rules: ToyRules, x) -> LaurentSeries:
     return val
 
 
-@dataclass(frozen=True)
-class BirkhoffPair:
+class BirkhoffPair(Record):
     """Values of the two Birkhoff factors on one element."""
 
-    negative: LaurentSeries
-    positive: LaurentSeries
+    _fields = ("negative", "positive")
 
 
 def birkhoff(rules: ToyRules, x) -> BirkhoffPair:
@@ -447,20 +438,15 @@ def birkhoff(rules: ToyRules, x) -> BirkhoffPair:
                         positive=renormalized_value(rules, x))
 
 
-@dataclass(frozen=True)
-class RenormReport:
+class RenormReport(Record):
     """Gradewise renormalization of a truncated equation solution.
 
     ``window`` is the window actually used; when it differs from the
     one configured in the rules, automatic widening kicked in.
     """
 
-    order: int
-    scale_symbolic: bool
-    window: tuple[int, int]
-    widened: bool
-    renormalized: tuple[LaurentSeries, ...]
-    counterterms: tuple[LaurentSeries, ...]
+    _fields = ("order", "scale_symbolic", "window", "widened",
+               "renormalized", "counterterms")
 
 
 def renormalize_solution(rules: ToyRules, sol, m: int,
@@ -488,7 +474,7 @@ def renormalize_solution(rules: ToyRules, sol, m: int,
             raise WindowError(
                 f"window [{lo}, {hi}] cannot hold grade-{m} poles; "
                 f"lower the window floor to {-m} or below")
-        rules = replace(rules, window=(-m, hi))
+        rules = ToyRules(rules.residues, rules.scale, (-m, hi))
         widened = True
     weights = _graded_fixed_point(sol.spec, ScalePoly.unit(), m, lambda coc, inner: ScalePoly(
         {s + 1: coc.omega * rules.residue(coc.decoration) * v / (s + 1)

@@ -27,6 +27,12 @@ Decorations are plain nonempty strings.  The characters ``[``, ``]`` and
 
 The grading used everywhere in this package is the total number of
 vertices.
+
+``Record`` is the base of the small immutable value classes of every
+layer (equation specs and solutions, rules, reports, estimates).  It
+lives here because every layer imports this module, and a plain base
+class costs no import, where the standard library's record decorator
+would load ``inspect`` and ``ast`` into every process.
 """
 
 from __future__ import annotations
@@ -39,6 +45,48 @@ from typing import Iterable, Iterator
 _RESERVED = set("[]|")
 _CODE = attrgetter("code")
 _SIZE = attrgetter("size")
+
+
+class Record:
+    """Immutable value record; a subclass lists its ``_fields`` in order.
+
+    Equal only to a record of the same class (``NotImplemented``
+    otherwise, so never to a plain tuple), hashed as the tuple of its
+    fields, shown as ``Name(field=value, ...)``.  The constructor takes
+    the fields by position or keyword; a subclass that validates or
+    normalises overrides ``__init__`` and passes the checked values on.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(names)}, each once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def check_decoration(label: str) -> str:

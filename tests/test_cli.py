@@ -210,17 +210,35 @@ def test_haar_without_samples_exits_2(capsys):
             assert err.startswith("error:") and "at least one sample" in err, argv
 
 
-def test_inputs_too_large_to_allocate_exit_2(capsys, tmp_path):
-    """10**12 samples or vertices ask for terabytes; the allocation fails
-    at once, and the run ends in one error line, not a traceback."""
-    graphs = _write(tmp_path, "big.json", [{"n": 10 ** 12, "edges": []}])
-    for argv in (["haar", "--samples", str(10 ** 12)],
-                 ["tutte", "--graphs", graphs],
-                 ["symanzik", "--graphs", graphs]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: input too large: its arrays cannot be allocated\n"
+def test_inputs_too_large_to_allocate_exit_2(capsys):
+    """10**12 samples ask for terabytes; the allocation fails at once, and
+    the run ends in one error line, not a traceback.  (10**12 isolated
+    vertices cost nothing: see the test below.)"""
+    assert main(["haar", "--samples", str(10 ** 12)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too large: its arrays cannot be allocated\n"
+
+
+def test_isolated_vertices_cost_nothing(capsys, tmp_path):
+    """``tutte`` and ``symanzik`` count each isolated vertex as a component
+    of its own and run on the other vertices: 10**12 vertices without an
+    edge, once too many to allocate, and a triangle among 10**6 vertices
+    give every result of 2 vertices without an edge and of a triangle
+    among 4."""
+    tri = [[0, 1], [1, 2], [0, 2]]
+    big = _write(tmp_path, "big.json", [{"n": 10 ** 12, "edges": []},
+                                        {"n": 10 ** 6, "edges": tri}])
+    small = _write(tmp_path, "small.json", [{"n": 2, "edges": []},
+                                            {"n": 4, "edges": tri}])
+    for sub in ("tutte", "symanzik"):
+        entries = []
+        for graphs in (big, small):
+            code, doc = run_json(capsys, [sub, "--graphs", graphs])
+            assert code == 0
+            entries.append([{k: v for k, v in e.items() if k != "graph"}
+                            for e in doc["results"]["entries"]])
+        assert entries[0] == entries[1], sub
 
 
 def test_tutte_of_many_isolated_vertices_is_fast(capsys, tmp_path):
@@ -806,7 +824,11 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     """Importing the CLI loads no layer module; each subcommand then
-    imports the layers it runs and no other, in a fresh interpreter."""
+    imports the layers it runs and no other, in a fresh interpreter.
+    No layer loads ``dataclasses`` or ``inspect``, and ``csv`` waits for
+    a CSV document; ``haar`` is not held to this, since numpy loads
+    ``inspect``.  Importing ``dse`` and ``hopf`` alone, as the hopf-api
+    benchmark does, loads neither ``dataclasses`` nor ``inspect``."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "cocycles": [{"decoration": "g", "omega": "1"}],
@@ -814,13 +836,16 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps({"residues": {"g": "1"}, "scale": None}))
 
-    def modules(*names):
-        return ",".join(n if n == "numpy" else f"dsegraphon.{n}" for n in names)
+    layers = ("dse", "hopf", "renorm", "graphon", "graphpoly", "haar")
 
-    dse_idle = modules("graphon", "graphpoly", "haar", "numpy")
-    graphs_idle = modules("dse", "renorm", "graphon", "haar", "numpy")
+    def modules(*names):
+        return ",".join(f"dsegraphon.{n}" if n in layers else n for n in names)
+
+    cold = ("dataclasses", "inspect", "csv")
+    dse_idle = modules("graphon", "graphpoly", "haar", "numpy", *cold)
+    graphs_idle = modules("dse", "renorm", "graphon", "haar", "numpy", *cold)
     cases = [
-        ([], modules("dse", "hopf", "renorm", "graphon", "graphpoly", "haar")),
+        ([], modules(*layers, *cold)),
         (["solve", "--spec", str(spec)], dse_idle),
         (["renorm", "--spec", str(spec), "--rules", str(rules)], dse_idle),
         (["tutte", "--max-edges", "3"], graphs_idle),
@@ -845,6 +870,12 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, *argv, idle], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+    api = ("import sys, dsegraphon.dse, dsegraphon.hopf\n"
+           "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+           "sys.exit(f'dse, hopf loaded {loaded}' if loaded else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", api], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _run_twice(tmp_path, argv):

@@ -458,6 +458,35 @@ def test_psi_counts_the_components_once(monkeypatch):
         assert [n.category for n in notes] == [DisconnectedNotice] * notices, g
 
 
+def test_isolated_vertices_cost_nothing():
+    # a triangle among 10**6 vertices is its own triangle plus 999 997
+    # one-vertex components: forests, cycles and polynomials are the
+    # relabelled triangle's, found without a list over all the vertices
+    import tracemalloc
+    edges = [(5, 999_999), (70_000, 999_999), (5, 70_000)]
+    g = MultiGraph(10 ** 6, edges)
+    tri = MultiGraph(3, [(0, 2), (1, 2), (0, 1)])
+    draws = [[(1, 2), (3, 1), (2, 5)], [(4, 1), (1, 1), (7, 3)]]
+    tracemalloc.start()
+    try:
+        with pytest.warns(DisconnectedNotice):
+            psi = symanzik_psi(g)
+        got = (tutte(g), psi, loop_number(g), g.component_count(),
+               list(spanning_forests(g)), det_matches_psi(g, psi, draws),
+               [graphpoly._cycle_space(g, s) for s in range(3)],
+               [symanzik_det(g, {1: 2, 2: 3, 3: F(5, 7)}, s) for s in range(3)],
+               [g.is_bridge(i) for i in range(3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6  # under a byte per vertex
+    assert got == (tutte(tri), symanzik_psi(tri), loop_number(tri), 10 ** 6 - 2,
+                   list(spanning_forests(tri)), True,
+                   [graphpoly._cycle_space(tri, s) for s in range(3)],
+                   [symanzik_det(tri, {1: 2, 2: 3, 3: F(5, 7)}, s) for s in range(3)],
+                   [False] * 3)
+
+
 def test_spanning_trees_enumeration():
     trees = list(spanning_forests(triangle()))
     assert sorted(trees) == [(0, 1), (0, 2), (1, 2)]
