@@ -20,18 +20,17 @@ one ``functools.cache`` entry per isomorphism class, keyed by
 edges are the key's code, with its highest-index ordinary edge on a
 cycle pivoted first; with no such edge it is x^(bridges) y^(loops).
 Deleting or contracting an edge on a cycle keeps a graph connected, so
-the components are split once.  An independent rank-nullity sum over
-all edge subsets is provided as an oracle.  The key is exact: two
-graphs get the same key exactly when they are isomorphic.  It is
-the least sorted edge code over all vertex orders that list the
-colour-refinement cells in colour order, found by a depth-first search
-that places one position at a time and drops a branch as soon as a
-lower bound on its code exceeds the best code found (twins and
-automorphisms found at tied leaves prune it further).  The
-corpus generator keys candidates the same way, so its order and its
-representatives are fixed by the key.  Its growth pass records each
-class's parent, from which ``corpus_tutte`` reads the corpus's Tutte
-polynomials with one key per cycle-closing class and no minors.
+the components are split once.  The key is exact: two graphs get the
+same key exactly when they are isomorphic.  It is the least sorted edge
+code over all vertex orders that list the colour-refinement cells in
+colour order, found by a depth-first search that places one position
+at a time and drops a branch as soon as a lower bound on its code
+exceeds the best code found (twins and automorphisms found at tied
+leaves prune it further).  The corpus generator keys candidates the
+same way, so its order and its representatives are fixed by the key.
+Its growth pass records each class's parent, from which
+``corpus_tutte`` reads the corpus's Tutte polynomials with one key per
+cycle-closing class and no minors.
 
 The search of ``MultiGraph.canonical_key`` started from one cell holding
 every vertex gives ``least_edge_code``, the least sorted edge code over
@@ -58,16 +57,14 @@ cycle basis, comparing integers only.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from fractions import Fraction
 from functools import cache
 
-from .trees import Record, SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
+from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
 
 TUTTE_EDGE_LIMIT = 24
-RANK_NULLITY_EDGE_LIMIT = 20
 
 
 class DisconnectedNotice(UserWarning):
@@ -257,20 +254,15 @@ class MultiGraph:
                                    ev[:i] + ev[i + 1:])
 
     def contract(self, i: int) -> "MultiGraph":
-        """Contract edge i (identify endpoints, drop the edge itself)."""
+        """Contract edge i (identify endpoints, drop the edge itself): v
+        merges into u < v and the vertices above v move down by one, so
+        the cost is in the edges, not the vertex count."""
         u, v = self.edges[i]
         if u == v:
             return self.delete(i)
-        relabel = {}
-        nxt = 0
-        for w in range(self.n):
-            if w == v:
-                continue
-            relabel[w] = nxt
-            nxt += 1
-        relabel[v] = relabel[u]
-        es = tuple((x, y) if x <= y else (y, x)
-                   for x, y in ((relabel[a], relabel[b]) for a, b in self.edges))
+        es = tuple((x, y) if x <= y else (y, x) for x, y in
+                   ((a if a < v else u if a == v else a - 1,
+                     b if b < v else u if b == v else b - 1) for a, b in self.edges))
         ev = self.evars
         return MultiGraph._trusted(self.n - 1, es[:i] + es[i + 1:], ev[:i] + ev[i + 1:])
 
@@ -682,29 +674,6 @@ def _tutte_of(key) -> MultiPoly:
             + _tutte_of(g.contract(pivot).canonical_key()))
 
 
-def tutte_rank_nullity(g: MultiGraph) -> MultiPoly:
-    """Independent oracle: the rank-nullity expansion over all edge subsets.
-
-    T(G;x,y) = sum_{A <= E} (x-1)^(r(E)-r(A)) (y-1)^(n(A)) with
-    r(A) = |V| - components(A) and n(A) = |A| - r(A).
-    """
-    if g.m > RANK_NULLITY_EDGE_LIMIT:
-        raise ValueError(f"graph has {g.m} edges, oracle limit is {RANK_NULLITY_EDGE_LIMIT}")
-    r_full = g.n - g.component_count()
-    # count the subsets per (rank deficit, nullity), then expand each
-    # bucket once
-    counts: dict[tuple[int, int], int] = {}
-    for bits in range(1 << g.m):
-        subset = [i for i in range(g.m) if bits >> i & 1]
-        r = g.n - g.component_count(subset)
-        key = (r_full - r, len(subset) - r)
-        counts[key] = counts.get(key, 0) + 1
-    xm1 = MultiPoly.var("x") - 1
-    ym1 = MultiPoly.var("y") - 1
-    return sum((xm1 ** a * ym1 ** b * n for (a, b), n in sorted(counts.items())),
-               MultiPoly.zero())
-
-
 def tree_to_graph(t: Tree) -> MultiGraph:
     """Underlying multigraph of a rooted tree (root gets index 0)."""
     edges = []
@@ -738,55 +707,6 @@ def tutte_of_partial_sum(sol, m: int) -> MultiPoly:
             raise ValueError(f"coefficient {c} is not a nonnegative integer")
         edges += int(c) * (forest.grade - len(forest))
     return MultiPoly.var("x", edges)
-
-
-class SubtreeFormulaReport(Record):
-    """Diagnostic comparison of the subtree-sum formula against
-    deletion-contraction on a rooted tree.
-
-    The subtree sum runs over all subtrees s of the underlying tree
-    (connected subgraphs with at least one edge, plus the single-vertex
-    subtrees counted with zero edges and zero leaves) and adds
-    x^|E(s)| (y+1)^(|E(s)|-|L(s)|), where L(s) counts the childless
-    vertices of s under the root orientation; that reading keeps the
-    exponents nonnegative.  The sum does not satisfy the bridge rule,
-    so it generally disagrees with the Tutte polynomial.  The report
-    carries both values and their difference.
-    """
-
-    _fields = ("tree", "subtree_formula", "deletion_contraction", "agree")
-
-    @property
-    def discrepancy(self) -> MultiPoly:
-        return self.subtree_formula - self.deletion_contraction
-
-
-def tutte_subtree_formula_diagnostic(t: Tree) -> SubtreeFormulaReport:
-    """Evaluate the subtree-sum expression for T(t;x,y) and compare it
-    with the deletion-contraction value.  Diagnostic only."""
-    g = tree_to_graph(t)
-    ypl = MultiPoly.var("y") + 1
-    # single-vertex subtrees: no edges, no leaves
-    total = MultiPoly.const(g.n)
-    # connected edge subsets (subtrees of a tree = connected subgraphs)
-    for r in range(1, len(g.edges) + 1):
-        for subset in itertools.combinations(range(g.m), r):
-            verts = set()
-            for i in subset:
-                u, v = g.edges[i]
-                verts.add(u)
-                verts.add(v)
-            if len(verts) != r + 1:  # acyclic, so connected iff |V| = |E| + 1
-                continue
-            children: dict[int, int] = {}
-            for i in subset:
-                u, v = g.edges[i]  # stored parent-first by tree_to_graph
-                children[u] = children.get(u, 0) + 1
-            leaves = sum(1 for w in verts if children.get(w, 0) == 0)
-            total = total + MultiPoly.var("x", r) * ypl ** (r - leaves)
-    dc = tutte(g)
-    return SubtreeFormulaReport(tree=t, subtree_formula=total,
-                                deletion_contraction=dc, agree=total == dc)
 
 
 # -- Kirchhoff-Symanzik polynomials ---------------------------------------------
@@ -950,46 +870,13 @@ def _gram_det(gram, w: list[int]) -> int:
     return _bareiss_det(mat)
 
 
-class PsiSplitReport(Record):
-    """Deletion-contraction split of Psi at one edge.
-
-    For an ordinary edge, psi == w_e * deleted + contracted holds with
-    deleted = Psi(G-e) = dPsi/dw_e and contracted = Psi(G/e) = Psi at
-    w_e = 0.  For bridges and self-loops the identity degenerates and
-    ``degenerate`` names the case.
-    """
-
-    _fields = ("edge_index", "variable", "psi", "deleted", "contracted",
-               "identity_holds", "degenerate")
-
-
-def psi_deletion_contraction(g: MultiGraph, i: int) -> PsiSplitReport:
-    if not (0 <= i < g.m):
-        raise ValueError(f"edge index {i} out of range")
-    u, v = g.edges[i]
-    degenerate = None
-    if u == v:
-        degenerate = "loop"
-    elif g.is_bridge(i):
-        degenerate = "bridge"
-    var = _wvar(g.evars[i])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedNotice)
-        psi = symanzik_psi(g)
-        deleted = symanzik_psi(g.delete(i))
-        contracted = symanzik_psi(g.contract(i))
-    holds = None
-    if degenerate is None:
-        holds = psi == MultiPoly.var(var) * deleted + contracted
-    return PsiSplitReport(edge_index=i, variable=var, psi=psi,
-                          deleted=deleted, contracted=contracted,
-                          identity_holds=holds, degenerate=degenerate)
-
-
 def spanning_tree_count(g: MultiGraph) -> int:
     """Spanning trees via the matrix-tree cofactor, which is 0 on a
-    disconnected graph; the graph without vertices has none."""
-    if g.n == 0:
+    disconnected graph; the graph without vertices has none.  An isolated
+    vertex among two or more disconnects the graph and gives 0 before
+    the n x n Laplacian is built, so the Laplacian is built only when
+    every vertex meets an edge, that is with n <= 2m."""
+    if g.n == 0 or g.n > 1 and _core(g.n, g.edges)[0] < g.n:
         return 0
     lap = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:

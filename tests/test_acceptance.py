@@ -32,12 +32,12 @@ from dsegraphon.graphon import (StepGraphon, SimpleGraph, connected_graphs_up_to
                                 hom_density, hom_density_graph, perturb)
 from dsegraphon.graphpoly import (MultiGraph, MultiPoly,
                                   generate_connected_multigraphs,
-                                  loop_number, psi_deletion_contraction,
-                                  spanning_tree_count, symanzik_det,
-                                  symanzik_psi, tutte, tutte_rank_nullity)
+                                  loop_number, spanning_tree_count, symanzik_det,
+                                  symanzik_psi, tutte)
 from dsegraphon.haar import (ball_measure_mc, ks_critical_value,
                              norm_uniformity_statistic)
 from dsegraphon.cli import main as cli_main
+from graph_oracles import psi_deletion_contraction, tutte_rank_nullity
 
 
 SPEC_ONE = DSESpec((Cocycle("g", F(1)),), order=5)

@@ -24,12 +24,10 @@ from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
                                   corpus_tutte, det_matches_psi,
                                   generate_connected_multigraphs,
-                                  least_edge_code, loop_number,
-                                  psi_deletion_contraction, spanning_tree_count,
+                                  least_edge_code, loop_number, spanning_tree_count,
                                   spanning_forests, symanzik_det, symanzik_psi,
-                                  tree_to_graph, tutte, tutte_of_partial_sum,
-                                  tutte_rank_nullity,
-                                  tutte_subtree_formula_diagnostic)
+                                  tree_to_graph, tutte, tutte_of_partial_sum)
+from graph_oracles import dsu_find, psi_deletion_contraction, tutte_rank_nullity
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -178,25 +176,10 @@ def test_a_connected_graph_is_its_own_component():
     assert MultiGraph(0, []).components() == []
 
 
-def _dsu_find(n: int, edges):
-    """The root finder of a union-find over ``edges`` on n vertices."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return find
-
-
 def _oracle_is_bridge(g: MultiGraph, i: int) -> bool:
     """Deleting edge i separates its endpoints."""
     u, v = g.edges[i]
-    find = _dsu_find(g.n, g.edges[:i] + g.edges[i + 1:])
+    find = dsu_find(g.n, g.edges[:i] + g.edges[i + 1:])
     return find(u) != find(v)
 
 
@@ -351,36 +334,18 @@ def test_tutte_of_partial_sum_matches_deletion_contraction():
         tutte_of_partial_sum(solve(DSESpec((Cocycle("g", F(-1)),), order=2)), 2)
 
 
-def test_subtree_formula_diagnostic_disagrees():
-    rep2 = tutte_subtree_formula_diagnostic(ladder(2))
-    assert rep2.subtree_formula == 2 + X
-    assert rep2.deletion_contraction == X
-    assert not rep2.agree
-    assert rep2.discrepancy == MultiPoly.const(2)
-
-    rep3 = tutte_subtree_formula_diagnostic(ladder(3))
-    assert rep3.subtree_formula == 3 + 2 * X + X ** 2 + X ** 2 * Y
-    assert rep3.deletion_contraction == X ** 2
-    assert not rep3.agree
-
-    cherry = Tree("g", [leaf("g"), leaf("g")])
-    repc = tutte_subtree_formula_diagnostic(cherry)
-    assert repc.subtree_formula == 3 + 2 * X + X ** 2
-    assert repc.deletion_contraction == X ** 2
-    assert not repc.agree
-    # the two shapes of three vertices are already told apart by the
-    # diagnostic even though their Tutte polynomials agree
-    assert rep3.subtree_formula != repc.subtree_formula
-
-
 def _oracle_subtree_formula(t: Tree) -> MultiPoly:
-    """The subtree sum with connectivity decided by a union-find."""
+    """The subtree sum over all subtrees s of the underlying tree: the
+    connected edge subsets, connectivity decided by a union-find, plus
+    the single-vertex subtrees with no edges and no leaves, each adding
+    x^|E(s)| (y+1)^(|E(s)|-|L(s)|) with L(s) the childless vertices of s
+    under the root orientation."""
     g = tree_to_graph(t)
     total = MultiPoly.const(g.n)
     for r in range(1, g.m + 1):
         for subset in itertools.combinations(g.edges, r):
             verts = {w for e in subset for w in e}
-            find = _dsu_find(g.n, subset)
+            find = dsu_find(g.n, subset)
             if len({find(w) for w in verts}) != 1:
                 continue
             parents = {u for u, _ in subset}
@@ -389,12 +354,27 @@ def _oracle_subtree_formula(t: Tree) -> MultiPoly:
     return total
 
 
-def test_subtree_formula_diagnostic_matches_a_union_find_oracle():
+def test_subtree_formula_diagnostic_disagrees():
+    # the subtree sum breaks the bridge rule, so it is not the Tutte
+    # polynomial, which is x^(n-1) on every tree of n vertices
+    sub2 = _oracle_subtree_formula(ladder(2))
+    assert sub2 == 2 + X
+    assert tutte(tree_to_graph(ladder(2))) == X
+
+    sub3 = _oracle_subtree_formula(ladder(3))
+    assert sub3 == 3 + 2 * X + X ** 2 + X ** 2 * Y
+    assert tutte(tree_to_graph(ladder(3))) == X ** 2
+
+    cherry = Tree("g", [leaf("g"), leaf("g")])
+    subc = _oracle_subtree_formula(cherry)
+    assert subc == 3 + 2 * X + X ** 2
+    assert tutte(tree_to_graph(cherry)) == X ** 2
+    # the two shapes of three vertices are already told apart by the
+    # subtree sum even though their Tutte polynomials agree
+    assert sub3 != subc
     for n in range(1, 7):
         for t in all_trees(n):
-            rep = tutte_subtree_formula_diagnostic(t)
-            assert rep.subtree_formula == _oracle_subtree_formula(t), t
-            assert rep.deletion_contraction == X ** (n - 1)
+            assert tutte(tree_to_graph(t)) == X ** (n - 1), t
 
 
 # -- Symanzik ----------------------------------------------------------------------
@@ -460,13 +440,20 @@ def test_psi_counts_the_components_once(monkeypatch):
 
 def test_isolated_vertices_cost_nothing():
     # a triangle among 10**6 vertices is its own triangle plus 999 997
-    # one-vertex components: forests, cycles and polynomials are the
-    # relabelled triangle's, found without a list over all the vertices
+    # one-vertex components: forests, cycles, polynomials, contractions
+    # and Psi splits are the relabelled triangle's, found without a list
+    # over all the vertices
     import tracemalloc
     edges = [(5, 999_999), (70_000, 999_999), (5, 70_000)]
     g = MultiGraph(10 ** 6, edges)
     tri = MultiGraph(3, [(0, 2), (1, 2), (0, 1)])
     draws = [[(1, 2), (3, 1), (2, 5)], [(4, 1), (1, 1), (7, 3)]]
+
+    def contractions(h):
+        # vertex count less the graph's, then the contraction on its core
+        return [(c.n - h.n, graphpoly._core(c.n, c.edges), c.evars)
+                for c in map(h.contract, range(3))]
+
     tracemalloc.start()
     try:
         with pytest.warns(DisconnectedNotice):
@@ -475,7 +462,8 @@ def test_isolated_vertices_cost_nothing():
                list(spanning_forests(g)), det_matches_psi(g, psi, draws),
                [graphpoly._cycle_space(g, s) for s in range(3)],
                [symanzik_det(g, {1: 2, 2: 3, 3: F(5, 7)}, s) for s in range(3)],
-               [g.is_bridge(i) for i in range(3)])
+               [g.is_bridge(i) for i in range(3)], contractions(g),
+               [psi_deletion_contraction(g, i) for i in range(3)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +472,31 @@ def test_isolated_vertices_cost_nothing():
                    list(spanning_forests(tri)), True,
                    [graphpoly._cycle_space(tri, s) for s in range(3)],
                    [symanzik_det(tri, {1: 2, 2: 3, 3: F(5, 7)}, s) for s in range(3)],
-                   [False] * 3)
+                   [False] * 3, contractions(tri),
+                   [psi_deletion_contraction(tri, i) for i in range(3)])
+
+
+def test_an_isolated_vertex_gives_no_spanning_tree_without_a_laplacian():
+    # two or more vertices, one of them isolated: disconnected, so 0, found
+    # before the n x n Laplacian (9 * 10**6 entries at n = 3000) is built
+    import tracemalloc
+    n = 3000
+    graphs = [MultiGraph(n, []), MultiGraph(n, [(0, 1), (1, 1)] * 5),
+              MultiGraph(2, [(0, 0)])]
+    tracemalloc.start()
+    try:
+        got = [spanning_tree_count(g) for g in graphs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [0] * 3
+    assert peak < 10 ** 5
+    # without an isolated vertex the count is the cofactor, 0 when a loop
+    # is all that meets a vertex
+    assert [spanning_tree_count(g) for g in (MultiGraph(1, []), MultiGraph(1, [(0, 0)]),
+                                             MultiGraph(2, [(0, 0), (1, 1)]),
+                                             MultiGraph(2, [(0, 1), (0, 1), (1, 1)]))] \
+        == [1, 1, 0, 2]
 
 
 def test_spanning_trees_enumeration():
@@ -619,7 +631,7 @@ def _per_subset_spanning_forests(g: MultiGraph):
     (n - c)-edge subset in ``itertools.combinations`` order whose union-find
     leaves c components, so that no edge of it closes a cycle."""
     def components(edges) -> int:
-        find = _dsu_find(g.n, edges)
+        find = dsu_find(g.n, edges)
         return len({find(w) for w in range(g.n)})
 
     c = components(g.edges)
