@@ -281,6 +281,19 @@ def _run_tutte(args):
     return config, {"entries": entries}, checks, header, rows
 
 
+def _digits(rng: random.Random, count: int) -> list[int]:
+    """``count`` draws of ``rng.randint(1, 9)``, taken as CPython 3.10-3.13
+    take them: a 4-bit draw, redrawn while it exceeds 8, plus 1."""
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(4)
+        while r > 8:
+            r = bits(4)
+        out.append(r + 1)
+    return out
+
+
 def _run_symanzik(args):
     from .graphpoly import det_matches_psi, loop_number, symanzik_psi
     from .serialize import multigraph_to_json, multipoly_to_json
@@ -299,8 +312,9 @@ def _run_symanzik(args):
             print(f"dsegraphon: note: graph {i}: {note.message}", file=sys.stderr)
         loops = loop_number(g)
         homogeneous = psi.is_homogeneous(loops)
-        draws = [[(rng.randint(1, 9), rng.randint(1, 9)) for _ in g.evars]
-                 for _ in range(3)]
+        d = _digits(rng, 6 * g.m)  # three draws of a (num, den) pair per edge
+        pairs = list(zip(d[::2], d[1::2]))
+        draws = [pairs[:g.m], pairs[g.m:2 * g.m], pairs[2 * g.m:]]
         matches = det_matches_psi(g, psi, draws)
         hom_ok = hom_ok and homogeneous
         det_ok = det_ok and matches

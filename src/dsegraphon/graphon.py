@@ -421,17 +421,18 @@ def _heuristic_pair(mf: np.ndarray, rng, restarts: int):
     best_pair = (np.ones(k), np.ones(k))
     for sign in (1.0, -1.0):
         m = sign * mf
+        mt = m.T
         starts = [np.ones(k)]
         for _ in range(restarts):
             starts.append(rng.integers(0, 2, k).astype(np.float64))
         for s in starts:
             for _ in range(40):
-                t = (m.T @ s > 0).astype(np.float64)
+                t = (mt @ s > 0).astype(np.float64)
                 s_new = (m @ t > 0).astype(np.float64)
-                if (s_new == s).all():
+                if s_new.tobytes() == s.tobytes():  # 0/1 entries: equal bytes
                     break
                 s = s_new
-            t = (m.T @ s > 0).astype(np.float64)
+            t = (mt @ s > 0).astype(np.float64)
             val = float(s @ m @ t)
             if val > best_val:
                 best_val = val

@@ -28,7 +28,9 @@ at a time and drops a branch as soon as a lower bound on its code
 exceeds the best code found (twins and automorphisms found at tied
 leaves prune it further).  The corpus generator keys candidates the
 same way, so its order and its representatives are fixed by the key.
-Its growth pass records each class's parent, from which
+Its growth pass keys one candidate edge per orbit of vertex pairs under
+the automorphisms that the search found while keying the parent, and
+records each class's parent, from which
 ``corpus_tutte`` reads the corpus's Tutte polynomials with one key per
 cycle-closing class and no minors.
 
@@ -266,20 +268,10 @@ class MultiGraph:
         ev = self.evars
         return MultiGraph._trusted(self.n - 1, es[:i] + es[i + 1:], ev[:i] + ev[i + 1:])
 
-    def degree_view(self) -> list[int]:
-        deg = [0] * self.n
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def component_count(self, edge_subset=None) -> int:
         edges = self.edges if edge_subset is None else [self.edges[i] for i in edge_subset]
         k, edges = _core(self.n, edges)
         return len(set(_roots(k, edges))) + self.n - k
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or self.component_count() == 1
 
     def components(self) -> list["MultiGraph"]:
         """Connected components as plain MultiGraphs; a connected one is itself."""
@@ -311,7 +303,7 @@ class MultiGraph:
         """(n, smallest edge code over all vertex orders that list the
         refined colour cells in colour order), an exact isomorphism
         certificate: equal exactly for isomorphic graphs."""
-        return (self.n, _least_code(self, refine=True))
+        return (self.n, _least_code(self.n, self.edges, refine=True)[0])
 
 
 def _core(n: int, edges) -> tuple[int, tuple]:
@@ -331,16 +323,19 @@ def _roots(n: int, edges) -> list[int]:
     """The root of each vertex in a union-find over ``edges``, with path
     halving: two vertices share a root exactly when they are connected."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for (u, v) in edges:
-        parent[find(u)] = find(v)
-    return [find(w) for w in range(n)]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
+    out = []
+    for w in range(n):
+        x = w
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        out.append(x)
+    return out
 
 
 def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
@@ -413,16 +408,19 @@ def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[
 def least_edge_code(g: MultiGraph) -> tuple:
     """The least sorted edge code over all vertex orders: the search of
     ``MultiGraph.canonical_key`` started from one cell holding every vertex."""
-    return _least_code(g, refine=False)
+    return _least_code(g.n, g.edges, refine=False)[0]
 
 
-def _least_code(g: MultiGraph, refine: bool) -> tuple:
-    """Least edge code over the vertex orders that list the starting
-    cells in order: the colour-refinement cells, or one cell."""
-    n = g.n
+def _least_code(n: int, edges: tuple, refine: bool) -> tuple[tuple, list[list[int]]]:
+    """(code, automorphisms) of the graph on n vertices with ``edges``:
+    the least edge code over the vertex orders that list the starting
+    cells (the colour-refinement cells, or one cell) in order, and the
+    automorphisms that the search found, as vertex maps: its twin
+    transpositions and the maps between tied leaves.  Cells of one vertex
+    each leave none to find."""
     loops = [0] * n
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for (u, v) in g.edges:
+    for (u, v) in edges:
         if u == v:
             loops[u] += 1
         else:
@@ -432,12 +430,14 @@ def _least_code(g: MultiGraph, refine: bool) -> tuple:
     colors = _refine_colors(n, loops, adj) if refine else [0] * n
     order = sorted(range(n), key=colors.__getitem__)
     if n and colors[order[-1]] < n - 1:
-        order = _least_order(n, loops, adj, colors, order)
-    return _edge_code(g, order)
+        order, autos = _least_order(n, loops, adj, colors, order)
+        return _edge_code(n, edges, order), autos
+    return _edge_code(n, edges, order), []
 
 
 def _least_order(n, loops, adj, colors, cell_order):
-    """Depth-first search for a vertex order of least edge code.
+    """Depth-first search for a vertex order of least edge code, returned
+    with the automorphisms it found.
 
     Position k may hold any vertex of the cell of ``cell_order[k]``, and
     positions are placed in increasing order.  The sorted edge code is
@@ -474,8 +474,14 @@ def _least_order(n, loops, adj, colors, cell_order):
             else:
                 last.append(v)
         forced = forced and len(last) == 1
+    swaps = []  # the twin transpositions
+    for v, u in enumerate(after):
+        if u >= 0:
+            g = list(range(n))
+            g[u], g[v] = v, u
+            swaps.append(g)
     if forced:  # every cell is one twin class, placed in id order
-        return cell_order
+        return cell_order, swaps
 
     pos = [-1] * n
     order: list[int] = []
@@ -611,7 +617,7 @@ def _least_order(n, loops, adj, colors, cell_order):
                 g[b] = o
             autos.append(g)
         todo.append(([], []))
-    return best_order
+    return best_order, swaps + autos
 
 
 def _try_order(cell: list[int], near: dict[int, int] | None, loops: list[int]) -> None:
@@ -633,12 +639,12 @@ def _without(nbrs: dict[int, int], w: int) -> dict[int, int]:
     return out
 
 
-def _edge_code(g: MultiGraph, order: list[int]):
-    pos = [0] * g.n
+def _edge_code(n: int, edges: tuple, order: list[int]):
+    pos = [0] * n
     for i, w in enumerate(order):
         pos[w] = i
     return tuple(sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u])
-                         for (u, v) in g.edges]))
+                         for (u, v) in edges]))
 
 
 # -- Tutte polynomial ----------------------------------------------------------
@@ -688,25 +694,6 @@ def tree_to_graph(t: Tree) -> MultiGraph:
 
     walk(t, 0)
     return MultiGraph(counter[0] + 1, edges)
-
-
-def tutte_of_partial_sum(sol, m: int) -> MultiPoly:
-    """Tutte polynomial of the disjoint union underlying Y_m.
-
-    The structural sum X_1 + ... + X_m must have nonnegative integer
-    coefficients; each coefficient-c forest monomial stands for c copies
-    of its forest.  Every edge of a forest is a bridge, so the result is
-    x^E with E the total edge count: a forest of grade k with t trees has
-    k - t edges, and E = sum c (k - t).  Deletion-contraction per tree is
-    the test oracle.
-    """
-    from .dse import structural_sum
-    edges = 0
-    for forest, c in structural_sum(sol, m).terms.items():
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"coefficient {c} is not a nonnegative integer")
-        edges += int(c) * (forest.grade - len(forest))
-    return MultiPoly.var("x", edges)
 
 
 # -- Kirchhoff-Symanzik polynomials ---------------------------------------------
@@ -871,12 +858,11 @@ def _gram_det(gram, w: list[int]) -> int:
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
-    """Spanning trees via the matrix-tree cofactor, which is 0 on a
-    disconnected graph; the graph without vertices has none.  An isolated
-    vertex among two or more disconnects the graph and gives 0 before
-    the n x n Laplacian is built, so the Laplacian is built only when
-    every vertex meets an edge, that is with n <= 2m."""
-    if g.n == 0 or g.n > 1 and _core(g.n, g.edges)[0] < g.n:
+    """Spanning trees via the matrix-tree cofactor.  A disconnected graph
+    has none, and the graph without vertices none: both are read from a
+    component count over the edges, so the n x n Laplacian is built only
+    for a connected graph."""
+    if g.component_count() != 1:
         return 0
     lap = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
@@ -934,24 +920,54 @@ def _grow(max_edges: int) -> dict:
     """The growth pass: the canonical key of every class, in the order
     found, mapped to (its first graph h, the key of the class h grew
     from).  The edge added is the last edge of h; the seed, one vertex,
-    has no parent."""
+    has no parent.
+
+    A class g grows by every pair (u, v), u <= v <= n, with n the new
+    vertex.  The automorphisms that keying g found, fixing n, map a pair
+    to one that gives an isomorphic graph, so of each orbit of pairs
+    under them only the first in loop order is keyed: only it could be
+    new."""
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
     seed = MultiGraph(1, [])
-    grown = {seed.canonical_key(): (seed, None)}
-    frontier = list(grown.items())
+    key = seed.canonical_key()
+    grown = {key: (seed, None)}
+    frontier = [(key, grown[key], [])]
     for _ in range(max_edges):
         nxt = []
-        for parent, (g, _) in frontier:
-            for u in range(g.n):
-                for v in range(u, g.n + 1):
-                    h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),))
-                    key = h.canonical_key()
+        for parent, (g, _), autos in frontier:
+            n = g.n
+            autos = [a + [n] for a in autos]
+            moved = {w for a in autos for w in range(n) if a[w] != w}
+            seen: set = set()
+            for u in range(n):
+                for v in range(u, n + 1):
+                    if u in moved or v in moved:  # else the orbit is (u, v) alone
+                        if (u, v) in seen:
+                            continue
+                        _add_orbit((u, v), autos, seen)
+                    k, edges = n + (v == n), g.edges + ((u, v),)
+                    code, found = _least_code(k, edges, refine=True)
+                    key = (k, code)
                     if key not in grown:
-                        grown[key] = (h, parent)
-                        nxt.append((key, grown[key]))
+                        grown[key] = (MultiGraph._trusted(k, edges), parent)
+                        nxt.append((key, grown[key], found))
         frontier = nxt
     return grown
+
+
+def _add_orbit(pair: tuple[int, int], autos: list[list[int]], seen: set) -> None:
+    """Add to ``seen`` the orbit of the vertex pair ``pair``, as (min, max)
+    pairs, under the group that the vertex maps ``autos`` generate."""
+    stack = [pair]
+    while stack:
+        a, b = stack.pop()
+        for p in autos:
+            x, y = p[a], p[b]
+            q = (x, y) if x <= y else (y, x)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
 
 
 def _corpus_order(grown: dict) -> list:

@@ -1,12 +1,15 @@
-"""Graph-polynomial oracles that the package does not run: the
-rank-nullity sum of the Tutte polynomial over all edge subsets, and the
+"""Graph oracles and helpers that the package does not run: the
+rank-nullity sum of the Tutte polynomial over all edge subsets, the
 deletion-contraction split of the first Symanzik polynomial at one
-edge.  The rank-nullity sum counts components with its own union-find,
+edge, the growth pass that keys every candidate, the Tutte polynomial of
+a structural sum's forests, and the connectivity and degree reads of a
+graph.  The rank-nullity sum counts components with its own union-find,
 so that a defect in the package's cannot hide from both sides.
 """
 
 import warnings
 
+from dsegraphon.dse import structural_sum
 from dsegraphon.graphpoly import DisconnectedNotice, MultiGraph, MultiPoly, symanzik_psi
 from dsegraphon.trees import Record
 
@@ -90,3 +93,52 @@ def psi_deletion_contraction(g: MultiGraph, i: int) -> PsiSplitReport:
     return PsiSplitReport(edge_index=i, variable=var, psi=psi,
                           deleted=deleted, contracted=contracted,
                           identity_holds=holds, degenerate=degenerate)
+
+
+def grow_unpruned(max_edges: int) -> dict:
+    """``graphpoly._grow`` keying every candidate pair (u, v), u <= v <= n,
+    of every class: the same keys, order, representatives and parents."""
+    seed = MultiGraph(1, [])
+    grown = {seed.canonical_key(): (seed, None)}
+    frontier = list(grown.items())
+    for _ in range(max_edges):
+        nxt = []
+        for parent, (g, _) in frontier:
+            for u in range(g.n):
+                for v in range(u, g.n + 1):
+                    h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),))
+                    key = h.canonical_key()
+                    if key not in grown:
+                        grown[key] = (h, parent)
+                        nxt.append((key, grown[key]))
+        frontier = nxt
+    return grown
+
+
+def tutte_of_partial_sum(sol, m: int) -> MultiPoly:
+    """Tutte polynomial of the disjoint union underlying Y_m.
+
+    The structural sum X_1 + ... + X_m must have nonnegative integer
+    coefficients; each coefficient-c forest monomial stands for c copies
+    of its forest.  Every edge of a forest is a bridge, so the result is
+    x^E with E the total edge count: a forest of grade k with t trees has
+    k - t edges, and E = sum c (k - t).
+    """
+    edges = 0
+    for forest, c in structural_sum(sol, m).terms.items():
+        if c.denominator != 1 or c < 0:
+            raise ValueError(f"coefficient {c} is not a nonnegative integer")
+        edges += int(c) * (forest.grade - len(forest))
+    return MultiPoly.var("x", edges)
+
+
+def is_connected(g: MultiGraph) -> bool:
+    return g.n <= 1 or g.component_count() == 1
+
+
+def degree_view(g: MultiGraph) -> list[int]:
+    deg = [0] * g.n
+    for (u, v) in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsegraphon
-from dsegraphon.cli import _json_text, main
+from dsegraphon.cli import _digits, _json_text, main
 from dsegraphon.serialize import forest_sum_from_json
 from dsegraphon.trees import ForestSum, Tree, ladder, leaf
 
@@ -180,6 +181,15 @@ def test_symanzik_batch(capsys, tmp_path):
     assert {c["name"] for c in doc["checks"]} == {
         "symanzik-homogeneity", "symanzik-det-identity"}
     assert all(c["status"] == "PASS" for c in doc["checks"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_symanzik_digits_are_the_randint_stream(seed):
+    # the weight digits are drawn 4 bits at a time; they must be the values
+    # of randint(1, 9) and leave the generator where randint leaves it
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _digits(rng, 10_000) == [ref.randint(1, 9) for _ in range(10_000)]
+    assert rng.getstate() == ref.getstate()
 
 
 def test_haar_sweep(capsys):

@@ -26,8 +26,10 @@ from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
                                   generate_connected_multigraphs,
                                   least_edge_code, loop_number, spanning_tree_count,
                                   spanning_forests, symanzik_det, symanzik_psi,
-                                  tree_to_graph, tutte, tutte_of_partial_sum)
-from graph_oracles import dsu_find, psi_deletion_contraction, tutte_rank_nullity
+                                  tree_to_graph, tutte)
+from graph_oracles import (degree_view, dsu_find, grow_unpruned, is_connected,
+                           psi_deletion_contraction, tutte_of_partial_sum,
+                           tutte_rank_nullity)
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -160,7 +162,7 @@ def test_multigraph_rejects_non_integer_vertices():
 
 def test_multigraph_connectivity_helpers():
     g = MultiGraph(4, [(0, 1), (2, 3)])
-    assert not g.is_connected()
+    assert not is_connected(g)
     assert g.component_count() == 2
     comps = g.components()
     assert sorted(c.n for c in comps) == [2, 2]
@@ -298,10 +300,10 @@ def test_tutte_edge_limits():
 def test_tree_to_graph_shapes():
     g = tree_to_graph(ladder(3))
     assert g.n == 3 and g.m == 2
-    assert g.is_connected()
+    assert is_connected(g)
     cherry = Tree("g", [leaf("g"), leaf("g")])
     h = tree_to_graph(cherry)
-    assert h.n == 3 and sorted(h.degree_view()) == [1, 1, 2]
+    assert h.n == 3 and sorted(degree_view(h)) == [1, 1, 2]
 
 
 def test_tutte_of_partial_sum_is_bridge_power():
@@ -491,12 +493,35 @@ def test_an_isolated_vertex_gives_no_spanning_tree_without_a_laplacian():
         tracemalloc.stop()
     assert got == [0] * 3
     assert peak < 10 ** 5
-    # without an isolated vertex the count is the cofactor, 0 when a loop
-    # is all that meets a vertex
+    # without an isolated vertex: the cofactor on a connected graph, and 0
+    # on two vertices that meet only loops
     assert [spanning_tree_count(g) for g in (MultiGraph(1, []), MultiGraph(1, [(0, 0)]),
                                              MultiGraph(2, [(0, 0), (1, 1)]),
                                              MultiGraph(2, [(0, 1), (0, 1), (1, 1)]))] \
         == [1, 1, 0, 2]
+
+
+def test_a_disconnected_graph_gives_no_spanning_tree_without_a_laplacian():
+    # every vertex meets an edge, yet the graph is disconnected: 0, found by
+    # a component count before the n x n Laplacian (6.4 * 10**5 entries at
+    # n = 800) is built
+    import tracemalloc
+    n = 800
+    graphs = [MultiGraph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]),
+              MultiGraph(n, [(i, i + 1) for i in range(n - 1) if i != n // 2]),
+              MultiGraph(4, [(0, 1), (0, 1), (2, 3), (3, 3)])]
+    tracemalloc.start()
+    try:
+        got = [spanning_tree_count(g) for g in graphs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [0] * 3
+    assert peak < 2 * 10 ** 5
+    # joined up, the same pieces have their cofactor counts
+    assert [spanning_tree_count(MultiGraph(8, [(i, i + 1) for i in range(7)])),
+            spanning_tree_count(MultiGraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 3)]))] \
+        == [1, 2]
 
 
 def test_spanning_trees_enumeration():
@@ -736,7 +761,7 @@ def test_corpus_graphs_are_connected_and_distinct():
     keys = [g.canonical_key() for g in graphs]
     assert len(set(keys)) == len(keys)
     for g in graphs:
-        assert g.is_connected()
+        assert is_connected(g)
         assert g.m <= 3
     again = generate_connected_multigraphs(3)
     assert [g.canonical_key() for g in again] == keys
@@ -745,6 +770,29 @@ def test_corpus_graphs_are_connected_and_distinct():
 def test_corpus_rejects_negative_bound():
     with pytest.raises(ValueError):
         generate_connected_multigraphs(-1)
+
+
+def test_orbit_pruned_growth_matches_keying_every_candidate():
+    # the same keys in the same order, each with the same first graph
+    # (edges included) and the same parent
+    for e in range(8):
+        assert list(graphpoly._grow(e).items()) == list(grow_unpruned(e).items()), e
+
+
+def test_growth_keys_one_candidate_per_orbit(monkeypatch):
+    # 7417 candidates at 7 edges when every pair is keyed; one pair per orbit
+    # of the parent's automorphisms leaves 5785, the sum over the parents of
+    # their distinct child classes
+    keys = [0]
+    least_code = graphpoly._least_code
+
+    def spy(n, edges, refine):
+        keys[0] += 1
+        return least_code(n, edges, refine)
+
+    monkeypatch.setattr(graphpoly, "_least_code", spy)
+    graphpoly._grow(7)
+    assert keys[0] == 1 + 5785  # the seed and the candidates
 
 
 # -- canonical key against the exhaustive search -----------------------------------
@@ -896,7 +944,7 @@ def test_equal_keys_iff_isomorphic():
     graphs += [_random_multigraph(rng, 6, 7) for _ in range(300)]
     by_size = {}
     for g in graphs:
-        by_size.setdefault((g.n, g.m, tuple(sorted(g.degree_view()))), []).append(g)
+        by_size.setdefault((g.n, g.m, tuple(sorted(degree_view(g)))), []).append(g)
     pairs = equal = 0
     for group in by_size.values():
         for a, b in itertools.combinations(group, 2):
