@@ -71,9 +71,6 @@ class DSESolution(Record):
     def coupling(self) -> Fraction:
         return self.spec.coupling
 
-    def coefficient(self, n: int) -> ForestSum:
-        return self.coefficients[n]
-
 
 def solve(spec: DSESpec) -> DSESolution:
     """Solve the equation grade by grade up to ``spec.order``.

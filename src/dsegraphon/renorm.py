@@ -7,6 +7,14 @@ carries a window [lo, hi], [-8, 2] unless given: coefficients of eps^p
 for p in the window are exact, everything above hi is unknown truncation
 and reading it raises, everything below lo is exactly zero.
 
+A LaurentSeries is a SparseSum keyed by (p, k), the monomial eps^p L^k,
+with the window in two more slots.  A sum or difference lives on the
+meet of the windows (the smaller lo and the smaller hi), a rational or
+ScalePoly multiple on its own window, and a product a * b on
+[lo_a + lo_b, min(hi_a + lo_b, lo_a + hi_b)]; terms above the new hi are
+dropped.  Two series are equal when their terms agree up to the smaller
+hi, so series are unhashable.
+
 The toy rules assign to a grafting of a subforest w
 
     phi(B+_d(w)) = r_d * exp(-eps*L) / ((|w|+1) * eps) * phi(w)
@@ -100,10 +108,6 @@ class ScalePoly(SparseSum):
     def coeff(self, k: int) -> Fraction:
         return self.terms.get(k, Fraction(0))
 
-    def derivative(self) -> "ScalePoly":
-        return ScalePoly._make(_accumulate({}, ((k - 1, k * v)
-                                                for k, v in self.terms.items() if k >= 1)))
-
     def eval(self, value) -> Fraction:
         value = _as_coeff(value)
         return sum((v * value ** k for k, v in self.terms.items()), Fraction(0))
@@ -113,35 +117,38 @@ class ScalePoly(SparseSum):
                           for k, v in sorted(self.terms.items())) or "0"
 
 
-class LaurentSeries:
-    """Truncated Laurent series in eps with ScalePoly coefficients."""
+class LaurentSeries(SparseSum):
+    """Truncated Laurent series in eps, keyed by (p, k) for eps^p L^k (see
+    the module docstring); built from {p: ScalePoly or rational}."""
 
-    __slots__ = ("terms", "lo", "hi")
+    __slots__ = ("lo", "hi")
+    _UNIT = (0, 0)
+    _key_mul = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
 
-    def __init__(self, terms: dict[int, ScalePoly] | None = None,
-                 window: tuple[int, int] = _WINDOW):
+    def __init__(self, terms: dict | None = None, window: tuple[int, int] = _WINDOW):
         lo, hi = window
         if lo > hi:
             raise ValueError(f"empty window {window}")
-        clean: dict[int, ScalePoly] = {}
-        if terms:
-            for p, c in terms.items():
-                if isinstance(c, (int, Fraction)):
-                    c = ScalePoly.const(c)
-                if not isinstance(c, ScalePoly):
-                    raise TypeError("coefficients must be ScalePoly or rationals")
-                if not c:
-                    continue
-                if p < lo or p > hi:
-                    raise WindowError(
-                        f"power eps^{p} outside window [{lo}, {hi}]")
-                clean[p] = c
-        object.__setattr__(self, "terms", clean)
+        flat = {}
+        for p, c in (terms or {}).items():
+            if isinstance(c, (int, Fraction)):
+                c = ScalePoly.const(c)
+            if not isinstance(c, ScalePoly):
+                raise TypeError("coefficients must be ScalePoly or rationals")
+            if c and not lo <= p <= hi:
+                raise WindowError(f"power eps^{p} outside window [{lo}, {hi}]")
+            flat.update(((p, k), v) for k, v in c.terms.items())
+        object.__setattr__(self, "terms", flat)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
+    @classmethod
+    def _make(cls, terms: dict, window: tuple[int, int] = _WINDOW) -> "LaurentSeries":
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "lo", window[0])
+        object.__setattr__(obj, "hi", window[1])
+        return obj
 
     @property
     def window(self) -> tuple[int, int]:
@@ -149,114 +156,95 @@ class LaurentSeries:
 
     @staticmethod
     def const(c, window=_WINDOW) -> "LaurentSeries":
-        return LaurentSeries({0: ScalePoly.const(c)}, window)
+        return LaurentSeries({0: c}, window)
 
     @staticmethod
     def zero(window=_WINDOW) -> "LaurentSeries":
-        return LaurentSeries({}, window)
+        return LaurentSeries._make({}, window)
 
     def coeff(self, p: int) -> ScalePoly:
         """Exact coefficient of eps^p; reading beyond the window raises."""
         if p > self.hi:
             raise WindowError(
                 f"coefficient of eps^{p} is truncated (window [{self.lo}, {self.hi}])")
-        return self.terms.get(p, ScalePoly())
+        return ScalePoly._make({k: v for (q, k), v in self.terms.items() if q == p})
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LaurentSeries.const(other, self.window)
+        return other if isinstance(other, LaurentSeries) else None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.const(other, self.window)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return _fold(((self, _ONE), (other, _ONE)), self.window)
-
-    __radd__ = __add__
+        other = self._coerce(other)
+        return NotImplemented if other is None else _fold(((self, 1), (other, 1)), self.window)
 
     def __neg__(self):
-        return LaurentSeries({p: -c for p, c in self.terms.items()}, self.window)
+        return _fold(((self, -1),), self.window)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, LaurentSeries)):
-            return NotImplemented
-        return self + (-other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else _fold(((self, 1), (other, -1)), self.window)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ScalePoly)):
-            if isinstance(other, ScalePoly) and not other:
-                return LaurentSeries({}, self.window)
-            return LaurentSeries({p: c * other for p, c in self.terms.items()},
-                                 self.window)
+        if isinstance(other, (int, Fraction)):
+            return _fold(((self, other),), self.window)
+        if isinstance(other, ScalePoly):
+            # exact at every power of eps: [0, hi - lo] keeps this window
+            other = LaurentSeries._make({(0, k): v for k, v in other.terms.items()},
+                                        (0, self.hi - self.lo))
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        lo = self.lo + other.lo
         hi = min(self.hi + other.lo, self.lo + other.hi)
-        acc: dict[int, dict[int, Fraction]] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                if p1 + p2 <= hi:
-                    _accumulate(acc.setdefault(p1 + p2, {}), (
-                        (k1 + k2, v1 * v2) for k1, v1 in c1.terms.items()
-                        for k2, v2 in c2.terms.items()))
-        return _from_accumulated(acc, (lo, hi))
+        return LaurentSeries._make(_through(SparseSum.__mul__(self, other).terms, hi),
+                                   (self.lo + other.lo, hi))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         """Equal where both sides are exact: coefficients agree up to the
         smaller hi (below the smaller lo both are zero by construction)."""
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.const(other, self.window)
-        if not isinstance(other, LaurentSeries):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         hi = min(self.hi, other.hi)
-        lo = min(self.lo, other.lo)
-        for p in range(lo, hi + 1):
-            if self.terms.get(p, ScalePoly()) != other.terms.get(p, ScalePoly()):
-                return False
-        return True
+        return _through(self.terms, hi) == _through(other.terms, hi)
 
-    def __hash__(self):
-        raise TypeError("LaurentSeries is unhashable (window-relative equality)")
-
-    def __bool__(self):
-        return bool(self.terms)
+    __hash__ = None  # unhashable: equality is window-relative
 
     def pole_part(self) -> "LaurentSeries":
         """Minimal-subtraction projection R onto the negative powers of eps:
         idempotent and Rota-Baxter, R(a)R(b) = R(R(a)b) + R(aR(b)) - R(ab)."""
-        return LaurentSeries({p: c for p, c in self.terms.items() if p < 0},
-                             self.window)
+        return LaurentSeries._make(_through(self.terms, -1), self.window)
 
     def regular_part(self) -> "LaurentSeries":
-        return LaurentSeries({p: c for p, c in self.terms.items() if p >= 0},
-                             self.window)
+        return LaurentSeries._make({pk: v for pk, v in self.terms.items() if pk[0] >= 0},
+                                   self.window)
 
     def is_pole_free(self) -> bool:
-        return not any(p < 0 for p in self.terms)
+        return not any(p < 0 for p, _ in self.terms)
 
     def eval_scale(self, value) -> "LaurentSeries":
         """Substitute a rational value for the symbolic scale L."""
-        return LaurentSeries(
-            {p: ScalePoly.const(c.eval(value)) for p, c in self.terms.items()},
+        value = _as_coeff(value)
+        return LaurentSeries._make(_accumulate({}, (
+            ((p, 0), v * value ** k) for (p, k), v in self.terms.items()
+            if value or not k)),  # 0^k = 0 for k > 0
             self.window)
 
     def scale_derivative(self) -> "LaurentSeries":
         """d/dL applied coefficientwise."""
-        return LaurentSeries({p: c.derivative() for p, c in self.terms.items()},
-                             self.window)
+        return LaurentSeries._make(_accumulate({}, (
+            ((p, k - 1), k * v) for (p, k), v in self.terms.items() if k)), self.window)
 
     def __repr__(self):
-        bits = " + ".join(f"({c})*eps^{p}" for p, c in sorted(self.terms.items()))
+        bits = " + ".join(f"({self.coeff(p)})*eps^{p}"
+                          for p in sorted({p for p, _ in self.terms}))
         return f"LaurentSeries({bits or 0}; window={self.window})"
 
 
-_ONE = Fraction(1)
-
-
-def _from_accumulated(acc: dict[int, dict[int, Fraction]],
-                      window: tuple[int, int]) -> LaurentSeries:
-    hi = window[1]
-    return LaurentSeries({p: ScalePoly._make(d) for p, d in acc.items()
-                          if d and p <= hi}, window)
+def _through(terms: dict, hi: int) -> dict:
+    """The (p, k) terms with p <= hi."""
+    return {pk: v for pk, v in terms.items() if pk[0] <= hi}
 
 
 def _fold(parts, window: tuple[int, int]) -> LaurentSeries:
@@ -268,12 +256,12 @@ def _fold(parts, window: tuple[int, int]) -> LaurentSeries:
     with c = 0 included.
     """
     lo, hi = window
-    acc: dict[int, dict[int, Fraction]] = {}
+    acc: dict = {}
     for s, c in parts:
         lo, hi = min(lo, s.lo), min(hi, s.hi)
-        for p, poly in (s.terms.items() if c else ()):
-            _accumulate(acc.setdefault(p, {}), _scaled(poly.terms, c))
-    return _from_accumulated(acc, (lo, hi))
+        if c:
+            _accumulate(acc, _scaled(s.terms, c))
+    return LaurentSeries._make(_through(acc, hi), (lo, hi))
 
 
 # -- toy rules ----------------------------------------------------------------

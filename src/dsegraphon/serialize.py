@@ -8,6 +8,7 @@ byte-stable for identical inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 from .trees import Tree, Forest, ForestSum, _is_int
@@ -122,9 +123,8 @@ def solution_to_json(sol: DSESolution) -> list:
 
 def laurent_to_json(s: LaurentSeries) -> dict:
     return {"window": [s.lo, s.hi],
-            "terms": [{"pow": p, "coef": [[rational_to_str(v), k]
-                                          for k, v in sorted(poly.terms.items())]}
-                      for p, poly in sorted(s.terms.items())]}
+            "terms": [{"pow": p, "coef": [[rational_to_str(v), k] for (_, k), v in pks]}
+                      for p, pks in groupby(sorted(s.terms.items()), key=lambda t: t[0][0])]}
 
 
 def _window(obj: dict, what: str) -> tuple[int, int]:

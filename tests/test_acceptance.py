@@ -22,9 +22,10 @@ from dsegraphon.hopf import (TensorSum, antipode, convolve, coproduct,
                              counit, graft)
 from dsegraphon.dse import (Cocycle, DSESpec, rescale, solve, structural_sum,
                             subalgebra_witness)
-from dsegraphon.renorm import (LaurentSeries, ScalePoly, ToyRules,
-                               counterterm_character, renormalized_value,
-                               rules_character, toy_feynman_rules)
+from dsegraphon.renorm import (LaurentSeries, ScalePoly, ToyRules, birkhoff,
+                               bogoliubov, counterterm_character,
+                               renormalized_value, rules_character,
+                               toy_feynman_rules)
 from dsegraphon.graphon import (StepGraphon, SimpleGraph, connected_graphs_up_to,
                                 convergence_trace, cut_distance, cut_norm,
                                 direction, feynman_graphon,
@@ -193,11 +194,16 @@ def test_criterion_05_bphz():
         else:
             raise AssertionError(f"pole survived renormalization: {f.code}")
     # Birkhoff reconstruction (phi- o S) * phi+ = phi at grade <= 4, with
-    # phi+ itself rebuilt from the convolution phi- * phi
+    # phi+ itself rebuilt from the convolution phi- * phi; the factors that
+    # birkhoff reports are those two characters, and the Bogoliubov
+    # preparation is their difference
     phi = rules_character(sym)
     sr = counterterm_character(sym)
     for f in all_forests_up_to(4):
         x = ForestSum.of(f)
+        pair = birkhoff(sym, x)
+        assert pair.negative == sr(x) and pair.positive == convolve(sr, phi, x)
+        assert bogoliubov(sym, x) == pair.positive - pair.negative
         total = LaurentSeries.zero(sym.window)
         for (l, r), c in coproduct(x).terms.items():
             left = sr(antipode(ForestSum.of(l)))
@@ -218,7 +224,7 @@ def test_criterion_05_bphz():
     r2 = renormalized_value(sym, ForestSum.of(ladder(2)))
     assert r2.coeff(0) == ScalePoly({2: F(1, 2)})        # L^2/2
     print(f"ACCEPTANCE 5: PASS — {pole_free} forests of grade <= 5 pole-free; "
-          "Birkhoff reconstruction exact at grade <= 4; ladder values "
+          "Birkhoff factors and reconstruction exact at grade <= 4; ladder values "
           "1/(n! eps^n); finite parts -L and L^2/2")
 
 

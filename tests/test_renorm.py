@@ -39,7 +39,6 @@ def test_scale_poly_arithmetic():
     assert (p * q).coeff(2) == -3
     assert (p * q).coeff(1) == F(1, 2)
     assert (p * q).coeff(0) == -F(1, 2)
-    assert p.derivative() == ScalePoly.L(1, 6)
     assert p.eval(F(2)) == 12 + F(1, 2)
     assert p - p == ScalePoly()
     with pytest.raises(ValueError):
@@ -85,7 +84,7 @@ def test_windowed_equality():
 def test_pole_and_regular_split():
     s = LaurentSeries({-2: F(1), -1: ScalePoly.L(1), 0: F(3), 1: F(4)}, (-3, 2))
     assert s.pole_part() + s.regular_part() == s
-    assert s.pole_part().terms.keys() == {-2, -1}
+    assert {p for p, _ in s.pole_part().terms} == {-2, -1}
     assert not s.is_pole_free()
     assert s.regular_part().is_pole_free()
 
@@ -112,6 +111,88 @@ def test_pole_projection_is_rota_baxter():
     # and idempotent
     s = _random_series(rng)
     assert s.pole_part().pole_part() == s.pole_part()
+
+
+# An oracle for the window algebra over the public coefficient views: a
+# series is read as (lo, hi, [coeff(lo), ..., coeff(hi)]) and every
+# operation is written out under the window rules of the module
+# docstring, the product as a Cauchy product.
+
+def _view(s: LaurentSeries):
+    return s.lo, s.hi, [s.coeff(p) for p in range(s.lo, s.hi + 1)]
+
+
+def _oracle_sum(a, b, sign=1):
+    (la, ha, ca), (lb, hb, cb) = a, b
+    lo, hi = min(la, lb), min(ha, hb)
+    get = lambda l, c, p: c[p - l] if p >= l else ScalePoly()
+    return lo, hi, [get(la, ca, p) + get(lb, cb, p) * sign for p in range(lo, hi + 1)]
+
+
+def _oracle_product(a, b):
+    (la, ha, ca), (lb, hb, cb) = a, b
+    lo, hi = la + lb, min(ha + lb, la + hb)
+    return lo, hi, [sum((ca[i - la] * cb[p - i - lb] for i in range(la, p - lb + 1)),
+                        ScalePoly()) for p in range(lo, hi + 1)]
+
+
+def _oracle_scaled(a, c):
+    lo, hi, ca = a
+    return lo, hi, [x * c for x in ca]
+
+
+def _oracle_equal(a, b):
+    return not any(_oracle_sum(a, b, -1)[2])
+
+
+def _random_windowed(rng: random.Random) -> LaurentSeries:
+    lo = rng.randint(-5, 2)
+    hi = lo + rng.randint(0, 5)
+    terms = {}
+    for p in range(lo, hi + 1):
+        coeffs = {k: rng.choice((rng.randint(-4, 4), F(rng.randint(-9, 9), rng.randint(1, 6))))
+                  for k in rng.sample(range(4), rng.randint(1, 3))}
+        if rng.random() < 0.3:
+            terms[p] = coeffs.get(0, 0)
+        elif rng.random() < 0.8:
+            terms[p] = ScalePoly(coeffs)
+    return LaurentSeries(terms, (lo, hi))
+
+
+def test_window_algebra_matches_a_cauchy_product_oracle():
+    rng = random.Random(20261020)
+    with_zero = without_zero = 0
+    for _ in range(300):
+        a, b = _random_windowed(rng), _random_windowed(rng)
+        if a.lo <= 0 <= a.hi:
+            with_zero += 1
+        else:
+            without_zero += 1
+        va, vb = _view(a), _view(b)
+        c = rng.choice((0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(2, 5))))
+        q = ScalePoly({rng.randrange(4): F(rng.randint(1, 5), rng.randint(1, 3)),
+                       rng.randrange(4): rng.randint(-2, 2)})
+        cases = [(a + b, _oracle_sum(va, vb)), (a - b, _oracle_sum(va, vb, -1)),
+                 (-a, _oracle_scaled(va, -1)), (a * b, _oracle_product(va, vb)),
+                 (a * c, _oracle_scaled(va, c)), (c * a, _oracle_scaled(va, c)),
+                 (a * q, _oracle_scaled(va, q)), (q * a, _oracle_scaled(va, q)),
+                 (a.pole_part(), (a.lo, a.hi, [x if p < 0 else ScalePoly()
+                                               for p, x in enumerate(va[2], a.lo)]))]
+        for got, want in cases:
+            assert _view(got) == want, (a, b, c, q)
+            assert all(got.lo <= p <= got.hi for p, _ in got.terms)
+        assert (a == b) == _oracle_equal(va, vb)
+        # copies that differ from a only where one side is truncated are
+        # equal to it; one changed coefficient in the overlap is not
+        h = rng.randint(a.lo, a.hi)
+        whole = {p: a.coeff(p) for p in range(a.lo, a.hi + 1)}
+        narrower = LaurentSeries({p: whole[p] for p in range(a.lo, h + 1)},
+                                 (a.lo - rng.randint(0, 2), h))
+        wider = LaurentSeries({**whole, a.hi + 1: rng.randint(1, 3)}, (a.lo, a.hi + 1))
+        changed = a + LaurentSeries({h: 1}, a.window)
+        for other, same in ((narrower, True), (wider, True), (changed, False)):
+            assert (a == other) == (other == a) == _oracle_equal(va, _view(other)) == same
+    assert with_zero and without_zero
 
 
 # -- toy rule values -----------------------------------------------------------
@@ -188,8 +269,8 @@ def test_counterterms_are_scale_independent():
     rules = ToyRules()
     for f in all_forests_up_to(4):
         v = counterterm(rules, f)
-        for c in v.terms.values():
-            assert set(c.terms) <= {0}
+        for p in {p for p, _ in v.terms}:
+            assert set(v.coeff(p).terms) <= {0}
 
 
 def test_renormalized_low_grades():

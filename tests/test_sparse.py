@@ -20,7 +20,7 @@ from dsegraphon import hopf
 from dsegraphon.dse import Cocycle, DSESpec, solve, subalgebra_witness
 from dsegraphon.graphpoly import MultiPoly
 from dsegraphon.hopf import TensorSum, antipode, coproduct
-from dsegraphon.renorm import ScalePoly, ToyRules, _weight
+from dsegraphon.renorm import LaurentSeries, ScalePoly, ToyRules, _weight
 from dsegraphon.trees import (EMPTY_FOREST, Forest, ForestSum, Tree,
                               all_forests_up_to, all_trees, ladder, leaf)
 
@@ -238,12 +238,17 @@ def test_int_and_fraction_coefficients_mix():
             ForestSum.of(f, F(2, 3)) * ForestSum.of(e, F(3, 2)),
             ForestSum.of(f, F(1, 2)) * 4, ForestSum.of(f, F(3, 4)) * 2 + half,
             TensorSum.of(f, e, F(3, 4)) + TensorSum.of(f, e, F(1, 4)),
-            ScalePoly.L(2, F(1, 2)).derivative(), ScalePoly.const(F(1, 2)) + F(1, 2),
+            ScalePoly.const(F(1, 2)) + F(1, 2),
             MultiPoly.var("x", 1, F(1, 3)) * 3, MultiPoly.var("x", 3, F(1, 3)).partial("x"),
+            LaurentSeries({-1: F(1, 2)}, (-2, 2)) * 4, LaurentSeries.const(F(1, 2)) + F(1, 2),
+            LaurentSeries({-1: F(2, 3)}, (-1, 1)) * LaurentSeries({1: F(3, 2)}, (-1, 1)),
+            LaurentSeries({1: F(2, 3)}) * ScalePoly.L(1, F(3, 2)),
+            LaurentSeries({0: ScalePoly.L(2, F(1, 2))}).scale_derivative(),
+            LaurentSeries({0: ScalePoly.L(1, F(1, 3))}).eval_scale(3),
             MultiPoly.const(F(5, 5)) - F(1, 2)]
     for s in made:
         assert _exact_coefficients(s), s
-    assert [type(c) for s in made[:-1] for c in s.terms.values()] == [int] * 13
+    assert [type(c) for s in made[:-1] for c in s.terms.values()] == [int] * 18
     assert made[-1].terms == {(): F(1, 2)}
     assert ForestSum.unit().terms == {e: 1} and type(ForestSum.unit().counit()) is int
     # the solution coefficients of one cocycle with omega = 1 are ints
