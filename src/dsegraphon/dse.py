@@ -12,8 +12,8 @@ omega_j.  Grading by coupling power turns this into the recursion
 
 whose right side only involves grades below n, so the truncated solution
 is computed grade by grade.  The coupling never enters the tree
-coefficients; it is carried separately and only used when partial sums
-are assembled or the solution is handed to the graphon side.
+coefficients; it is carried separately and only used when the
+solution is handed to the graphon side.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from .trees import ForestSum, Record, SparseSum, _accumulate, _as_coeff, _scaled, \
+from .trees import ForestSum, Record, SparseSum, _accumulate, _as_coeff, \
     check_decoration
 from .hopf import TensorSum, coproduct, graft
 
@@ -121,24 +121,14 @@ def _graded_power_part(xs, p: int, m: int) -> SparseSum:
     return cls._make(dp[m])
 
 
-def _graded_sum(sol: DSESolution, m: int, coupling) -> ForestSum:
-    """sum_{n=1..m} coupling^n X_n (no grade-0 term)."""
+def structural_sum(sol: DSESolution, m: int) -> ForestSum:
+    """sum_{n=1..m} X_n with unit coefficients, coupling left aside."""
     if m < 0 or m > sol.order:
         raise ValueError(f"partial sum order {m} outside solved range 0..{sol.order}")
     out: dict = {}
     for n in range(1, m + 1):
-        _accumulate(out, _scaled(sol.coefficients[n].terms, coupling ** n))
+        _accumulate(out, sol.coefficients[n].terms.items())
     return ForestSum._make(out)
-
-
-def partial_sum(sol: DSESolution, m: int) -> ForestSum:
-    """Y_m = sum_{n=1..m} coupling^n X_n (no grade-0 term)."""
-    return _graded_sum(sol, m, sol.coupling)
-
-
-def structural_sum(sol: DSESolution, m: int) -> ForestSum:
-    """sum_{n=1..m} X_n with unit coefficients, coupling left aside."""
-    return _graded_sum(sol, m, 1)
 
 
 def rescale(sol: DSESolution, factor: Fraction) -> DSESolution:

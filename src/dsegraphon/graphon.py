@@ -1,4 +1,4 @@
-"""Step-function graphons: construction, cut metric, densities, sampling.
+"""Step-function graphons: construction, cut metric, densities.
 
 A step graphon is a symmetric block-constant function on [0,1]^2 with
 rational block measures and rational values in [0,1].  Everything that
@@ -8,8 +8,7 @@ Gateaux derivatives and refinements all run over the rationals.
 What is an integer and what stays a Fraction:
 
 - the values are integer numerators ``nums`` over one least common
-  denominator ``den``; equality and hashing use (measures, den, nums),
-  and ``values`` is only a derived Fraction view for callers;
+  denominator ``den``; equality and hashing use (measures, den, nums);
 - the block measures stay Fractions; a computation that weighs by them
   takes their least common denominator M and the integers M * mu_i;
 - so a mass matrix, a difference matrix or a map sum is an integer
@@ -60,15 +59,15 @@ edges.  Their canonical code is the least sorted edge list over all
 relabelings, found by the multigraph key's pruned search started from
 one cell instead of the colour-refinement cells.  The fingerprint
 catalogue is the loop-free, simple part of the multigraph corpus.
-
-Sampling uses a counter-based generator keyed by the master seed, so a
-sample is reproducible regardless of how the work would be scheduled.
+W-random graphs, the complete and path graphs, constant graphons, block
+relabelings and the graph-to-graph density t(H, G) are test oracles and
+inputs, in ``tests/graph_oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -99,9 +98,9 @@ class StepGraphon:
     """Symmetric block step function with rational measures and values.
 
     The values are stored as integer numerators ``nums`` over one least
-    common denominator ``den``; ``values`` is a derived Fraction view."""
+    common denominator ``den``."""
 
-    __slots__ = ("measures", "den", "nums", "k", "_view")
+    __slots__ = ("measures", "den", "nums", "k")
 
     def __init__(self, measures, values, _direction: bool = False):
         vals = [[_as_coeff(v) for v in row] for row in values]
@@ -136,16 +135,6 @@ class StepGraphon:
     def __setattr__(self, name, value):
         raise AttributeError("StepGraphon is immutable")
 
-    @property
-    def values(self) -> tuple:
-        """The values as Fractions, one per distinct numerator: a view
-        built on first use and kept."""
-        if self._view is None:
-            q = {n: Fraction(n, self.den) for n in set().union(*self.nums)}
-            object.__setattr__(self, "_view",
-                               tuple(tuple(map(q.__getitem__, row)) for row in self.nums))
-        return self._view
-
     def __eq__(self, other):
         return (isinstance(other, StepGraphon) and self.measures == other.measures
                 and self.den == other.den and self.nums == other.nums)
@@ -156,12 +145,6 @@ class StepGraphon:
     def __repr__(self):
         return f"StepGraphon(k={self.k}, measures={[str(m) for m in self.measures]})"
 
-    @staticmethod
-    def constant(c, k: int = 1) -> "StepGraphon":
-        c = _as_coeff(c)
-        mu = [Fraction(1, k)] * k
-        return StepGraphon(mu, [[c] * k for _ in range(k)])
-
     def is_constant(self) -> bool:
         v = self.nums[0][0]
         return all(row.count(v) == self.k for row in self.nums)
@@ -170,13 +153,6 @@ class StepGraphon:
         scale, m = _measure_weights(self)
         return Fraction(sum(mi * sum(map(mul, m, row)) for mi, row in zip(m, self.nums)),
                         scale * scale * self.den)
-
-    def permute(self, perm) -> "StepGraphon":
-        """Relabel blocks: block i of the result is block perm[i] of self."""
-        if sorted(perm) != list(range(self.k)):
-            raise ValueError("not a permutation of the blocks")
-        return _trusted_graphon(tuple(self.measures[p] for p in perm), self.den,
-                                tuple(tuple(self.nums[p][q] for q in perm) for p in perm))
 
     def boundaries(self) -> list[Fraction]:
         return [Fraction(0), *itertools.accumulate(self.measures)]
@@ -189,10 +165,9 @@ def _trusted_graphon(measures: tuple, den: int, nums: tuple) -> StepGraphon:
 
 
 def _set_slots(w: StepGraphon, measures: tuple, den: int, nums: tuple) -> StepGraphon:
-    """Store the measures, numerators and block count of ``w``; its
-    Fraction view is built on first use."""
+    """Store the measures, numerators and block count of ``w``."""
     for name, value in (("measures", measures), ("den", den), ("nums", nums),
-                        ("k", len(measures)), ("_view", None)):
+                        ("k", len(measures))):
         object.__setattr__(w, name, value)
     return w
 
@@ -215,12 +190,12 @@ def direction(measures, values) -> StepGraphon:
 class SimpleGraph(MultiGraph):
     """Simple undirected graph on vertices 0..n-1: a ``MultiGraph``
     without loops or parallel edges, its edges stored once each as
-    (min, max) in sorted order, so an edge test is a bisection.  Minors
-    and components are plain ``MultiGraph``s, since they may have loops
-    or parallel edges.  Its edge variables are ``MultiGraph``'s default
-    1..m, which is never stored, so a simple graph equals and hashes like
-    the ``MultiGraph`` on its edges.  ``_trusted`` takes a tuple of edges
-    already sorted, duplicate-free, in range and with u < v."""
+    (min, max) in sorted order.  Minors and components are plain
+    ``MultiGraph``s, since they may have loops or parallel edges.  Its
+    edge variables are ``MultiGraph``'s default 1..m, which is never
+    stored, so a simple graph equals and hashes like the ``MultiGraph`` on
+    its edges.  ``_trusted`` takes a tuple of edges already sorted,
+    duplicate-free, in range and with u < v."""
 
     __slots__ = ()
 
@@ -230,12 +205,6 @@ class SimpleGraph(MultiGraph):
             raise ValueError("simple graphs have no loops")
         object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether {u, v} is an edge, by bisection of the sorted edges."""
-        e = (min(u, v), max(u, v))
-        i = bisect_left(self.edges, e)
-        return i < len(self.edges) and self.edges[i] == e
-
     def canonical_code(self) -> str:
         """Labeling-invariant encoding: the smallest sorted edge list over
         all relabelings, as ``n:u-v,...``."""
@@ -244,14 +213,6 @@ class SimpleGraph(MultiGraph):
     def disjoint_union(self, other: "SimpleGraph") -> "SimpleGraph":
         shifted = [(u + self.n, v + self.n) for (u, v) in other.edges]
         return SimpleGraph(self.n + other.n, list(self.edges) + shifted)
-
-
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def graphon_from_graph(g: SimpleGraph) -> StepGraphon:
@@ -791,34 +752,6 @@ def hom_density(h: SimpleGraph, w: StepGraphon) -> Fraction:
                     scale ** h.n * w.den ** len(mats))
 
 
-def hom_density_graph(h: SimpleGraph, g: SimpleGraph) -> Fraction:
-    """t(H, G) = hom(H, G) / n^{|V(H)|}, counted exactly."""
-    if g.n == 0:
-        raise ValueError("density into the empty graph is undefined")
-    adj = [[0] * g.n for _ in range(g.n)]
-    for (u, v) in g.edges:
-        adj[u][v] = 1
-        adj[v][u] = 1
-    edges_at: list[list[int]] = [[] for _ in range(h.n)]
-    for (a, b) in h.edges:
-        edges_at[max(a, b)].append(min(a, b))
-    count = 0
-    assign = [0] * h.n
-
-    def rec(depth: int):
-        nonlocal count
-        if depth == h.n:
-            count += 1
-            return
-        for c in range(g.n):
-            assign[depth] = c
-            if all(adj[assign[a]][c] for a in edges_at[depth]):
-                rec(depth + 1)
-
-    rec(0)
-    return Fraction(count, g.n ** h.n)
-
-
 def gateaux_density_derivative(h: SimpleGraph, w: StepGraphon,
                                d: StepGraphon) -> Fraction:
     """Directional derivative of t(H, .) at W in direction D.
@@ -885,67 +818,12 @@ class DensityFingerprint(Record):
 
     _fields = ("level", "densities")
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.densities)
-
-    def indistinguishable_from(self, other: "DensityFingerprint") -> bool:
-        """Same densities at the common level."""
-        level = min(self.level, other.level)
-        a = {k: v for k, v in self.densities if _code_edges(k) <= level}
-        b = {k: v for k, v in other.densities if _code_edges(k) <= level}
-        return a == b
-
-
-def _code_edges(code: str) -> int:
-    _, _, rest = code.partition(":")
-    return 0 if not rest else rest.count(",") + 1
-
-
 def density_fingerprint(w: StepGraphon, level: int) -> DensityFingerprint:
     """Fingerprint of W by densities of connected graphs up to ``level`` edges."""
     rows = []
     for h in connected_graphs_up_to(level):
         rows.append((h.canonical_code(), hom_density(h, w)))
     return DensityFingerprint(level=level, densities=tuple(rows))
-
-
-# -- sampling -------------------------------------------------------------------------
-
-def sample_random_graph(n: int, w: StepGraphon, seed: int = 0) -> SimpleGraph:
-    """W-random graph on n vertices.
-
-    Vertex types and edge coins come from one counter-based stream keyed
-    by the seed (vertex draws first, then edges in lexicographic order),
-    so identical seeds give identical graphs independent of scheduling.
-    Coins are compared against 64-bit dyadic approximations of the
-    rational thresholds; the bias is 2^-64 per comparison.
-    """
-    import numpy as np
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    scale = 1 << 64
-    cuts = [int(b * scale) for b in w.boundaries()[1:]]
-    vert_draws = rng.integers(0, scale, size=n, dtype=np.uint64,
-                              endpoint=False).tolist()
-    types = np.array([next(i for i, c in enumerate(cuts) if x < c or i == w.k - 1)
-                      for x in vert_draws])
-    # a coin is an edge when it lies below floor(v * 2^64), which is
-    # x * 2^64 // den for v = x / den; for v = 1 that is 2^64, beyond
-    # uint64, and every coin is an edge
-    den = w.den
-    below = np.array([[min(x * scale // den, scale - 1) for x in row]
-                      for row in w.nums], dtype=np.uint64)
-    always = np.array([[x == den for x in row] for row in w.nums])
-    edge_draws = rng.integers(0, scale, size=n * (n - 1) // 2, dtype=np.uint64,
-                              endpoint=False)
-    # the pairs i < j in lexicographic order, as the coins were drawn and
-    # as the trusted constructor needs them
-    first, second = np.triu_indices(n, k=1)
-    ti, tj = types[first], types[second]
-    hit = np.flatnonzero((edge_draws < below[ti, tj]) | always[ti, tj])
-    return SimpleGraph._trusted(n, tuple(zip(first[hit].tolist(),
-                                             second[hit].tolist())))
 
 
 # -- solution-series diagnostics --------------------------------------------------------

@@ -102,16 +102,8 @@ class MultiPoly(SparseSum):
         return tuple(sorted(exps.items()))
 
     @staticmethod
-    def const(c) -> "MultiPoly":
-        return MultiPoly({(): c})
-
-    @staticmethod
     def var(name: str, exp: int = 1, coeff=1) -> "MultiPoly":
         return MultiPoly({((name, exp),): coeff})
-
-    def coeff(self, mono: dict[str, int]) -> Fraction:
-        key = tuple(sorted((v, e) for v, e in mono.items() if e))
-        return self.terms.get(key, Fraction(0))
 
     def eval(self, values: dict[str, Fraction]) -> Fraction:
         """Exact value at ``values``.  The values are put over their least
@@ -136,26 +128,6 @@ class MultiPoly(SparseSum):
         top = max(sums, default=0)
         return Fraction(sum(s * scale ** (top - d) for d, s in sums.items()),
                         scale ** top)
-
-    def substitute_zero(self, name: str) -> "MultiPoly":
-        """Drop every term containing ``name``."""
-        return MultiPoly._make({m: c for m, c in self.terms.items()
-                                if all(v != name for v, _ in m)})
-
-    def partial(self, name: str) -> "MultiPoly":
-        out: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        for mono, c in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(name, 0)
-            if not e:
-                continue
-            exps[name] = e - 1
-            key = tuple(sorted((v, k) for v, k in exps.items() if k))
-            _accumulate(out, ((key, c * e),))
-        return MultiPoly._make(out)
-
-    def variables(self) -> set[str]:
-        return {v for mono in self.terms for v, _ in mono}
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {sum(e for _, e in mono) for mono in self.terms}

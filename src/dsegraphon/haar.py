@@ -1,13 +1,16 @@
 """Compact abelian model of solution space: ranked universe, invariant
 metric, symmetric-difference group, and Haar sampling.
 
-A universe is a countable set of items with a rank bijection, truncated
-at depth m.  Points are subsets, encoded as bitmasks over ranks 1..m.
+A universe is a countable set of items ranked 1, 2, ..., truncated at
+depth m.  Points are subsets, encoded as bitmasks over ranks 1..m.
 The metric weights rank r by base^(-r) for a rational base >= 1; at
 base 2 the norm map sends the Haar (fair-coin product) measure to
 Lebesgue measure on [0,1], which is what the ball-measure Monte Carlo
 checks: mu(ball of radius r around the identity) = r up to a 2^-m
-truncation term and binomial noise.
+truncation term and binomial noise.  The metric is invariant under the
+group, d(x, y) = norm(x + y), so a ball around any point has the
+measure of the ball around the identity; at depth m that is an exact
+count over all 2^m points, which acceptance criterion 9 makes at m = 10.
 
 Each run draws its sample once: the norms of ``samples`` coin vectors
 come from one Philox stream, drawn in fixed row chunks so memory stays
@@ -27,36 +30,14 @@ from .trees import Record, _as_coeff
 
 
 class VertexUniverse(Record):
-    """Ranked universe truncated at ``depth``; ranks run 1..depth.
+    """Ranked universe truncated at ``depth``; ranks run 1..depth."""
 
-    ``alpha`` optionally names the items: pairs (item id, rank), injective
-    in both coordinates.  Unnamed ranks are their own ids.
-    """
+    _fields = ("depth",)
 
-    _fields = ("depth", "alpha")
-
-    def __init__(self, depth: int, alpha: tuple = ()):
+    def __init__(self, depth: int):
         if not isinstance(depth, int) or depth < 1:
             raise ValueError("depth must be a positive integer")
-        pairs = tuple((i, int(r)) for (i, r) in alpha)
-        ids = [i for (i, _) in pairs]
-        ranks = [r for (_, r) in pairs]
-        if len(set(ids)) != len(ids) or len(set(ranks)) != len(ranks):
-            raise ValueError("rank assignment must be a bijection")
-        if any(not (1 <= r <= depth) for r in ranks):
-            raise ValueError(f"ranks must lie in 1..{depth}")
-        super().__init__(depth, pairs)
-
-    def rank_of(self, item) -> int:
-        for (i, r) in self.alpha:
-            if i == item:
-                return r
-        if isinstance(item, int) and 1 <= item <= self.depth:
-            return item
-        raise KeyError(f"unknown universe item {item!r}")
-
-    def point(self, items=()) -> "SolutionPoint":
-        return self.point_from_ranks(map(self.rank_of, items))
+        super().__init__(depth)
 
     def point_from_ranks(self, ranks=()) -> "SolutionPoint":
         mask = 0
@@ -69,13 +50,10 @@ class VertexUniverse(Record):
     def identity(self) -> "SolutionPoint":
         return SolutionPoint(self, 0)
 
-    def full(self) -> "SolutionPoint":
-        return SolutionPoint(self, (1 << self.depth) - 1)
-
 
 class SolutionPoint(Record):
-    """Subset of a ranked universe; a group element under symmetric
-    difference with the empty set as identity."""
+    """Subset of a ranked universe, the bitmask of its ranks; a group
+    element under symmetric difference with the empty set as identity."""
 
     _fields = ("universe", "mask")
 
@@ -83,13 +61,6 @@ class SolutionPoint(Record):
         if not (0 <= mask < (1 << universe.depth)):
             raise ValueError("bitset exceeds universe depth")
         super().__init__(universe, mask)
-
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(r for r in range(1, self.universe.depth + 1)
-                     if self.mask >> (r - 1) & 1)
-
-    def __contains__(self, rank: int) -> bool:
-        return 1 <= rank <= self.universe.depth and bool(self.mask >> (rank - 1) & 1)
 
 
 def _require_shared(x: SolutionPoint, y: SolutionPoint):

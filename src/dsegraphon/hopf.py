@@ -52,19 +52,11 @@ class TensorSum(SparseSum):
     def of(left: Forest, right: Forest, coeff=1) -> "TensorSum":
         return TensorSum({(left, right): coeff})
 
-    def coeff(self, left: Forest, right: Forest):
-        return self.terms.get((left, right), 0)
-
     def map_left(self, fn) -> "TensorSum":
         """Apply a ForestSum-valued linear map to the left factor."""
         return TensorSum._make(_accumulate({}, (
             ((f, r), c * v) for (l, r), c in self.terms.items()
             for f, v in fn(l).terms.items())))
-
-    def map_right(self, fn) -> "TensorSum":
-        return TensorSum._make(_accumulate({}, (
-            ((l, f), c * v) for (l, r), c in self.terms.items()
-            for f, v in fn(r).terms.items())))
 
     def __repr__(self):
         if not self.terms:

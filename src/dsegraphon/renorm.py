@@ -9,8 +9,9 @@ and reading it raises, everything below lo is exactly zero.
 
 A LaurentSeries is a SparseSum keyed by (p, k), the monomial eps^p L^k,
 with the window in two more slots.  A sum or difference lives on the
-meet of the windows (the smaller lo and the smaller hi), a rational or
-ScalePoly multiple on its own window, and a product a * b on
+meet of the windows (the smaller lo and the smaller hi), where a bare
+rational is a constant exact from min(lo, 0) to max(hi, 0); a rational
+or ScalePoly multiple lives on its own window, and a product a * b on
 [lo_a + lo_b, min(hi_a + lo_b, lo_a + hi_b)]; terms above the new hi are
 dropped.  Two series are equal when their terms agree up to the smaller
 hi, so series are unhashable.
@@ -105,13 +106,6 @@ class ScalePoly(SparseSum):
     def L(power: int = 1, coeff=1) -> "ScalePoly":
         return ScalePoly({power: coeff})
 
-    def coeff(self, k: int) -> Fraction:
-        return self.terms.get(k, Fraction(0))
-
-    def eval(self, value) -> Fraction:
-        value = _as_coeff(value)
-        return sum((v * value ** k for k, v in self.terms.items()), Fraction(0))
-
     def __repr__(self):
         return " + ".join(f"{v}" if k == 0 else f"{v}*L" if k == 1 else f"{v}*L^{k}"
                           for k, v in sorted(self.terms.items())) or "0"
@@ -170,8 +164,10 @@ class LaurentSeries(SparseSum):
         return ScalePoly._make({k: v for (q, k), v in self.terms.items() if q == p})
 
     def _coerce(self, other):
+        # a rational is exact at eps^0, so its window reaches eps^0 even
+        # when this one does not; the meet in _fold keeps this one's hi
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries.const(other, self.window)
+            return LaurentSeries.const(other, (min(self.lo, 0), max(self.hi, 0)))
         return other if isinstance(other, LaurentSeries) else None
 
     def __add__(self, other):
@@ -216,25 +212,8 @@ class LaurentSeries(SparseSum):
         idempotent and Rota-Baxter, R(a)R(b) = R(R(a)b) + R(aR(b)) - R(ab)."""
         return LaurentSeries._make(_through(self.terms, -1), self.window)
 
-    def regular_part(self) -> "LaurentSeries":
-        return LaurentSeries._make({pk: v for pk, v in self.terms.items() if pk[0] >= 0},
-                                   self.window)
-
     def is_pole_free(self) -> bool:
         return not any(p < 0 for p, _ in self.terms)
-
-    def eval_scale(self, value) -> "LaurentSeries":
-        """Substitute a rational value for the symbolic scale L."""
-        value = _as_coeff(value)
-        return LaurentSeries._make(_accumulate({}, (
-            ((p, 0), v * value ** k) for (p, k), v in self.terms.items()
-            if value or not k)),  # 0^k = 0 for k > 0
-            self.window)
-
-    def scale_derivative(self) -> "LaurentSeries":
-        """d/dL applied coefficientwise."""
-        return LaurentSeries._make(_accumulate({}, (
-            ((p, k - 1), k * v) for (p, k), v in self.terms.items() if k)), self.window)
 
     def __repr__(self):
         bits = " + ".join(f"({self.coeff(p)})*eps^{p}"

@@ -2,7 +2,9 @@
 
 Rationals travel as exact "p/q" strings (or "p" when integral); every
 encoder emits a deterministic ordering so serialized documents are
-byte-stable for identical inputs.
+byte-stable for identical inputs.  Decoders exist for what the CLI
+reads: equation specs, rules and graphs.  The tests read documents back
+with their own decoders, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .trees import Tree, Forest, ForestSum, _is_int
 # A decoder imports the type it builds when it is called, so that
 # importing this module loads no layer beyond the trees.
 if TYPE_CHECKING:
-    from .hopf import TensorSum
     from .dse import DSESpec, DSESolution
     from .renorm import LaurentSeries, ToyRules
     from .graphon import StepGraphon
@@ -47,43 +48,13 @@ def tree_to_json(t: Tree) -> dict:
     return {"d": t.label, "c": [tree_to_json(c) for c in t.children]}
 
 
-def tree_from_json(obj) -> Tree:
-    if not isinstance(obj, dict) or "d" not in obj:
-        raise ValueError("tree object needs a 'd' label field")
-    children = obj.get("c", [])
-    if not isinstance(children, list):
-        raise ValueError("tree 'c' must be an array of trees")
-    return Tree(obj["d"], [tree_from_json(c) for c in children])
-
-
 def forest_to_json(f: Forest) -> list:
     return [tree_to_json(t) for t in f]
-
-
-def forest_from_json(obj) -> Forest:
-    if not isinstance(obj, list):
-        raise ValueError("forest must be an array of trees")
-    return Forest(tree_from_json(t) for t in obj)
 
 
 def forest_sum_to_json(s: ForestSum) -> list:
     return [{"coef": rational_to_str(c), "forest": forest_to_json(f)}
             for f, c in sorted(s.terms.items(), key=lambda fc: (fc[0].grade, fc[0].code))]
-
-
-def forest_sum_from_json(obj) -> ForestSum:
-    if not isinstance(obj, list) or not all(
-            isinstance(item, dict) and "forest" in item and "coef" in item for item in obj):
-        raise ValueError("forest sum must be an array of objects with 'coef' and 'forest'")
-    return ForestSum((forest_from_json(item["forest"]), rational_from_str(item["coef"]))
-                     for item in obj)
-
-
-def tensor_sum_to_json(s: TensorSum) -> list:
-    return [{"coef": rational_to_str(c), "left": forest_to_json(l),
-             "right": forest_to_json(r)}
-            for (l, r), c in sorted(s.terms.items(),
-                                    key=lambda pc: (pc[0][0].code, pc[0][1].code))]
 
 
 # -- equation specs and solutions ---------------------------------------------------
@@ -137,24 +108,6 @@ def _window(obj: dict, what: str) -> tuple[int, int]:
     return tuple(window)
 
 
-def laurent_from_json(obj) -> LaurentSeries:
-    from .renorm import LaurentSeries, ScalePoly
-    if not isinstance(obj, dict):
-        raise ValueError("Laurent series must be an object")
-    window = _window(obj, "Laurent")
-    items = obj.get("terms", [])
-    if not isinstance(items, list) or not all(
-            isinstance(item, dict) and _is_int(item.get("pow"))
-            and isinstance(item.get("coef"), list)
-            and all(isinstance(c, list) and len(c) == 2 and _is_int(c[1]) for c in item["coef"])
-            for item in items):
-        raise ValueError("Laurent 'terms' must be an array of objects with an integer "
-                         "'pow' and a 'coef' array of [value, integer power] pairs")
-    terms = {item["pow"]: ScalePoly({k: rational_from_str(c) for c, k in item["coef"]})
-             for item in items}
-    return LaurentSeries(terms, window)
-
-
 def toy_rules_to_json(r: ToyRules) -> dict:
     return {"residues": {d: rational_to_str(v)
                          for d, v in sorted(r.residues.items())},
@@ -187,18 +140,6 @@ def graphon_to_json(w: StepGraphon) -> dict:
             "values": [list(map(text.__getitem__, row)) for row in w.nums]}
 
 
-def graphon_from_json(obj) -> StepGraphon:
-    from .graphon import StepGraphon
-    if not (isinstance(obj, dict) and isinstance(obj.get("measures"), list)
-            and isinstance(obj.get("values"), list)
-            and all(isinstance(row, list) for row in obj["values"])):
-        raise ValueError("graphon object needs a 'measures' array and a "
-                         "'values' array of arrays")
-    return StepGraphon([rational_from_str(m) for m in obj["measures"]],
-                       [[rational_from_str(v) for v in row]
-                        for row in obj["values"]])
-
-
 def multigraph_to_json(g: MultiGraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for (u, v) in g.edges]}
 
@@ -220,20 +161,3 @@ def multigraph_from_json(obj) -> MultiGraph:
 def multipoly_to_json(p: MultiPoly) -> list:
     return [{"coef": rational_to_str(c), "exps": {v: e for (v, e) in sorted(mono)}}
             for mono, c in sorted(p.terms.items(), key=lambda mc: tuple(sorted(mc[0])))]
-
-
-def _exponent(e) -> int:
-    if not _is_int(e) or e < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-    return e
-
-
-def multipoly_from_json(obj) -> MultiPoly:
-    from .graphpoly import MultiPoly
-    if not isinstance(obj, list) or not all(
-            isinstance(item, dict) and "coef" in item
-            and isinstance(item.get("exps", {}), dict) for item in obj):
-        raise ValueError("polynomial must be an array of objects with 'coef' "
-                         "and an 'exps' object")
-    return MultiPoly((((v, _exponent(e)) for v, e in item.get("exps", {}).items()),
-                      rational_from_str(item["coef"])) for item in obj)

@@ -13,8 +13,8 @@ object already built for it, so equal trees (forests) are the same
 object and compare and hash by identity.  The forest product
 ``_forest_product``, the one-tree forests B+_label(f) of ``_grafted``
 and the enumerations ``_trees_memo`` and ``_forests_memo`` are
-``functools.cache``d; the enumerations cache tuples, which ``all_trees``
-and ``all_forests`` copy into a new list per call.  The tables and the
+``functools.cache``d; the enumerations cache tuples, which
+``all_forests`` copies into a new list per call.  The tables and the
 caches live for the whole process.
 
 Coefficients are exact: a sum stores each one as an ``int`` when it is
@@ -127,10 +127,6 @@ class Tree:
     def __lt__(self, other: "Tree"):
         return self.code < other.code
 
-    @property
-    def edge_count(self) -> int:
-        return self.size - 1
-
     def __repr__(self):
         if not self.children:
             return f"Tree({self.label!r})"
@@ -179,17 +175,6 @@ class Forest:
 
     def __iter__(self) -> Iterator[Tree]:
         return iter(self.trees)
-
-    def __len__(self):
-        return len(self.trees)
-
-    def __mul__(self, other: "Forest") -> "Forest":
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return _forest_product(self, other)
-
-    def is_empty(self) -> bool:
-        return not self.trees
 
     def __repr__(self):
         return f"Forest({list(self.trees)!r})"
@@ -390,9 +375,6 @@ class SparseSum:
     def __radd__(self, other):
         return self + other
 
-    def __neg__(self):
-        return self._make({k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -462,26 +444,12 @@ class ForestSum(SparseSum):
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, f):
-        if isinstance(f, Tree):
-            f = Forest((f,))
-        return self.terms.get(f, 0)
-
     def counit(self):
         """Coefficient of the empty forest."""
         return self.terms.get(EMPTY_FOREST, 0)
 
-    def homogeneous_part(self, n: int) -> "ForestSum":
-        return ForestSum._make({f: c for f, c in self.terms.items() if f.grade == n})
-
     def max_grade(self) -> int:
         return max((f.grade for f in self.terms), default=0)
-
-    def is_homogeneous(self, n: int | None = None) -> bool:
-        gs = {f.grade for f in self.terms}
-        if n is None:
-            return len(gs) <= 1
-        return gs <= {n}
 
     def __repr__(self):
         if not self.terms:
@@ -494,16 +462,8 @@ class ForestSum(SparseSum):
 
 # -- enumeration -----------------------------------------------------------
 #
-# Used by tests and diagnostics; counting distinct shapes against known
-# values doubles as a correctness check of the canonical encoding.
-
-def all_trees(n: int, labels: tuple[str, ...] = ("g",)) -> list[Tree]:
-    """All distinct decorated rooted trees with exactly ``n`` vertices,
-    in a new list on each call."""
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    return list(_trees_memo(n, tuple(labels)))
-
+# Counting distinct shapes against known values doubles as a correctness
+# check of the canonical encoding.
 
 @cache
 def _trees_memo(n: int, labels: tuple[str, ...]) -> tuple[Tree, ...]:

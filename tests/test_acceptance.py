@@ -7,6 +7,7 @@ independent oracles or frozen fixtures, and prints a single
 which case the bound and seed are pinned here.
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -19,26 +20,27 @@ import pytest
 from dsegraphon.trees import (Forest, ForestSum, Tree, all_forests,
                               all_forests_up_to, ladder, leaf)
 from dsegraphon.hopf import (TensorSum, antipode, convolve, coproduct,
-                             counit, graft)
+                             counit, graft, reduced_coproduct)
 from dsegraphon.dse import (Cocycle, DSESpec, rescale, solve, structural_sum,
                             subalgebra_witness)
 from dsegraphon.renorm import (LaurentSeries, ScalePoly, ToyRules, birkhoff,
-                               bogoliubov, counterterm_character,
+                               bogoliubov, counterterm, counterterm_character,
                                renormalized_value, rules_character,
                                toy_feynman_rules)
 from dsegraphon.graphon import (StepGraphon, SimpleGraph, connected_graphs_up_to,
                                 convergence_trace, cut_distance, cut_norm,
                                 direction, feynman_graphon,
                                 gateaux_density_derivative, graphon_from_graph,
-                                hom_density, hom_density_graph, perturb)
+                                hom_density, perturb)
 from dsegraphon.graphpoly import (MultiGraph, MultiPoly,
                                   generate_connected_multigraphs,
                                   loop_number, spanning_tree_count, symanzik_det,
                                   symanzik_psi, tutte)
-from dsegraphon.haar import (ball_measure_mc, ks_critical_value,
-                             norm_uniformity_statistic)
+from dsegraphon.haar import (SolutionPoint, VertexUniverse, ball_measure_mc,
+                             distance, group_op, ks_critical_value, norm,
+                             norm_uniformity_statistic, sample_haar)
 from dsegraphon.cli import main as cli_main
-from graph_oracles import psi_deletion_contraction, tutte_rank_nullity
+from graph_oracles import hom_density_graph, psi_deletion_contraction, tutte_rank_nullity
 
 
 SPEC_ONE = DSESpec((Cocycle("g", F(1)),), order=5)
@@ -196,14 +198,25 @@ def test_criterion_05_bphz():
     # Birkhoff reconstruction (phi- o S) * phi+ = phi at grade <= 4, with
     # phi+ itself rebuilt from the convolution phi- * phi; the factors that
     # birkhoff reports are those two characters, and the Bogoliubov
-    # preparation is their difference
+    # preparation is their difference.  On a nonempty forest the
+    # preparation is phi(x) + sum' S(x') phi(x'') over the reduced
+    # coproduct; the counterterm is minus its pole part and the
+    # renormalized value the rest
     phi = rules_character(sym)
     sr = counterterm_character(sym)
+    prepared = 0
     for f in all_forests_up_to(4):
         x = ForestSum.of(f)
         pair = birkhoff(sym, x)
         assert pair.negative == sr(x) and pair.positive == convolve(sr, phi, x)
         assert bogoliubov(sym, x) == pair.positive - pair.negative
+        if f.trees:
+            prep = phi(x) + sum(sr(l) * phi(r) * c
+                                for (l, r), c in reduced_coproduct(x).terms.items())
+            assert prep == bogoliubov(sym, x)
+            assert counterterm(sym, x) == -prep.pole_part()
+            assert renormalized_value(sym, x) == prep - prep.pole_part()
+            prepared += 1
         total = LaurentSeries.zero(sym.window)
         for (l, r), c in coproduct(x).terms.items():
             left = sr(antipode(ForestSum.of(l)))
@@ -224,7 +237,8 @@ def test_criterion_05_bphz():
     r2 = renormalized_value(sym, ForestSum.of(ladder(2)))
     assert r2.coeff(0) == ScalePoly({2: F(1, 2)})        # L^2/2
     print(f"ACCEPTANCE 5: PASS — {pole_free} forests of grade <= 5 pole-free; "
-          "Birkhoff factors and reconstruction exact at grade <= 4; ladder values "
+          "Birkhoff factors and reconstruction exact at grade <= 4; Bogoliubov "
+          f"preparation over the reduced coproduct on {prepared} forests; ladder values "
           "1/(n! eps^n); finite parts -L and L^2/2")
 
 
@@ -317,8 +331,12 @@ def test_criterion_08_graphon_densities():
         w = StepGraphon(mu, vals)
         assert hom_density(h1.disjoint_union(h2), w) == \
             hom_density(h1, w) * hom_density(h2, w)
-    # heuristic cut norm is a certified lower bound for the exact one
+    # heuristic cut norm is a certified lower bound for the exact one, on
+    # mixed-sign directions: there exact mode enumerates block subsets and
+    # heuristic mode searches (a graphon, of one sign, takes the closed
+    # form |total mass| in both)
     rng = random.Random(2718)
+    mixed = 0
     for trial in range(60):
         k = rng.randint(1, 6)
         raw = [rng.randint(1, 9) for _ in range(k)]
@@ -326,10 +344,23 @@ def test_criterion_08_graphon_densities():
         vals = [[F(0)] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                vals[i][j] = vals[j][i] = F(rng.randint(0, 8), 8)
-        w = StepGraphon(mu, vals)
+                vals[i][j] = vals[j][i] = F(rng.randint(-8, 8), 8)
+        w = direction(mu, vals)
+        mixed += min(map(min, vals)) < 0 < max(map(max, vals))
         assert cut_norm(w, "heuristic", seed=trial, restarts=6) <= \
             cut_norm(w, "exact")
+    # the cut distance is a metric on graphons up to relabeling: a graph
+    # and a random relabeling of it are at distance 0, which exact mode
+    # finds by enumerating the relabelings when the identity alignment is
+    # not already certified
+    rng = random.Random(1808)
+    for _ in range(15):
+        n = rng.randint(4, 6)
+        g = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2)
+                            if rng.random() < 0.5])
+        sigma = rng.sample(range(n), n)
+        moved = SimpleGraph(n, [(sigma[u], sigma[v]) for u, v in g.edges])
+        assert cut_distance(graphon_from_graph(g), graphon_from_graph(moved)) == 0
     # Gateaux derivative vs exact central finite difference
     rng = random.Random(99)
     pats = [g for g in connected_graphs_up_to(3) if g.m]
@@ -355,7 +386,8 @@ def test_criterion_08_graphon_densities():
         assert rel <= F(1, 10 ** 6)
     print(f"ACCEPTANCE 8: PASS — t(H, W_G) = t(H, G) on {pairs} exhaustive "
           f"pattern/host pairs; union multiplicativity exact; heuristic cut "
-          f"norm <= exact on 60 instances; Gateaux vs central difference "
+          f"norm <= exact on 60 directions ({mixed} of mixed sign); cut "
+          f"distance 0 between 15 graphs and their relabelings; Gateaux vs central difference "
           f"worst relative error {float(worst):.2e} <= 1e-6")
 
 
@@ -368,11 +400,31 @@ def test_criterion_09_haar_measure():
     ks = norm_uniformity_statistic(depth=24, samples=100_000, seed=0)
     crit = ks_critical_value(100_000, alpha=0.01)
     assert ks < crit
+    # the group model, exactly: d(x, x + y) = norm(y), so every ball
+    # around a Haar-sampled centre x has the measure of the ball around
+    # the identity, counted over all 2^10 points at depth 10; at base 2
+    # the norms are k / 2^10, so a ball of radius r holds
+    # min(floor(r 2^10) + 1, 2^10) of them
+    depth = 10
+    points = [SolutionPoint(VertexUniverse(depth), mask) for mask in range(1 << depth)]
+    for g, eps in ((1, 1), (2, 1)):
+        norms = [norm(y, g, eps) for y in points]
+        for seed in range(4):
+            x = sample_haar(depth, seed)
+            assert [distance(x, group_op(x, y), g, eps) for y in points] == norms
+            dists = sorted(distance(x, y, g, eps) for y in points)
+            assert dists == sorted(norms)
+            if g + eps == 2:
+                for r in radii:
+                    assert bisect.bisect_right(dists, r) == \
+                        min(math.floor(r * 2 ** depth) + 1, 2 ** depth)
     elapsed = time.time() - t0
     assert elapsed <= 30
     print(f"ACCEPTANCE 9: PASS — ball measure within 3 sigma + 2^-24 of r "
           f"for five radii (m=24, N=1e5); KS statistic {ks:.5f} < 1% "
-          f"critical {crit:.5f}; runtime {elapsed:.1f}s <= 30s")
+          f"critical {crit:.5f}; distances from four Haar centres equal the "
+          f"norms over all 2^10 points at bases 2 and 3, ball counts exact; "
+          f"runtime {elapsed:.1f}s <= 30s")
 
 
 def test_criterion_10_coupling_rescaling():

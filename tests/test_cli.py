@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import dsegraphon
 from dsegraphon.cli import _digits, _json_text, main
-from dsegraphon.serialize import forest_sum_from_json
 from dsegraphon.trees import ForestSum, Tree, ladder, leaf
+from helpers import forest_sum_from_json
 
 
 @pytest.fixture()

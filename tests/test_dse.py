@@ -16,9 +16,8 @@ import sympy
 
 from dsegraphon.trees import Forest, ForestSum, Tree, ladder, leaf
 from dsegraphon.hopf import TensorSum, coproduct, graft
-from dsegraphon.dse import (Cocycle, DSESpec, DSESolution, partial_sum,
-                            rescale, solve, structural_sum,
-                            subalgebra_witness)
+from dsegraphon.dse import (Cocycle, DSESpec, DSESolution, rescale, solve,
+                            structural_sum, subalgebra_witness)
 
 SPEC_A = DSESpec((Cocycle("g", F(1)),), order=5)
 SPEC_B = DSESpec((Cocycle("g1", F(1)), Cocycle("g2", F(1))), order=5)
@@ -118,7 +117,7 @@ def test_one_cocycle_coefficients_are_catalan():
 def test_vertex_homogeneity_for_single_cocycle_only():
     sol_a = solve(SPEC_A)
     for n in range(6):
-        assert sol_a.coefficients[n].is_homogeneous(n)
+        assert {f.grade for f in sol_a.coefficients[n].terms} <= {n}
     sol_b = solve(SPEC_B)
     sizes = {f.grade for f in sol_b.coefficients[2].terms}
     assert sizes == {1, 2}
@@ -134,17 +133,6 @@ def test_integer_weights_give_nonnegative_integer_coefficients():
 
 # -- partial sums, rescaling ---------------------------------------------------
 
-def test_partial_sum_with_coupling():
-    spec = DSESpec((Cocycle("g", F(1)),), order=3, coupling=F(1, 2))
-    sol = solve(spec)
-    y2 = partial_sum(sol, 2)
-    want = F(1, 2) * ForestSum.of(leaf("g")) + F(1, 2) * ForestSum.of(ladder(2))
-    assert y2 == want
-    assert partial_sum(sol, 0) == ForestSum.zero()
-    with pytest.raises(ValueError):
-        partial_sum(sol, 4)
-
-
 def test_structural_sum_ignores_coupling():
     spec = DSESpec((Cocycle("g", F(1)),), order=3, coupling=F(1, 3))
     sol = solve(spec)
@@ -152,6 +140,9 @@ def test_structural_sum_ignores_coupling():
             + 4 * ForestSum.of(ladder(3))
             + ForestSum.of(Tree("g", [leaf("g"), leaf("g")])))
     assert structural_sum(sol, 3) == want
+    assert structural_sum(sol, 0) == ForestSum.zero()
+    with pytest.raises(ValueError):
+        structural_sum(sol, 4)
 
 
 def test_rescale_semigroup_and_bounds():

@@ -19,7 +19,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from dsegraphon import graphpoly
-from dsegraphon.trees import Tree, _bareiss_det, all_trees, ladder, leaf
+from dsegraphon.trees import Tree, _bareiss_det, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
                                   corpus_tutte, det_matches_psi,
@@ -30,6 +30,7 @@ from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
 from graph_oracles import (degree_view, dsu_find, grow_unpruned, is_connected,
                            psi_deletion_contraction, tutte_of_partial_sum,
                            tutte_rank_nullity)
+from helpers import all_trees
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -48,16 +49,10 @@ def k4() -> MultiGraph:
 def test_multipoly_basics():
     p = (X + Y) * (X - Y)
     assert p == X * X - Y * Y
-    assert p.coeff({"x": 2}) == 1
-    assert p.coeff({"y": 2}) == -1
-    assert p.coeff({"x": 1, "y": 1}) == 0
+    assert p.terms == {(("x", 2),): 1, (("y", 2),): -1}
     assert p.eval({"x": F(3), "y": F(2)}) == 5
-    assert (X ** 3).partial("x") == 3 * X ** 2
-    assert (X * Y).substitute_zero("y") == MultiPoly()
-    assert (X * Y + X).substitute_zero("y") == X
     assert (X * Y).is_homogeneous(2)
     assert not (X + Y * Y).is_homogeneous()
-    assert (X + Y).variables() == {"x", "y"}
     with pytest.raises(ValueError):
         MultiPoly({(("x", -1),): F(1)})
     with pytest.raises(ValueError):
@@ -210,7 +205,7 @@ def test_canonical_key_is_isomorphism_invariant():
 # -- Tutte ------------------------------------------------------------------------
 
 def test_tutte_anchor_values():
-    assert tutte(MultiGraph(1, [])) == MultiPoly.const(1)
+    assert tutte(MultiGraph(1, [])) == MultiPoly.unit()
     # a tree is a product of bridges
     assert tutte(tree_to_graph(ladder(4))) == X ** 3
     # a bouquet of loops
@@ -246,7 +241,7 @@ def test_corpus_tutte_matches_the_general_tutte():
         assert poly == tutte(g), g
         if g.m <= 5:
             assert poly == tutte_rank_nullity(g), g
-    assert corpus_tutte(0) == [(MultiGraph(1, []), MultiPoly.const(1))]
+    assert corpus_tutte(0) == [(MultiGraph(1, []), MultiPoly.unit())]
     with pytest.raises(ValueError):
         corpus_tutte(-1)
 
@@ -310,7 +305,7 @@ def test_tutte_of_partial_sum_is_bridge_power():
     sol = solve(DSESpec((Cocycle("g", F(1)),), order=3))
     # X1 + X2 + X3 = leaf + 2*l2 + 4*l3 + cherry: edge count 0+2*1+4*2+2
     assert tutte_of_partial_sum(sol, 3) == X ** 12
-    assert tutte_of_partial_sum(sol, 1) == MultiPoly.const(1)
+    assert tutte_of_partial_sum(sol, 1) == MultiPoly.unit()
     frac = solve(DSESpec((Cocycle("g", F(1, 2)),), order=2))
     with pytest.raises(ValueError):
         tutte_of_partial_sum(frac, 2)
@@ -319,7 +314,7 @@ def test_tutte_of_partial_sum_is_bridge_power():
 def _tutte_per_tree(sol, m: int) -> MultiPoly:
     """The product over the forests of the structural sum of their trees'
     deletion-contraction Tutte polynomials, each to its coefficient."""
-    out = MultiPoly.const(1)
+    out = MultiPoly.unit()
     for forest, c in structural_sum(sol, m).terms.items():
         for t in forest:
             out = out * tutte(tree_to_graph(t)) ** int(c)
@@ -343,7 +338,7 @@ def _oracle_subtree_formula(t: Tree) -> MultiPoly:
     x^|E(s)| (y+1)^(|E(s)|-|L(s)|) with L(s) the childless vertices of s
     under the root orientation."""
     g = tree_to_graph(t)
-    total = MultiPoly.const(g.n)
+    total = MultiPoly({(): g.n})
     for r in range(1, g.m + 1):
         for subset in itertools.combinations(g.edges, r):
             verts = {w for e in subset for w in e}
@@ -386,7 +381,7 @@ def w(i: int) -> MultiPoly:
 
 
 def test_psi_anchor_values():
-    assert symanzik_psi(tree_to_graph(ladder(3))) == MultiPoly.const(1)
+    assert symanzik_psi(tree_to_graph(ladder(3))) == MultiPoly.unit()
     assert symanzik_psi(triangle()) == w(1) + w(2) + w(3)
     assert symanzik_psi(MultiGraph(1, [(0, 0)])) == w(1)
     assert symanzik_psi(MultiGraph(2, [(0, 1), (0, 1)])) == w(1) + w(2)
@@ -401,7 +396,7 @@ def test_psi_homogeneous_of_loop_degree():
         ell = loop_number(g)
         assert psi.is_homogeneous(ell)
         if ell == 0:
-            assert psi == MultiPoly.const(1)
+            assert psi == MultiPoly.unit()
 
 
 def test_loop_number():
@@ -1078,4 +1073,4 @@ def test_multipoly_eval_matches_fraction_fold():
     with pytest.raises(ValueError):
         (X * Y + 1).eval({"x": F(1)})
     assert MultiPoly().eval({}) == 0
-    assert MultiPoly.const(F(3, 2)).eval({}) == F(3, 2)
+    assert MultiPoly({(): F(3, 2)}).eval({}) == F(3, 2)

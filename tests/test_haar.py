@@ -26,25 +26,12 @@ U8 = VertexUniverse(8)
 def test_universe_validation():
     with pytest.raises(ValueError):
         VertexUniverse(0)
-    with pytest.raises(ValueError):
-        VertexUniverse(3, alpha=(("a", 1), ("b", 1)))  # rank reused
-    with pytest.raises(ValueError):
-        VertexUniverse(3, alpha=(("a", 1), ("a", 2)))  # id reused
-    with pytest.raises(ValueError):
-        VertexUniverse(3, alpha=(("a", 4),))  # rank beyond depth
 
 
-def test_named_items_and_points():
-    u = VertexUniverse(4, alpha=(("loop", 2), ("vertex", 4)))
-    assert u.rank_of("loop") == 2
-    assert u.rank_of(1) == 1  # unnamed ranks stand for themselves
-    with pytest.raises(KeyError):
-        u.rank_of("unknown")
-    p = u.point(["loop", "vertex"])
-    assert p.ranks() == (2, 4)
-    assert 2 in p and 1 not in p
-    q = u.point_from_ranks([1, 3])
-    assert q.ranks() == (1, 3)
+def test_points_from_ranks():
+    u = VertexUniverse(4)
+    assert u.point_from_ranks([1, 3]) == SolutionPoint(u, 0b101)
+    assert u.point_from_ranks() == u.identity() == SolutionPoint(u, 0)
     with pytest.raises(ValueError):
         u.point_from_ranks([5])
     with pytest.raises(ValueError):
@@ -54,7 +41,7 @@ def test_named_items_and_points():
 def test_group_op_examples():
     x = U8.point_from_ranks([1, 2])
     y = U8.point_from_ranks([2, 3])
-    assert group_op(x, y).ranks() == (1, 3)
+    assert group_op(x, y) == U8.point_from_ranks([1, 3])
     assert group_op(x, U8.identity()) == x
     assert group_op(x, x) == U8.identity()
     assert group_op(x, y) == group_op(y, x)
@@ -80,10 +67,10 @@ def test_distance_examples():
 def test_norm_examples():
     assert norm(U8.identity()) == 0
     assert norm(U8.point_from_ranks([1])) == F(1, 2)
-    assert norm(U8.full()) == 1 - F(1, 256)
-    u20 = VertexUniverse(20)
-    assert norm(u20.full()) == 1 - F(1, 2 ** 20)
-    assert norm(U8.full(), g=2, eps=1) == (1 - F(1, 3 ** 8)) / 2
+    full = SolutionPoint(U8, 2 ** 8 - 1)
+    assert norm(full) == 1 - F(1, 256)
+    assert norm(SolutionPoint(VertexUniverse(20), 2 ** 20 - 1)) == 1 - F(1, 2 ** 20)
+    assert norm(full, g=2, eps=1) == (1 - F(1, 3 ** 8)) / 2
 
 
 def test_metric_properties_random_triples():

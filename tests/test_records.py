@@ -54,10 +54,9 @@ RECORDS = [
      "LaurentSeries((1)*eps^0 + (-1/2)*eps^1; window=(-2, 1))), "
      "counterterms=(LaurentSeries((-2)*eps^-1; window=(-2, 1)), "
      "LaurentSeries((4)*eps^-2; window=(-2, 1))))"),
-    (lambda: VertexUniverse(3, (("a", 2),)),
-     "VertexUniverse(depth=3, alpha=(('a', 2),))"),
+    (lambda: VertexUniverse(3), "VertexUniverse(depth=3)"),
     (lambda: SolutionPoint(VertexUniverse(2), 3),
-     "SolutionPoint(universe=VertexUniverse(depth=2, alpha=()), mask=3)"),
+     "SolutionPoint(universe=VertexUniverse(depth=2), mask=3)"),
     (lambda: BallEstimate(F(1, 2), 3, 7, 4, 5),
      "BallEstimate(r=Fraction(1, 2), hits=3, samples=7, depth=4, seed=5)"),
     (lambda: DensityFingerprint(1, (("2:0-1", F(1, 3)),)),
@@ -155,9 +154,6 @@ def test_keyword_construction_of_the_decoders():
     (lambda: ToyRules(scale=0.5), TypeError, "coefficients must be exact rationals, got float"),
     (lambda: VertexUniverse(0), ValueError, "depth must be a positive integer"),
     (lambda: VertexUniverse(2.0), ValueError, "depth must be a positive integer"),
-    (lambda: VertexUniverse(3, (("a", 1), ("b", 1))), ValueError,
-     "rank assignment must be a bijection"),
-    (lambda: VertexUniverse(3, (("a", 4),)), ValueError, "ranks must lie in 1..3"),
     (lambda: SolutionPoint(VertexUniverse(2), 4), ValueError, "bitset exceeds universe depth"),
     (lambda: SolutionPoint(VertexUniverse(2), -1), ValueError, "bitset exceeds universe depth"),
 ])
