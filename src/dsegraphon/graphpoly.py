@@ -834,8 +834,11 @@ def spanning_tree_count(g: MultiGraph) -> int:
     has none, and the graph without vertices none: both are read from a
     component count over the edges, so the n x n Laplacian is built only
     for a connected graph."""
-    if g.component_count() != 1:
-        return 0
+    return _matrix_tree_count(g) if g.component_count() == 1 else 0
+
+
+def _matrix_tree_count(g: MultiGraph) -> int:
+    """The Laplacian cofactor of a connected graph: its spanning trees."""
     lap = [[0] * g.n for _ in range(g.n)]
     for (u, v) in g.edges:
         if u == v:

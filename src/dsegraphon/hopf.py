@@ -16,6 +16,17 @@ which the test suite verifies exhaustively on low grades; the mirrored
 form with B+ on the right factor fails already at two vertices attached
 to a common root.
 
+The antipode and the convolution read the reduced coproduct of x as
+merged rows: its terms grouped by left forest, each row scaled so that
+its least-code right forest has coefficient 1, and the left forests of
+equal rows summed, so delta'(x) = sum A (x) B with one pair per class of
+proportional rows.  For a DSE generator the pairs are
+c X_k (x) [X^(k+1)]_(n-k) / c (Bergbauer-Kreimer, hep-th/0506190), so
+S(x) = -x - sum S(A) B and (f * g)(x) = f(x) g(1) + f(1) g(x) + sum f(A) g(B)
+recurse over generators, not trees.  Rows and S are cached per element
+scaled to a least-code coefficient of 1; one forest is the base case,
+the per-tree recursion multiplied over its trees.
+
 All maps are linear in ForestSum and exact over the rationals.
 """
 
@@ -24,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .trees import EMPTY_FOREST, Forest, ForestSum, SparseSum, Tree, \
+from .trees import _CODE, EMPTY_FOREST, Forest, ForestSum, SparseSum, Tree, \
     _accumulate, _forest_product, _grafted, _scaled
 
 
@@ -143,17 +154,64 @@ def _antipode_forest(f: Forest) -> ForestSum:
     return ForestSum.product(map(_antipode_tree, f.trees))
 
 
+def _normalized(terms: dict) -> tuple:
+    """(s, y) with ``terms`` less the empty forest equal to s * y and the
+    least-code forest of y at coefficient 1; (0, 0) when nothing is left."""
+    if EMPTY_FOREST in terms:
+        terms = {f: c for f, c in terms.items() if f.trees}
+    s = terms[min(terms, key=_CODE)] if terms else 0
+    if s in (0, 1):
+        return s, ForestSum._make(terms)
+    return s, ForestSum._make(dict.fromkeys(terms, 1) if len(terms) == 1 else
+                              _accumulate({}, _scaled(terms, 1 / Fraction(s))))
+
+
+@cache
+def _merged_rows(y: ForestSum) -> tuple:
+    """Pairs (A, B) with sum A (x) B the reduced coproduct of ``y``, one
+    per class of proportional rows (see the module docstring), each A
+    normalized."""
+    rows: dict = {}
+    for (l, r), c in reduced_coproduct(y).terms.items():
+        rows.setdefault(l, {})[r] = c
+    merged: dict = {}
+    for l, row in rows.items():
+        s, b = _normalized(row)
+        merged.setdefault(b, {})[l] = s
+    # A scaled by 1/s and B by s, with s the coefficient of A's least-code
+    # forest: that B is the row of that forest
+    pairs = []
+    for left in merged.values():
+        a = _normalized(left)[1]
+        pairs.append((a, ForestSum._make(rows[min(a.terms, key=_CODE)])))
+    return tuple(pairs)
+
+
+@cache
+def _antipode_rows(y: ForestSum) -> ForestSum:
+    # S(y) = -y - sum S(A) * B for a normalized y; one forest is the
+    # per-tree base case
+    if len(y.terms) == 1:
+        return _antipode_forest(*y.terms)
+    out = {f: -c for f, c in y.terms.items()}
+    for a, b in _merged_rows(y):
+        _accumulate(out, ((_forest_product(f, r), -c * v)
+                          for f, c in _antipode_rows(a).terms.items() for r, v in b.terms.items()))
+    return ForestSum._make(out)
+
+
 def antipode(x) -> ForestSum:
-    """Antipode, computed by the usual grade recursion.
+    """Antipode over the merged rows of the reduced coproduct (see the
+    module docstring).
 
     Multiplicative over forests; satisfies m (S (x) id) delta = counit * unit,
     which the tests check exhaustively on low grades.
     """
     x = _as_forest_sum(x)
-    out: dict = {}
-    for f, c in x.terms.items():
-        _accumulate(out, _scaled(_antipode_forest(f).terms, c))
-    return ForestSum._make(out)
+    s, y = _normalized(x.terms)
+    out = _accumulate({}, _scaled(_antipode_rows(y).terms, s))
+    unit = x.terms.get(EMPTY_FOREST)
+    return ForestSum._make(_accumulate(out, ((EMPTY_FOREST, unit),)) if unit else out)
 
 
 # -- characters and convolution ----------------------------------------------
@@ -186,7 +244,7 @@ class Character:
         x = _as_forest_sum(x)
         total = None
         for f, c in x.terms.items():
-            term = self.on_forest(f) * c
+            term = self.on_forest(f) if c == 1 else self.on_forest(f) * c
             total = term if total is None else total + term
         if total is None:
             return self.one * Fraction(0)
@@ -197,14 +255,17 @@ class Character:
 
 
 def convolve(f: Character, g: Character, x):
-    """Convolution product (f * g)(x) = sum f(x_1) g(x_2) over the coproduct."""
+    """Convolution product (f * g)(x) = sum f(x_1) g(x_2) over the coproduct,
+    read as f(x) g(1) + f(1) g(x) + sum f(A) g(B) over the merged rows of
+    the reduced coproduct, the empty-forest term of x counted once."""
     if f.target != g.target:
         raise ValueError(f"cannot convolve characters with targets {f.target!r} and {g.target!r}")
     xs = _as_forest_sum(x)
-    total = f.one * Fraction(0)
-    for (l, r), c in coproduct(xs).terms.items():
-        total = total + (f.on_forest(l) * g.on_forest(r)) * c
-    return total
+    s, y = _normalized(xs.terms)
+    cross = f.one * Fraction(0)
+    for a, b in _merged_rows(y):
+        cross = cross + f(a) * g(b)
+    return f(xs) * g.one + (f.one * g(y) + cross) * s
 
 
 def rational_character(rule, name: str = "") -> Character:

@@ -1,16 +1,21 @@
-"""Readers and generators that only the tests use: the JSON decoders
-that read a document's trees, forest sums, Laurent series, graphons and
-polynomials back into package objects, and the enumeration of trees by
-vertex count.  The package decodes only what the CLI reads (equation
-specs, rules and graphs); every decoder here raises ValueError on a JSON
-value that it cannot decode, as the package's own do.
+"""Readers, generators and oracles that only the tests use: the JSON
+decoders that read a document's trees, forest sums, Laurent series,
+graphons and polynomials back into package objects, the enumeration of
+trees by vertex count, and the term-by-term Hopf oracles.  The package
+decodes only what the CLI reads (equation specs, rules and graphs); every
+decoder here raises ValueError on a JSON value that it cannot decode, as
+the package's own do.
 """
+
+from fractions import Fraction
 
 from dsegraphon.graphon import StepGraphon
 from dsegraphon.graphpoly import MultiPoly
+from dsegraphon.hopf import TensorSum, coproduct
 from dsegraphon.renorm import LaurentSeries, ScalePoly
 from dsegraphon.serialize import _window, rational_from_str
-from dsegraphon.trees import Forest, ForestSum, Tree, _is_int, all_forests
+from dsegraphon.trees import EMPTY_FOREST, Forest, ForestSum, Tree, _is_int, \
+    all_forests
 
 
 def all_trees(n: int, labels=("g",)) -> list[Tree]:
@@ -21,6 +26,72 @@ def all_trees(n: int, labels=("g",)) -> list[Tree]:
         return []
     return sorted((Tree(lab, f.trees) for f in all_forests(n - 1, labels)
                    for lab in labels), key=lambda t: t.code)
+
+
+# -- Hopf oracles ------------------------------------------------------------------
+#
+# The coproduct and antipode folds use only the public operators and
+# rebuild an immutable sum at every step (``acc = acc + x``), with a memo
+# of their own; the antipode runs per tree over the reduced coproduct of
+# each tree.  The convolution sums f(l) g(r) over every term of the full
+# coproduct.
+
+def ref_coproduct_tree(t: Tree, memo: dict) -> TensorSum:
+    if t not in memo:
+        d = TensorSum.unit()
+        for child in t.children:
+            d = d * ref_coproduct_tree(child, memo)
+        out = TensorSum.of(EMPTY_FOREST, Forest((t,)))
+        for (l, r), c in d.terms.items():
+            out = out + TensorSum.of(Forest((Tree(t.label, l.trees),)), r, c)
+        memo[t] = out
+    return memo[t]
+
+
+def ref_coproduct(x: ForestSum, memo: dict) -> TensorSum:
+    out = TensorSum.zero()
+    for f, c in x.terms.items():
+        d = TensorSum.unit()
+        for t in f:
+            d = d * ref_coproduct_tree(t, memo)
+        out = out + d * c
+    return out
+
+
+def ref_antipode_tree(t: Tree, memo: dict) -> ForestSum:
+    key = ("S", t)
+    if key not in memo:
+        x = ForestSum.of(t)
+        red = (ref_coproduct(x, memo) - TensorSum.of(Forest((t,)), EMPTY_FOREST)
+               - TensorSum.of(EMPTY_FOREST, Forest((t,))))
+        acc = -1 * x
+        for (l, r), c in red.terms.items():
+            acc = acc - c * (ref_antipode_forest(l, memo) * ForestSum.of(r))
+        memo[key] = acc
+    return memo[key]
+
+
+def ref_antipode_forest(f: Forest, memo: dict) -> ForestSum:
+    out = ForestSum.unit()
+    for t in f:
+        out = out * ref_antipode_tree(t, memo)
+    return out
+
+
+def ref_antipode(x: ForestSum, memo: dict) -> ForestSum:
+    out = ForestSum.zero()
+    for f, c in x.terms.items():
+        out = out + c * ref_antipode_forest(f, memo)
+    return out
+
+
+def ref_convolve(f, g, x):
+    """(f * g)(x) for characters f and g: f(l) g(r) c summed over every
+    term c l (x) r of ``coproduct(x)``."""
+    total = f.one * Fraction(0)
+    for (l, r), c in coproduct(x).terms.items():
+        total = total + (f.on_forest(l) * g.on_forest(r)) * c
+    return total
 
 
 # -- decoders ----------------------------------------------------------------------

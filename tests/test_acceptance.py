@@ -15,10 +15,7 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from dsegraphon.trees import (Forest, ForestSum, Tree, all_forests,
-                              all_forests_up_to, ladder, leaf)
+from dsegraphon.trees import Forest, ForestSum, all_forests_up_to, ladder, leaf
 from dsegraphon.hopf import (TensorSum, antipode, convolve, coproduct,
                              counit, graft, reduced_coproduct)
 from dsegraphon.dse import (Cocycle, DSESpec, rescale, solve, structural_sum,

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from dsegraphon.trees import Forest, ForestSum, Tree, ladder, leaf
+from dsegraphon.trees import ForestSum, Tree, ladder, leaf
 from dsegraphon.hopf import TensorSum, coproduct, graft
 from dsegraphon.dse import (Cocycle, DSESpec, DSESolution, rescale, solve,
                             structural_sum, subalgebra_witness)

@@ -25,9 +25,8 @@ import dsegraphon
 from dsegraphon.trees import ForestSum, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import MultiGraph
-from dsegraphon.graphon import (DensityFingerprint, RefinementError,
-                                SimpleGraph, SizeError, StepGraphon,
-                                _block_sequences, _cell_blocks,
+from dsegraphon.graphon import (RefinementError, SimpleGraph, SizeError,
+                                StepGraphon, _block_sequences, _cell_blocks,
                                 _cut_norm_exact_matrix, _difference_matrix,
                                 _overlay, _weighted_map_sum,
                                 common_refinement, connected_graphs_up_to,

@@ -7,7 +7,6 @@ computations.
 """
 
 import itertools
-import math
 import random
 import time
 import warnings

@@ -6,18 +6,26 @@ edges on the same root path.  Each cut contributes trunk (x) pruned
 forest; the full coproduct adds the empty-trunk term.  The production
 code computes the same object by the grafting recursion, so agreement
 here is a real two-sided check.
+
+The antipode and the convolution read the merged rows of the reduced
+coproduct; they are held to the per-tree antipode and the per-term
+convolution of ``helpers`` on DSE generators, where the rows are the
+closed coproduct, and on arbitrary sums, where they are not.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from dsegraphon import hopf
+from dsegraphon.dse import Cocycle, DSESpec, _graded_power_part, solve
 from dsegraphon.trees import (EMPTY_FOREST, Forest, ForestSum, Tree,
                               all_forests, all_forests_up_to, ladder, leaf)
-from dsegraphon.hopf import (Character, TensorSum, antipode, convolve,
-                             coproduct, counit, graft, rational_character,
-                             reduced_coproduct)
+from dsegraphon.hopf import (TensorSum, antipode, convolve, coproduct, counit,
+                             graft, rational_character, reduced_coproduct)
+from helpers import ref_antipode, ref_convolve
 
 
 def _cut_options(t: Tree):
@@ -256,3 +264,77 @@ def test_convolution_antipode_gives_inverse_character():
     for f in all_forests_up_to(4):
         x = ForestSum.of(f)
         assert convolve(sphi, phi, x) == counit(x)
+
+
+# -- merged rows of the reduced coproduct -----------------------------------------
+
+GENERATOR_SPECS = {
+    "g": DSESpec((Cocycle("g", F(1)),), order=11),
+    "g,h": DSESpec((Cocycle("g", F(1)), Cocycle("h", F(1, 2))), order=9),
+    "three": DSESpec((Cocycle("g", F(1)), Cocycle("h", F(-1, 2)),
+                      Cocycle("k", F(2, 3))), order=8),
+    # no X_n with n > 0 is normalized, so every step scales into the memo
+    "-3/2": DSESpec((Cocycle("g", F(-3, 2)),), order=9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
+def test_antipode_of_generators_matches_the_per_tree_oracle(name):
+    memo: dict = {}
+    for n, x in enumerate(solve(GENERATOR_SPECS[name]).coefficients):
+        assert antipode(x) == ref_antipode(x, memo), n
+
+
+def _random_sum(rng, forests) -> ForestSum:
+    """The empty forest and up to six forests of ``forests``, each with a
+    nonzero rational coefficient."""
+    picked = [EMPTY_FOREST] + rng.sample(forests, rng.randint(1, 6))
+    return ForestSum({f: F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                      for f in picked})
+
+
+def test_antipode_of_random_sums_matches_the_per_tree_oracle():
+    # mixed grades, an empty-forest term, and sums of several generators,
+    # whose rows merge only within one generator
+    rng = random.Random(29)
+    forests = [f for f in all_forests_up_to(5, ("g", "h")) if f.trees]
+    xs = solve(GENERATOR_SPECS["g,h"]).coefficients
+    memo: dict = {}
+    for _ in range(60):
+        x = _random_sum(rng, forests)
+        assert antipode(x) == ref_antipode(x, memo), x
+    for _ in range(20):
+        x = sum((F(rng.randint(-4, 4), rng.randint(1, 3)) * xs[n]
+                 for n in rng.sample(range(1, 8), 3)), ForestSum.unit() * rng.randint(-2, 2))
+        assert antipode(x) == ref_antipode(x, memo), x
+    assert antipode(ForestSum.zero()) == ForestSum.zero()
+    assert antipode(ForestSum.unit() * F(3, 2)) == ForestSum.unit() * F(3, 2)
+
+
+@pytest.mark.parametrize("name", ["g", "g,h"])
+def test_merged_rows_of_a_generator_are_its_closed_coproduct(name):
+    # the reduced coproduct of X_n = s y merges into one pair
+    # c X_k (x) [X^(k+1)]_(n-k) / (c s) per 0 < k < n, c X_k normalized
+    xs = solve(GENERATOR_SPECS[name]).coefficients
+    for n in range(2, len(xs)):
+        s, y = hopf._normalized(xs[n].terms)
+        rows = hopf._merged_rows(y)
+        assert sorted(a.max_grade() for a, _ in rows) == list(range(1, n)), n
+        for a, b in rows:
+            k = a.max_grade()
+            f = min(a.terms, key=lambda f: f.code)
+            c = F(a.terms[f]) / xs[k].terms[f]
+            assert a == c * xs[k], (n, k)
+            assert b * (c * s) == _graded_power_part(xs, k + 1, n - k), (n, k)
+            assert a.terms[f] == 1
+
+
+def test_convolve_matches_the_per_term_oracle():
+    phi = rational_character(lambda t: F(2, t.size + 3), "phi")
+    psi = rational_character(lambda t: F(-3, 2 * t.size + 1), "psi")
+    rng = random.Random(7)
+    forests = [f for f in all_forests_up_to(5, ("g", "h")) if f.trees]
+    xs = solve(GENERATOR_SPECS["-3/2"]).coefficients
+    for x in list(xs) + [_random_sum(rng, forests) for _ in range(40)]:
+        assert convolve(phi, psi, x) == ref_convolve(phi, psi, x), x
+    assert convolve(phi, psi, ForestSum.zero()) == 0

@@ -28,7 +28,7 @@ from dsegraphon.renorm import (BirkhoffPair, LaurentSeries, RenormReport,
                                counterterm_character,
                                renormalize_solution, renormalized_value,
                                rules_character, toy_feynman_rules)
-from helpers import all_trees
+from helpers import all_trees, ref_convolve
 
 
 # -- scale polynomials ---------------------------------------------------------
@@ -534,6 +534,30 @@ def test_tree_factorial_characters_form_a_group():
         want = math.prod((x_plus_y ** t.size * F(1, _tree_factorial(t)) for t in f.trees),
                          start=MultiPoly.unit())
         assert convolve(ax, ay, x) == want, x
+
+
+def test_convolve_matches_the_per_term_oracle_on_series_characters():
+    # the merged-row convolution against the sum over every coproduct
+    # term, for Laurent-valued and polynomial-valued characters, on
+    # forests, generators and a sum with an empty-forest term; a Laurent
+    # value keeps the per-term window as well
+    def a(x):
+        return Character(lambda t: MultiPoly.var(x, t.size, F(1, _tree_factorial(t))),
+                         MultiPoly.unit(), target="poly")
+
+    ax, ay = a("x"), a("y")
+    for rules, spec in ((ToyRules(), DSESpec((Cocycle("g", F(1)),), order=7)),
+                        (ToyRules(**_TWO_LABEL_RULES),
+                         DSESpec((Cocycle("g", F(1)), Cocycle("h", F(1, 2))), order=6))):
+        sr, phi = counterterm_character(rules), rules_character(rules)
+        labels = tuple(c.decoration for c in spec.cocycles)
+        xs = solve(spec).coefficients
+        elements = [ForestSum.of(f) for f in all_forests_up_to(4, labels)] + list(xs) + [
+            xs[5] - 2 * xs[3] + F(1, 2) * ForestSum.unit()]
+        for x in elements:
+            got, want = convolve(sr, phi, x), ref_convolve(sr, phi, x)
+            assert got == want and got.window == want.window, x
+            assert convolve(ax, ay, x) == ref_convolve(ax, ay, x), x
 
 
 def test_renormalization_group_convolution():

@@ -2,11 +2,12 @@
 the coefficient invariant (nonzero; an int exactly where integral), input
 validation, and cache isolation.
 
-The reference folds below use only the public operators and rebuild an
-immutable sum at every step (``acc = acc + x``), with caches of their
-own; the production code accumulates into dicts in place and shares
-per-tree results through module caches.  Equal results on whole
-solution coefficients show that the in-place folds add the same terms.
+The reference folds (here and in ``helpers``) use only the public
+operators and rebuild an immutable sum at every step (``acc = acc + x``),
+with caches of their own; the production code accumulates into dicts in
+place and shares per-tree and per-element results through module caches.
+Equal results on whole solution coefficients show that the in-place
+folds add the same terms.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from dsegraphon.hopf import TensorSum, antipode, coproduct
 from dsegraphon.renorm import LaurentSeries, ScalePoly, ToyRules, _weight
 from dsegraphon.trees import (EMPTY_FOREST, Forest, ForestSum, Tree,
                               all_forests_up_to, ladder, leaf)
-from helpers import all_trees
+from helpers import all_trees, ref_antipode, ref_coproduct
 
 SPECS = {
     "g": DSESpec((Cocycle("g", F(1)),), order=8),
@@ -32,55 +33,6 @@ SPECS = {
 
 
 # -- reference folds, immutable at every step ---------------------------------
-
-def ref_coproduct_tree(t: Tree, memo: dict) -> TensorSum:
-    if t not in memo:
-        d = TensorSum.unit()
-        for child in t.children:
-            d = d * ref_coproduct_tree(child, memo)
-        out = TensorSum.of(EMPTY_FOREST, Forest((t,)))
-        for (l, r), c in d.terms.items():
-            out = out + TensorSum.of(Forest((Tree(t.label, l.trees),)), r, c)
-        memo[t] = out
-    return memo[t]
-
-
-def ref_coproduct(x: ForestSum, memo: dict) -> TensorSum:
-    out = TensorSum.zero()
-    for f, c in x.terms.items():
-        d = TensorSum.unit()
-        for t in f:
-            d = d * ref_coproduct_tree(t, memo)
-        out = out + d * c
-    return out
-
-
-def ref_antipode_tree(t: Tree, memo: dict) -> ForestSum:
-    key = ("S", t)
-    if key not in memo:
-        x = ForestSum.of(t)
-        red = (ref_coproduct(x, memo) - TensorSum.of(Forest((t,)), EMPTY_FOREST)
-               - TensorSum.of(EMPTY_FOREST, Forest((t,))))
-        acc = -1 * x
-        for (l, r), c in red.terms.items():
-            acc = acc - c * (ref_antipode_forest(l, memo) * ForestSum.of(r))
-        memo[key] = acc
-    return memo[key]
-
-
-def ref_antipode_forest(f: Forest, memo: dict) -> ForestSum:
-    out = ForestSum.unit()
-    for t in f:
-        out = out * ref_antipode_tree(t, memo)
-    return out
-
-
-def ref_antipode(x: ForestSum, memo: dict) -> ForestSum:
-    out = ForestSum.zero()
-    for f, c in x.terms.items():
-        out = out + c * ref_antipode_forest(f, memo)
-    return out
-
 
 def ref_solve(spec: DSESpec) -> list[ForestSum]:
     """X_n = sum_j omega_j B+_j(sum over k_1+...+k_(j+1) = n-j of X_k_1...X_k_(j+1))."""
@@ -199,10 +151,22 @@ def _snapshot(per_tree) -> dict:
             for f in all_forests_up_to(3) for t in f.trees}
 
 
+def _snapshot_rows(elements) -> dict:
+    """The merged rows and the antipode of each normalized element, copied."""
+    return {y: (dict(hopf._antipode_rows(y).terms),
+                [(dict(a.terms), dict(b.terms)) for a, b in hopf._merged_rows(y)])
+            for y in elements}
+
+
 def test_cancelling_folds_leave_caches_unchanged():
     cherry, l3 = Tree("g", [leaf("g"), leaf("g")]), ladder(3)
+    xs = solve(SPECS["g"]).coefficients
+    # cherry - l3 is normalized: the cherry has the lesser code
+    elements = [ForestSum.of(cherry) - ForestSum.of(l3)] + [
+        hopf._normalized(x.terms)[1] for x in xs[3:7]]
     coprod_before = _snapshot(hopf._coproduct_tree)
     anti_before = _snapshot(hopf._antipode_tree)
+    rows_before = _snapshot_rows(elements)
 
     # the l2 (x) g terms cancel: 2 from the cherry, -2 from the ladder
     x = ForestSum.of(cherry) - 2 * ForestSum.of(l3)
@@ -212,9 +176,16 @@ def test_cancelling_folds_leave_caches_unchanged():
     # S(cherry) - S(l3) = -cherry + l3: the g*l2 and g^3 terms cancel
     y = ForestSum.of(cherry) - ForestSum.of(l3)
     assert antipode(y) == -1 * y
+    three = 3 * ForestSum.unit()
+    assert antipode(y + three) == three - y and antipode(-2 * y) == 2 * y
+    # a memoized S(X_k), scaled, shifted and added to its negative
+    for k in range(3, 7):
+        assert antipode(xs[k] - three) + three == antipode(xs[k])
+        assert (antipode(F(-1, 2) * xs[k]) * -2 - antipode(xs[k])).terms == {}
 
     assert _snapshot(hopf._coproduct_tree) == coprod_before
     assert _snapshot(hopf._antipode_tree) == anti_before
+    assert _snapshot_rows(elements) == rows_before
 
 
 # -- int and Fraction coefficients ----------------------------------------------

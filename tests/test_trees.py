@@ -1,6 +1,5 @@
 import copy
 import pickle
-from fractions import Fraction as F
 
 import pytest
 
