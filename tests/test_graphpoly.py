@@ -774,19 +774,43 @@ def test_orbit_pruned_growth_matches_keying_every_candidate():
 
 
 def test_growth_keys_one_candidate_per_orbit(monkeypatch):
-    # 7417 candidates at 7 edges when every pair is keyed; one pair per orbit
-    # of the parent's automorphisms leaves 5785, the sum over the parents of
-    # their distinct child classes
-    keys = [0]
-    least_code = graphpoly._least_code
+    # one pair per orbit of the parent's automorphisms leaves 5785
+    # candidates at 7 edges (7417 with every pair); of these, 3845 have
+    # sorted edges not met before and are refined (5450 without the orbit
+    # pruning, 5785 without the sorted-edge lookup); a candidate whose
+    # certificate matches one met before is a relabelling of it and is
+    # skipped, so the full search runs once per class, the seed included,
+    # and on no candidate of a class already found
+    calls = {"_refinement": 0, "_search": 0}
+    for name in calls:
+        def spy(*args, _f=getattr(graphpoly, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
 
-    def spy(n, edges, refine):
-        keys[0] += 1
-        return least_code(n, edges, refine)
+        monkeypatch.setattr(graphpoly, name, spy)
+    assert len(graphpoly._grow(7)) == calls["_search"] == 1682
+    assert calls["_refinement"] == 1 + 3845
 
-    monkeypatch.setattr(graphpoly, "_least_code", spy)
-    graphpoly._grow(7)
-    assert keys[0] == 1 + 5785  # the seed and the candidates
+
+def test_equal_growth_certificates_give_equal_keys():
+    # the certificate (the edge code under the vertex order sorted by
+    # refined colour, then id) of every pair candidate of every class up
+    # to 5 edges, a superset of what the growth pass meets up to 6 edges:
+    # candidates with one certificate have one canonical key
+    keys: dict = {}
+    candidates = 0
+    for g, _ in graphpoly._grow(5).values():
+        for u in range(g.n):
+            for v in range(u, g.n + 1):
+                h = MultiGraph._trusted(g.n + (v == g.n), g.edges + ((u, v),))
+                cells = graphpoly._refinement(h.n, h.edges, refine=True)
+                cert = (h.n, graphpoly._edge_code(h.n, h.edges, cells[3]))
+                key = h.canonical_key()
+                assert keys.setdefault(cert, key) == key, h
+                candidates += 1
+    # every class with 1 to 6 edges, each with one certificate here (the
+    # growth pass first searches a class twice at 9 edges)
+    assert len(set(keys.values())) == len(keys) == 2 + 4 + 11 + 30 + 95 + 328 < candidates
 
 
 # -- canonical key against the exhaustive search -----------------------------------
