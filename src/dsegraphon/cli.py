@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import io
 import json
-import random
 import sys
 import warnings
 from fractions import Fraction
@@ -282,25 +281,13 @@ def _run_tutte(args):
     return config, {"entries": entries}, checks, header, rows
 
 
-def _digits(rng: random.Random, count: int) -> list[int]:
-    """``count`` draws of ``rng.randint(1, 9)``, taken as CPython 3.10-3.13
-    take them: a 4-bit draw, redrawn while it exceeds 8, plus 1."""
-    bits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = bits(4)
-        while r > 8:
-            r = bits(4)
-        out.append(r + 1)
-    return out
-
-
 def _run_symanzik(args):
-    from .graphpoly import det_matches_psi, loop_number, symanzik_psi
+    from .graphpoly import loop_number, symanzik_det_poly, symanzik_psi
     from .serialize import multigraph_to_json, multipoly_to_json
     batch = _graph_batch(args)
+    # the check reads no randomness; the seed stays in the config, which
+    # the recorded digests hash
     config = {"graphs": [multigraph_to_json(g) for g in batch], "seed": args.seed}
-    rng = random.Random(args.seed)
     entries = []
     rows = []
     hom_ok = True
@@ -313,10 +300,7 @@ def _run_symanzik(args):
             print(f"dsegraphon: note: graph {i}: {note.message}", file=sys.stderr)
         loops = loop_number(g)
         homogeneous = psi.is_homogeneous(loops)
-        d = _digits(rng, 6 * g.m)  # three draws of a (num, den) pair per edge
-        pairs = list(zip(d[::2], d[1::2]))
-        draws = [pairs[:g.m], pairs[g.m:2 * g.m], pairs[2 * g.m:]]
-        matches = det_matches_psi(g, psi, draws)
+        matches = symanzik_det_poly(g) == psi
         hom_ok = hom_ok and homogeneous
         det_ok = det_ok and matches
         entries.append({"graph": multigraph_to_json(g),

@@ -55,8 +55,9 @@ cycles under the weights, block-diagonal by component.  The
 determinants here (cycle basis and matrix-tree cofactor) are taken
 over the integers by fraction-free elimination, the cycle basis after
 scaling the weights by the lcm of their denominators.
-``det_matches_psi`` checks the identity at several weight draws on one
-cycle basis, comparing integers only.
+``symanzik_det_poly`` checks the identity exactly, as polynomials: it
+expands det M(w) by Cauchy-Binet over the ell-column minors of the cycle
+matrix, without reading Psi or the spanning forests.
 """
 
 from __future__ import annotations
@@ -770,7 +771,7 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
     (provably, and tested) not the determinant.  The graph without cycles
     gives 1.
     """
-    gram = _cycle_gram(g, tree_choice % g.m if g.m else 0)
+    eta = _cycle_space(g, tree_choice % g.m if g.m else 0)
     w = [None] * g.m
     for j, var in enumerate(g.evars):
         if var not in assignment:
@@ -781,69 +782,61 @@ def symanzik_det(g: MultiGraph, assignment: dict[int, Fraction],
     # matrix is D times M, so det M = det / D**ell
     scale = math.lcm(*(x.denominator for x in w))
     w = [x.numerator * (scale // x.denominator) for x in w]
-    return Fraction(_gram_det(gram, w), scale ** gram[0])
+    gram = [[sum(w[j] * s * cr[j] for j, s in ck.items() if j in cr) for cr in eta]
+            for ck in eta]
+    return Fraction(_bareiss_det(gram), scale ** len(eta))
 
 
-def det_matches_psi(g: MultiGraph, psi: MultiPoly, draws) -> bool:
-    """Whether det M(w) == psi(w) at every weight draw, on one cycle basis.
+def symanzik_det_poly(g: MultiGraph) -> MultiPoly:
+    """det M(w) of ``symanzik_det`` as a polynomial, on the cycles eta of
+    ``_cycle_space(g, 0)``: by Cauchy-Binet, the sum over the ell-sets S of
+    edges of det(eta_S)^2 prod_{e in S} w_e, eta_S the columns S of eta.
 
-    A draw lists one (numerator, denominator) pair of positive integers
-    per edge of ``g``, in edge order; an edge variable shared by several
-    edges takes the last of its pairs.  Each draw is put over the lcm D of
-    its denominators, so the weights D*w are integers.  The Gram matrix at
-    D*w is D times M(w), and a monomial of degree d of psi is D**d times
-    its value at w.  With top the larger of the loop number ell and the
-    degree of psi, the test is the integer identity
-    det M(D*w) * D**(top - ell) == sum_mono c * mono(D*w) * D**(top - d),
-    which is exactly det M(w) == psi(w), homogeneous psi or not.
+    One depth-first pass over the edges in index order chooses S.  Each
+    chosen column is a pivot, and the later columns are reduced against it
+    once (not against the last of S); a column reduced to zero is dropped
+    with every set that holds it, so only sets with det(eta_S) != 0 are
+    reached, and det(eta_S) is the product of their pivots up to sign.  A
+    quotient is an int when it divides exactly, else a Fraction, so eta
+    need not be unimodular.  Neither Psi nor the spanning forests are read.
     """
-    gram = _cycle_gram(g, 0)
-    ell = gram[0]
-    evars = g.evars
-    names = {_wvar(v): v for v in evars}
-    by_degree: dict[int, list] = {}  # d -> [(c, variables repeated by exponent)]
-    for mono, c in psi.terms.items():
-        for v, _ in mono:
-            if v not in names:
-                raise ValueError(f"no value supplied for variable {v!r}")
-        factors = [names[v] for v, e in mono for _ in range(e)]
-        by_degree.setdefault(len(factors), []).append((c, factors))
-    top = max(ell, *by_degree) if by_degree else ell
-    for draw in draws:
-        frac = dict(zip(evars, draw))
-        scale = math.lcm(*(b for _, b in frac.values()))
-        num = {v: a * (scale // b) for v, (a, b) in frac.items()}
-        rhs = sum(scale ** (top - d) * sum(c * math.prod(map(num.__getitem__, fs))
-                                           for c, fs in terms)
-                  for d, terms in by_degree.items())
-        if _gram_det(gram, [num[v] for v in evars]) * scale ** (top - ell) != rhs:
-            return False
-    return True
+    eta = _cycle_space(g, 0)
+    ell, m = len(eta), g.m
+    names = [_wvar(v) for v in g.evars]
+    slack = m - ell  # the columns a set leaves out
+    terms: dict = {}
+    chosen: list[int] = []
 
+    def visit(i: int, cols: list[list], det) -> None:
+        k = len(chosen)
+        if k == ell:
+            exps: dict[str, int] = {}
+            for j in chosen:
+                v = names[j]
+                exps[v] = exps.get(v, 0) + 1
+            _accumulate(terms, ((tuple(sorted(exps.items())), det * det),))
+            return
+        while i - k <= slack:  # the columns left out so far
+            col = cols[i]
+            i += 1
+            for p, piv in enumerate(col):
+                if piv:
+                    later = cols
+                    if k + 1 < ell:  # a full set reads no later column
+                        later = cols[:]
+                        for j in range(i, m):
+                            c = cols[j]
+                            f = c[p]
+                            if f:
+                                q = f // piv if not f % piv else Fraction(f, piv)
+                                later[j] = [a - q * b for a, b in zip(c, col)]
+                    chosen.append(i - 1)
+                    visit(i, later, det * piv)
+                    chosen.pop()
+                    break
 
-def _cycle_gram(g: MultiGraph, shift: int):
-    """(ell, overlaps) for the fundamental cycles of ``_cycle_space(g,
-    shift)``: ell cycles, and for each pair k <= r sharing an edge, the
-    edges j they share with the product of their signs there."""
-    eta = _cycle_space(g, shift)
-    overlaps = []
-    for k, ck in enumerate(eta):
-        for r in range(k, len(eta)):
-            cr = eta[r]
-            shared = [(j, s * cr[j]) for j, s in ck.items() if j in cr]
-            if shared:
-                overlaps.append((k, r, shared))
-    return len(eta), overlaps
-
-
-def _gram_det(gram, w: list[int]) -> int:
-    """det of the Gram matrix M_kr = sum_j w_j eta_kj eta_rj of a
-    ``_cycle_gram`` at the integer edge weights ``w``."""
-    ell, overlaps = gram
-    mat = [[0] * ell for _ in range(ell)]
-    for k, r, shared in overlaps:
-        mat[k][r] = mat[r][k] = sum(w[j] * s for j, s in shared)
-    return _bareiss_det(mat)
+    visit(0, [[c.get(j, 0) for c in eta] for j in range(m)], 1)
+    return MultiPoly._make(terms)
 
 
 def spanning_tree_count(g: MultiGraph) -> int:

@@ -191,11 +191,7 @@ class LaurentSeries(SparseSum):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         hi = min(self.hi + other.lo, self.lo + other.hi)
-        # a term of one factor above hi - (the other's lo) meets no term of
-        # the other that keeps their product at or below hi
-        a = LaurentSeries._make(_through(self.terms, hi - other.lo))
-        b = LaurentSeries._make(_through(other.terms, hi - self.lo))
-        return LaurentSeries._make(_through(SparseSum.__mul__(a, b).terms, hi),
+        return LaurentSeries._make(_through(SparseSum.__mul__(self, other).terms, hi),
                                    (self.lo + other.lo, hi))
 
     __rmul__ = __mul__

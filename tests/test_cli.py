@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dsegraphon
-from dsegraphon.cli import _digits, _json_text, main
+from dsegraphon.cli import _json_text, main
 from dsegraphon.trees import ForestSum, Tree, ladder, leaf
 from helpers import forest_sum_from_json
 
@@ -183,13 +182,35 @@ def test_symanzik_batch(capsys, tmp_path):
     assert all(c["status"] == "PASS" for c in doc["checks"])
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_symanzik_digits_are_the_randint_stream(seed):
-    # the weight digits are drawn 4 bits at a time; they must be the values
-    # of randint(1, 9) and leave the generator where randint leaves it
-    rng, ref = random.Random(seed), random.Random(seed)
-    assert _digits(rng, 10_000) == [ref.randint(1, 9) for _ in range(10_000)]
-    assert rng.getstate() == ref.getstate()
+def test_symanzik_seed_reaches_only_the_config(capsys):
+    # the determinant check is exact, so the seed changes nothing but its
+    # own config entry and the hash of the config
+    docs = [run_json(capsys, ["symanzik", "--max-edges", "6", "--seed", seed])
+            for seed in ("0", "5")]
+    assert [code for code, _ in docs] == [0, 0]
+    (_, a), (_, b) = docs
+    assert (a["config"].pop("seed"), b["config"].pop("seed")) == (0, 5)
+    assert a.pop("config_sha256") != b.pop("config_sha256")
+    assert a == b
+    assert len(a["results"]["entries"]) == 471
+
+
+def test_symanzik_exits_1_when_the_det_identity_fails(capsys, tmp_path, monkeypatch):
+    # a Psi off by one monomial of its own degree stays homogeneous, and
+    # only the determinant check fails
+    from dsegraphon import graphpoly
+    from dsegraphon.graphpoly import MultiPoly, loop_number
+    real = graphpoly.symanzik_psi
+    monkeypatch.setattr(graphpoly, "symanzik_psi", lambda g: real(g) + MultiPoly.var(
+        f"w{g.evars[0]}", loop_number(g)))
+    graphs = _write(tmp_path, "graphs.json", [{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+                                              {"n": 2, "edges": [[0, 1], [0, 1], [0, 1]]}])
+    code, doc = run_json(capsys, ["symanzik", "--graphs", graphs])
+    assert code == 1
+    assert {c["name"]: c["status"] for c in doc["checks"]} == {
+        "symanzik-homogeneity": "PASS", "symanzik-det-identity": "FAIL"}
+    assert [(e["homogeneous"], e["det_matches"]) for e in doc["results"]["entries"]] \
+        == [(True, False)] * 2
 
 
 def test_haar_sweep(capsys):

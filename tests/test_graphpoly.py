@@ -21,11 +21,10 @@ from dsegraphon import graphpoly
 from dsegraphon.trees import Tree, _bareiss_det, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
 from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
-                                  corpus_tutte, det_matches_psi,
-                                  generate_connected_multigraphs,
+                                  corpus_tutte, generate_connected_multigraphs,
                                   least_edge_code, loop_number, spanning_tree_count,
-                                  spanning_forests, symanzik_det, symanzik_psi,
-                                  tree_to_graph, tutte)
+                                  spanning_forests, symanzik_det, symanzik_det_poly,
+                                  symanzik_psi, tree_to_graph, tutte)
 from graph_oracles import (degree_view, dsu_find, grow_unpruned, is_connected,
                            psi_deletion_contraction, tutte_of_partial_sum,
                            tutte_rank_nullity)
@@ -443,7 +442,6 @@ def test_isolated_vertices_cost_nothing():
     edges = [(5, 999_999), (70_000, 999_999), (5, 70_000)]
     g = MultiGraph(10 ** 6, edges)
     tri = MultiGraph(3, [(0, 2), (1, 2), (0, 1)])
-    draws = [[(1, 2), (3, 1), (2, 5)], [(4, 1), (1, 1), (7, 3)]]
 
     def contractions(h):
         # vertex count less the graph's, then the contraction on its core
@@ -455,7 +453,7 @@ def test_isolated_vertices_cost_nothing():
         with pytest.warns(DisconnectedNotice):
             psi = symanzik_psi(g)
         got = (tutte(g), psi, loop_number(g), g.component_count(),
-               list(spanning_forests(g)), det_matches_psi(g, psi, draws),
+               list(spanning_forests(g)), symanzik_det_poly(g),
                [graphpoly._cycle_space(g, s) for s in range(3)],
                [symanzik_det(g, {1: 2, 2: 3, 3: F(5, 7)}, s) for s in range(3)],
                [g.is_bridge(i) for i in range(3)], contractions(g),
@@ -465,7 +463,7 @@ def test_isolated_vertices_cost_nothing():
         tracemalloc.stop()
     assert peak < 10 ** 6  # under a byte per vertex
     assert got == (tutte(tri), symanzik_psi(tri), loop_number(tri), 10 ** 6 - 2,
-                   list(spanning_forests(tri)), True,
+                   list(spanning_forests(tri)), symanzik_psi(tri),
                    [graphpoly._cycle_space(tri, s) for s in range(3)],
                    [symanzik_det(tri, {1: 2, 2: 3, 3: F(5, 7)}, s) for s in range(3)],
                    [False] * 3, contractions(tri),
@@ -594,17 +592,6 @@ def test_det_matches_psi_at_every_tree_choice_on_random_multigraphs():
             assert symanzik_det(h, assignment, tree_choice=choice) == want, (h, choice)
 
 
-def _per_call_det_matches(g: MultiGraph, psi: MultiPoly, draws) -> bool:
-    """The check of ``det_matches_psi`` with one ``symanzik_det`` and one
-    ``MultiPoly.eval`` per draw, in Fractions."""
-    ok = True
-    for draw in draws:
-        assignment = {v: F(a, b) for v, (a, b) in zip(g.evars, draw)}
-        values = {f"w{v}": a for v, a in assignment.items()}
-        ok = ok and symanzik_det(g, assignment) == psi.eval(values)
-    return ok
-
-
 def _random_disconnected_multigraph(rng) -> MultiGraph:
     """Two or three random connected multigraphs (loops and parallel edges
     among them) and up to two isolated vertices, with the vertices and the
@@ -675,44 +662,85 @@ def test_spanning_forests_match_the_per_subset_enumeration():
         assert list(spanning_forests(g)) == list(_per_subset_spanning_forests(g)), g
 
 
-def test_det_matches_psi_on_one_basis_agrees_with_per_call_evaluation():
-    # Psi itself, Psi off by a monomial of lower or higher degree, on
-    # connected and disconnected multigraphs with loops and parallel edges,
-    # and on edges sharing a variable
-    rng = random.Random(17)
-    graphs = [MultiGraph(0, []), MultiGraph(1, [(0, 0)] * 3), k4(),
+def _brute_force_cauchy_binet(g: MultiGraph, eta) -> MultiPoly:
+    """sum over every ell-subset S of the edges of det(eta_S)^2 prod_{e in
+    S} w_e, one Bareiss determinant per minor of the cycle matrix eta."""
+    out = MultiPoly.zero()
+    for subset in itertools.combinations(range(g.m), len(eta)):
+        d = _bareiss_det([[c.get(j, 0) for j in subset] for c in eta])
+        if d:
+            out = out + MultiPoly.product(w(g.evars[j]) for j in subset) * (d * d)
+    return out
+
+
+def _det_poly_graphs(rng) -> list[MultiGraph]:
+    """The empty graph, a bouquet, K4, K5, K3,3, a graph whose edges share
+    variables, and random connected and disconnected multigraphs with
+    loops, parallel edges and isolated vertices."""
+    graphs = [MultiGraph(0, []), MultiGraph(3, []), MultiGraph(1, [(0, 0)] * 3), k4(),
+              MultiGraph(5, list(itertools.combinations(range(5), 2))),
+              MultiGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
               MultiGraph(3, [(0, 1), (1, 2), (0, 2), (1, 1)], evars=(1, 1, 2, 2))]
     graphs += [_random_connected_multigraph(rng, 6, 6) for _ in range(40)]
-    graphs += [_random_disconnected_multigraph(rng) for _ in range(40)]
-    for g in graphs:
+    return graphs + [_random_disconnected_multigraph(rng) for _ in range(40)]
+
+
+def test_det_poly_equals_psi_on_the_corpus():
+    corpus = generate_connected_multigraphs(6)
+    assert len(corpus) == 471
+    for g in corpus:
+        assert symanzik_det_poly(g) == symanzik_psi(g), g
+
+
+def test_det_poly_equals_psi_on_random_multigraphs():
+    # shared edge variables give exponents above 1 and sets that meet in
+    # one monomial; K5 and K3,3 give bases whose signs no row or column
+    # flip removes
+    for g in _det_poly_graphs(random.Random(17)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DisconnectedNotice)
             psi = symanzik_psi(g)
-        draws = [[(rng.randint(1, 9), rng.randint(1, 9)) for _ in g.evars]
-                 for _ in range(3)]
-        assert det_matches_psi(g, psi, draws), g
-        for off in (1, MultiPoly.var(f"w{g.evars[0]}", 2) if g.m else 2,
-                    MultiPoly.product([psi, psi])):
-            wrong = psi + off
-            assert det_matches_psi(g, wrong, draws) == \
-                _per_call_det_matches(g, wrong, draws), (g, off)
+        assert symanzik_det_poly(g) == psi, g
+    shared = MultiGraph(3, [(0, 1), (1, 2), (0, 2), (1, 1)], evars=(1, 1, 2, 2))
+    assert symanzik_det_poly(shared) == 2 * w(1) * w(2) + w(2) * w(2)
 
 
-def test_det_matches_psi_on_a_polynomial_that_is_not_homogeneous():
-    # the triangle has loop number 1; psi + w1*w2*(3*w1 - 2) has degrees 1,
-    # 2 and 3 and equals Psi exactly where w1 = 2/3
-    g = triangle()
-    psi = symanzik_psi(g)
-    w1, w2 = MultiPoly.var("w1"), MultiPoly.var("w2")
-    q = psi + w1 * w2 * (3 * w1 - 2)
-    assert not q.is_homogeneous()
-    hit = [[(2, 3), (5, 7), (1, 4)], [(4, 6), (9, 2), (3, 3)]]
-    miss = [[(2, 3), (5, 7), (1, 4)], [(1, 3), (9, 2), (3, 3)]]
-    for draws, want in ((hit, True), (miss, False)):
-        assert det_matches_psi(g, q, draws) is want
-        assert _per_call_det_matches(g, q, draws) is want
-    with pytest.raises(ValueError):
-        det_matches_psi(g, psi + MultiPoly.var("w9"), hit)
+def test_det_poly_equals_brute_force_cauchy_binet():
+    rng = random.Random(19)
+    for g in _det_poly_graphs(rng):
+        eta = graphpoly._cycle_space(g, 0)
+        assert symanzik_det_poly(g) == _brute_force_cauchy_binet(g, eta), g
+
+
+def test_det_poly_does_not_assume_a_unimodular_cycle_matrix(monkeypatch):
+    # integer matrices with entries up to 3 in place of the cycles: pivots
+    # that do not divide give Fraction quotients, and the squared minors
+    # still come out exact; rows (2, 3) and (3, 1) reduce by 3/2 to det -7
+    two = MultiGraph(1, [(0, 0)] * 2)
+    cases = [(two, [{0: 2, 1: 3}, {0: 3, 1: 1}])]
+    rng = random.Random(23)
+    for _ in range(60):
+        g = MultiGraph(1, [(0, 0)] * rng.randint(0, 6))
+        cases.append((g, [{j: x for j in range(g.m) if (x := rng.randint(-3, 3))}
+                          for _ in range(rng.randint(0, g.m))]))
+    squares = set()
+    for g, eta in cases:
+        monkeypatch.setattr(graphpoly, "_cycle_space", lambda g, shift, eta=eta: eta)
+        want = _brute_force_cauchy_binet(g, eta)
+        assert symanzik_det_poly(g) == want, (g, eta)
+        squares.update(want.terms.values())
+    assert _brute_force_cauchy_binet(*cases[0]) == 49 * w(1) * w(2)
+    assert max(squares) > 100  # minors far from +-1
+
+
+def test_det_poly_evaluates_to_symanzik_det_at_every_tree_choice():
+    rng = random.Random(29)
+    for g in _det_poly_graphs(rng):
+        poly = symanzik_det_poly(g)
+        for choice in range(g.m + 1):
+            assignment = {v: F(rng.randint(-9, 9) or 1, rng.randint(1, 12)) for v in g.evars}
+            got = symanzik_det(g, assignment, tree_choice=choice)
+            assert got == poly.eval({f"w{v}": a for v, a in assignment.items()}), (g, choice)
 
 
 def test_psi_deletion_contraction_split():
