@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import sys
-import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -261,7 +260,7 @@ def _run_tutte(args):
     rows = []
     all_ok = True
     for g, poly in batch:
-        t11 = poly.eval({"x": Fraction(1), "y": Fraction(1)})
+        t11 = sum(poly.terms.values())  # T(1, 1): every monomial is 1 there
         # one union-find count; the cofactor counts only a connected graph
         connected = g.component_count() == 1
         trees = _matrix_tree_count(g) if connected else None
@@ -282,7 +281,7 @@ def _run_tutte(args):
 
 
 def _run_symanzik(args):
-    from .graphpoly import loop_number, symanzik_det_poly, symanzik_psi
+    from .graphpoly import symanzik_det_poly, symanzik_psi
     from .serialize import multigraph_to_json, multipoly_to_json
     batch = _graph_batch(args)
     # the check reads no randomness; the seed stays in the config, which
@@ -293,12 +292,13 @@ def _run_symanzik(args):
     hom_ok = True
     det_ok = True
     for i, g in enumerate(batch):
-        with warnings.catch_warnings(record=True) as notes:
-            warnings.simplefilter("always")
-            psi = symanzik_psi(g)
-        for note in notes:
-            print(f"dsegraphon: note: graph {i}: {note.message}", file=sys.stderr)
-        loops = loop_number(g)
+        psi = symanzik_psi(g)
+        components = g.component_count()
+        if components > 1:
+            print(f"dsegraphon: note: graph {i}: disconnected graph: Symanzik "
+                  "polynomial summed over spanning forests, the product of its "
+                  "components'", file=sys.stderr)
+        loops = g.m - g.n + components
         homogeneous = psi.is_homogeneous(loops)
         matches = symanzik_det_poly(g) == psi
         hom_ok = hom_ok and homogeneous

@@ -29,11 +29,12 @@ entry (every validated graphon) or no positive entry, the full square
 attains the maximum, so the cut norm is |total mass|; both modes return
 that closed form in O(k^2) at any number of blocks.  Mixed-sign matrices
 (perturbation directions, differences of graphons) take the general
-path.  Exact mode decomposes the support into connected components (the
-maximum splits across components) and enumerates subsets per component
-with Gray-code updates, up to 20 blocks; heuristic mode runs randomized
-alternating maximization and certifies the best pair it finds with exact
-arithmetic, so it reports a true lower bound.
+path.  Exact mode groups the support into connected components with
+``graphpoly``'s union-find (the maximum splits across components) and
+enumerates subsets per component with Gray-code updates, up to 20
+blocks; heuristic mode runs randomized alternating maximization and
+certifies the best pair it finds with exact arithmetic, so it reports a
+true lower bound.
 
 Cut distance minimizes the cut norm of the difference over
 measure-preserving relabelings of the cells of the common equal-measure
@@ -72,8 +73,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .trees import ForestSum, Record, _as_coeff
-from .graphpoly import MultiGraph, generate_connected_multigraphs, \
+from .trees import ForestSum, Frozen, Record, _as_coeff
+from .graphpoly import MultiGraph, _groups, generate_connected_multigraphs, \
     least_edge_code, tree_to_graph
 
 EXACT_CUTNORM_BLOCK_LIMIT = 20
@@ -94,7 +95,7 @@ class RefinementError(ValueError):
     partition is too fine and the overlay alignment is not certified."""
 
 
-class StepGraphon:
+class StepGraphon(Frozen):
     """Symmetric block step function with rational measures and values.
 
     The values are stored as integer numerators ``nums`` over one least
@@ -131,9 +132,6 @@ class StepGraphon:
         if not direction and (min(map(min, nums)) < 0 or max(map(max, nums)) > den):
             raise ValueError("graphon values must lie in [0,1]")
         _set_slots(self, mu, den, nums)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepGraphon is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, StepGraphon) and self.measures == other.measures
@@ -289,25 +287,6 @@ def _mass_numerators(w: StepGraphon):
             scale * scale * w.den)
 
 
-def _support_components(mat: list[list[int]]) -> list[list[int]]:
-    """The support components of the symmetric ``mat``, each sorted."""
-    every = range(len(mat))
-    seen = [False] * len(mat)
-    comps = []
-    for s in every:
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for u in comp:  # grows while it is read: a breadth-first search
-            for v in itertools.compress(every, mat[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _component_extrema(mat: list[list[int]], comp: list[int]):
     """(max, min) of sum_{i in S, j in T} mat[i][j] over S,T subsets of comp."""
     p = len(comp)
@@ -354,7 +333,9 @@ def _sign_definite(rows) -> bool:
 def _cut_norm_exact_matrix(mat, scale: int, cap: int | None = None):
     """Exact cut norm of ``mat`` over ``scale`` as a Fraction, or None when
     a support component has more than ``cap`` cells."""
-    comps = _support_components(mat)
+    k = len(mat)
+    comps = _groups(k, [(i, j) for i, row in enumerate(mat)
+                        for j in itertools.compress(range(i + 1, k), row[i + 1:])])
     if cap is not None and max(map(len, comps)) > cap:
         return None
     if _sign_definite(mat):

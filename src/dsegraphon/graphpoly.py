@@ -4,15 +4,15 @@ Multigraphs allow parallel edges and self-loops.  Each edge carries a
 stable variable index so that deletion and contraction keep the naming
 of Symanzik variables intact.
 
-Components come from one union-find pass, ``_roots``.  Cycles come from
-one spanning-forest pass, ``_cycle_space``: one fundamental cycle per
-edge left out of the forest.  A bridge is an edge that is not a loop
-and lies on none of these cycles.  These passes, the spanning forests
-and the Tutte polynomial run on ``_core``, the vertices that meet an
-edge relabelled in increasing order, and count each isolated vertex as
-one component: the edges keep their indices, so the forests, cycles and
-polynomials are those of the whole graph, at a cost in its edges rather
-than its vertex count.
+Components come from one union-find pass, ``_groups``, which also gives
+``graphon``'s support components.  Cycles come from one spanning-forest
+pass, ``_cycle_space``: one fundamental cycle per edge left out of the
+forest.  A bridge is an edge that is not a loop and lies on none of these
+cycles.  These passes, the spanning forests and the Tutte polynomial run
+on ``_core``, the vertices that meet an edge relabelled in increasing
+order, and count each isolated vertex as one component: the edges keep
+their indices, so the forests, cycles and polynomials are those of the
+whole graph, at a cost in its edges rather than its vertex count.
 
 The Tutte polynomial is the product over the connected components of
 one ``functools.cache`` entry per isomorphism class, keyed by
@@ -63,18 +63,13 @@ matrix, without reading Psi or the spanning forests.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from functools import cache
 
-from .trees import SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, _is_int
+from .trees import Frozen, SparseSum, Tree, _accumulate, _as_coeff, _bareiss_det, \
+    _is_int
 
 TUTTE_EDGE_LIMIT = 24
-
-
-class DisconnectedNotice(UserWarning):
-    """Emitted when Psi is taken of a disconnected graph: its spanning
-    forests are not trees, and Psi is the product of the components'."""
 
 
 # -- multivariate polynomials -------------------------------------------------
@@ -154,7 +149,7 @@ class MultiPoly(SparseSum):
 
 # -- multigraphs ---------------------------------------------------------------
 
-class MultiGraph:
+class MultiGraph(Frozen):
     """Multigraph on vertices 0..n-1 with loops and parallel edges.
 
     ``evars`` are the stable Symanzik variable indices of the edges, and
@@ -208,9 +203,6 @@ class MultiGraph:
         ev = self._evars
         return tuple(range(1, len(self.edges) + 1)) if ev is None else ev
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __eq__(self, other):
         return (isinstance(other, MultiGraph) and self.n == other.n
                 and self.edges == other.edges and self._evars == other._evars)
@@ -243,27 +235,23 @@ class MultiGraph:
         ev = self.evars
         return MultiGraph._trusted(self.n - 1, es[:i] + es[i + 1:], ev[:i] + ev[i + 1:])
 
-    def component_count(self, edge_subset=None) -> int:
-        edges = self.edges if edge_subset is None else [self.edges[i] for i in edge_subset]
-        k, edges = _core(self.n, edges)
-        return len(set(_roots(k, edges))) + self.n - k
+    def component_count(self) -> int:
+        k, edges = _core(self.n, self.edges)
+        return len(_groups(k, edges)) + self.n - k
 
     def components(self) -> list["MultiGraph"]:
         """Connected components as plain MultiGraphs; a connected one is itself."""
-        groups: dict[int, list[int]] = {}
-        for w, r in enumerate(_roots(self.n, self.edges)):
-            groups.setdefault(r, []).append(w)
+        groups = _groups(self.n, self.edges)
         if len(groups) == 1 and type(self) is MultiGraph:
             return [self]
         evars = self.evars
         out = []
-        for verts in groups.values():
+        for verts in groups:
             index = {w: i for i, w in enumerate(verts)}
-            vset = set(verts)
             es = []
             ev = []
             for (u, v), var in zip(self.edges, evars):
-                if u in vset:
+                if u in index:
                     es.append((index[u], index[v]))
                     ev.append(var)
             out.append(MultiGraph._trusted(len(verts), tuple(es), tuple(ev)))
@@ -278,7 +266,8 @@ class MultiGraph:
         """(n, smallest edge code over all vertex orders that list the
         refined colour cells in colour order), an exact isomorphism
         certificate: equal exactly for isomorphic graphs."""
-        return (self.n, _least_code(self.n, self.edges, refine=True)[0])
+        n, edges = self.n, self.edges
+        return (n, _search(n, edges, _refinement(n, edges, True))[0])
 
 
 def _core(n: int, edges) -> tuple[int, tuple]:
@@ -294,9 +283,10 @@ def _core(n: int, edges) -> tuple[int, tuple]:
     return len(index), tuple((index[u], index[v]) for u, v in edges)
 
 
-def _roots(n: int, edges) -> list[int]:
-    """The root of each vertex in a union-find over ``edges``, with path
-    halving: two vertices share a root exactly when they are connected."""
+def _groups(n: int, edges) -> list[list[int]]:
+    """The vertex sets of the connected components of the graph on n
+    vertices with ``edges``, each in increasing order, listed by their
+    least vertex: one union-find pass over ``edges``, with path halving."""
     parent = list(range(n))
     for (u, v) in edges:
         while parent[u] != u:
@@ -304,13 +294,13 @@ def _roots(n: int, edges) -> list[int]:
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         parent[u] = v
-    out = []
+    groups: dict[int, list[int]] = {}
     for w in range(n):
         x = w
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
-        out.append(x)
-    return out
+        groups.setdefault(x, []).append(w)
+    return list(groups.values())
 
 
 def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
@@ -318,12 +308,14 @@ def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
     order starting at position ``shift``, from vertex 0 and then from
     each vertex not yet reached.
 
-    Each vertex keeps its signed root path (edge -> +1 where the path runs
-    from the lower to the higher endpoint, -1 against it).  Each edge left
-    out of the forest gives the cycle edge + path[u] - path[v]: the shared
-    prefix cancels, so every entry is +-1, and a loop gives a cycle of one
-    edge.  The cycles are a basis of the cycle space, so their supports
-    cover exactly the edges that lie on some cycle.
+    Each vertex keeps its depth, its parent, and its forest edge with the
+    sign of its way down (+1 from the lower to the higher endpoint, -1
+    against it).  Each edge (u, v) left out of the forest gives the cycle
+    edge + path(u) - path(v), the signed forest paths down to u and v from
+    their common ancestor, found by a walk up from both ends: every entry
+    is +-1, a loop gives a cycle of one edge, and the cost is linear in the
+    edges and the cycles' lengths.  The cycles are a basis of the cycle
+    space, so their supports cover exactly the edges on some cycle.
     """
     n, edges = _core(g.n, g.edges)
     order = list(range(shift, g.m)) + list(range(shift))
@@ -333,28 +325,40 @@ def _cycle_space(g: MultiGraph, shift: int) -> list[dict[int, int]]:
         if u != v:
             adj[u].append(j)
             adj[v].append(j)
-    path: list[dict[int, int] | None] = [None] * n
+    depth = [-1] * n  # -1 until reached
+    parent = [0] * n
+    down: list = [None] * n  # (forest edge, sign) into each vertex
     in_tree = [False] * g.m
     for r in range(n):
-        if path[r] is not None:
+        if depth[r] >= 0:
             continue
-        path[r] = {}
+        depth[r] = 0
         stack = [r]
         while stack:
             x = stack.pop()
             for j in adj[x]:
                 u, v = edges[j]
                 y = v if x == u else u
-                if path[y] is None:
-                    path[y] = {**path[x], j: 1 if x == u else -1}
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
+                    parent[y] = x
+                    down[y] = (j, 1 if x == u else -1)
                     in_tree[j] = True
                     stack.append(y)
     cycles = []
     for j in order:
         if not in_tree[j]:
-            pu, pv = (path[x] for x in edges[j])
-            cyc = {e: s for e, s in pu.items() if e not in pv}
-            cyc.update((e, -s) for e, s in pv.items() if e not in pu)
+            x, y = edges[j]
+            up_x, up_y = [], []  # the forest edges up to the common ancestor
+            while x != y:
+                if depth[x] >= depth[y]:
+                    up_x.append(down[x])
+                    x = parent[x]
+                else:
+                    up_y.append(down[y])
+                    y = parent[y]
+            cyc = dict(reversed(up_x))
+            cyc.update((e, -s) for e, s in reversed(up_y))
             cyc[j] = 1
             cycles.append(cyc)
     return cycles
@@ -383,17 +387,7 @@ def _refine_colors(n: int, loops: list[int], adj: list[dict[int, int]]) -> list[
 def least_edge_code(g: MultiGraph) -> tuple:
     """The least sorted edge code over all vertex orders: the search of
     ``MultiGraph.canonical_key`` started from one cell holding every vertex."""
-    return _least_code(g.n, g.edges, refine=False)[0]
-
-
-def _least_code(n: int, edges: tuple, refine: bool) -> tuple[tuple, list[list[int]]]:
-    """(code, automorphisms) of the graph on n vertices with ``edges``:
-    the least edge code over the vertex orders that list the starting
-    cells (the colour-refinement cells, or one cell) in order, and the
-    automorphisms that the search found, as vertex maps: its twin
-    transpositions and the maps between tied leaves.  Cells of one vertex
-    each leave none to find."""
-    return _search(n, edges, _refinement(n, edges, refine))
+    return _search(g.n, g.edges, _refinement(g.n, g.edges, False))[0]
 
 
 def _refinement(n: int, edges: tuple, refine: bool) -> tuple:
@@ -415,7 +409,12 @@ def _refinement(n: int, edges: tuple, refine: bool) -> tuple:
 
 
 def _search(n: int, edges: tuple, refinement: tuple) -> tuple[tuple, list[list[int]]]:
-    """``_least_code`` from a ``_refinement`` of the graph."""
+    """(code, automorphisms) of the graph on n vertices with ``edges``,
+    from its ``_refinement``: the least edge code over the vertex orders
+    that list the starting cells (the colour-refinement cells, or one
+    cell) in order, and the automorphisms that the search found, as vertex
+    maps: its twin transpositions and the maps between tied leaves.  Cells
+    of one vertex each leave none to find."""
     loops, adj, colors, order = refinement
     if n and colors[order[-1]] < n - 1:
         order, autos = _least_order(n, loops, adj, colors, order)
@@ -735,8 +734,8 @@ def spanning_forests(g: MultiGraph):
 
 def symanzik_psi(g: MultiGraph) -> MultiPoly:
     """First Symanzik polynomial: sum over maximal spanning forests of the
-    product of the complementary edge variables.  A disconnected graph
-    gets a notice: its Psi is the product of its components'."""
+    product of the complementary edge variables; on a disconnected graph
+    the product of its components'."""
     terms: dict = {}
     names = [_wvar(v) for v in g.evars]
     m = g.m
@@ -748,11 +747,6 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
                 v = names[j]
                 exps[v] = exps.get(v, 0) + 1
         _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
-    # there is always a forest, and each has n - c edges for c components
-    if g.n - len(forest) > 1:
-        warnings.warn("disconnected graph: Symanzik polynomial summed over "
-                      "spanning forests, the product of its components'",
-                      DisconnectedNotice, stacklevel=2)
     return MultiPoly._make(terms)
 
 

@@ -22,6 +22,7 @@ plus a fixed working set of about 2 MB.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
@@ -38,14 +39,6 @@ class VertexUniverse(Record):
         if not isinstance(depth, int) or depth < 1:
             raise ValueError("depth must be a positive integer")
         super().__init__(depth)
-
-    def point_from_ranks(self, ranks=()) -> "SolutionPoint":
-        mask = 0
-        for r in ranks:
-            if not (1 <= r <= self.depth):
-                raise ValueError(f"rank {r} outside 1..{self.depth}")
-            mask |= 1 << (r - 1)
-        return SolutionPoint(self, mask)
 
     def identity(self) -> "SolutionPoint":
         return SolutionPoint(self, 0)
@@ -105,11 +98,15 @@ def norm(x: SolutionPoint, g=1, eps=1) -> Fraction:
 
 
 def sample_haar(depth: int, seed: int = 0) -> SolutionPoint:
-    """One Haar sample: an independent fair coin per rank."""
-    norm_int = int(_draw_norm_ints(depth, 1, seed)[0])
-    # the integer holds the coin of rank r at weight 2^(depth-r)
-    return VertexUniverse(depth).point_from_ranks(
-        r for r in range(1, depth + 1) if norm_int >> (depth - r) & 1)
+    """One Haar sample: an independent fair coin per rank, the bits of one
+    ``random.Random(seed)`` draw (bit r - 1 is rank r)."""
+    _check_depth(depth)
+    return SolutionPoint(VertexUniverse(depth), random.Random(seed).getrandbits(depth))
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 1 or depth > 62:
+        raise ValueError("depth must lie in 1..62")
 
 
 # rows of coins drawn, and sorted norms walked, at a time: 2^12 rows of
@@ -126,8 +123,7 @@ def _draw_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
     a single (n, depth) block.
     """
     import numpy as np
-    if depth < 1 or depth > 62:
-        raise ValueError("depth must lie in 1..62")
+    _check_depth(depth)
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(key=seed))

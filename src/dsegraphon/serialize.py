@@ -79,11 +79,8 @@ def dse_spec_from_json(obj) -> DSESpec:
         raise ValueError("each cocycle must be an object with 'decoration' and 'omega'")
     cocycles = tuple(Cocycle(c["decoration"], rational_from_str(c["omega"]))
                      for c in raw)
-    order = obj.get("order")
-    if isinstance(order, bool):
-        raise ValueError("truncation order must be a positive integer")
     coupling = rational_from_str(obj.get("coupling", "1"))
-    return DSESpec(cocycles=cocycles, order=order, coupling=coupling)
+    return DSESpec(cocycles=cocycles, order=obj.get("order"), coupling=coupling)
 
 
 def solution_to_json(sol: DSESolution) -> list:

@@ -28,9 +28,11 @@ Decorations are plain nonempty strings.  The characters ``[``, ``]`` and
 The grading used everywhere in this package is the total number of
 vertices.
 
-``Record`` is the base of the small immutable value classes of every
-layer (equation specs and solutions, rules, reports, estimates).  It
-lives here because every layer imports this module, and a plain base
+Every immutable value type derives from ``Frozen``, which refuses
+assignment and deletion: its subclasses set their attributes once with
+``object.__setattr__``.  ``Record`` is the base of the small value classes
+of every layer (equation specs and solutions, rules, reports, estimates).
+Both live here because every layer imports this module, and a plain base
 class costs no import, where the standard library's record decorator
 would load ``inspect`` and ``ast`` into every process.
 """
@@ -47,7 +49,19 @@ _CODE = attrgetter("code")
 _SIZE = attrgetter("size")
 
 
-class Record:
+class Frozen:
+    """Base of the immutable value types: assigning or deleting an
+    attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Record(Frozen):
     """Immutable value record; a subclass lists its ``_fields`` in order.
 
     Equal only to a record of the same class (``NotImplemented``
@@ -83,11 +97,6 @@ class Record:
         return type(self).__qualname__ + "(" + ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
 
 def check_decoration(label: str) -> str:
     if not isinstance(label, str) or not label:
@@ -97,7 +106,7 @@ def check_decoration(label: str) -> str:
     return label
 
 
-class Tree:
+class Tree(Frozen):
     """A decorated rooted tree with unordered children; interned by code."""
 
     __slots__ = ("label", "children", "code", "size")
@@ -120,9 +129,6 @@ class Tree:
 
     def __reduce__(self):
         return Tree, (self.label, self.children)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tree is immutable")
 
     def __lt__(self, other: "Tree"):
         return self.code < other.code
@@ -153,7 +159,7 @@ def ladder(n: int, label: str = "g") -> Tree:
     return t
 
 
-class Forest:
+class Forest(Frozen):
     """A finite multiset of trees; the monomials of the tree algebra.
 
     Interned by code, like Tree; the product is cached per pair.
@@ -166,9 +172,6 @@ class Forest:
 
     def __reduce__(self):
         return Forest, (self.trees,)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Forest is immutable")
 
     def __lt__(self, other: "Forest"):
         return self.code < other.code
@@ -293,7 +296,7 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * rows[0][0] if rows else 1
 
 
-class SparseSum:
+class SparseSum(Frozen):
     """Immutable finite rational linear combination of hashable keys.
 
     Invariant: every key has passed the subclass's ``_check_key`` and
@@ -338,9 +341,6 @@ class SparseSum:
         obj = object.__new__(cls)
         object.__setattr__(obj, "terms", terms)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):

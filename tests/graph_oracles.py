@@ -1,7 +1,9 @@
 """Graph oracles and helpers that the package does not run: the
 rank-nullity sum of the Tutte polynomial over all edge subsets, the
 deletion-contraction split of the first Symanzik polynomial at one
-edge, the growth pass that keys every candidate, the Tutte polynomial of
+edge, the growth pass that keys every candidate, the fundamental cycles of
+``graphpoly._cycle_space`` from whole signed root paths, the Tutte
+polynomial of
 a structural sum's forests, the connectivity and degree reads of a
 graph, the homomorphism density t(H, G) counted on the graph itself, and
 the test inputs: complete and path graphs, W-random graphs, constant
@@ -10,12 +12,11 @@ The rank-nullity sum counts components with its own union-find, so that
 a defect in the package's cannot hide from both sides.
 """
 
-import warnings
 from fractions import Fraction
 
 from dsegraphon.dse import structural_sum
 from dsegraphon.graphon import SimpleGraph, StepGraphon
-from dsegraphon.graphpoly import DisconnectedNotice, MultiGraph, MultiPoly, symanzik_psi
+from dsegraphon.graphpoly import MultiGraph, MultiPoly, _core, symanzik_psi
 from dsegraphon.trees import Record
 
 RANK_NULLITY_EDGE_LIMIT = 20
@@ -87,11 +88,9 @@ def psi_deletion_contraction(g: MultiGraph, i: int) -> PsiSplitReport:
     elif g.is_bridge(i):
         degenerate = "bridge"
     var = f"w{g.evars[i]}"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedNotice)
-        psi = symanzik_psi(g)
-        deleted = symanzik_psi(g.delete(i))
-        contracted = symanzik_psi(g.contract(i))
+    psi = symanzik_psi(g)
+    deleted = symanzik_psi(g.delete(i))
+    contracted = symanzik_psi(g.contract(i))
     holds = None
     if degenerate is None:
         holds = psi == MultiPoly.var(var) * deleted + contracted
@@ -118,6 +117,47 @@ def grow_unpruned(max_edges: int) -> dict:
                         nxt.append((key, grown[key]))
         frontier = nxt
     return grown
+
+
+def cycle_space_by_root_paths(g: MultiGraph, shift: int) -> list[dict[int, int]]:
+    """``graphpoly._cycle_space`` as each vertex's whole signed root path:
+    the same spanning forest, grown in edge-scan order from position
+    ``shift``, and each edge left out of it gives the cycle
+    edge + path[u] - path[v], the shared prefix cancelling.  Time and
+    memory grow with the sum of the depths."""
+    n, edges = _core(g.n, g.edges)
+    order = list(range(shift, g.m)) + list(range(shift))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for j in order:
+        u, v = edges[j]
+        if u != v:
+            adj[u].append(j)
+            adj[v].append(j)
+    path: list = [None] * n
+    in_tree = [False] * g.m
+    for r in range(n):
+        if path[r] is not None:
+            continue
+        path[r] = {}
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for j in adj[x]:
+                u, v = edges[j]
+                y = v if x == u else u
+                if path[y] is None:
+                    path[y] = {**path[x], j: 1 if x == u else -1}
+                    in_tree[j] = True
+                    stack.append(y)
+    cycles = []
+    for j in order:
+        if not in_tree[j]:
+            pu, pv = (path[x] for x in edges[j])
+            cyc = {e: s for e, s in pu.items() if e not in pv}
+            cyc.update((e, -s) for e, s in pv.items() if e not in pu)
+            cyc[j] = 1
+            cycles.append(cyc)
+    return cycles
 
 
 def tutte_of_partial_sum(sol, m: int) -> MultiPoly:

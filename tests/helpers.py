@@ -1,16 +1,17 @@
 """Readers, generators and oracles that only the tests use: the JSON
 decoders that read a document's trees, forest sums, Laurent series,
 graphons and polynomials back into package objects, the enumeration of
-trees by vertex count, and the term-by-term Hopf oracles.  The package
-decodes only what the CLI reads (equation specs, rules and graphs); every
-decoder here raises ValueError on a JSON value that it cannot decode, as
-the package's own do.
+trees by vertex count, the term-by-term Hopf oracles, and the Haar
+point of a set of ranks.  The package decodes only what the CLI reads
+(equation specs, rules and graphs); every decoder here raises ValueError
+on a JSON value that it cannot decode, as the package's own do.
 """
 
 from fractions import Fraction
 
 from dsegraphon.graphon import StepGraphon
 from dsegraphon.graphpoly import MultiPoly
+from dsegraphon.haar import SolutionPoint, VertexUniverse
 from dsegraphon.hopf import TensorSum, coproduct
 from dsegraphon.renorm import LaurentSeries, ScalePoly
 from dsegraphon.serialize import _window, rational_from_str
@@ -161,3 +162,13 @@ def multipoly_from_json(obj) -> MultiPoly:
                          "and an 'exps' object")
     return MultiPoly((((v, _exponent(e)) for v, e in item.get("exps", {}).items()),
                       rational_from_str(item["coef"])) for item in obj)
+
+
+def point_from_ranks(u: VertexUniverse, ranks=()) -> SolutionPoint:
+    """The point of ``u`` holding ``ranks``: rank r is bit r - 1 of its mask."""
+    mask = 0
+    for r in ranks:
+        if not (1 <= r <= u.depth):
+            raise ValueError(f"rank {r} outside 1..{u.depth}")
+        mask |= 1 << (r - 1)
+    return SolutionPoint(u, mask)

@@ -9,7 +9,6 @@ computations.
 import itertools
 import random
 import time
-import warnings
 from fractions import Fraction as F
 
 import networkx as nx
@@ -20,14 +19,14 @@ from hypothesis import given, settings, strategies as st
 from dsegraphon import graphpoly
 from dsegraphon.trees import Tree, _bareiss_det, ladder, leaf
 from dsegraphon.dse import Cocycle, DSESpec, solve, structural_sum
-from dsegraphon.graphpoly import (DisconnectedNotice, MultiGraph, MultiPoly,
+from dsegraphon.graphpoly import (MultiGraph, MultiPoly,
                                   corpus_tutte, generate_connected_multigraphs,
                                   least_edge_code, loop_number, spanning_tree_count,
                                   spanning_forests, symanzik_det, symanzik_det_poly,
                                   symanzik_psi, tree_to_graph, tutte)
-from graph_oracles import (degree_view, dsu_find, grow_unpruned, is_connected,
-                           psi_deletion_contraction, tutte_of_partial_sum,
-                           tutte_rank_nullity)
+from graph_oracles import (cycle_space_by_root_paths, degree_view, dsu_find,
+                           grow_unpruned, is_connected, psi_deletion_contraction,
+                           tutte_of_partial_sum, tutte_rank_nullity)
 from helpers import all_trees
 
 X = MultiPoly.var("x")
@@ -191,6 +190,46 @@ def test_is_bridge_matches_the_deletion_definition():
     for g in graphs:
         for i in range(g.m):
             assert g.is_bridge(i) == _oracle_is_bridge(g, i), (g, i)
+
+
+def test_cycle_space_equals_the_root_path_oracle():
+    # the same cycles, with their entries in the same order, at every
+    # edge-scan shift: the 7-edge corpus, then random multigraphs with
+    # loops, parallel edges, several components and isolated vertices
+    graphs = generate_connected_multigraphs(7)
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        graphs.append(MultiGraph(n, [(rng.randrange(n), rng.randrange(n))
+                                     for _ in range(rng.randint(0, 14))]))
+    for g in graphs:
+        for shift in range(max(g.m, 1)):
+            got = graphpoly._cycle_space(g, shift)
+            want = cycle_space_by_root_paths(g, shift)
+            assert [list(c.items()) for c in got] == [list(c.items()) for c in want], \
+                (g, shift)
+
+
+def test_cycle_space_is_linear_on_a_long_cycle():
+    # root paths would hold 4000 * 3999 / 2 entries on C_4000; the walk up
+    # to the common ancestor holds one list per vertex and the cycle
+    import tracemalloc
+    n = 4000
+    g = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    tracemalloc.start()
+    try:
+        cycles = graphpoly._cycle_space(g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10 ** 6
+    assert len(cycles) == 1 and len(cycles[0]) == n
+    boundary = [0] * n  # a cycle: every vertex is entered as often as left
+    for j, sign in cycles[0].items():
+        u, v = g.edges[j]
+        boundary[u] -= sign
+        boundary[v] += sign
+    assert boundary == [0] * n
 
 
 def test_canonical_key_is_isomorphism_invariant():
@@ -405,32 +444,27 @@ def test_loop_number():
     assert loop_number(k4()) == 3
 
 
-def test_psi_disconnected_warns_and_factors():
+def test_psi_disconnected_factors():
     g = MultiGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    with pytest.warns(DisconnectedNotice):
-        psi = symanzik_psi(g)
+    psi = symanzik_psi(g)
     assert psi == (w(1) + w(2) + w(3)) * (w(4) + w(5) + w(6))
 
 
 def test_psi_counts_the_components_once(monkeypatch):
-    # the notice reads the component count off the forests themselves
+    # the forests' size is read off one component count
     calls = []
     component_count = MultiGraph.component_count
 
-    def counting(self, edge_subset=None):
+    def counting(self):
         calls.append(self)
-        return component_count(self, edge_subset)
+        return component_count(self)
 
     monkeypatch.setattr(MultiGraph, "component_count", counting)
-    for g, notices in ((triangle(), 0), (MultiGraph(0, []), 0),
-                       (MultiGraph(4, [(0, 1), (2, 3)]), 1),
-                       (MultiGraph(3, []), 1)):
+    for g in (triangle(), MultiGraph(0, []), MultiGraph(4, [(0, 1), (2, 3)]),
+              MultiGraph(3, [])):
         calls.clear()
-        with warnings.catch_warnings(record=True) as notes:
-            warnings.simplefilter("always")
-            symanzik_psi(g)
+        symanzik_psi(g)
         assert calls == [g]
-        assert [n.category for n in notes] == [DisconnectedNotice] * notices, g
 
 
 def test_isolated_vertices_cost_nothing():
@@ -450,8 +484,7 @@ def test_isolated_vertices_cost_nothing():
 
     tracemalloc.start()
     try:
-        with pytest.warns(DisconnectedNotice):
-            psi = symanzik_psi(g)
+        psi = symanzik_psi(g)
         got = (tutte(g), psi, loop_number(g), g.component_count(),
                list(spanning_forests(g)), symanzik_det_poly(g),
                [graphpoly._cycle_space(g, s) for s in range(3)],
@@ -540,8 +573,7 @@ def test_det_matches_psi_on_corpus():
 
 def test_det_requires_connected_and_full_assignment():
     g = MultiGraph(4, [(0, 1), (2, 3)])
-    with pytest.warns(DisconnectedNotice):
-        psi = symanzik_psi(g)
+    psi = symanzik_psi(g)
     assert symanzik_det(g, {1: F(1), 2: F(1)}) == psi.eval({"w1": F(1), "w2": F(1)})
     with pytest.raises(ValueError):
         symanzik_det(triangle(), {1: F(1), 2: F(1)})
@@ -586,8 +618,7 @@ def test_det_matches_psi_at_every_tree_choice_on_random_multigraphs():
             assert symanzik_det(g, assignment, tree_choice=choice) == want, (g, choice)
         # a second component, even an isolated vertex, leaves Psi as it is
         h = MultiGraph(g.n + 1, g.edges)
-        with pytest.warns(DisconnectedNotice):
-            assert symanzik_psi(h) == psi
+        assert symanzik_psi(h) == psi
         for choice in range(g.m + 1):
             assert symanzik_det(h, assignment, tree_choice=choice) == want, (h, choice)
 
@@ -616,13 +647,11 @@ def test_one_spanning_forest_path_on_disconnected_multigraphs():
     graphs = [MultiGraph(0, [])] + [_random_disconnected_multigraph(rng) for _ in range(60)]
     for g in graphs:
         c = g.component_count()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedNotice)
-            psi = symanzik_psi(g)
-            want = MultiPoly.product(symanzik_psi(h) for h in g.components())
+        psi = symanzik_psi(g)
+        want = MultiPoly.product(symanzik_psi(h) for h in g.components())
         assert psi == want, g
         brute = [s for s in itertools.combinations(range(g.m), g.n - c)
-                 if g.component_count(s) == c]
+                 if MultiGraph(g.n, [g.edges[i] for i in s]).component_count() == c]
         assert list(spanning_forests(g)) == brute, g
         for _ in range(2):
             assignment = {v: F(rng.randint(-9, 9) or 1, rng.randint(1, 12)) for v in g.evars}
@@ -697,10 +726,7 @@ def test_det_poly_equals_psi_on_random_multigraphs():
     # one monomial; K5 and K3,3 give bases whose signs no row or column
     # flip removes
     for g in _det_poly_graphs(random.Random(17)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedNotice)
-            psi = symanzik_psi(g)
-        assert symanzik_det_poly(g) == psi, g
+        assert symanzik_det_poly(g) == symanzik_psi(g), g
     shared = MultiGraph(3, [(0, 1), (1, 2), (0, 2), (1, 1)], evars=(1, 1, 2, 2))
     assert symanzik_det_poly(shared) == 2 * w(1) * w(2) + w(2) * w(2)
 

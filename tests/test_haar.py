@@ -18,6 +18,7 @@ from dsegraphon.haar import (BallEstimate, SolutionPoint, VertexUniverse,
                              ball_measure_mc, distance, group_op,
                              ks_critical_value, norm,
                              norm_uniformity_statistic, sample_haar)
+from helpers import point_from_ranks
 
 
 U8 = VertexUniverse(8)
@@ -30,18 +31,18 @@ def test_universe_validation():
 
 def test_points_from_ranks():
     u = VertexUniverse(4)
-    assert u.point_from_ranks([1, 3]) == SolutionPoint(u, 0b101)
-    assert u.point_from_ranks() == u.identity() == SolutionPoint(u, 0)
+    assert point_from_ranks(u, [1, 3]) == SolutionPoint(u, 0b101)
+    assert point_from_ranks(u) == u.identity() == SolutionPoint(u, 0)
     with pytest.raises(ValueError):
-        u.point_from_ranks([5])
+        point_from_ranks(u, [5])
     with pytest.raises(ValueError):
         SolutionPoint(u, 1 << 4)
 
 
 def test_group_op_examples():
-    x = U8.point_from_ranks([1, 2])
-    y = U8.point_from_ranks([2, 3])
-    assert group_op(x, y) == U8.point_from_ranks([1, 3])
+    x = point_from_ranks(U8, [1, 2])
+    y = point_from_ranks(U8, [2, 3])
+    assert group_op(x, y) == point_from_ranks(U8, [1, 3])
     assert group_op(x, U8.identity()) == x
     assert group_op(x, x) == U8.identity()
     assert group_op(x, y) == group_op(y, x)
@@ -50,11 +51,11 @@ def test_group_op_examples():
 
 
 def test_distance_examples():
-    x = U8.point_from_ranks([1])
+    x = point_from_ranks(U8, [1])
     assert distance(x, x) == 0
     assert distance(x, U8.identity()) == F(1, 2)
-    a = U8.point_from_ranks([1, 2])
-    b = U8.point_from_ranks([2, 3])
+    a = point_from_ranks(U8, [1, 2])
+    b = point_from_ranks(U8, [2, 3])
     assert distance(a, b) == F(5, 8)  # symmetric difference {1, 3}
     # base g + eps = 3
     assert distance(a, U8.identity(), g=2, eps=1) == F(1, 3) + F(1, 9)
@@ -66,7 +67,7 @@ def test_distance_examples():
 
 def test_norm_examples():
     assert norm(U8.identity()) == 0
-    assert norm(U8.point_from_ranks([1])) == F(1, 2)
+    assert norm(point_from_ranks(U8, [1])) == F(1, 2)
     full = SolutionPoint(U8, 2 ** 8 - 1)
     assert norm(full) == 1 - F(1, 256)
     assert norm(SolutionPoint(VertexUniverse(20), 2 ** 20 - 1)) == 1 - F(1, 2 ** 20)
@@ -151,6 +152,13 @@ def test_sample_size_validation():
             norm_uniformity_statistic(depth=24, samples=n)
         with pytest.raises(ValueError, match="at least one sample"):
             ks_critical_value(n)
+    # one depth check for the single draw and the batch draw
+    for depth in (0, 63):
+        with pytest.raises(ValueError, match=r"depth must lie in 1\.\.62"):
+            sample_haar(depth)
+        with pytest.raises(ValueError, match=r"depth must lie in 1\.\.62"):
+            norm_uniformity_statistic(depth=depth, samples=10)
+    assert sample_haar(62, seed=3).universe.depth == 62
 
 
 # -- one shared, chunked draw per run ---------------------------------------------------

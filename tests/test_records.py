@@ -1,7 +1,8 @@
 """The value records of every layer behave as frozen value classes: a
 ``Name(field=value, ...)`` repr, equality and hash by value within one
 class, never equal to a plain tuple, no assignment, construction by
-position or keyword, and the layers' own validation messages."""
+position or keyword, and the layers' own validation messages.  Every
+other value type refuses assignment and deletion too."""
 
 from fractions import Fraction as F
 
@@ -9,13 +10,14 @@ import pytest
 
 from dsegraphon import renorm
 from dsegraphon.dse import Cocycle, DSESpec, solve, subalgebra_witness
-from dsegraphon.graphon import DensityFingerprint
-from dsegraphon.graphpoly import MultiGraph
+from dsegraphon.graphon import DensityFingerprint, SimpleGraph, StepGraphon
+from dsegraphon.graphpoly import MultiGraph, MultiPoly
+from dsegraphon.hopf import TensorSum
 from dsegraphon.haar import BallEstimate, SolutionPoint, VertexUniverse
-from dsegraphon.renorm import BirkhoffPair, RenormReport, ToyRules, birkhoff, \
-    renormalize_solution
+from dsegraphon.renorm import BirkhoffPair, LaurentSeries, RenormReport, ScalePoly, \
+    ToyRules, birkhoff, renormalize_solution
 from dsegraphon.serialize import dse_spec_from_json, toy_rules_from_json
-from dsegraphon.trees import Record, Tree
+from dsegraphon.trees import EMPTY_FOREST, Forest, ForestSum, Record, Tree
 from graph_oracles import psi_deletion_contraction
 
 
@@ -98,6 +100,37 @@ def test_record_behaves_as_a_frozen_value(build, text):
     assert a == build()
     # the fields by keyword rebuild the record
     assert type(a)(**dict(zip(a._fields, values))) == a
+
+
+# one instance of each value type and one of its attributes
+VALUES = [
+    (lambda: Cocycle("g", 1), "omega"),
+    (lambda: Tree("g"), "code"),
+    (lambda: Forest((Tree("g"),)), "code"),
+    (lambda: ForestSum.of(Tree("g")), "terms"),
+    (lambda: TensorSum.of(EMPTY_FOREST, Forest((Tree("g"),))), "terms"),
+    (lambda: ScalePoly.L(2), "terms"),
+    (lambda: LaurentSeries({-1: 2}), "lo"),
+    (lambda: MultiPoly.var("x"), "terms"),
+    (lambda: MultiGraph(2, [(0, 1)]), "edges"),
+    (lambda: SimpleGraph(2, [(0, 1)]), "edges"),
+    (lambda: StepGraphon((F(1),), ((F(1, 2),),)), "nums"),
+]
+
+
+@pytest.mark.parametrize("build, name", VALUES,
+                         ids=[type(build()).__name__ for build, _ in VALUES])
+def test_every_value_type_refuses_assignment_and_deletion(build, name):
+    x = build()
+    value = getattr(x, name)
+    message = f"{type(x).__name__} is immutable"
+    for attempt in (lambda: setattr(x, name, None), lambda: delattr(x, name),
+                    lambda: setattr(x, "other", None)):
+        with pytest.raises(AttributeError, match=message):
+            attempt()
+    assert getattr(x, name) is value and x == build()
+    # trees are interned: a deleted code would be gone for every later Tree("g")
+    assert Tree("g").code == "g[]"
 
 
 def test_records_differ_by_value_and_class():
