@@ -73,7 +73,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .trees import ForestSum, Frozen, Record, _as_coeff
+from .trees import ForestSum, Frozen, _as_coeff
 from .graphpoly import MultiGraph, _groups, generate_connected_multigraphs, \
     least_edge_code, tree_to_graph
 
@@ -708,8 +708,6 @@ def _weighted_map_sum(nv: int, edge_mats, k: int, mu):
             if at else every
         for c in colours:
             term = acc * mu[c]
-            if not term:
-                continue
             assign[depth] = c
             ok = True
             for (a, mat, _) in at:
@@ -793,18 +791,11 @@ def connected_graphs_up_to(max_edges: int) -> list[SimpleGraph]:
     return out
 
 
-class DensityFingerprint(Record):
-    """Homomorphism densities against all connected graphs with at most
-    ``level`` edges, keyed by canonical graph code."""
-
-    _fields = ("level", "densities")
-
-def density_fingerprint(w: StepGraphon, level: int) -> DensityFingerprint:
-    """Fingerprint of W by densities of connected graphs up to ``level`` edges."""
-    rows = []
-    for h in connected_graphs_up_to(level):
-        rows.append((h.canonical_code(), hom_density(h, w)))
-    return DensityFingerprint(level=level, densities=tuple(rows))
+def density_fingerprint(w: StepGraphon, level: int) -> tuple:
+    """Fingerprint of W: the (canonical code, homomorphism density) rows of
+    the connected graphs with at most ``level`` edges."""
+    return tuple((h.canonical_code(), hom_density(h, w))
+                 for h in connected_graphs_up_to(level))
 
 
 # -- solution-series diagnostics --------------------------------------------------------

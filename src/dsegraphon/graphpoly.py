@@ -104,28 +104,16 @@ class MultiPoly(SparseSum):
         return MultiPoly({((name, exp),): coeff})
 
     def eval(self, values: dict[str, Fraction]) -> Fraction:
-        """Exact value at ``values``.  The values are put over their least
-        common denominator D; the monomials of each total degree d are
-        summed as integers S_d, and the value is sum_d S_d / D**d."""
-        num: dict[str, Fraction] = {}
-        for mono in self.terms:
-            for v, _ in mono:
-                if v not in num:
-                    if v not in values:
-                        raise ValueError(f"no value supplied for variable {v!r}")
-                    num[v] = _as_coeff(values[v])
-        scale = math.lcm(*(q.denominator for q in num.values()))
-        ints = {v: q.numerator * (scale // q.denominator) for v, q in num.items()}
-        sums: dict[int, int] = {}
+        """Exact value at ``values``."""
+        total = Fraction(0)
         for mono, c in self.terms.items():
-            d = 0
+            term = Fraction(c)
             for v, e in mono:
-                c *= ints[v] ** e
-                d += e
-            sums[d] = sums.get(d, 0) + c
-        top = max(sums, default=0)
-        return Fraction(sum(s * scale ** (top - d) for d, s in sums.items()),
-                        scale ** top)
+                if v not in values:
+                    raise ValueError(f"no value supplied for variable {v!r}")
+                term *= _as_coeff(values[v]) ** e
+            total += term
+        return total
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degs = {sum(e for _, e in mono) for mono in self.terms}
@@ -689,6 +677,17 @@ def _wvar(i: int) -> str:
     return f"w{i}"
 
 
+def _edge_monomial(names: list[str], idx) -> tuple:
+    """The monomial key of the product of the variables ``names[j]`` over
+    the edge positions j in ``idx``; edges that share a variable raise its
+    exponent."""
+    exps: dict[str, int] = {}
+    for j in idx:
+        v = names[j]
+        exps[v] = exps.get(v, 0) + 1
+    return tuple(sorted(exps.items()))
+
+
 def spanning_forests(g: MultiGraph):
     """Yield the maximal spanning forests of a multigraph as index tuples:
     the (n - c)-edge subsets with no cycle, for c components.  On a
@@ -741,12 +740,8 @@ def symanzik_psi(g: MultiGraph) -> MultiPoly:
     m = g.m
     for forest in spanning_forests(g):
         fset = set(forest)
-        exps: dict[str, int] = {}
-        for j in range(m):
-            if j not in fset:
-                v = names[j]
-                exps[v] = exps.get(v, 0) + 1
-        _accumulate(terms, ((tuple(sorted(exps.items())), 1),))
+        mono = _edge_monomial(names, [j for j in range(m) if j not in fset])
+        _accumulate(terms, ((mono, 1),))
     return MultiPoly._make(terms)
 
 
@@ -804,11 +799,7 @@ def symanzik_det_poly(g: MultiGraph) -> MultiPoly:
     def visit(i: int, cols: list[list], det) -> None:
         k = len(chosen)
         if k == ell:
-            exps: dict[str, int] = {}
-            for j in chosen:
-                v = names[j]
-                exps[v] = exps.get(v, 0) + 1
-            _accumulate(terms, ((tuple(sorted(exps.items())), det * det),))
+            _accumulate(terms, ((_edge_monomial(names, chosen), det * det),))
             return
         while i - k <= slack:  # the columns left out so far
             col = cols[i]

@@ -114,13 +114,16 @@ def _check_depth(depth: int) -> None:
 _CHUNK_ROWS = 1 << 12
 
 
-def _draw_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
-    """n independent samples in draw order, each reduced to the integer
-    round(2^depth * norm): the bit at rank r contributes 2^(depth-r).
+@lru_cache(maxsize=1)
+def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
+    """The run's shared draw: n independent samples, each reduced to the
+    integer round(2^depth * norm) (the bit at rank r contributes
+    2^(depth-r)), sorted.
 
     One counter-based stream per master seed.  The coin matrix is drawn
     in row chunks; the stream is sequential, so the norms equal those of
-    a single (n, depth) block.
+    a single (n, depth) block.  The last draw is cached and returned
+    read-only, so callers sharing it cannot corrupt it.
     """
     import numpy as np
     _check_depth(depth)
@@ -134,15 +137,6 @@ def _draw_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
         hi = min(lo + _CHUNK_ROWS, n)
         np.matmul(rng.integers(0, 2, size=(hi - lo, depth), dtype=np.uint64),
                   weights, out=out[lo:hi])
-    return out
-
-
-@lru_cache(maxsize=1)
-def _sample_norm_ints(depth: int, n: int, seed: int) -> np.ndarray:
-    """The run's shared draw: ``_draw_norm_ints`` sorted in place.  The
-    last draw is cached and returned read-only, so callers sharing it
-    cannot corrupt it."""
-    out = _draw_norm_ints(depth, n, seed)
     out.sort()
     out.flags.writeable = False
     return out

@@ -156,5 +156,5 @@ def multigraph_from_json(obj) -> MultiGraph:
 
 
 def multipoly_to_json(p: MultiPoly) -> list:
-    return [{"coef": rational_to_str(c), "exps": {v: e for (v, e) in sorted(mono)}}
-            for mono, c in sorted(p.terms.items(), key=lambda mc: tuple(sorted(mc[0])))]
+    return [{"coef": rational_to_str(c), "exps": dict(mono)}
+            for mono, c in sorted(p.terms.items())]

@@ -113,10 +113,11 @@ class Tree(Frozen):
 
     def __new__(cls, label: str, children: Iterable["Tree"] = ()):
         check_decoration(label)
-        kids = tuple(sorted(children, key=_CODE))
+        kids = tuple(children)
         for k in kids:
             if not isinstance(k, Tree):
                 raise TypeError("children must be Tree instances")
+        kids = tuple(sorted(kids, key=_CODE))
         code = label + "[" + "".join(map(_CODE, kids)) + "]"
         self = _TREES.get(code)
         if self is None:

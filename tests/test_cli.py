@@ -158,6 +158,20 @@ def test_tutte_explicit_graphs_and_csv(capsys, tmp_path):
     assert lines[5].split(",")[2:] == ["16", "16", "yes"]
 
 
+def test_tutte_exits_1_when_the_matrix_tree_count_differs(capsys, tmp_path, monkeypatch):
+    from dsegraphon import graphpoly
+    real = graphpoly._matrix_tree_count
+    monkeypatch.setattr(graphpoly, "_matrix_tree_count", lambda g: real(g) + 1)
+    graphs = _write(tmp_path, "graphs.json", [{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}])
+    code, doc = run_json(capsys, ["tutte", "--graphs", graphs])
+    assert code == 1
+    assert doc["checks"] == [{"name": "tutte-t11-matrix-tree", "status": "FAIL"}]
+    [entry] = doc["results"]["entries"]
+    assert (entry["t11"], entry["spanning_trees"], entry["match"]) == ("3", 4, False)
+    assert main(["tutte", "--graphs", graphs, "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[4] == "3,0-1;1-2;0-2,3,4,no"
+
+
 def test_tutte_empty_corpus(capsys, tmp_path):
     graphs = tmp_path / "none.json"
     graphs.write_text("[]")

@@ -245,6 +245,17 @@ def test_witness_refuses_a_tampered_coefficient():
     assert subalgebra_witness(sol, 2).ok
 
 
+def test_witness_leaves_out_zero_generators():
+    # omega_1 = 0: X_1 = X_3 = 0 at order 4, while X_2 and X_4 are not
+    sol = solve(DSESpec((Cocycle("g", F(0)), Cocycle("h", F(1))), order=4))
+    xs = sol.coefficients
+    assert [bool(x) for x in xs] == [True, False, True, False, True]
+    for n in range(5):
+        rep = subalgebra_witness(sol, n)
+        assert rep.ok, n
+        assert all(xs[i] for left, right in rep.coefficients for i in left + right), n
+
+
 def test_witness_grade_zero():
     rep = subalgebra_witness(solve(SPEC_A), 0)
     assert rep.ok

@@ -10,7 +10,7 @@ import pytest
 
 from dsegraphon import renorm
 from dsegraphon.dse import Cocycle, DSESpec, solve, subalgebra_witness
-from dsegraphon.graphon import DensityFingerprint, SimpleGraph, StepGraphon
+from dsegraphon.graphon import SimpleGraph, StepGraphon
 from dsegraphon.graphpoly import MultiGraph, MultiPoly
 from dsegraphon.hopf import TensorSum
 from dsegraphon.haar import BallEstimate, SolutionPoint, VertexUniverse
@@ -61,8 +61,6 @@ RECORDS = [
      "SolutionPoint(universe=VertexUniverse(depth=2), mask=3)"),
     (lambda: BallEstimate(F(1, 2), 3, 7, 4, 5),
      "BallEstimate(r=Fraction(1, 2), hits=3, samples=7, depth=4, seed=5)"),
-    (lambda: DensityFingerprint(1, (("2:0-1", F(1, 3)),)),
-     "DensityFingerprint(level=1, densities=(('2:0-1', Fraction(1, 3)),))"),
     (lambda: psi_deletion_contraction(MultiGraph(2, [(0, 1), (0, 1)]), 0),
      "PsiSplitReport(edge_index=0, variable='w1', psi=w1 + w2, deleted=1, "
      "contracted=w2, identity_holds=True, degenerate=None)"),
@@ -71,7 +69,7 @@ RECORDS = [
 
 def test_every_record_class_is_covered():
     classes = {type(build()) for build, _ in RECORDS}
-    assert len(classes) == 12 and all(issubclass(c, Record) for c in classes)
+    assert len(classes) == 11 and all(issubclass(c, Record) for c in classes)
 
 
 @pytest.mark.parametrize("build, text", RECORDS,

@@ -560,6 +560,14 @@ def test_convolve_matches_the_per_term_oracle_on_series_characters():
             assert convolve(ax, ay, x) == ref_convolve(ax, ay, x), x
 
 
+def test_convolve_refuses_characters_with_different_targets():
+    phi = rational_character(lambda t: F(t.size), "size")
+    sr = rules_character(ToyRules())
+    for f, g in ((phi, sr), (sr, phi)):
+        with pytest.raises(ValueError, match=f"targets {f.target!r} and {g.target!r}"):
+            convolve(f, g, leaf("g"))
+
+
 def test_renormalization_group_convolution():
     # at eps^0, phi_+ at scale a+b is phi_+ at a convolved with phi_+ at b
     a, b = F(1, 3), F(-5, 2)

@@ -26,6 +26,12 @@ def test_tree_canonical_code_sorts_children():
     assert hash(a) == hash(b)
 
 
+def test_tree_refuses_children_that_are_not_trees():
+    for bad in (1, "g", None, Forest()):
+        with pytest.raises(TypeError, match="children must be Tree instances"):
+            Tree("g", [bad])
+
+
 def test_tree_size_and_edges():
     cherry = Tree("g", [leaf("g"), leaf("g")])
     for t, size in ((leaf("g"), 1), (ladder(4), 4), (cherry, 3)):
